@@ -9,6 +9,7 @@ bottom, its top, and an arbitrary order on the remaining elements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
@@ -26,17 +27,27 @@ def product_lattice(a: Lattice, b: Lattice) -> Lattice:
     return lattice_from_leq(a.n * b.n, pairs)
 
 
+@functools.cache
+def _named_entries() -> tuple:
+    """The named catalog as ``(name, lattice)`` pairs, built once per process."""
+    out = [(f"chain{n}", chain(n)) for n in range(7)]
+    out.append(("b2", lattice_from_leq(4, [(0, 1), (0, 2), (1, 3), (2, 3)])))
+    out.append(("b3", ideal_lattice(Poset.antichain(3), "lower")[0]))
+    out.append(("m3", lattice_from_leq(5, [(0, 1), (0, 2), (0, 3),
+                                           (1, 4), (2, 4), (3, 4)])))
+    out.append(("n5", lattice_from_leq(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])))
+    out.append(("grid2x3", product_lattice(chain(1), chain(2))))
+    return tuple(out)
+
+
 def named_lattices() -> dict:
-    """The named catalog, keyed by short stable names."""
-    out = {}
-    for n in range(7):
-        out[f"chain{n}"] = chain(n)
-    out["b2"] = lattice_from_leq(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    out["b3"] = ideal_lattice(Poset.antichain(3), "lower")[0]
-    out["m3"] = lattice_from_leq(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-    out["n5"] = lattice_from_leq(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
-    out["grid2x3"] = product_lattice(chain(1), chain(2))
-    return out
+    """The named catalog, keyed by short stable names.
+
+    Every call returns a fresh dict over the same interned ``Lattice``
+    objects, so equality checks between catalog entries hit the identity
+    fast path.
+    """
+    return dict(_named_entries())
 
 
 def enumerate_posets(k: int):

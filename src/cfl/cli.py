@@ -132,6 +132,8 @@ def _cmd_rank(args):
         raise _input_error("rank needs a lattice file (positional or --lattice)")
     if args.file and args.lattice and args.file != args.lattice:
         raise _input_error("two different lattice files given")
+    if args.points < 0:
+        raise _input_error(f"--points must be non-negative, got {args.points}")
     lat = _load_lattice(path)
     ring = _ring_from(args)
     cap = args.cap

@@ -22,6 +22,9 @@ import numpy as np
 
 DEFAULT_PRIME = 1000003
 
+# modp_rank eliminates in int64, which is exact while (p - 1)^2 < 2^63.
+MAX_PRIME = 2 ** 31
+
 
 class Rationals:
     """Exact rational arithmetic on ``fractions.Fraction`` values."""
@@ -70,6 +73,7 @@ class PrimeField:
     exact = False  # ranks mod p can undershoot the characteristic-zero rank
 
     def __init__(self, p: int):
+        _check_prime_bound(p)
         if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1))):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -105,6 +109,11 @@ class PrimeField:
 
 
 RATIONALS = Rationals()
+
+
+def _check_prime_bound(p: int) -> None:
+    if p >= MAX_PRIME:
+        raise ValueError(f"prime {p} too large: the mod-p kernel needs p < 2^31")
 
 
 def parse_ring(spec: str):
@@ -273,7 +282,11 @@ def bareiss_rank_int(int_rows) -> int:
 
 
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
-    """Rank mod p by vectorized elimination; always <= the rational rank."""
+    """Rank mod p by vectorized elimination; always <= the rational rank.
+
+    Raises ValueError for ``p >= 2^31``, where int64 products would overflow.
+    """
+    _check_prime_bound(p)
     rows = [row for row in int_rows if any(row)]
     if not rows:
         return 0

@@ -12,7 +12,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .relations import Correspondence, order_flags, reflexive_transitive_closure
+from .relations import (MAX_POINTS, Correspondence, order_flags,
+                        reflexive_transitive_closure)
 
 
 class LatticeError(ValueError):
@@ -92,7 +93,10 @@ class Poset:
         return Poset(Correspondence.from_pairs(len(elements), len(elements), pairs))
 
     def __eq__(self, other):
-        return isinstance(other, Poset) and self.leq == other.leq
+        if self is other:
+            return True
+        return (isinstance(other, Poset) and self._hash == other._hash
+                and self.leq == other.leq)
 
     def __hash__(self):
         return self._hash
@@ -182,7 +186,7 @@ class Lattice:
                    for a in range(self.n) for b in range(a + 1, self.n))
 
     def __eq__(self, other):
-        return isinstance(other, Lattice) and self.poset == other.poset
+        return self is other or (isinstance(other, Lattice) and self.poset == other.poset)
 
     def __hash__(self):
         return self._hash
@@ -303,8 +307,10 @@ def mobius(obj):
 class JoinMap:
     """A map between lattices commuting with all joins (including the empty one).
 
-    Validated at construction: the bottom must map to the bottom and the
-    image of each binary join must be the join of the images.
+    The public constructor validates: the bottom must map to the bottom and
+    the image of each binary join must be the join of the images.  Results
+    that preserve joins by construction, such as composites, are built by
+    the unchecked ``_trusted`` instead, which skips the O(n^2) scan.
     """
 
     __slots__ = ("src", "dst", "images", "_hash")
@@ -327,6 +333,16 @@ class JoinMap:
         self.images = images
         self._hash = hash((src._hash, dst._hash, images))
 
+    @classmethod
+    def _trusted(cls, src: Lattice, dst: Lattice, images: tuple) -> "JoinMap":
+        """A join-map from an image tuple known to preserve joins; no checks."""
+        m = object.__new__(cls)
+        m.src = src
+        m.dst = dst
+        m.images = images
+        m._hash = hash((src._hash, dst._hash, images))
+        return m
+
     def __call__(self, t: int) -> int:
         return self.images[t]
 
@@ -342,7 +358,9 @@ class JoinMap:
         """``self`` after ``other``."""
         if other.dst != self.src:
             raise ValueError("middle lattice mismatch")
-        return JoinMap(other.src, self.dst, (self.images[v] for v in other.images))
+        images = self.images
+        return JoinMap._trusted(other.src, self.dst,
+                                tuple([images[v] for v in other.images]))
 
     def __matmul__(self, other):
         if not isinstance(other, JoinMap):
@@ -356,8 +374,10 @@ class JoinMap:
         return len(set(self.images)) == self.dst.n
 
     def __eq__(self, other):
-        return (isinstance(other, JoinMap) and self.src == other.src
-                and self.dst == other.dst and self.images == other.images)
+        if self is other:
+            return True
+        return (isinstance(other, JoinMap) and self.images == other.images
+                and self.src == other.src and self.dst == other.dst)
 
     def __hash__(self):
         return self._hash
@@ -461,8 +481,10 @@ def poset_from_json(obj) -> Poset:
         raw = obj["leq"]
     except KeyError as missing:
         raise LatticeError(f"missing required key {missing}") from None
-    if not isinstance(n, int) or n < 0:
-        raise LatticeError(f"size must be a non-negative integer, got {n!r}")
+    if not isinstance(n, int) or not 0 <= n <= MAX_POINTS:
+        raise LatticeError(f"size must be an integer in 0..{MAX_POINTS}, got {n!r}")
+    if not isinstance(raw, list):
+        raise LatticeError(f"leq must be a list of [a, b] pairs, got {raw!r}")
     pairs = []
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2

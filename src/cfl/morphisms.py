@@ -11,6 +11,7 @@ join-endomorphisms with totally ordered image (``tot_basis``).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .lattices import JoinMap, Lattice, chain, mobius
@@ -24,7 +25,11 @@ class LinMorphism:
     """A finite formal sum of join-maps with exact rational coefficients.
 
     Terms with equal maps are merged and zero coefficients dropped, so
-    equality of the term dictionaries is equality of morphisms.
+    equality of the term dictionaries is equality of morphisms.  The public
+    constructor checks and merges its terms.  ``compose`` multiplies and
+    sums coefficients as Python ints, merging by composite image tuple, and
+    wraps the result, already merged and nonzero, with the unchecked
+    ``_trusted``; stored coefficients are always ``Fraction`` values.
     """
 
     __slots__ = ("src", "dst", "terms")
@@ -45,6 +50,15 @@ class LinMorphism:
         self.src = src
         self.dst = dst
         self.terms = merged
+
+    @classmethod
+    def _trusted(cls, src: Lattice, dst: Lattice, terms: dict) -> "LinMorphism":
+        """Wrap a dict of distinct ``src -> dst`` maps to nonzero Fractions; no checks."""
+        out = object.__new__(cls)
+        out.src = src
+        out.dst = dst
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, src: Lattice, dst: Lattice) -> "LinMorphism":
@@ -78,15 +92,26 @@ class LinMorphism:
                            {m: scalar * c for m, c in self.terms.items()})
 
     def compose(self, other: "LinMorphism") -> "LinMorphism":
-        """Bilinear extension of composition; ``self`` after ``other``."""
+        """Bilinear extension of composition; ``self`` after ``other``.
+
+        Each operand's coefficients are scaled to integers by the lcm of
+        their denominators, products are summed as ints keyed by the
+        composite image tuple, and each surviving sum is divided back once.
+        """
         if other.dst != self.src:
             raise ValueError("middle lattice mismatch")
+        g_scale, g_terms = _integral_terms(self)
+        f_scale, f_terms = _integral_terms(other)
         acc = {}
-        for g, cg in self.terms.items():
-            for f, cf in other.terms.items():
-                m = g.compose(f)
-                acc[m] = acc.get(m, Fraction(0)) + cg * cf
-        return LinMorphism(other.src, self.dst, acc)
+        for g_images, cg in g_terms:
+            for f_images, cf in f_terms:
+                key = tuple([g_images[v] for v in f_images])
+                acc[key] = acc.get(key, 0) + cg * cf
+        src, dst = other.src, self.dst
+        scale = g_scale * f_scale
+        terms = {JoinMap._trusted(src, dst, key): Fraction(c, scale)
+                 for key, c in acc.items() if c}
+        return LinMorphism._trusted(src, dst, terms)
 
     def __matmul__(self, other):
         if isinstance(other, JoinMap):
@@ -112,9 +137,11 @@ class LinMorphism:
         return "LinMorphism(" + " + ".join(f"{c}*{list(i)}" for i, c in parts) + ")"
 
 
-def check_join_map(src: Lattice, dst: Lattice, images) -> JoinMap:
-    """Validate a candidate join-map; raises naming the first violated pair."""
-    return JoinMap(src, dst, images)
+def _integral_terms(alpha: LinMorphism):
+    """``(L, [(images, L * c)])`` with ``L`` the lcm of the coefficient denominators."""
+    scale = math.lcm(*(c.denominator for c in alpha.terms.values()))
+    return scale, [(m.images, c.numerator * (scale // c.denominator))
+                   for m, c in alpha.terms.items()]
 
 
 def adjoint_op(f: JoinMap) -> JoinMap:

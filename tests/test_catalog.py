@@ -16,6 +16,15 @@ def test_named_catalog_shapes():
     assert not is_distributive(named["m3"]) and not is_distributive(named["n5"])
 
 
+def test_named_catalog_is_interned():
+    first, second = named_lattices(), named_lattices()
+    assert first is not second
+    assert first.keys() == second.keys()
+    assert all(first[name] is second[name] for name in first)
+    first.pop("m3")
+    assert "m3" in named_lattices()
+
+
 def test_product_lattice():
     grid = product_lattice(chain(1), chain(2))
     assert grid.n == 6

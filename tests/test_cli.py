@@ -55,6 +55,27 @@ def test_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+CHAIN2 = {"size": 3, "leq": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("content, argv, message", [
+    ({"size": 3, "leq": 5}, ["lattice", "check", "FILE"], "leq must be a list"),
+    ({"size": 100, "leq": [[0, 1]]}, ["lattice", "ideals", "FILE"],
+     "size must be an integer in 0..64"),
+    (CHAIN2, ["rank", "FILE", "--points", "-1"], "--points must be non-negative"),
+    (CHAIN2, ["rank", "FILE", "--points", "-1", "--method", "formula"],
+     "--points must be non-negative"),
+    (CHAIN2, ["rank", "FILE", "--points", "2", "--ring", "p:4294967311"], "p < 2^31"),
+])
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_lattice_ideals(chain2_file, capsys):
     assert main(["lattice", "ideals", chain2_file, "--direction", "upper",
                  "--json"]) == 0

@@ -88,6 +88,36 @@ def test_modp_rank_matches_bareiss_on_generic_matrices():
         assert fast_int_rank(rows) == bareiss_rank_int(rows)
 
 
+def _outer(u, v):
+    return [[a * b for b in v] for a in u]
+
+
+_int_matrices = st.one_of(
+    st.lists(st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+             min_size=1, max_size=5),
+    # rank <= 1 with entries far above 2^31, the int64 overflow case
+    st.builds(_outer, st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=5),
+              st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=5, max_size=5)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int_matrices, st.sampled_from([2, DEFAULT_PRIME, 2 ** 31 - 1]))
+def test_modp_rank_never_exceeds_exact_rank(rows, p):
+    assert modp_rank(rows, p) <= bareiss_rank_int(rows)
+
+
+def test_primes_too_large_for_int64_elimination_are_rejected():
+    big = 4294967311  # prime, above 2^31
+    with pytest.raises(ValueError, match="2\\^31"):
+        PrimeField(big)
+    with pytest.raises(ValueError, match="2\\^31"):
+        parse_ring(f"p:{big}")
+    with pytest.raises(ValueError, match="2\\^31"):
+        modp_rank([[1]], big)
+    assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
+
+
 def test_rank_invariant_under_permutations():
     import random
     rng = random.Random(8)

@@ -1,13 +1,16 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cfl.catalog import named_lattices
 from cfl.lattices import JoinMap, NotJoinPreserving, chain, join_maps, mobius
 from cfl.morphisms import (ChainTuple, LinMorphism, TermNotInBasis, adjoint_op,
-                           beta, check_join_map, e_t, epsilon, f_dc, j_of_tuple,
+                           beta, e_t, epsilon, f_dc, j_of_tuple,
                            lambda_of_tuple, lin_to_vector, max_tuple_size,
                            p_tuples, pi_of_tuple, rho_y, tot_basis, y_tuples)
 
@@ -19,10 +22,10 @@ def named():
 
 def test_check_join_map(named):
     b2 = named["b2"]
-    assert check_join_map(b2, b2, range(4)) == JoinMap.identity(b2)
-    check_join_map(b2, b2, [0, 0, 0, 0])
+    assert JoinMap(b2, b2, range(4)) == JoinMap.identity(b2)
+    JoinMap(b2, b2, [0, 0, 0, 0])
     with pytest.raises(NotJoinPreserving) as err:
-        check_join_map(b2, b2, [0, 1, 2, 2])
+        JoinMap(b2, b2, [0, 1, 2, 2])
     assert err.value.pair == (1, 2)
 
 
@@ -246,3 +249,78 @@ def test_adjoint_of_chain_image_factorization(named):
                     urev = ChainTuple(op, tuple(reversed(u.entries)), "Y")
                     vrev = ChainTuple(op, tuple(reversed(v.entries)), "P")
                     assert adjoint_op(m) == lambda_of_tuple(urev) @ pi_of_tuple(vrev)
+
+
+# --- the trusted composition path against validated references --------------
+
+SMALL = [lat for lat in named_lattices().values() if lat.n <= 5]
+coefficients = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@functools.cache
+def _maps(src, dst):
+    return join_maps(src, dst)
+
+
+@st.composite
+def composable(draw):
+    a, b, c = (draw(st.sampled_from(SMALL)) for _ in range(3))
+    return draw(st.sampled_from(_maps(a, b))), draw(st.sampled_from(_maps(b, c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(composable())
+def test_trusted_compose_matches_validated_join_map(pair):
+    f, g = pair
+    assert g.compose(f) == JoinMap(f.src, g.dst, [g(f(t)) for t in range(f.src.n)])
+
+
+@st.composite
+def lin_composable(draw):
+    a, b, c = (draw(st.sampled_from(SMALL)) for _ in range(3))
+    fs, gs = _maps(a, b), _maps(b, c)
+    inner = draw(st.lists(st.tuples(st.sampled_from(fs), coefficients), max_size=4))
+    outer = draw(st.lists(st.tuples(st.sampled_from(gs), coefficients), max_size=4))
+    if inner:
+        # g1 and g2 agree on the image of an inner map, so with opposite
+        # coefficients their products with it cancel.
+        f = inner[0][0]
+        g1 = draw(st.sampled_from(gs))
+        twins = [g for g in gs if g != g1 and all(g(v) == g1(v) for v in f.images)]
+        g2 = draw(st.sampled_from(twins or [g1]))
+        coeff = draw(coefficients)
+        outer += [(g1, coeff), (g2, -coeff)]
+    return LinMorphism(b, c, outer), LinMorphism(a, b, inner)
+
+
+def _naive_compose(alpha, beta):
+    total = {}
+    for g, cg in alpha.terms.items():
+        for f, cf in beta.terms.items():
+            m = JoinMap(f.src, g.dst, [g(f(t)) for t in range(f.src.n)])
+            total[m] = total.get(m, Fraction(0)) + cg * cf
+    return {m: c for m, c in total.items() if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(lin_composable())
+def test_lin_compose_matches_naive_bilinear_sum(pair):
+    alpha, beta = pair
+    product, want = alpha.compose(beta), _naive_compose(alpha, beta)
+    assert (product.src, product.dst) == (beta.src, alpha.dst)
+    assert product.terms == want
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+    assert product == LinMorphism(beta.src, alpha.dst, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_compose_rejects_mismatched_middle_lattice(data):
+    a, b, c, d = (data.draw(st.sampled_from(SMALL)) for _ in range(4))
+    assume(b != c)
+    f = data.draw(st.sampled_from(_maps(a, b)))
+    g = data.draw(st.sampled_from(_maps(c, d)))
+    with pytest.raises(ValueError, match="middle lattice mismatch"):
+        g.compose(f)
+    with pytest.raises(ValueError, match="middle lattice mismatch"):
+        LinMorphism.of_map(g).compose(LinMorphism.of_map(f))
