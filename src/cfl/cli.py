@@ -136,19 +136,15 @@ def _cmd_rank(args):
         raise _input_error(f"--points must be non-negative, got {args.points}")
     lat = _load_lattice(path)
     ring = _ring_from(args)
-    cap = args.cap
-    try:
-        if args.method == "theta":
-            value = theta_rank(lat, args.points, ring, cap)
-        elif args.method == "gamma":
-            value = gamma_span_rank(lat, args.points, ring, cap)
-        else:
-            if not lat.is_chain():
-                raise _input_error(
-                    "--method formula applies only to totally ordered lattices")
-            value = total_rank_formula(lat.n - 1, args.points)
-    except CapExceeded as cap_err:
-        raise _input_error(str(cap_err))
+    if args.method == "theta":
+        value = theta_rank(lat, args.points, ring, args.cap)
+    elif args.method == "gamma":
+        value = gamma_span_rank(lat, args.points, ring, args.cap)
+    else:
+        if not lat.is_chain():
+            raise _input_error(
+                "--method formula applies only to totally ordered lattices")
+        value = total_rank_formula(lat.n - 1, args.points)
     if args.json:
         print(json.dumps({"rank": value, "points": args.points,
                           "method": args.method, "ring": ring.name,
@@ -252,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as err:
+    except (_InputError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,13 @@ fraction-free integer elimination after clearing denominators row by row;
 rank over ``F_p`` is ordinary elimination.  Pivoting always takes the first
 nonzero entry, so echelon forms are reproducible.
 
-``fast_int_rank`` is a shortcut for integer matrices: the rank mod a fixed
-prime is a lower bound for the rational rank, so when it reaches the row or
-column count it already pins the exact value; otherwise the fraction-free
-elimination runs in full.
+``fast_int_rank`` is the rank entry point for integer matrices over either
+ring.  Over the rationals the rank mod a fixed prime is a lower bound for
+the rational rank, so when it reaches the row or column count it already
+pins the exact value; otherwise the fraction-free elimination runs in full.
+Over ``F_p`` it is the rank mod p.  ``det_int`` shares the fraction-free
+elimination: the last pivot is the determinant up to the sign of the row
+swaps.
 """
 
 from __future__ import annotations
@@ -247,20 +250,23 @@ def _cleared_int_rows(data):
     return out
 
 
-def bareiss_rank_int(int_rows) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in int_rows]
-    if not m or not m[0]:
-        return 0
+def _bareiss(m):
+    """Fraction-free elimination of the integer rows ``m``, in place.
+
+    Returns ``(rank, last pivot, row swaps)``.  When a square matrix has full
+    rank, its determinant is the last pivot times ``(-1) ** swaps``.
+    """
     nr, nc = len(m), len(m[0])
-    rank_ = 0
     prev = 1
+    swaps = 0
     r = 0
     for c in range(nc):
         pivot = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swaps += 1
         piv = m[r][c]
         top = m[r]
         for i in range(r + 1, nr):
@@ -274,11 +280,31 @@ def bareiss_rank_int(int_rows) -> int:
                 row[j] = q
             row[c] = 0
         prev = piv
-        rank_ += 1
         r += 1
         if r == nr:
             break
-    return rank_
+    return r, prev, swaps
+
+
+def bareiss_rank_int(int_rows) -> int:
+    """Exact rank of an integer matrix by fraction-free elimination."""
+    m = [list(r) for r in int_rows]
+    if not m or not m[0]:
+        return 0
+    return _bareiss(m)[0]
+
+
+def det_int(int_rows) -> int:
+    """Exact determinant of a square integer matrix."""
+    m = [list(r) for r in int_rows]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("determinant needs a square matrix")
+    if not m:
+        return 1
+    rank_, last, swaps = _bareiss(m)
+    if rank_ < len(m):
+        return 0
+    return -last if swaps % 2 else last
 
 
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
@@ -314,13 +340,16 @@ def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
     return r
 
 
-def fast_int_rank(int_rows) -> int:
-    """Exact rational rank of an integer matrix, with a cheap certificate.
+def fast_int_rank(int_rows, ring=RATIONALS) -> int:
+    """Rank of an integer matrix over ``ring``, with a cheap certificate.
 
-    Duplicate and zero rows are dropped first.  The rank mod the fixed prime
-    is a lower bound; if it matches min(rows, cols) the exact rank is pinned
-    without big-integer work, otherwise fraction-free elimination decides.
+    Over a prime field this is the rank mod p.  Over the rationals, duplicate
+    and zero rows are dropped first.  The rank mod the fixed prime is a lower
+    bound; if it matches min(rows, cols) the exact rank is pinned without
+    big-integer work, otherwise fraction-free elimination decides.
     """
+    if isinstance(ring, PrimeField):
+        return modp_rank(int_rows, ring.p)
     rows = list(dict.fromkeys(tuple(r) for r in int_rows if any(r)))
     if not rows:
         return 0

@@ -19,9 +19,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (ExactMatrix, PrimeField, RATIONALS, fast_int_rank,
-                    modp_rank, subspace_equal)
-from .lattices import CapExceeded, Lattice, ideal_lattice, irreducibles, mobius, r_of
+from .exact import ExactMatrix, RATIONALS, fast_int_rank, subspace_equal
+from .lattices import (CapExceeded, Lattice, _bits, ideal_lattice, irreducibles,
+                       mobius, r_of)
 from .morphisms import LinMorphism
 from .relations import Correspondence, all_permutations, order_flags
 
@@ -108,13 +108,6 @@ def star_act(q: Correspondence, f: LatticeFunction) -> LatticeFunction:
     lat = f.lattice
     return LatticeFunction(lat, (lat.meet_many(f.values[x] for x in _bits(row))
                                  for row in q.rows))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class ModVec:
@@ -421,9 +414,7 @@ def theta_rank(lattice: Lattice, points: int, ring=RATIONALS,
             continue
         rows.append([1 if _product_rows_equal(enc_psi, down, data.rop_rows, k) else 0
                      for down in cols])
-    if isinstance(ring, PrimeField):
-        return modp_rank(rows, ring.p)
-    return fast_int_rank(rows)
+    return fast_int_rank(rows, ring)
 
 
 # --- duality ------------------------------------------------------------------
@@ -517,9 +508,7 @@ def gamma_span_rank(lattice: Lattice, points: int, ring=RATIONALS,
                     cap: int = DEFAULT_FUNCTION_CAP) -> int:
     """Rank of the span of the acted generators inside the dual-side module."""
     gens = gamma_generators(lattice, points, cap)
-    if isinstance(ring, PrimeField):
-        return modp_rank(gens, ring.p)
-    return fast_int_rank(gens)
+    return fast_int_rank(gens, ring)
 
 
 def orth_check(lattice: Lattice, points: int, ring=RATIONALS,

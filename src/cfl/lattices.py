@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from .relations import (MAX_POINTS, Correspondence, order_flags,
                         reflexive_transitive_closure)
 
+# The ideal scan tests every subset of the points, so it is refused above this.
+MAX_IDEAL_POINTS = 20
+
 
 class LatticeError(ValueError):
     """A named axiom failure with the first offending element pair."""
@@ -230,6 +233,9 @@ def _bits(mask: int):
 
 
 def _lower_ideal_masks(down, n: int):
+    if n > MAX_IDEAL_POINTS:
+        raise CapExceeded(f"ideal scan capped at {MAX_IDEAL_POINTS} points, "
+                          f"the order has {n}")
     out = []
     for mask in range(1 << n):
         ok = True
@@ -267,6 +273,9 @@ def ideal_lattice(poset: Poset, direction: str = "lower"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
     down = poset.down if direction == "lower" else poset.up
     masks = _lower_ideal_masks(down, poset.n)
+    if len(masks) > MAX_POINTS:
+        raise CapExceeded(f"{len(masks)} ideals exceed the {MAX_POINTS}-element "
+                          f"lattice limit")
     return _lattice_of_masks(masks), tuple(masks)
 
 

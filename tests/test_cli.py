@@ -56,6 +56,9 @@ def test_missing_file(capsys):
 
 
 CHAIN2 = {"size": 3, "leq": [[0, 1], [1, 2]]}
+# The diamond with 40 atoms: its irreducibles form a 40-point antichain.
+M40 = {"size": 42,
+       "leq": [[0, a] for a in range(1, 41)] + [[a, 41] for a in range(1, 41)]}
 
 
 @pytest.mark.parametrize("content, argv, message", [
@@ -66,6 +69,11 @@ CHAIN2 = {"size": 3, "leq": [[0, 1], [1, 2]]}
     (CHAIN2, ["rank", "FILE", "--points", "-1", "--method", "formula"],
      "--points must be non-negative"),
     (CHAIN2, ["rank", "FILE", "--points", "2", "--ring", "p:4294967311"], "p < 2^31"),
+    ({"size": 40, "leq": []}, ["lattice", "ideals", "FILE"],
+     "ideal scan capped at 20 points"),
+    (M40, ["rank", "FILE", "--points", "1"], "ideal scan capped at 20 points"),
+    ({"size": 8, "leq": []}, ["lattice", "ideals", "FILE"],
+     "256 ideals exceed the 64-element lattice limit"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS,
-                       bareiss_rank_int, fast_int_rank, modp_rank, parse_ring,
-                       subspace_equal)
+                       bareiss_rank_int, det_int, fast_int_rank, modp_rank,
+                       parse_ring, subspace_equal)
 
 
 def test_rank_examples():
@@ -105,6 +106,47 @@ _int_matrices = st.one_of(
 @given(_int_matrices, st.sampled_from([2, DEFAULT_PRIME, 2 ** 31 - 1]))
 def test_modp_rank_never_exceeds_exact_rank(rows, p):
     assert modp_rank(rows, p) <= bareiss_rank_int(rows)
+
+
+_FIELDS = [PrimeField(p) for p in (2, DEFAULT_PRIME, 2 ** 31 - 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int_matrices, st.sampled_from(_FIELDS))
+def test_fast_int_rank_over_a_prime_field_is_the_rank_mod_p(rows, field):
+    assert fast_int_rank(rows, field) == modp_rank(rows, field.p)
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+_square_matrices = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices)
+def test_det_int_matches_the_leibniz_expansion(rows):
+    assert det_int(rows) == _leibniz_det(rows)
+
+
+def test_det_int_examples():
+    assert det_int([[0, 1], [1, 0]]) == -1  # one row swap
+    assert det_int([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_int([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1  # two swaps
+    assert det_int([[1, 2], [2, 4]]) == 0
+    assert det_int([]) == 1
+    with pytest.raises(ValueError):
+        det_int([[1, 2]])
 
 
 def test_primes_too_large_for_int64_elimination_are_rejected():
