@@ -12,7 +12,7 @@ import os
 import sys
 
 from .catalog import catalog_entries
-from .exact import parse_ring
+from .exact import RankStats, parse_ring
 from .functor import gamma_span_rank, theta_rank, total_rank_formula
 from .lattices import (CapExceeded, LatticeError, ideal_lattice, irreducibles,
                        is_distributive, lattice_from_json, lattice_to_json,
@@ -136,10 +136,11 @@ def _cmd_rank(args):
         raise _input_error(f"--points must be non-negative, got {args.points}")
     lat = _load_lattice(path)
     ring = _ring_from(args)
+    stats = RankStats(shape=None, path="formula")
     if args.method == "theta":
-        value = theta_rank(lat, args.points, ring, args.cap)
+        value = theta_rank(lat, args.points, ring, args.cap, stats)
     elif args.method == "gamma":
-        value = gamma_span_rank(lat, args.points, ring, args.cap)
+        value = gamma_span_rank(lat, args.points, ring, args.cap, stats)
     else:
         if not lat.is_chain():
             raise _input_error(
@@ -148,7 +149,11 @@ def _cmd_rank(args):
     if args.json:
         print(json.dumps({"rank": value, "points": args.points,
                           "method": args.method, "ring": ring.name,
-                          "exact": bool(getattr(ring, "exact", True))},
+                          "exact": bool(getattr(ring, "exact", True)),
+                          "shape": stats.shape and list(stats.shape),
+                          "path": stats.path,
+                          "build_s": round(stats.build_s, 6),
+                          "eliminate_s": round(stats.eliminate_s, 6)},
                          sort_keys=True))
     else:
         note = "" if getattr(ring, "exact", True) else "  (probabilistic ring)"

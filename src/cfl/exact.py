@@ -8,16 +8,22 @@ rank over ``F_p`` is ordinary elimination.  Pivoting always takes the first
 nonzero entry, so echelon forms are reproducible.
 
 ``fast_int_rank`` is the rank entry point for integer matrices over either
-ring.  Over the rationals the rank mod a fixed prime is a lower bound for
-the rational rank, so when it reaches the row or column count it already
-pins the exact value; otherwise the fraction-free elimination runs in full.
-Over ``F_p`` it is the rank mod p.  ``det_int`` shares the fraction-free
-elimination: the last pivot is the determinant up to the sign of the row
-swaps.
+ring, given as rows or as a 2-D integer numpy array.  It first drops zero
+rows, repeated rows and zero columns, none of which changes the rank.  Over
+the rationals the rank mod a fixed prime, eliminated in an int64 copy, is a
+lower bound for the rational rank, so when it reaches the row or column
+count it already pins the exact value; otherwise the fraction-free
+elimination runs in full over Python ints.  Over ``F_p`` it is the rank mod
+p.  A ``RankStats`` record, if passed, reports the shape that reached
+elimination and which of these paths settled the rank.  ``det_int`` shares
+the fraction-free elimination: the last pivot is the determinant up to the
+sign of the row swaps.  That elimination coerces every entry to a Python
+int, so fixed-width inputs cannot wrap.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -250,12 +256,15 @@ def _cleared_int_rows(data):
     return out
 
 
-def _bareiss(m):
-    """Fraction-free elimination of the integer rows ``m``, in place.
+def _bareiss(int_rows):
+    """Fraction-free elimination of a copy of the integer rows.
 
-    Returns ``(rank, last pivot, row swaps)``.  When a square matrix has full
-    rank, its determinant is the last pivot times ``(-1) ** swaps``.
+    Every entry is coerced to a Python int first, so fixed-width inputs such
+    as numpy arrays cannot wrap.  Returns ``(rank, last pivot, row swaps)``.
+    When a square matrix has full rank, its determinant is the last pivot
+    times ``(-1) ** swaps``.
     """
+    m = [[int(v) for v in row] for row in int_rows]
     nr, nc = len(m), len(m[0])
     prev = 1
     swaps = 0
@@ -287,22 +296,24 @@ def _bareiss(m):
 
 
 def bareiss_rank_int(int_rows) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in int_rows]
-    if not m or not m[0]:
+    """Exact rank of an integer matrix (rows or a 2-D array) by fraction-free
+    elimination."""
+    rows = list(int_rows)
+    if not rows or len(rows[0]) == 0:
         return 0
-    return _bareiss(m)[0]
+    return _bareiss(rows)[0]
 
 
 def det_int(int_rows) -> int:
-    """Exact determinant of a square integer matrix."""
-    m = [list(r) for r in int_rows]
-    if any(len(row) != len(m) for row in m):
+    """Exact determinant of a square integer matrix (rows or a 2-D array)."""
+    rows = list(int_rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if not m:
+    if n == 0:
         return 1
-    rank_, last, swaps = _bareiss(m)
-    if rank_ < len(m):
+    rank_, last, swaps = _bareiss(rows)
+    if rank_ < n:
         return 0
     return -last if swaps % 2 else last
 
@@ -310,13 +321,23 @@ def det_int(int_rows) -> int:
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
     """Rank mod p by vectorized elimination; always <= the rational rank.
 
-    Raises ValueError for ``p >= 2^31``, where int64 products would overflow.
+    Takes integer rows or a 2-D integer array, which is eliminated in an
+    int64 copy (uint64 and object arrays are refused: they may not fit).
+    Raises ValueError for ``p >= 2^31``, where int64 products would
+    overflow.
     """
     _check_prime_bound(p)
-    rows = [row for row in int_rows if any(row)]
-    if not rows:
-        return 0
-    a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+    if isinstance(int_rows, np.ndarray):
+        if int_rows.ndim != 2 or not np.can_cast(int_rows.dtype, np.int64):
+            raise TypeError(f"expected a 2-D array of int64-castable integers, "
+                            f"got {int_rows.dtype} of shape {int_rows.shape}")
+        a = int_rows.astype(np.int64, order="C")  # row operations below
+        a %= p
+    else:
+        rows = [row for row in int_rows if any(row)]
+        if not rows:
+            return 0
+        a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
     nr, nc = a.shape
     r = 0
     for c in range(nc):
@@ -340,20 +361,61 @@ def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
     return r
 
 
-def fast_int_rank(int_rows, ring=RATIONALS) -> int:
-    """Rank of an integer matrix over ``ring``, with a cheap certificate.
+class RankStats:
+    """How ``fast_int_rank`` settled one rank, plus the caller's build time.
 
-    Over a prime field this is the rank mod p.  Over the rationals, duplicate
-    and zero rows are dropped first.  The rank mod the fixed prime is a lower
-    bound; if it matches min(rows, cols) the exact rank is pinned without
-    big-integer work, otherwise fraction-free elimination decides.
+    ``shape`` is (rows, columns) of the matrix that reached elimination;
+    ``path`` is ``"modp-certified"`` (the rank mod p reached min(shape)),
+    ``"bareiss"`` (fraction-free fallback) or ``"prime-field"``.  A plain
+    class: a dataclass would add about a millisecond to ``import cfl``.
     """
-    if isinstance(ring, PrimeField):
-        return modp_rank(int_rows, ring.p)
+
+    __slots__ = ("shape", "path", "build_s", "eliminate_s")
+
+    def __init__(self, shape=(0, 0), path="", build_s=0.0, eliminate_s=0.0):
+        self.shape, self.path = shape, path
+        self.build_s, self.eliminate_s = build_s, eliminate_s
+
+
+def _pruned(int_rows):
+    """The matrix without zero rows, repeated rows (first occurrences kept,
+    in order) and zero columns, none of which changes the rank.
+
+    A 2-D array stays an array; anything else becomes a list of tuples."""
+    if isinstance(int_rows, np.ndarray):
+        a = int_rows[int_rows.any(axis=1)]
+        first = {}
+        for i, row in enumerate(a):
+            first.setdefault(row.tobytes(), i)
+        a = a[list(first.values())]
+        return a[:, a.any(axis=0)]
     rows = list(dict.fromkeys(tuple(r) for r in int_rows if any(r)))
-    if not rows:
-        return 0
-    r = modp_rank(rows)
-    if r == min(len(rows), len(rows[0])):
-        return r
-    return bareiss_rank_int(rows)
+    keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
+    return [tuple(row[j] for j in keep) for row in rows]
+
+
+def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> int:
+    """Rank of an integer matrix (rows or a 2-D integer array) over ``ring``,
+    with a cheap certificate.
+
+    Zero rows, repeated rows and zero columns are dropped first.  Over a
+    prime field the result is the rank mod p.  Over the rationals the rank
+    mod the fixed prime is a lower bound; if it matches min(rows, cols) the
+    exact rank is pinned without big-integer work, otherwise fraction-free
+    elimination over Python ints decides.  ``stats``, if given, records the
+    pruned shape, the path taken and the elimination time.
+    """
+    start = time.perf_counter()
+    a = _pruned(int_rows)
+    shape = (len(a), len(a[0]) if len(a) else 0)
+    if isinstance(ring, PrimeField):
+        path, r = "prime-field", modp_rank(a, ring.p)
+    else:
+        path, r = "modp-certified", modp_rank(a)
+        if r < min(shape):
+            rows = a.tolist() if isinstance(a, np.ndarray) else a
+            path, r = "bareiss", bareiss_rank_int(rows)
+    if stats is not None:
+        stats.shape, stats.path = shape, path
+        stats.eliminate_s = time.perf_counter() - start
+    return r

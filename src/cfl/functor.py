@@ -9,6 +9,15 @@ dual copy, and the permutation module with its relation action.
 
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
 digit ``i`` of the index, base ``|T|``.
+
+Both kernel systems are built whole with numpy over the digit arrays of
+all function indices.  The theta system precomputes, for every subset of
+points, the join of each column function's down-masks of irreducibles over
+that subset (the subset-OR table); a cell then takes one table lookup per
+irreducible.  The gamma generators add one signed term of the alternating
+generator per pass, through a table of meets per upper ideal.  Both systems
+go to ``fast_int_rank`` as integer arrays; ``theta_matrix``, ``theta_rank``
+and ``h_quotient_basis`` share the builder and its covering filter.
 """
 
 from __future__ import annotations
@@ -16,10 +25,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import ExactMatrix, RATIONALS, fast_int_rank, subspace_equal
+import numpy as np
+
+from .exact import ExactMatrix, RATIONALS, RankStats, fast_int_rank, subspace_equal
 from .lattices import (CapExceeded, Lattice, _bits, ideal_lattice, irreducibles,
                        mobius, r_of)
 from .morphisms import LinMorphism
@@ -237,26 +249,29 @@ def gamma_corr(lattice: Lattice, f: LatticeFunction) -> Correspondence:
                           (data.down_irr[v] for v in f.values))
 
 
+def _digits(n: int, points: int) -> np.ndarray:
+    """Digits of every function index in base ``n``: row ``i`` holds the
+    values of function ``i``, column ``x`` the value at point ``x``."""
+    index = np.arange(n ** points, dtype=np.int64)
+    return index[:, None] // n ** np.arange(points, dtype=np.int64) % n
+
+
+def _covering(digits: np.ndarray, targets) -> np.ndarray:
+    """Which rows of a digit array take every value in ``targets``."""
+    keep = np.ones(len(digits), dtype=bool)
+    for t in targets:
+        keep &= (digits == t).any(axis=1)
+    return keep
+
+
 def h_quotient_basis(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP):
     """Indices of the functions whose image contains every irreducible.
 
     These represent the basis of the quotient by the span of the remaining
     functions; the list is empty when ``points`` is too small to cover."""
     data = irr_data(lattice)
-    size = function_space_size(lattice, points, cap)
-    pos = {e: i for i, e in enumerate(data.elems)}
-    full = (1 << len(data.elems)) - 1
-    n = lattice.n
-    out = []
-    for index in range(size):
-        seen = 0
-        for v in _decode(n, points, index):
-            i = pos.get(v)
-            if i is not None:
-                seen |= 1 << i
-        if seen == full:
-            out.append(index)
-    return out
+    function_space_size(lattice, points, cap)
+    return np.flatnonzero(_covering(_digits(lattice.n, points), data.elems)).tolist()
 
 
 def retraction_exists(r: Correspondence, s: Correspondence) -> bool:
@@ -283,19 +298,6 @@ def retraction_exists(r: Correspondence, s: Correspondence) -> bool:
 
 
 # --- the kernel linear system ------------------------------------------------
-
-
-def _product_rows_equal(enc_psi, down_phi, rop_rows, n_irr: int) -> bool:
-    # Rows of (gamma_psi)^op (gamma_phi) against the opposite order, early exit.
-    for e in range(n_irr):
-        acc = 0
-        bit = 1 << e
-        for mask, down in zip(enc_psi, down_phi):
-            if mask & bit:
-                acc |= down
-        if acc != rop_rows[e]:
-            return False
-    return True
 
 
 def theta_conditions(lattice: Lattice, phi: LatticeFunction, psi: LatticeFunction):
@@ -357,64 +359,63 @@ def theta_conditions(lattice: Lattice, phi: LatticeFunction, psi: LatticeFunctio
     return cond_a, cond_b, cond_c, cond_d, cond_e, cond_f
 
 
+def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.ndarray:
+    """The 0/1 kernel system as an int8 array, rows over ideal-valued
+    functions and columns over lattice-valued functions, in index order.
+
+    The cell (psi, phi) is one when, for every irreducible e, the down-masks
+    of phi joined over the points whose ideal contains e give the row of e in
+    the opposite order (condition (d) of ``theta_conditions``).  A table of
+    those joins over every subset of points, one column per function, turns
+    each irreducible into one gather.  ``pruned`` keeps only the columns of
+    functions hitting every irreducible and the rows of ideal functions
+    hitting every principal upper ideal; the others are identically zero.
+    """
+    data = irr_data(lattice)
+    function_space_size(lattice, points, cap)
+    function_space_size(data.iup, points, cap)
+    phi = _digits(lattice.n, points)
+    psi = _digits(data.iup.n, points)
+    if pruned:
+        phi = phi[_covering(phi, data.elems)]
+        psi = psi[_covering(psi, [data.iup_enc.index(m) for m in data.up_masks])]
+    k = len(data.elems)
+    down = np.array(data.down_irr, dtype=np.min_scalar_type((1 << k) - 1))[phi]
+    table = np.zeros((1 << points, len(phi)), dtype=down.dtype)
+    for x in range(points):
+        table[1 << x:2 << x] = table[:1 << x] | down[:, x]
+    enc = np.array(data.iup_enc, dtype=np.int64)[psi]
+    weights = np.int64(1) << np.arange(points, dtype=np.int64)
+    system = np.ones((len(psi), len(phi)), dtype=bool)
+    for e, row in enumerate(data.rop_rows):
+        system &= (table == row)[(enc >> e & 1) @ weights]
+    return system.view(np.int8)
+
+
 def theta_matrix(lattice: Lattice, points: int, ring=RATIONALS,
                  cap: int = DEFAULT_FUNCTION_CAP) -> ExactMatrix:
     """The full 0/1 kernel system: rows over ideal-valued functions, columns
     over lattice-valued functions, a one where the product recovers the
     opposite order."""
-    data = irr_data(lattice)
-    n_cols = function_space_size(lattice, points, cap)
-    n_rows = function_space_size(data.iup, points, cap)
-    k = len(data.elems)
-    cols_down = [[data.down_irr[v] for v in _decode(lattice.n, points, i)]
-                 for i in range(n_cols)]
-    rows = []
-    for ri in range(n_rows):
-        enc_psi = [data.iup_enc[v] for v in _decode(data.iup.n, points, ri)]
-        rows.append([1 if _product_rows_equal(enc_psi, down, data.rop_rows, k) else 0
-                     for down in cols_down])
-    return ExactMatrix(rows, cols=n_cols, ring=ring)
+    system = _theta_system(lattice, points, cap, pruned=False)
+    return ExactMatrix(system.tolist(), cols=system.shape[1], ring=ring)
 
 
 def theta_rank(lattice: Lattice, points: int, ring=RATIONALS,
-               cap: int = DEFAULT_FUNCTION_CAP) -> int:
+               cap: int = DEFAULT_FUNCTION_CAP, stats: RankStats | None = None) -> int:
     """Rank of the kernel system, equal to the rank of the fundamental
     quotient at ``points``.
 
     Columns of functions missing an irreducible and rows of ideal functions
     missing a principal upper ideal are identically zero, so both are pruned
-    before elimination.
+    before elimination.  ``stats``, if given, receives the build time and
+    what ``fast_int_rank`` records.
     """
-    data = irr_data(lattice)
-    function_space_size(lattice, points, cap)
-    function_space_size(data.iup, points, cap)
-    k = len(data.elems)
-    elem_mask = [None] * lattice.n
-    for i, e in enumerate(data.elems):
-        elem_mask[e] = 1 << i
-
-    cols = []
-    for index in range(lattice.n ** points):
-        values = _decode(lattice.n, points, index)
-        seen = 0
-        for v in values:
-            m = elem_mask[v]
-            if m:
-                seen |= m
-        if seen == (1 << k) - 1:
-            cols.append([data.down_irr[v] for v in values])
-    if not cols:
-        return 0
-
-    needed = set(data.up_masks)
-    rows = []
-    for index in range(data.iup.n ** points):
-        enc_psi = [data.iup_enc[v] for v in _decode(data.iup.n, points, index)]
-        if not needed <= set(enc_psi):
-            continue
-        rows.append([1 if _product_rows_equal(enc_psi, down, data.rop_rows, k) else 0
-                     for down in cols])
-    return fast_int_rank(rows, ring)
+    start = time.perf_counter()
+    system = _theta_system(lattice, points, cap, pruned=True)
+    if stats is not None:
+        stats.build_s = time.perf_counter() - start
+    return fast_int_rank(system, ring, stats)
 
 
 # --- duality ------------------------------------------------------------------
@@ -474,41 +475,45 @@ def gamma_t(lattice: Lattice) -> ModVec:
 
 
 def gamma_generators(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP):
-    """Integer coefficient vectors spanning the dual-side copy at ``points``.
+    """Integer coefficient vectors spanning the dual-side copy at ``points``,
+    as the rows of an integer array.
 
     Generators are indexed by upper-ideal-valued functions; acting on the
-    alternating generator by the matching correspondence and expanding."""
+    alternating generator by the matching correspondence and expanding.  For
+    each of its 2^k signed terms, a table of meets per upper ideal is
+    gathered over the digits of every generator at once; entries are bounded
+    by 2^k in absolute value, and the dtype holds that bound.
+    """
     data = irr_data(lattice)
     size = function_space_size(lattice, points, cap)
-    function_space_size(data.iup, points, cap)
+    n_rows = function_space_size(data.iup, points, cap)
     k = len(data.elems)
+    if 1 << k > cap:
+        raise CapExceeded(f"2^{k} signed terms per generator exceed cap {cap}")
     lowered = [r_of(lattice, e) for e in data.elems]
-    eta = []
+    psi = _digits(data.iup.n, points)
+    weights = lattice.n ** np.arange(points, dtype=np.int64)
+    rows = np.arange(n_rows)
+    out = np.zeros((n_rows, size), dtype=np.min_scalar_type(-(1 << k) - 1))
     for mask in range(1 << k):
-        values = tuple(lowered[i] if mask >> i & 1 else data.elems[i] for i in range(k))
-        eta.append((values, -1 if mask.bit_count() % 2 else 1))
-
-    seen = set()
-    out = []
-    for index in range(data.iup.n ** points):
-        rows = tuple(data.iup_enc[v] for v in _decode(data.iup.n, points, index))
-        if rows in seen:
-            continue
-        seen.add(rows)
-        vec = [0] * size
-        for values, sign in eta:
-            acted = tuple(lattice.meet_many(values[e] for e in _bits(row))
-                          for row in rows)
-            vec[_encode(lattice.n, acted)] += sign
-        out.append(tuple(vec))
+        values = [lowered[i] if mask >> i & 1 else data.elems[i] for i in range(k)]
+        meets = np.array([lattice.meet_many(values[e] for e in _bits(enc))
+                          for enc in data.iup_enc], dtype=np.int64)
+        np.add.at(out, (rows, meets[psi] @ weights), -1 if mask.bit_count() % 2 else 1)
     return out
 
 
 def gamma_span_rank(lattice: Lattice, points: int, ring=RATIONALS,
-                    cap: int = DEFAULT_FUNCTION_CAP) -> int:
-    """Rank of the span of the acted generators inside the dual-side module."""
+                    cap: int = DEFAULT_FUNCTION_CAP, stats: RankStats | None = None) -> int:
+    """Rank of the span of the acted generators inside the dual-side module.
+
+    ``stats``, if given, receives the build time and what ``fast_int_rank``
+    records."""
+    start = time.perf_counter()
     gens = gamma_generators(lattice, points, cap)
-    return fast_int_rank(gens, ring)
+    if stats is not None:
+        stats.build_s = time.perf_counter() - start
+    return fast_int_rank(gens, ring, stats)
 
 
 def orth_check(lattice: Lattice, points: int, ring=RATIONALS,
@@ -516,7 +521,7 @@ def orth_check(lattice: Lattice, points: int, ring=RATIONALS,
     """Whether the pairing-orthogonal complement of the dual-side copy equals
     the nullspace of the kernel system, as subspaces."""
     size = function_space_size(lattice, points, cap)
-    gens = gamma_generators(lattice, points, cap)
+    gens = gamma_generators(lattice, points, cap).tolist()
     n = lattice.n
     values = [_decode(n, points, i) for i in range(size)]
     func_rows = []

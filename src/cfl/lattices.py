@@ -17,6 +17,7 @@ from .relations import (MAX_POINTS, Correspondence, order_flags,
 
 # The ideal scan tests every subset of the points, so it is refused above this.
 MAX_IDEAL_POINTS = 20
+MAX_JOIN_MAP_SCAN = 2 ** 20  # 7^7 maps are scanned, 8^8 are refused
 
 
 class LatticeError(ValueError):
@@ -397,6 +398,10 @@ class JoinMap:
 
 def join_maps(src: Lattice, dst: Lattice):
     """All join-preserving maps, by brute enumeration (desk scale only)."""
+    scan = dst.n ** src.n
+    if scan > MAX_JOIN_MAP_SCAN:
+        raise CapExceeded(f"join-map scan of {dst.n}^{src.n} = {scan} maps "
+                          f"exceeds cap {MAX_JOIN_MAP_SCAN}")
     out = []
     for images in itertools.product(range(dst.n), repeat=src.n):
         try:

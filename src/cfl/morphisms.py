@@ -14,7 +14,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from .lattices import JoinMap, Lattice, chain, mobius
+from .lattices import CapExceeded, JoinMap, Lattice, _bits, chain, mobius
+
+# A chain scan tests C(|pool|, size) subsets and is refused above
+# MAX_CHAIN_SCAN.  The central idempotent and the chain-image basis expand
+# every top-avoiding chain (a 10-element chain has 2^9 of them) and are
+# refused above MAX_CHAIN_TUPLES.  The suite's lattices have at most 8 elements.
+MAX_CHAIN_SCAN = 2 ** 14
+MAX_CHAIN_TUPLES = 2 ** 9
 
 
 class TermNotInBasis(ValueError):
@@ -197,8 +204,11 @@ class ChainTuple:
 
 
 def _chains(lattice: Lattice, size: int, avoid: int):
-    out = []
     pool = [e for e in range(lattice.n) if e != avoid]
+    scan = math.comb(len(pool), size)
+    if scan > MAX_CHAIN_SCAN:
+        raise CapExceeded(f"chain scan of {scan} {size}-subsets exceeds cap {MAX_CHAIN_SCAN}")
+    out = []
     for combo in itertools.combinations(pool, size):
         if all(lattice.le(a, b) or lattice.le(b, a)
                for a, b in itertools.combinations(combo, 2)):
@@ -219,11 +229,21 @@ def y_tuples(lattice: Lattice, n: int):
 
 
 def max_tuple_size(lattice: Lattice) -> int:
-    """Longest strictly increasing sequence avoiding the top element."""
-    n = 0
-    while _chains(lattice, n + 1, lattice.top):
-        n += 1
-    return n
+    """Longest strictly increasing sequence avoiding the top element.
+
+    One less than the longest chain, which ends at the top; chain lengths are
+    found in one pass over the elements by down-set size, a linear extension.
+    """
+    down = lattice.poset.down
+    height = [0] * lattice.n
+    for e in sorted(range(lattice.n), key=lambda e: down[e].bit_count()):
+        height[e] = 1 + max((height[d] for d in _bits(down[e] & ~(1 << e))), default=0)
+    return height[lattice.top] - 1
+
+
+def _check_chain_tuples(count: int, what: str) -> None:
+    if count > MAX_CHAIN_TUPLES:
+        raise CapExceeded(f"{what}: {count} chain tuples exceed cap {MAX_CHAIN_TUPLES}")
 
 
 def pi_of_tuple(b: ChainTuple) -> JoinMap:
@@ -310,10 +330,12 @@ def epsilon(n: int) -> LinMorphism:
 def e_t(lattice: Lattice) -> LinMorphism:
     """Sum of all diagonal matrix units; central, and the identity on the
     span of chain-image endomorphisms."""
+    diagonal = [b for n in range(max_tuple_size(lattice) + 1)
+                for b in p_tuples(lattice, n)]
+    _check_chain_tuples(len(diagonal), "central idempotent")
     total = LinMorphism.zero(lattice, lattice)
-    for n in range(max_tuple_size(lattice) + 1):
-        for b in p_tuples(lattice, n):
-            total = total + f_dc(b, b)
+    for b in diagonal:
+        total = total + f_dc(b, b)
     return total
 
 
@@ -323,10 +345,13 @@ def tot_basis(lattice: Lattice):
     Enumerated as embeddings composed with quotients over same-size chain
     pairs, in (size, quotient tuple, embedding tuple) order.
     """
+    blocks = [(p_tuples(lattice, n), y_tuples(lattice, n))
+              for n in range(max_tuple_size(lattice) + 1)]
+    _check_chain_tuples(sum(len(us) for us, _ in blocks), "chain-image basis")
     out = []
-    for n in range(max_tuple_size(lattice) + 1):
-        pis = [pi_of_tuple(u) for u in p_tuples(lattice, n)]
-        lams = [lambda_of_tuple(v) for v in y_tuples(lattice, n)]
+    for us, vs in blocks:
+        pis = [pi_of_tuple(u) for u in us]
+        lams = [lambda_of_tuple(v) for v in vs]
         for pi in pis:
             for lam in lams:
                 out.append(lam @ pi)

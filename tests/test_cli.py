@@ -61,6 +61,10 @@ M40 = {"size": 42,
        "leq": [[0, a] for a in range(1, 41)] + [[a, 41] for a in range(1, 41)]}
 
 
+def _chain_json(n):
+    return {"size": n + 1, "leq": [[i, i + 1] for i in range(n)]}
+
+
 @pytest.mark.parametrize("content, argv, message", [
     ({"size": 3, "leq": 5}, ["lattice", "check", "FILE"], "leq must be a list"),
     ({"size": 100, "leq": [[0, 1]]}, ["lattice", "ideals", "FILE"],
@@ -74,6 +78,12 @@ M40 = {"size": 42,
     (M40, ["rank", "FILE", "--points", "1"], "ideal scan capped at 20 points"),
     ({"size": 8, "leq": []}, ["lattice", "ideals", "FILE"],
      "256 ideals exceed the 64-element lattice limit"),
+    (_chain_json(29), ["lattice", "endo", "FILE"],  # a 30-element chain
+     "chain scan of 23751 4-subsets exceeds cap 16384"),
+    (_chain_json(10), ["lattice", "endo", "FILE"],
+     "1024 chain tuples exceed cap 512"),
+    (_chain_json(15), ["rank", "FILE", "--points", "1", "--method", "gamma"],
+     "2^15 signed terms per generator exceed cap 20000"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"
@@ -123,6 +133,14 @@ def test_rank_lattice_flag(chain2_file, capsys):
                  "--points", "1"]) == 1
 
 
+def test_rank_formula_json_has_no_system(chain2_file, capsys):
+    assert main(["rank", chain2_file, "--points", "2", "--method", "formula",
+                 "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["rank"] == 2 and blob["shape"] is None and blob["path"] == "formula"
+    assert blob["build_s"] == blob["eliminate_s"] == 0
+
+
 def test_rank_formula_rejects_non_chains(m3_file, capsys):
     assert main(["rank", m3_file, "--points", "2", "--method", "formula"]) == 1
     assert "totally ordered" in capsys.readouterr().err
@@ -132,8 +150,15 @@ def test_rank_json_and_prime_ring(m3_file, capsys):
     assert main(["rank", m3_file, "--points", "3", "--ring", "p:1000003",
                  "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
+    timings = {key: blob.pop(key) for key in ("build_s", "eliminate_s")}
     assert blob == {"exact": False, "method": "theta", "points": 3,
-                    "rank": 6, "ring": "p:1000003"}
+                    "rank": 6, "ring": "p:1000003",
+                    "shape": [6, 6], "path": "prime-field"}
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+    assert main(["rank", m3_file, "--points", "3", "--method", "gamma", "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["rank"] == 6 and blob["path"] == "modp-certified"
+    assert blob["exact"] is True and min(blob["shape"]) == 6
 
 
 def test_rank_ring_env_override(chain2_file, capsys, monkeypatch):

@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS,
+from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats,
                        bareiss_rank_int, det_int, fast_int_rank, modp_rank,
                        parse_ring, subspace_equal)
 
@@ -209,3 +211,58 @@ def test_matrix_validation():
         ExactMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         ExactMatrix([])
+
+
+def test_bareiss_is_exact_on_int64_arrays():
+    # Products of entries near 10^6 leave int64 after a few pivots; the
+    # elimination must run on Python ints whatever the input type.
+    rng = random.Random(12)
+    rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(12)] for _ in range(12)]
+    arr = np.array(rows, dtype=np.int64)
+    assert det_int(arr) == det_int(rows) != 0
+    assert bareiss_rank_int(arr) == bareiss_rank_int(rows) == 12
+    deficient = rows[:11] + [[a - b for a, b in zip(rows[0], rows[1])]]
+    arr = np.array(deficient, dtype=np.int64)
+    assert det_int(arr) == det_int(deficient) == 0
+    assert bareiss_rank_int(arr) == bareiss_rank_int(deficient) == 11
+
+
+def _deficient(draw_rows, combos):
+    # Append integer combinations of the drawn rows, so the rank stays below
+    # the row count and the fraction-free fallback has to decide.
+    rows = [list(r) for r in draw_rows]
+    for a, b, i, j in combos:
+        rows.append([a * x + b * y for x, y in zip(rows[i % len(draw_rows)],
+                                                  rows[j % len(draw_rows)])])
+    return rows
+
+
+_deficient_matrices = st.builds(
+    _deficient,
+    st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=1, max_size=5),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                       st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_int_matrices, _deficient_matrices))
+def test_fast_int_rank_equals_bareiss_on_lists_and_arrays(rows):
+    want = bareiss_rank_int(rows)
+    assert fast_int_rank(rows) == want
+    if max(abs(v) for row in rows for v in row) < 2 ** 63:
+        assert fast_int_rank(np.array(rows, dtype=np.int64)) == want
+
+
+def test_fast_int_rank_prunes_arrays_like_lists():
+    rows = [[0, 1, 0, 2], [0, 0, 0, 0], [0, 1, 0, 2], [0, 3, 0, 1], [0, 2, 0, 4]]
+    for given_rows in (rows, np.array(rows, dtype=np.int8), np.array(rows, dtype=np.uint32)):
+        stats = RankStats()
+        assert fast_int_rank(given_rows, stats=stats) == 2
+        assert stats.shape == (3, 2) and stats.path == "modp-certified"
+    stats = RankStats()
+    assert fast_int_rank(np.zeros((3, 0), dtype=np.int8), stats=stats) == 0
+    assert stats.shape == (0, 0) and stats.path == "modp-certified"
+    for not_int64 in (np.ones((2, 2)), np.full((2, 2), 2 ** 64 - 1, dtype=np.uint64),
+                      np.array([[2 ** 70, 1]], dtype=object)):
+        with pytest.raises(TypeError):
+            fast_int_rank(not_int64)

@@ -1,0 +1,135 @@
+"""The vectorised kernel-system builders against per-cell reference loops.
+
+``_theta_reference`` and ``_gamma_reference`` are the cell-by-cell
+constructions the numpy builders replaced: the theta cell is condition (d)
+of ``theta_conditions`` tested irreducible by irreducible, and a gamma row
+expands the acted alternating generator one sign mask at a time.  The
+builders must reproduce them entry for entry, in the same row and column
+order, on every named lattice at 0 to 3 points.
+"""
+
+import numpy as np
+import pytest
+
+from cfl.catalog import named_lattices
+from cfl.exact import RATIONALS, PrimeField, RankStats, fast_int_rank
+from cfl.functor import (_decode, _encode, function_space_size, gamma_generators,
+                         gamma_span_rank, h_quotient_basis, irr_data, theta_matrix,
+                         theta_rank)
+from cfl.lattices import CapExceeded, _bits, chain, r_of
+
+POINTS = range(4)
+
+
+def _product_rows_equal(enc_psi, down_phi, rop_rows, n_irr):
+    for e in range(n_irr):
+        acc = 0
+        bit = 1 << e
+        for mask, down in zip(enc_psi, down_phi):
+            if mask & bit:
+                acc |= down
+        if acc != rop_rows[e]:
+            return False
+    return True
+
+
+def _theta_reference(lattice, points):
+    data = irr_data(lattice)
+    k = len(data.elems)
+    cols_down = [[data.down_irr[v] for v in _decode(lattice.n, points, i)]
+                 for i in range(lattice.n ** points)]
+    rows = []
+    for ri in range(data.iup.n ** points):
+        enc_psi = [data.iup_enc[v] for v in _decode(data.iup.n, points, ri)]
+        rows.append([1 if _product_rows_equal(enc_psi, down, data.rop_rows, k) else 0
+                     for down in cols_down])
+    return rows
+
+
+def _gamma_reference(lattice, points):
+    data = irr_data(lattice)
+    size = lattice.n ** points
+    k = len(data.elems)
+    lowered = [r_of(lattice, e) for e in data.elems]
+    eta = []
+    for mask in range(1 << k):
+        values = tuple(lowered[i] if mask >> i & 1 else data.elems[i] for i in range(k))
+        eta.append((values, -1 if mask.bit_count() % 2 else 1))
+    seen = set()
+    out = []
+    for index in range(data.iup.n ** points):
+        rows = tuple(data.iup_enc[v] for v in _decode(data.iup.n, points, index))
+        if rows in seen:
+            continue
+        seen.add(rows)
+        vec = [0] * size
+        for values, sign in eta:
+            acted = tuple(lattice.meet_many(values[e] for e in _bits(row))
+                          for row in rows)
+            vec[_encode(lattice.n, acted)] += sign
+        out.append(vec)
+    return out
+
+
+def _inputs():
+    for name, lat in named_lattices().items():
+        for x in POINTS:
+            yield pytest.param(lat, x, id=f"{name}-{x}")
+
+
+@pytest.mark.parametrize("lat, points", list(_inputs()))
+def test_theta_builder_matches_the_per_cell_loop(lat, points):
+    assert theta_matrix(lat, points).data == tuple(
+        tuple(RATIONALS.of(v) for v in row) for row in _theta_reference(lat, points))
+
+
+@pytest.mark.parametrize("lat, points", list(_inputs()))
+def test_gamma_builder_matches_the_per_mask_loop(lat, points):
+    gens = gamma_generators(lat, points)
+    assert gens.dtype.kind == "i"
+    assert gens.tolist() == _gamma_reference(lat, points)
+
+
+@pytest.mark.parametrize("lat, points", list(_inputs()))
+def test_theta_equals_gamma(lat, points):
+    assert theta_rank(lat, points) == gamma_span_rank(lat, points)
+
+
+@pytest.mark.parametrize("lat, points", list(_inputs()))
+def test_h_quotient_basis_is_the_covering_filter(lat, points):
+    data = irr_data(lat)
+    want = [i for i in range(lat.n ** points)
+            if set(data.elems) <= set(_decode(lat.n, points, i))]
+    assert h_quotient_basis(lat, points) == want
+
+
+def test_rank_stats_report_the_pruned_system():
+    stats = RankStats()
+    assert theta_rank(chain(2), 3, stats=stats) == 12
+    assert stats.path == "modp-certified" and stats.shape == (12, 12)
+    assert stats.build_s >= 0 and stats.eliminate_s >= 0
+    stats = RankStats()
+    assert gamma_span_rank(chain(2), 3, PrimeField(7), stats=stats) == 12
+    assert stats.path == "prime-field"
+    stats = RankStats()
+    deficient = np.array([[1, 2, 3, 0], [2, 4, 6, 0], [1, 1, 1, 0], [1, 1, 1, 0]])
+    assert fast_int_rank(deficient, stats=stats) == 2
+    assert stats.path == "bareiss" and stats.shape == (3, 3)
+
+
+def test_gamma_entries_never_overflow_the_build_dtype():
+    # chain(7) has 7 irreducibles: 2^7 = 128 signed terms, one past int8.
+    lat = chain(7)
+    gens = gamma_generators(lat, 1)
+    assert np.iinfo(gens.dtype).max >= 2 ** 7
+    assert gens.tolist() == _gamma_reference(lat, 1)
+    assert fast_int_rank(gens) == fast_int_rank(gens.tolist())
+
+
+def test_gamma_refuses_too_many_signed_terms():
+    # A generator expands 2^k signed terms for k irreducibles: 2^15 for the
+    # 16-element chain, whose 16 functions at one point are within the cap.
+    lat = chain(15)
+    function_space_size(lat, 1)
+    with pytest.raises(CapExceeded, match="signed terms"):
+        gamma_generators(lat, 1)

@@ -207,6 +207,11 @@ def test_join_maps_enumeration_matches_filter():
     assert len(maps) == 3  # the generator can go to 0, 1 or 2
 
 
+def test_join_maps_refuses_oversized_scans():
+    with pytest.raises(CapExceeded, match="8\\^8"):
+        join_maps(chain(7), chain(7))
+
+
 def test_opposite_swaps_tables(named):
     m3 = named["m3"]
     op = m3.opposite()

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfl.catalog import named_lattices
-from cfl.lattices import JoinMap, NotJoinPreserving, chain, join_maps, mobius
+from cfl.catalog import enumerate_lattices, named_lattices
+from cfl.lattices import (CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps,
+                          mobius)
 from cfl.morphisms import (ChainTuple, LinMorphism, TermNotInBasis, adjoint_op,
                            beta, e_t, epsilon, f_dc, j_of_tuple,
                            lambda_of_tuple, lin_to_vector, max_tuple_size,
@@ -192,6 +193,24 @@ def test_e_t_idempotent_and_one_point(named):
     for lat in (named["b2"], named["m3"]):
         unit = e_t(lat)
         assert unit @ unit == unit
+
+
+def test_max_tuple_size_is_the_longest_top_avoiding_chain(named):
+    lats = list(named.values()) + list(enumerate_lattices(5))
+    for lat in lats:
+        longest = max(n for n in range(lat.n) if n == 0 or p_tuples(lat, n))
+        assert max_tuple_size(lat) == longest
+    assert max_tuple_size(chain(40)) == 40  # no subset walk
+
+
+def test_chain_expansions_refuse_oversized_inputs():
+    with pytest.raises(CapExceeded, match="chain scan"):
+        p_tuples(chain(29), 4)
+    with pytest.raises(CapExceeded, match="chain tuples"):
+        tot_basis(chain(10))
+    with pytest.raises(CapExceeded, match="chain tuples"):
+        e_t(chain(10))
+    assert len(tot_basis(chain(9))) == math.comb(18, 9)
 
 
 def test_tot_basis_counts(named):
