@@ -25,32 +25,22 @@ class _InputError(Exception):
     pass
 
 
-def _input_error(message):
-    return _InputError(message)
-
-
 def _load_json(path):
     try:
         with open(path) as handle:
             return json.load(handle)
     except OSError as err:
-        raise _input_error(f"cannot read {path}: {err.strerror}")
+        raise _InputError(f"cannot read {path}: {err.strerror}")
     except json.JSONDecodeError as err:
-        raise _input_error(f"{path}: JSON parse error: {err}")
+        raise _InputError(f"{path}: JSON parse error: {err}")
 
 
-def _load_lattice(path):
+def _load(path, parse=lattice_from_json):
+    """A lattice (or, with ``poset_from_json``, a poset) read from a file."""
     try:
-        return lattice_from_json(_load_json(path))
+        return parse(_load_json(path))
     except LatticeError as err:
-        raise _input_error(f"{path}: {err}")
-
-
-def _load_poset(path):
-    try:
-        return poset_from_json(_load_json(path))
-    except LatticeError as err:
-        raise _input_error(f"{path}: {err}")
+        raise _InputError(f"{path}: {err}")
 
 
 def _ring_from(args):
@@ -58,7 +48,7 @@ def _ring_from(args):
     try:
         return parse_ring(spec)
     except ValueError as err:
-        raise _input_error(str(err))
+        raise _InputError(str(err))
 
 
 def _emit(payload, as_json):
@@ -70,7 +60,7 @@ def _emit(payload, as_json):
 
 
 def _cmd_lattice_check(args):
-    lat = _load_lattice(args.file)
+    lat = _load(args.file)
     info = lattice_to_json(lat)
     info["irreducible_count"] = len(info["irreducibles"])
     if args.json:
@@ -84,7 +74,7 @@ def _cmd_lattice_check(args):
 
 
 def _cmd_lattice_ideals(args):
-    poset = _load_poset(args.file)
+    poset = _load(args.file, poset_from_json)
     lat, enc = ideal_lattice(poset, args.direction)
     payload = lattice_to_json(lat)
     payload["encodings"] = list(enc)
@@ -100,7 +90,7 @@ def _cmd_lattice_ideals(args):
 
 
 def _cmd_lattice_mobius(args):
-    lat = _load_lattice(args.file)
+    lat = _load(args.file)
     table = mobius(lat)
     if args.json:
         print(json.dumps({"size": lat.n,
@@ -113,7 +103,7 @@ def _cmd_lattice_mobius(args):
 
 
 def _cmd_lattice_endo(args):
-    lat = _load_lattice(args.file)
+    lat = _load(args.file)
     sizes = [len(p_tuples(lat, n)) for n in range(max_tuple_size(lat) + 1)]
     payload = {
         "size": lat.n,
@@ -129,12 +119,12 @@ def _cmd_lattice_endo(args):
 def _cmd_rank(args):
     path = args.file or args.lattice
     if not path:
-        raise _input_error("rank needs a lattice file (positional or --lattice)")
+        raise _InputError("rank needs a lattice file (positional or --lattice)")
     if args.file and args.lattice and args.file != args.lattice:
-        raise _input_error("two different lattice files given")
+        raise _InputError("two different lattice files given")
     if args.points < 0:
-        raise _input_error(f"--points must be non-negative, got {args.points}")
-    lat = _load_lattice(path)
+        raise _InputError(f"--points must be non-negative, got {args.points}")
+    lat = _load(path)
     ring = _ring_from(args)
     stats = RankStats(shape=None, path="formula")
     if args.method == "theta":
@@ -143,7 +133,7 @@ def _cmd_rank(args):
         value = gamma_span_rank(lat, args.points, ring, args.cap, stats)
     else:
         if not lat.is_chain():
-            raise _input_error(
+            raise _InputError(
                 "--method formula applies only to totally ordered lattices")
         value = total_rank_formula(lat.n - 1, args.points)
     if args.json:
@@ -172,7 +162,7 @@ def _cmd_verify(args):
     try:
         report = run_suite(args.suite, limits, args.seed, ring)
     except ValueError as err:
-        raise _input_error(str(err))
+        raise _InputError(str(err))
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:

@@ -2,23 +2,24 @@
 
 Two coefficient rings are supported: arbitrary-precision rationals (the
 default, scalars are ``fractions.Fraction``) and a prime field ``F_p``
-(scalars are ints reduced mod p).  Rank over the rationals goes through
-fraction-free integer elimination after clearing denominators row by row;
-rank over ``F_p`` is ordinary elimination.  Pivoting always takes the first
-nonzero entry, so echelon forms are reproducible.
+(scalars are ints reduced mod p).
 
-``fast_int_rank`` is the rank entry point for integer matrices over either
-ring, given as rows or as a 2-D integer numpy array.  It first drops zero
-rows, repeated rows and zero columns, none of which changes the rank.  Over
-the rationals the rank mod a fixed prime, eliminated in an int64 copy, is a
-lower bound for the rational rank, so when it reaches the row or column
-count it already pins the exact value; otherwise the fraction-free
-elimination runs in full over Python ints.  Over ``F_p`` it is the rank mod
-p.  A ``RankStats`` record, if passed, reports the shape that reached
-elimination and which of these paths settled the rank.  ``det_int`` shares
-the fraction-free elimination: the last pivot is the determinant up to the
-sign of the row swaps.  That elimination coerces every entry to a Python
-int, so fixed-width inputs cannot wrap.
+``fast_int_rank`` is the one rank entry point, for both rings.  It takes
+integer rows or a 2-D integer numpy array and first drops zero rows,
+repeated rows and zero columns, none of which changes the rank.  Over
+``F_p`` the rank is ``modp_rank``, vectorized elimination in an int64
+copy.  Over the rationals the rank mod a fixed prime is a lower bound for
+the rational rank, so when it reaches the row or column count it already
+pins the exact value; otherwise fraction-free (Bareiss) elimination runs in
+full over Python ints.  ``ExactMatrix.rank`` clears each row's denominators
+and calls it too.  A ``RankStats`` record, if passed, reports the shape
+that reached elimination and which of these paths settled the rank.
+
+``ExactMatrix.nullspace`` alone uses reduced row echelon form over the
+matrix's ring; pivoting takes the first nonzero entry, so the basis is
+reproducible.  ``det_int`` shares the fraction-free elimination: the last
+pivot is the determinant up to the sign of the row swaps.  That elimination
+coerces every entry to a Python int, so fixed-width inputs cannot wrap.
 """
 
 from __future__ import annotations
@@ -157,12 +158,7 @@ class ExactMatrix:
                            cols=self.rows, ring=self.ring)
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if isinstance(self.ring, Rationals):
-            return bareiss_rank_int(_cleared_int_rows(self.data))
-        rank, _, _ = _rref_field(self.data, self.ring)
-        return rank
+        return fast_int_rank(_cleared_int_rows(self.data), self.ring)
 
     def nullspace(self):
         """Echelonized basis of ``{v : M v = 0}`` as tuples of scalars."""
@@ -195,14 +191,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, ring={self.ring.name})"
-
-
-def rank(matrix: ExactMatrix) -> int:
-    return matrix.rank()
-
-
-def nullspace(matrix: ExactMatrix):
-    return matrix.nullspace()
 
 
 def subspace_equal(vectors_a, vectors_b, cols: int, ring=RATIONALS) -> bool:

@@ -10,14 +10,18 @@ dual copy, and the permutation module with its relation action.
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
 digit ``i`` of the index, base ``|T|``.
 
-Both kernel systems are built whole with numpy over the digit arrays of
-all function indices.  The theta system precomputes, for every subset of
-points, the join of each column function's down-masks of irreducibles over
-that subset (the subset-OR table); a cell then takes one table lookup per
-irreducible.  The gamma generators add one signed term of the alternating
-generator per pass, through a table of meets per upper ideal.  Both systems
-go to ``fast_int_rank`` as integer arrays; ``theta_matrix``, ``theta_rank``
-and ``h_quotient_basis`` share the builder and its covering filter.
+Both kernel systems and the pairing are built whole with numpy over the
+digit arrays of all function indices, and stay integer arrays up to the
+rank.  The theta system precomputes, for every subset of points, the join
+of each column function's down-masks of irreducibles over that subset (the
+subset-OR table); a cell then takes one table lookup per irreducible.  The
+gamma generators add one signed term of the alternating generator per pass,
+through a table of meets per upper ideal.  The pairing matrix is one gather
+of the order table.  ``theta_matrix``, ``theta_rank`` and
+``h_quotient_basis`` share the theta builder and its covering filter; every
+rank goes through ``fast_int_rank``.  The orthogonality check compares row
+spaces instead of nullspaces: two matrices have the same nullspace exactly
+when they have the same row space, over any field.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactMatrix, RATIONALS, RankStats, fast_int_rank, subspace_equal
+from .exact import RATIONALS, RankStats, fast_int_rank, subspace_equal
 from .lattices import (CapExceeded, Lattice, _bits, ideal_lattice, irreducibles,
                        mobius, r_of)
 from .morphisms import LinMorphism
@@ -95,9 +99,9 @@ class LatticeFunction:
         return f"LatticeFunction({list(self.values)})"
 
 
-def all_functions(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP):
+def all_functions(lattice: Lattice, points: int):
     """All functions in index order (point 0 varies fastest)."""
-    function_space_size(lattice, points, cap)
+    function_space_size(lattice, points)
     for rev in itertools.product(range(lattice.n), repeat=points):
         yield LatticeFunction(lattice, rev[::-1])
 
@@ -128,9 +132,8 @@ class ModVec:
 
     __slots__ = ("lattice", "points", "coeffs")
 
-    def __init__(self, lattice: Lattice, points: int, coeffs=None,
-                 cap: int = DEFAULT_FUNCTION_CAP):
-        size = function_space_size(lattice, points, cap)
+    def __init__(self, lattice: Lattice, points: int, coeffs=None):
+        size = function_space_size(lattice, points)
         if coeffs is None:
             coeffs = [Fraction(0)] * size
         else:
@@ -264,13 +267,13 @@ def _covering(digits: np.ndarray, targets) -> np.ndarray:
     return keep
 
 
-def h_quotient_basis(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP):
+def h_quotient_basis(lattice: Lattice, points: int):
     """Indices of the functions whose image contains every irreducible.
 
     These represent the basis of the quotient by the span of the remaining
     functions; the list is empty when ``points`` is too small to cover."""
     data = irr_data(lattice)
-    function_space_size(lattice, points, cap)
+    function_space_size(lattice, points)
     return np.flatnonzero(_covering(_digits(lattice.n, points), data.elems)).tolist()
 
 
@@ -370,10 +373,14 @@ def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.n
     each irreducible into one gather.  ``pruned`` keeps only the columns of
     functions hitting every irreducible and the rows of ideal functions
     hitting every principal upper ideal; the others are identically zero.
+    The table has 2^points rows, which the function cap bounds only when
+    the lattice has two or more elements, so it is capped on its own.
     """
     data = irr_data(lattice)
     function_space_size(lattice, points, cap)
     function_space_size(data.iup, points, cap)
+    if points >= cap.bit_length():  # 2^points > cap
+        raise CapExceeded(f"2^{points} subsets of points exceed cap {cap}")
     phi = _digits(lattice.n, points)
     psi = _digits(data.iup.n, points)
     if pruned:
@@ -392,13 +399,11 @@ def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.n
     return system.view(np.int8)
 
 
-def theta_matrix(lattice: Lattice, points: int, ring=RATIONALS,
-                 cap: int = DEFAULT_FUNCTION_CAP) -> ExactMatrix:
-    """The full 0/1 kernel system: rows over ideal-valued functions, columns
-    over lattice-valued functions, a one where the product recovers the
-    opposite order."""
-    system = _theta_system(lattice, points, cap, pruned=False)
-    return ExactMatrix(system.tolist(), cols=system.shape[1], ring=ring)
+def theta_matrix(lattice: Lattice, points: int) -> np.ndarray:
+    """The full 0/1 kernel system as an int8 array: rows over ideal-valued
+    functions, columns over lattice-valued functions, a one where the
+    product recovers the opposite order."""
+    return _theta_system(lattice, points, DEFAULT_FUNCTION_CAP, pruned=False)
 
 
 def theta_rank(lattice: Lattice, points: int, ring=RATIONALS,
@@ -429,14 +434,14 @@ def pairing(phi: LatticeFunction, psi: LatticeFunction) -> int:
     return 1 if all(lat.le(a, b) for a, b in zip(phi.values, psi.values)) else 0
 
 
-def pairing_matrix(lattice: Lattice, points: int, ring=RATIONALS,
-                   cap: int = DEFAULT_FUNCTION_CAP) -> ExactMatrix:
-    size = function_space_size(lattice, points, cap)
+def pairing_matrix(lattice: Lattice, points: int) -> np.ndarray:
+    """The pairing of every pair of functions as an int8 0/1 array, rows
+    indexed by the first function and columns by the second."""
+    function_space_size(lattice, points)
     n = lattice.n
-    values = [_decode(n, points, i) for i in range(size)]
-    rows = [[1 if all(lattice.le(a, b) for a, b in zip(v, w)) else 0
-             for w in values] for v in values]
-    return ExactMatrix(rows, cols=size, ring=ring)
+    le = np.array([[lattice.le(a, b) for b in range(n)] for a in range(n)])
+    digits = _digits(n, points)
+    return le[digits[:, None], digits[None, :]].all(axis=2).view(np.int8)
 
 
 def dual_star(phi: LatticeFunction) -> ModVec:
@@ -516,27 +521,17 @@ def gamma_span_rank(lattice: Lattice, points: int, ring=RATIONALS,
     return fast_int_rank(gens, ring, stats)
 
 
-def orth_check(lattice: Lattice, points: int, ring=RATIONALS,
-               cap: int = DEFAULT_FUNCTION_CAP) -> bool:
+def orth_check(lattice: Lattice, points: int, ring=RATIONALS) -> bool:
     """Whether the pairing-orthogonal complement of the dual-side copy equals
-    the nullspace of the kernel system, as subspaces."""
-    size = function_space_size(lattice, points, cap)
-    gens = gamma_generators(lattice, points, cap).tolist()
-    n = lattice.n
-    values = [_decode(n, points, i) for i in range(size)]
-    func_rows = []
-    for g in gens:
-        row = []
-        for v in values:
-            acc = 0
-            for j, c in enumerate(g):
-                if c and all(lattice.le(a, b) for a, b in zip(v, values[j])):
-                    acc += c
-            row.append(acc)
-        func_rows.append(row)
-    complement = ExactMatrix(func_rows, cols=size, ring=ring).nullspace()
-    kernel = theta_matrix(lattice, points, ring, cap).nullspace()
-    return subspace_equal(complement, kernel, size, ring)
+    the nullspace of the kernel system, as subspaces.
+
+    The complement is the nullspace of the generators paired with every
+    function, so the two nullspaces agree exactly when that matrix and the
+    kernel system have the same row space."""
+    gens = gamma_generators(lattice, points).astype(np.int64)
+    paired = gens @ pairing_matrix(lattice, points).T
+    return subspace_equal(paired.tolist(), theta_matrix(lattice, points).tolist(),
+                          lattice.n ** points, ring)
 
 
 # --- the permutation module ---------------------------------------------------
@@ -625,17 +620,14 @@ def fund_act(q: Correspondence, v: FundElement, r: Correspondence) -> FundElemen
     return out
 
 
-def fixed_rank(target: Lattice, r: Correspondence,
-               cap: int = DEFAULT_FUNCTION_CAP) -> int:
+def fixed_rank(target: Lattice, r: Correspondence) -> int:
     """Rank of the idempotent action of the opposite order on functions from
     the ordered set into ``target``: the number of fixed basis functions."""
     if not order_flags(r).is_order:
         raise ValueError("r must be an order relation")
-    points = r.dst_size
-    function_space_size(target, points, cap)
     rop = r.opposite()
     count = 0
-    for f in all_functions(target, points, cap):
+    for f in all_functions(target, r.dst_size):
         if act(rop, f) == f:
             count += 1
     return count

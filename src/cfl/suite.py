@@ -731,7 +731,7 @@ def _check_h_subfunctor(ctx):
         points = min(2, ctx.limits.max_points)
         m = theta_matrix(lat, points)
         for idx in h_complement(lat, points):
-            if any(row[idx] for row in m.data):
+            if m[:, idx].any():
                 return _witness(lat, name=name, index=idx, law="inside the kernel")
     return None
 
@@ -967,8 +967,7 @@ def _check_cross_ring(ctx):
     for name in ("chain2", "b2", "m3", "n5"):
         lat = named[name]
         for x in range(1, min(2, ctx.limits.max_points) + 1):
-            m = theta_matrix(lat, x)
-            rows = [[int(v) for v in row] for row in m.data]
+            rows = theta_matrix(lat, x).tolist()
             exact_rank = bareiss_rank_int(rows)
             p = ctx.rng.choice(primes)
             mod_rank = modp_rank(rows, p)

@@ -84,6 +84,10 @@ def _chain_json(n):
      "1024 chain tuples exceed cap 512"),
     (_chain_json(15), ["rank", "FILE", "--points", "1", "--method", "gamma"],
      "2^15 signed terms per generator exceed cap 20000"),
+    ({"size": 1, "leq": []}, ["rank", "FILE", "--points", "70"],
+     "2^70 subsets of points exceed cap 20000"),
+    ({"size": 1, "leq": []}, ["rank", "FILE", "--points", "34"],
+     "2^34 subsets of points exceed cap 20000"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"

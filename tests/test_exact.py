@@ -73,6 +73,10 @@ def test_prime_field_rank_can_undershoot():
     m_rat = ExactMatrix([[2]], ring=RATIONALS)
     m_two = ExactMatrix([[2]], ring=PrimeField(2))
     assert m_rat.rank() == 1 and m_two.rank() == 0
+    # Reduced entries whose determinant, -5, vanishes only mod 5.
+    rows = [[1, 2], [3, 1]]
+    assert ExactMatrix(rows).rank() == 2
+    assert ExactMatrix(rows, ring=PrimeField(5)).rank() == 1
 
 
 def test_parse_ring():

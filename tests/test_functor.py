@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+import cfl.functor as functor
 from cfl.catalog import enumerate_posets, named_lattices
-from cfl.exact import PrimeField
-from cfl.functor import (FundElement, LatticeFunction, ModVec, act, act_mod,
+from cfl.exact import ExactMatrix, PrimeField, RATIONALS, bareiss_rank_int, subspace_equal
+from cfl.functor import (FundElement, LatticeFunction, ModVec, _decode, act, act_mod,
                          all_functions, apply_lin, dual_star, fixed_rank,
                          fund_act, gamma_corr, gamma_span_rank, gamma_t,
                          h_quotient_basis, irr_data, orth_check, pairing,
@@ -169,7 +171,7 @@ def test_theta_rank_equals_full_matrix_rank(named):
     for name in ("chain2", "b2", "m3", "n5"):
         lat = named[name]
         for x in range(3):
-            assert theta_matrix(lat, x).rank() == theta_rank(lat, x)
+            assert bareiss_rank_int(theta_matrix(lat, x).tolist()) == theta_rank(lat, x)
 
 
 def test_theta_rank_prime_field(named):
@@ -222,14 +224,14 @@ def test_pairing_examples():
     assert pairing(fn(one, 1, 0), fn(one, 1, 0)) == 1
     assert pairing(fn(one, 1), fn(one, 0)) == 0
     m = pairing_matrix(one, 1)
-    assert [[int(v) for v in row] for row in m.data] == [[1, 1], [0, 1]]
+    assert m.tolist() == [[1, 1], [0, 1]]
 
 
 def test_pairing_matrix_is_invertible(named):
     for name in ("chain1", "chain2", "b2"):
         lat = named[name]
         m = pairing_matrix(lat, 2)
-        assert m.rank() == lat.n ** 2
+        assert bareiss_rank_int(m.tolist()) == lat.n ** 2
 
 
 def test_dual_star_examples():
@@ -278,6 +280,48 @@ def test_orth_check_small(named):
     assert orth_check(chain(1), 1) and orth_check(chain(1), 2)
     assert orth_check(named["b2"], 2)
     assert orth_check(named["m3"], 1)
+
+
+def _orth_reference(lattice, points, ring):
+    """``orth_check`` by its definition: the nullspace of the generators
+    paired with every function (an explicit loop over the order) against the
+    nullspace of the kernel system, both by exact row reduction."""
+    size = lattice.n ** points
+    gens = functor.gamma_generators(lattice, points).tolist()
+    values = [_decode(lattice.n, points, i) for i in range(size)]
+    func_rows = []
+    for g in gens:
+        row = []
+        for v in values:
+            acc = 0
+            for j, c in enumerate(g):
+                if c and all(lattice.le(a, b) for a, b in zip(v, values[j])):
+                    acc += c
+            row.append(acc)
+        func_rows.append(row)
+    complement = ExactMatrix(func_rows, cols=size, ring=ring).nullspace()
+    kernel = ExactMatrix(theta_matrix(lattice, points).tolist(), cols=size,
+                         ring=ring).nullspace()
+    return subspace_equal(complement, kernel, size, ring)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(1000003)], ids=["rat", "p"])
+def test_orth_check_matches_the_nullspace_reference(named, ring):
+    for lat in named.values():
+        for x in (1, 2):
+            want = _orth_reference(lat, x, ring)
+            assert want
+            assert orth_check(lat, x, ring) == want
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(1000003)], ids=["rat", "p"])
+def test_orth_check_fails_without_the_dual_copy(monkeypatch, ring):
+    def no_generators(lattice, points):
+        return np.zeros((0, lattice.n ** points), dtype=np.int8)
+
+    monkeypatch.setattr(functor, "gamma_generators", no_generators)
+    assert not _orth_reference(chain(1), 1, ring)
+    assert not orth_check(chain(1), 1, ring)
 
 
 def test_fund_act_examples():
