@@ -139,14 +139,14 @@ def _cmd_rank(args):
     if args.json:
         print(json.dumps({"rank": value, "points": args.points,
                           "method": args.method, "ring": ring.name,
-                          "exact": bool(getattr(ring, "exact", True)),
+                          "exact": ring.exact,
                           "shape": stats.shape and list(stats.shape),
                           "path": stats.path,
                           "build_s": round(stats.build_s, 6),
                           "eliminate_s": round(stats.eliminate_s, 6)},
                          sort_keys=True))
     else:
-        note = "" if getattr(ring, "exact", True) else "  (probabilistic ring)"
+        note = "" if ring.exact else "  (probabilistic ring)"
         print(f"{value}{note}")
     return 0
 

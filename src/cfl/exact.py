@@ -1,32 +1,34 @@
-"""Exact scalars and dense matrices with rank and nullspace.
+"""Coefficient rings and integer elimination: rank, nullspace, determinant.
 
-Two coefficient rings are supported: arbitrary-precision rationals (the
-default, scalars are ``fractions.Fraction``) and a prime field ``F_p``
-(scalars are ints reduced mod p).
+The rings are the rationals (``RATIONALS``) and a prime field
+(``PrimeField(p)``): tags with ``name``, ``exact`` and ``p`` (``None`` for
+the rationals).  Matrices are integer rows or 2-D integer numpy arrays;
+``_cleared_int_rows`` is the one place a ``Fraction`` becomes an int, by
+scaling each row by the lcm of its denominators (over ``F_p`` a denominator
+that p divides has no image and raises ValueError).
 
-``fast_int_rank`` is the one rank entry point, for both rings.  It takes
-integer rows or a 2-D integer numpy array and first drops zero rows,
-repeated rows and zero columns, none of which changes the rank.  Over
-``F_p`` the rank is ``modp_rank``, vectorized elimination in an int64
-copy.  Over the rationals the rank mod a fixed prime is a lower bound for
-the rational rank, so when it reaches the row or column count it already
-pins the exact value; otherwise fraction-free (Bareiss) elimination runs in
-full over Python ints.  ``ExactMatrix.rank`` clears each row's denominators
-and calls it too.  A ``RankStats`` record, if passed, reports the shape
-that reached elimination and which of these paths settled the rank.
+Two eliminations return echelon rows and pivot columns: ``_modp_echelon``,
+vectorized in an int64 copy with pivots scaled to 1, and ``_bareiss``,
+fraction-free over Python ints, so fixed-width inputs cannot wrap.
+``fast_int_rank`` is the one rank entry point, for both rings.  It drops
+zero rows, repeated rows and zero columns, then takes the rank mod p.  Over
+``F_p`` that is the answer.  Over the rationals it is a lower bound, which
+pins the rank when it reaches the row or column count; otherwise Bareiss
+decides.  A ``RankStats`` record, if passed, reports the shape that reached
+elimination and the path that settled the rank.
 
-``ExactMatrix.nullspace`` alone uses reduced row echelon form over the
-matrix's ring; pivoting takes the first nonzero entry, so the basis is
-reproducible.  ``det_int`` shares the fraction-free elimination: the last
-pivot is the determinant up to the sign of the row swaps.  That elimination
-coerces every entry to a Python int, so fixed-width inputs cannot wrap.
+``ExactMatrix`` stores cleared rows; its nullspace back-substitutes one
+vector per free column through the echelon rows (``Fraction`` division over
+the rationals, arithmetic mod p over ``F_p``).  ``det_int`` reads the last
+Bareiss pivot, signed by the parity of the row swaps.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -37,48 +39,18 @@ MAX_PRIME = 2 ** 31
 
 
 class Rationals:
-    """Exact rational arithmetic on ``fractions.Fraction`` values."""
+    """The rationals as a coefficient ring: a tag read by the rank entries."""
 
     name = "rat"
     exact = True
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def of(x):
-        return Fraction(x)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
+    p = None
 
     def __repr__(self):
         return "Rationals()"
 
 
 class PrimeField:
-    """Arithmetic mod a prime, on plain int values in ``0..p-1``."""
+    """The field of integers mod a prime ``p``: a tag read by the rank entries."""
 
     exact = False  # ranks mod p can undershoot the characteristic-zero rank
 
@@ -88,31 +60,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"p:{p}"
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, x):
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in a prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -136,12 +83,16 @@ def parse_ring(spec: str):
 
 
 class ExactMatrix:
-    """A dense rectangular matrix over an exact ring."""
+    """A dense rectangular matrix over a ring, stored as cleared integer rows.
 
-    __slots__ = ("rows", "cols", "data", "ring")
+    ``data`` holds each input row times ``scales``, the lcm of its
+    denominators; that scaling changes neither the rank nor the nullspace.
+    """
+
+    __slots__ = ("rows", "cols", "data", "scales", "ring")
 
     def __init__(self, data, cols=None, ring=RATIONALS):
-        data = [tuple(ring.of(v) for v in row) for row in data]
+        data, scales = _cleared_int_rows(data, ring.p)
         if data:
             cols = len(data[0]) if cols is None else cols
             if any(len(row) != cols for row in data):
@@ -151,113 +102,93 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = cols
         self.data = tuple(data)
+        self.scales = tuple(scales)
         self.ring = ring
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self.data) if self.data else [],
-                           cols=self.rows, ring=self.ring)
+        return ExactMatrix([[Fraction(row[j], s) for row, s in zip(self.data, self.scales)]
+                            for j in range(self.cols)], cols=self.rows, ring=self.ring)
 
     def rank(self) -> int:
-        return fast_int_rank(_cleared_int_rows(self.data), self.ring)
+        return fast_int_rank(self.data, self.ring)
 
     def nullspace(self):
-        """Echelonized basis of ``{v : M v = 0}`` as tuples of scalars."""
-        ring = self.ring
-        if self.rows == 0:
-            return [tuple(ring.one if j == i else ring.zero for j in range(self.cols))
-                    for i in range(self.cols)]
-        _, pivots, rref = _rref_field(self.data, ring)
-        pivot_set = set(pivots)
+        """Basis of ``{v : M v = 0}``: one vector per free column, 1 there and
+        0 at the other free columns, found by back-substitution through the
+        echelon rows.  That basis is unique, so it is the reduced-echelon one.
+        Entries are ``Fraction``s over the rationals and ints in ``0..p-1``
+        over ``F_p``."""
+        p = self.ring.p
+        if p is None:
+            echelon, pivots, _ = _bareiss(self.data)
+        else:
+            echelon, pivots = _modp_echelon(self.data, p)
+            echelon = echelon.tolist()
         basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [ring.zero] * self.cols
-            v[free] = ring.one
-            for i, pc in enumerate(pivots):
-                v[pc] = ring.neg(rref[i][free])
-            basis.append(tuple(v))
+        for free in sorted(set(range(self.cols)) - set(pivots)):
+            v = [0] * self.cols
+            v[free] = 1
+            for row, c in zip(reversed(echelon), reversed(pivots)):
+                acc = -sum(a * b for a, b in zip(row[c + 1:], v[c + 1:]))
+                v[c] = acc % p if p is not None else Fraction(acc, row[c])
+            basis.append(tuple(v) if p is not None else tuple(map(Fraction, v)))
         return basis
-
-    def mul_vector(self, v):
-        ring = self.ring
-        out = []
-        for row in self.data:
-            acc = ring.zero
-            for a, b in zip(row, v):
-                acc = ring.add(acc, ring.mul(a, b))
-            out.append(acc)
-        return tuple(out)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, ring={self.ring.name})"
 
 
 def subspace_equal(vectors_a, vectors_b, cols: int, ring=RATIONALS) -> bool:
-    """Whether two families of vectors span the same subspace."""
-    a = list(vectors_a)
-    b = list(vectors_b)
-    for v in a + b:
+    """Whether two families of vectors span the same subspace of ``ring^cols``.
+
+    Each family is rows (of ints or ``Fraction``s) or a 2-D integer array;
+    the ranks of the two and of their union decide."""
+    a, b = (v if isinstance(v, np.ndarray) else _cleared_int_rows(v, ring.p)[0]
+            for v in (vectors_a, vectors_b))
+    for v in itertools.chain(a, b):
         if len(v) != cols:
             raise ValueError(f"vector of length {len(v)} in ambient dimension {cols}")
-    ra = ExactMatrix(a, cols=cols, ring=ring).rank()
-    rb = ExactMatrix(b, cols=cols, ring=ring).rank()
-    if ra != rb:
-        return False
-    return ExactMatrix(a + b, cols=cols, ring=ring).rank() == ra
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        both = np.vstack([a, b])
+    else:
+        both = [list(map(int, v)) for v in itertools.chain(a, b)]
+    ra = fast_int_rank(a, ring)
+    return ra == fast_int_rank(b, ring) == fast_int_rank(both, ring)
 
 
-def _rref_field(data, ring):
-    """Reduced row echelon over a field; returns (rank, pivot columns, rref rows)."""
-    m = [list(row) for row in data]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if not ring.is_zero(m[i][c])), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ring.inv(m[r][c])
-        m[r] = [ring.mul(inv, v) for v in m[r]]
-        for i in range(nr):
-            if i != r and not ring.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return r, pivots, m
-
-
-def _cleared_int_rows(data):
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
-    out = []
+def _cleared_int_rows(data, p=None):
+    """Each row scaled to Python ints by the lcm of its denominators; returns
+    (rows, scales).  Over ``F_p`` (``p`` given) a denominator that p divides
+    has no image, and raises ValueError."""
+    rows, scales = [], []
     for row in data:
-        scale = 1
-        for v in row:
-            d = v.denominator if isinstance(v, Fraction) else 1
-            scale = scale * d // gcd(scale, d)
-        out.append([int(v * scale) for v in row])
-    return out
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        if p is not None and scale % p == 0:
+            raise ValueError(f"entry with a denominator divisible by {p} has no value mod {p}")
+        rows.append(tuple(v.numerator * (scale // v.denominator) for v in row))
+        scales.append(scale)
+    return rows, scales
 
 
 def _bareiss(int_rows):
     """Fraction-free elimination of a copy of the integer rows.
 
     Every entry is coerced to a Python int first, so fixed-width inputs such
-    as numpy arrays cannot wrap.  Returns ``(rank, last pivot, row swaps)``.
-    When a square matrix has full rank, its determinant is the last pivot
-    times ``(-1) ** swaps``.
+    as numpy arrays cannot wrap.  Returns ``(echelon rows, pivot columns, row
+    swaps)``: the echelon rows span the input's row space and are zero left
+    of their pivots.  When a square matrix has full rank, its determinant is
+    the last pivot times ``(-1) ** swaps``.
     """
     m = [[int(v) for v in row] for row in int_rows]
-    nr, nc = len(m), len(m[0])
+    nr, nc = len(m), len(m[0]) if m else 0
     prev = 1
     swaps = 0
-    r = 0
+    pivots = []
     for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
         pivot = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if pivot is None:
             continue
@@ -277,19 +208,14 @@ def _bareiss(int_rows):
                 row[j] = q
             row[c] = 0
         prev = piv
-        r += 1
-        if r == nr:
-            break
-    return r, prev, swaps
+        pivots.append(c)
+    return m[:len(pivots)], pivots, swaps
 
 
 def bareiss_rank_int(int_rows) -> int:
     """Exact rank of an integer matrix (rows or a 2-D array) by fraction-free
     elimination."""
-    rows = list(int_rows)
-    if not rows or len(rows[0]) == 0:
-        return 0
-    return _bareiss(rows)[0]
+    return len(_bareiss(int_rows)[1])
 
 
 def det_int(int_rows) -> int:
@@ -300,19 +226,19 @@ def det_int(int_rows) -> int:
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    rank_, last, swaps = _bareiss(rows)
-    if rank_ < n:
+    echelon, pivots, swaps = _bareiss(rows)
+    if len(pivots) < n:
         return 0
-    return -last if swaps % 2 else last
+    return -echelon[-1][-1] if swaps % 2 else echelon[-1][-1]
 
 
-def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
-    """Rank mod p by vectorized elimination; always <= the rational rank.
+def _modp_echelon(int_rows, p: int):
+    """Row echelon form mod p of an int64 copy, pivots scaled to 1; returns
+    ``(echelon rows as an array, pivot columns)``.
 
-    Takes integer rows or a 2-D integer array, which is eliminated in an
-    int64 copy (uint64 and object arrays are refused: they may not fit).
-    Raises ValueError for ``p >= 2^31``, where int64 products would
-    overflow.
+    Takes integer rows or a 2-D integer array (uint64 and object arrays are
+    refused: they may not fit in int64).  Raises ValueError for
+    ``p >= 2^31``, where int64 products would overflow.
     """
     _check_prime_bound(p)
     if isinstance(int_rows, np.ndarray):
@@ -322,31 +248,35 @@ def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
         a = int_rows.astype(np.int64, order="C")  # row operations below
         a %= p
     else:
-        rows = [row for row in int_rows if any(row)]
-        if not rows:
-            return 0
-        a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+        a = np.array([[v % p for v in row] for row in int_rows], dtype=np.int64, ndmin=2)
     nr, nc = a.shape
-    r = 0
+    pivots = []
     for c in range(nc):
+        r = len(pivots)
         if r == nr:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1:]
-        if below.shape[0]:
-            f = below[:, c]
-            hit = np.nonzero(f)[0]
-            if hit.size:
-                below[hit] = (below[hit] - np.outer(f[hit], a[r])) % p
-        r += 1
-    return r
+        # Rows r and below are zero left of column c, so only a[:, c:] changes.
+        top = a[r, c:]
+        top *= pow(int(top[0]), p - 2, p)
+        top %= p
+        below = a[r + 1:, c:]
+        hit = np.flatnonzero(below[:, 0])
+        if hit.size:
+            below[hit] = (below[hit] - np.outer(below[hit, 0], top)) % p
+        pivots.append(c)
+    return a[:len(pivots)], pivots
+
+
+def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
+    """Rank mod p of integer rows or a 2-D integer array (as taken by
+    ``_modp_echelon``); always <= the rational rank."""
+    return len(_modp_echelon(int_rows, p)[1])
 
 
 class RankStats:
@@ -396,7 +326,7 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
     start = time.perf_counter()
     a = _pruned(int_rows)
     shape = (len(a), len(a[0]) if len(a) else 0)
-    if isinstance(ring, PrimeField):
+    if ring.p is not None:
         path, r = "prime-field", modp_rank(a, ring.p)
     else:
         path, r = "modp-certified", modp_rank(a)

@@ -45,6 +45,9 @@ DEFAULT_FUNCTION_CAP = 20000
 
 
 def function_space_size(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP) -> int:
+    # Arrays indexed by point grow with ``points`` even where n^points is 1.
+    if points > cap:
+        raise CapExceeded(f"{points} points exceed cap {cap}")
     size = lattice.n ** points
     if size > cap:
         raise CapExceeded(f"{lattice.n}^{points} = {size} functions exceed cap {cap}")
@@ -530,8 +533,7 @@ def orth_check(lattice: Lattice, points: int, ring=RATIONALS) -> bool:
     kernel system have the same row space."""
     gens = gamma_generators(lattice, points).astype(np.int64)
     paired = gens @ pairing_matrix(lattice, points).T
-    return subspace_equal(paired.tolist(), theta_matrix(lattice, points).tolist(),
-                          lattice.n ** points, ring)
+    return subspace_equal(paired, theta_matrix(lattice, points), lattice.n ** points, ring)
 
 
 # --- the permutation module ---------------------------------------------------

@@ -142,7 +142,7 @@ def run_suite(suite: str, limits: Limits | None = None, seed: int = 0,
         ctx = Context(limits, random.Random(f"{seed}:{name}"), ring)
         results.append(_run_one(name, anchor, fn, ctx))
     elapsed = int((time.monotonic() - start) * 1000)
-    return PropertyReport(suite, getattr(ring, "name", str(ring)), seed, results, elapsed)
+    return PropertyReport(suite, ring.name, seed, results, elapsed)
 
 
 def run_check(name: str, limits: Limits | None = None, seed: int = 0,

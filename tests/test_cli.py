@@ -88,6 +88,8 @@ def _chain_json(n):
      "2^70 subsets of points exceed cap 20000"),
     ({"size": 1, "leq": []}, ["rank", "FILE", "--points", "34"],
      "2^34 subsets of points exceed cap 20000"),
+    ({"size": 1, "leq": []}, ["rank", "FILE", "--points", "100000000", "--method", "gamma"],
+     "100000000 points exceed cap 20000"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"

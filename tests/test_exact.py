@@ -35,9 +35,9 @@ def test_nullspace_examples():
 
 
 def test_nullspace_vectors_are_in_kernel():
-    m = ExactMatrix([[1, 2, 3], [4, 5, 6]])
-    for v in m.nullspace():
-        assert all(x == 0 for x in m.mul_vector(v))
+    rows = [[1, 2, 3], [4, 5, 6]]
+    for v in ExactMatrix(rows).nullspace():
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -59,12 +59,6 @@ def test_subspace_equal_examples():
 
 
 def test_prime_field_arithmetic():
-    f7 = PrimeField(7)
-    assert f7.of(-1) == 6
-    assert f7.mul(3, 5) == 1
-    assert f7.inv(3) == 5
-    with pytest.raises(ZeroDivisionError):
-        f7.inv(0)
     with pytest.raises(ValueError):
         PrimeField(9)
 
@@ -204,10 +198,10 @@ def test_bareiss_handles_column_skips():
 
 def test_fp_nullspace():
     f5 = PrimeField(5)
-    m = ExactMatrix([[1, 4]], ring=f5)
-    (v,) = m.nullspace()
+    rows = [[1, 4]]
+    (v,) = ExactMatrix(rows, ring=f5).nullspace()
     assert all(x in range(5) for x in v)
-    assert m.mul_vector(v) == (0,)
+    assert tuple(sum(a * b for a, b in zip(row, v)) % 5 for row in rows) == (0,)
 
 
 def test_matrix_validation():
@@ -270,3 +264,103 @@ def test_fast_int_rank_prunes_arrays_like_lists():
                       np.array([[2 ** 70, 1]], dtype=object)):
         with pytest.raises(TypeError):
             fast_int_rank(not_int64)
+
+
+def test_fractions_over_a_prime_field_are_cleared_not_truncated():
+    f5 = PrimeField(5)
+    half = Fraction(1, 2)  # 3 mod 5
+    assert ExactMatrix([[half]], ring=f5).rank() == 1
+    assert ExactMatrix([[half, 1]], ring=f5).nullspace() == [(3, 1)]
+    assert subspace_equal([(half, 1)], [(1, 2)], 2, f5)
+    assert not subspace_equal([(half, 1)], [(1, 1)], 2, f5)
+    for no_image in (Fraction(1, 5), Fraction(2, 15)):
+        with pytest.raises(ValueError, match="divisible by 5"):
+            ExactMatrix([[1, no_image]], ring=f5)
+        with pytest.raises(ValueError, match="divisible by 5"):
+            subspace_equal([(no_image, 1)], [(1, 0)], 2, f5)
+    assert ExactMatrix([[Fraction(1, 5)]]).rank() == 1
+
+
+def test_subspace_equal_takes_arrays_and_rows():
+    a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8)
+    same = [(1, 1, 2), (Fraction(1, 2), 0, Fraction(1, 2))]
+    for ring in (RATIONALS, PrimeField(1000003)):
+        assert subspace_equal(a, np.array(same[:1] + [(1, 0, 1)], dtype=np.int64), 3, ring)
+        assert subspace_equal(a, same, 3, ring) and subspace_equal(same, a, 3, ring)
+        assert not subspace_equal(a, a[:1], 3, ring)
+        with pytest.raises(ValueError):
+            subspace_equal(a, np.zeros((1, 2), dtype=np.int8), 3, ring)
+    # over F_2 the rows (1, 1, 0), (0, 1, 1) span the sum (1, 0, 1)
+    b = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.int8)
+    assert subspace_equal(b, b[:2], 3, PrimeField(2))
+    assert not subspace_equal(b, b[:2], 3, RATIONALS)
+
+
+def _reference_nullspace(rows, cols, p=None):
+    """Nullspace by reduced row echelon form with per-scalar field
+    arithmetic, an oracle independent of the integer eliminations behind
+    ``ExactMatrix.nullspace``.  ``p`` is None for the rationals."""
+    if p is None:
+        of, inv, red = Fraction, (lambda a: 1 / a), (lambda a: a)
+    else:
+        def of(x):
+            x = Fraction(x)
+            return x.numerator * pow(x.denominator, -1, p) % p
+        inv, red = (lambda a: pow(a, -1, p)), (lambda a: a % p)
+    m = [[of(v) for v in row] for row in rows]
+    nr = len(m)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == nr:
+            break
+        pivot = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        s = inv(m[r][c])
+        m[r] = [red(s * v) for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [red(v - f * w) for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (j for j in range(cols) if j not in pivots):
+        v = [of(0)] * cols
+        v[free] = of(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = red(-m[i][free])
+        basis.append(tuple(v))
+    return basis
+
+
+# Denominators coprime to every prime the property uses.
+_entries = st.one_of(st.integers(-6, 6),
+                     st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3, 7, 9])))
+
+
+_rational_matrices = st.integers(1, 6).flatmap(lambda cols: st.builds(
+    _deficient,
+    st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(-2, 2), st.sampled_from([Fraction(1, 3), 0, 1, -2]),
+                       st.integers(0, 3), st.integers(0, 3)), max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices, st.sampled_from([None, 2, 5, DEFAULT_PRIME]))
+def test_nullspace_matches_the_reduced_echelon_reference(rows, p):
+    ring = RATIONALS if p is None else PrimeField(p)
+    cols = len(rows[0])
+    m = ExactMatrix(rows, ring=ring)
+    assert m.nullspace() == _reference_nullspace(rows, cols, p)
+    assert m.rank() + len(m.nullspace()) == cols
+    transposed = [list(col) for col in zip(*rows)]
+    assert m.transpose().nullspace() == _reference_nullspace(transposed, len(rows), p)
+
+
+def test_transpose_keeps_the_shape_of_empty_matrices():
+    t = ExactMatrix([], cols=2).transpose()
+    assert (t.rows, t.cols) == (2, 0) and t.rank() == 0 and t.nullspace() == []
+    back = t.transpose()
+    assert (back.rows, back.cols) == (0, 2) and len(back.nullspace()) == 2

@@ -7,7 +7,8 @@ import pytest
 
 import cfl.functor as functor
 from cfl.catalog import enumerate_posets, named_lattices
-from cfl.exact import ExactMatrix, PrimeField, RATIONALS, bareiss_rank_int, subspace_equal
+from cfl.exact import (ExactMatrix, PrimeField, RATIONALS, RankStats, bareiss_rank_int,
+                       subspace_equal)
 from cfl.functor import (FundElement, LatticeFunction, ModVec, _decode, act, act_mod,
                          all_functions, apply_lin, dual_star, fixed_rank,
                          fund_act, gamma_corr, gamma_span_rank, gamma_t,
@@ -378,3 +379,17 @@ def test_one_point_lattice_rank_is_one():
     for x in range(4):
         assert theta_rank(chain(0), x) == 1
         assert gamma_span_rank(chain(0), x) == 1
+
+
+@pytest.mark.parametrize("name, rank_fn, points, cap, want", [
+    ("chain3", theta_rank, 6, 20000, 2100),
+    ("b2", gamma_span_rank, 6, 20000, 2702),
+    ("m3", theta_rank, 5, 40000, 750),
+    ("n5", gamma_span_rank, 5, 20000, 750),
+])
+def test_large_ranks_are_certified_mod_p(named, name, rank_fn, points, cap, want):
+    # The largest systems cfl ranks routinely; each one is full rank after
+    # pruning, so the mod-p elimination alone must settle it.
+    stats = RankStats()
+    assert rank_fn(named[name], points, cap=cap, stats=stats) == want
+    assert stats.path == "modp-certified"
