@@ -157,12 +157,14 @@ def _cmd_verify(args):
             print(f"{name} [{', '.join(suites)}]: {anchor}")
         return 0
     ring = _ring_from(args)
-    limits = Limits(max_lattice=args.max_lattice, max_points=args.max_points,
-                    samples=args.samples)
+    if args.suite not in suite_names():
+        raise _InputError(f"unknown suite {args.suite!r}; known: {', '.join(suite_names())}")
     try:
-        report = run_suite(args.suite, limits, args.seed, ring)
+        limits = Limits(max_lattice=args.max_lattice, max_points=args.max_points,
+                        samples=args.samples)
     except ValueError as err:
         raise _InputError(str(err))
+    report = run_suite(args.suite, limits, args.seed, ring)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -171,6 +173,9 @@ def _cmd_verify(args):
 
 
 def _cmd_catalog(args):
+    for flag, value in (("--max-size", args.max_size), ("--exhaustive", args.exhaustive)):
+        if value is not None and value < 0:
+            raise _InputError(f"{flag} must be non-negative, got {value}")
     entries = catalog_entries(args.max_size, args.exhaustive)
     if args.json:
         payload = [{"name": name, "size": lat.n,

@@ -14,14 +14,20 @@ Both kernel systems and the pairing are built whole with numpy over the
 digit arrays of all function indices, and stay integer arrays up to the
 rank.  The theta system precomputes, for every subset of points, the join
 of each column function's down-masks of irreducibles over that subset (the
-subset-OR table); a cell then takes one table lookup per irreducible.  The
-gamma generators add one signed term of the alternating generator per pass,
-through a table of meets per upper ideal.  The pairing matrix is one gather
-of the order table.  ``theta_matrix``, ``theta_rank`` and
-``h_quotient_basis`` share the theta builder and its covering filter; every
-rank goes through ``fast_int_rank``.  The orthogonality check compares row
-spaces instead of nullspaces: two matrices have the same nullspace exactly
-when they have the same row space, over any field.
+subset-OR table); a cell then takes one table lookup per irreducible.
+``theta_condition_tables`` tables each of the six membership conditions of
+``theta_conditions`` over every pair the same way, each on its own: a
+subset-join table of the function's values for (a), the subset-OR table
+for (b)-(d), and the pointwise order and per-irreducible witnesses for (e)
+and (f).  Condition (d) is the theta system itself, so the other five check
+its builder independently.  The gamma generators add one signed term of the
+alternating generator per pass, through a table of meets per upper ideal.
+The pairing matrix is one gather of the order table.  ``theta_matrix``,
+``theta_rank`` and ``h_quotient_basis`` share the theta builder and its
+covering filter; every rank goes through ``fast_int_rank``.  The
+orthogonality check compares row spaces instead of nullspaces: two matrices
+have the same nullspace exactly when they have the same row space, over any
+field.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import RATIONALS, RankStats, fast_int_rank, subspace_equal
-from .lattices import (CapExceeded, Lattice, _bits, ideal_lattice, irreducibles,
-                       mobius, r_of)
+from .lattices import (CACHE_SIZE, CapExceeded, Lattice, _bits, ideal_lattice,
+                       irreducibles, mobius, r_of)
 from .morphisms import LinMorphism
 from .relations import Correspondence, all_permutations, order_flags
 
@@ -231,7 +237,7 @@ IrrData = namedtuple("IrrData", [
 ])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def irr_data(lattice: Lattice) -> IrrData:
     elems, sub = irreducibles(lattice)
     down_irr = []
@@ -260,6 +266,11 @@ def _digits(n: int, points: int) -> np.ndarray:
     values of function ``i``, column ``x`` the value at point ``x``."""
     index = np.arange(n ** points, dtype=np.int64)
     return index[:, None] // n ** np.arange(points, dtype=np.int64) % n
+
+
+def _order_table(lattice: Lattice) -> np.ndarray:
+    """The boolean table of ``a <= b``, indexed ``[a, b]``."""
+    return np.array([[lattice.le(a, b) for b in range(lattice.n)] for a in range(lattice.n)])
 
 
 def _covering(digits: np.ndarray, targets) -> np.ndarray:
@@ -365,19 +376,18 @@ def theta_conditions(lattice: Lattice, phi: LatticeFunction, psi: LatticeFunctio
     return cond_a, cond_b, cond_c, cond_d, cond_e, cond_f
 
 
-def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.ndarray:
-    """The 0/1 kernel system as an int8 array, rows over ideal-valued
-    functions and columns over lattice-valued functions, in index order.
+def _theta_inputs(lattice: Lattice, points: int, cap: int, pruned: bool):
+    """What every table over (ideal function, function) pairs starts from.
 
-    The cell (psi, phi) is one when, for every irreducible e, the down-masks
-    of phi joined over the points whose ideal contains e give the row of e in
-    the opposite order (condition (d) of ``theta_conditions``).  A table of
-    those joins over every subset of points, one column per function, turns
-    each irreducible into one gather.  ``pruned`` keeps only the columns of
-    functions hitting every irreducible and the rows of ideal functions
-    hitting every principal upper ideal; the others are identically zero.
-    The table has 2^points rows, which the function cap bounds only when
-    the lattice has two or more elements, so it is capped on its own.
+    Returns the digits of the columns (functions phi) and of the rows (ideal
+    functions psi), the rows' ideals as masks over the irreducibles, for each
+    irreducible e the index of the subset S_e(psi) of points whose ideal
+    contains e, and the subset-OR table: row s, column phi holds the join of
+    phi's down-masks of irreducibles over the points in s.  ``pruned`` keeps
+    only the columns of functions hitting every irreducible and the rows of
+    ideal functions hitting every principal upper ideal.  The table has
+    2^points rows, which the function cap bounds only when the lattice has
+    two or more elements, so it is capped on its own.
     """
     data = irr_data(lattice)
     function_space_size(lattice, points, cap)
@@ -389,17 +399,106 @@ def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.n
     if pruned:
         phi = phi[_covering(phi, data.elems)]
         psi = psi[_covering(psi, [data.iup_enc.index(m) for m in data.up_masks])]
-    k = len(data.elems)
-    down = np.array(data.down_irr, dtype=np.min_scalar_type((1 << k) - 1))[phi]
-    table = np.zeros((1 << points, len(phi)), dtype=down.dtype)
+    mask = np.min_scalar_type((1 << len(data.elems)) - 1)
+    down = np.array(data.down_irr, dtype=mask)[phi]
+    table = np.zeros((1 << points, len(phi)), dtype=mask)
     for x in range(points):
         table[1 << x:2 << x] = table[:1 << x] | down[:, x]
-    enc = np.array(data.iup_enc, dtype=np.int64)[psi]
+    enc = np.array(data.iup_enc, dtype=mask)[psi]
     weights = np.int64(1) << np.arange(points, dtype=np.int64)
-    system = np.ones((len(psi), len(phi)), dtype=bool)
-    for e, row in enumerate(data.rop_rows):
-        system &= (table == row)[(enc >> e & 1) @ weights]
-    return system.view(np.int8)
+    subsets = [(enc >> e & 1).astype(np.int64) @ weights for e in range(len(data.elems))]
+    return phi, psi, enc, subsets, table
+
+
+def _all_of(shape, arrays) -> np.ndarray:
+    """The AND of boolean arrays of one shape, taken one array at a time."""
+    out = np.ones(shape, dtype=bool)
+    for a in arrays:
+        out &= a
+    return out
+
+
+def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.ndarray:
+    """The 0/1 kernel system as an int8 array, rows over ideal-valued
+    functions and columns over lattice-valued functions, in index order.
+
+    The cell (psi, phi) is one when, for every irreducible e, the down-masks
+    of phi joined over the points whose ideal contains e give the row of e in
+    the opposite order (condition (d) of ``theta_conditions``): one gather
+    of the subset-OR table per irreducible.  Pruned rows and columns (see
+    ``_theta_inputs``) are identically zero.
+    """
+    rop_rows = irr_data(lattice).rop_rows
+    phi, psi, _, subsets, table = _theta_inputs(lattice, points, cap, pruned)
+    return _all_of((len(psi), len(phi)),
+                   ((table == row)[s] for row, s in zip(rop_rows, subsets))).view(np.int8)
+
+
+def theta_condition_tables(lattice: Lattice, points: int):
+    """The six conditions of ``theta_conditions`` on every pair at once.
+
+    Yields six boolean arrays, (a) to (f), one at a time, each over (ideal
+    function, function) in the row and column order of ``theta_matrix``.
+    Each is built on its own, as ``theta_conditions`` builds its boolean:
+
+    (a) a subset-join table of phi's values, gathered at S_e(psi);
+    (b), (c), (d) the subset-OR table of down-masks, read through the joins
+        of its masks, tested for bit e and containment in the opposite row
+        of e, and compared with that row (this is the kernel system);
+    (e) the pointwise order against the meet of each ideal, and a point
+        where phi is e and psi is the principal upper ideal of e;
+    (f) the pointwise order against each irreducible of each ideal, and the
+        union of the ideals at the points where phi is e.
+    """
+    data = irr_data(lattice)
+    phi, psi, enc, subsets, table = _theta_inputs(lattice, points, DEFAULT_FUNCTION_CAP,
+                                                  pruned=False)
+    elems, rop, up = data.elems, data.rop_rows, data.up_masks
+    k, shape = len(elems), (len(psi), len(phi))
+
+    join = np.array(lattice.join, dtype=np.uint8)
+    joins = np.full(table.shape, lattice.bottom, dtype=np.uint8)
+    for x in range(points):
+        joins[1 << x:2 << x] = join[joins[:1 << x], phi[:, x]]
+    yield _all_of(shape, ((joins == elems[e])[subsets[e]] for e in range(k)))
+    del joins
+
+    masks, where = np.unique(table, return_inverse=True)
+    mask_joins = np.array([lattice.join_many(elems[f] for f in _bits(int(m))) for m in masks],
+                          dtype=np.uint8)
+    joined = mask_joins[where].reshape(table.shape)
+    yield _all_of(shape, ((joined == elems[e])[subsets[e]] for e in range(k)))
+    del joined
+
+    full = (1 << k) - 1
+    yield _all_of(shape, (((table >> e & 1).astype(bool) & (table & (full ^ rop[e]) == 0))
+                          [subsets[e]] for e in range(k)))
+    yield _all_of(shape, ((table == rop[e])[subsets[e]] for e in range(k)))
+
+    le = _order_table(lattice)
+    meets = np.array([lattice.meet_many(elems[i] for i in _bits(m)) for m in data.iup_enc])
+
+    def witness(e):
+        out = np.zeros(shape, dtype=bool)
+        for x in range(points):
+            np.logical_or(out, (enc[:, x] == up[e])[:, None], out=out,
+                          where=phi[:, x] == elems[e])
+        return out
+
+    yield _all_of(shape, itertools.chain(
+        (le[phi[:, x], meets[psi[:, x], None]] for x in range(points)),
+        map(witness, range(k))))
+
+    def union(e):
+        out = np.zeros(shape, dtype=enc.dtype)
+        for x in range(points):
+            np.bitwise_or(out, enc[:, x, None], out=out,
+                          where=phi[:, x] == elems[e])
+        return out == up[e]
+
+    yield _all_of(shape, itertools.chain(
+        (~(enc[:, x, None] >> e & 1).astype(bool) | le[phi[:, x], elems[e]]
+         for x in range(points) for e in range(k)), map(union, range(k))))
 
 
 def theta_matrix(lattice: Lattice, points: int) -> np.ndarray:
@@ -441,10 +540,8 @@ def pairing_matrix(lattice: Lattice, points: int) -> np.ndarray:
     """The pairing of every pair of functions as an int8 0/1 array, rows
     indexed by the first function and columns by the second."""
     function_space_size(lattice, points)
-    n = lattice.n
-    le = np.array([[lattice.le(a, b) for b in range(n)] for a in range(n)])
-    digits = _digits(n, points)
-    return le[digits[:, None], digits[None, :]].all(axis=2).view(np.int8)
+    digits = _digits(lattice.n, points)
+    return _order_table(lattice)[digits[:, None], digits[None, :]].all(axis=2).view(np.int8)
 
 
 def dual_star(phi: LatticeFunction) -> ModVec:

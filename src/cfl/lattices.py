@@ -18,6 +18,8 @@ from .relations import (MAX_POINTS, Correspondence, order_flags,
 # The ideal scan tests every subset of the points, so it is refused above this.
 MAX_IDEAL_POINTS = 20
 MAX_JOIN_MAP_SCAN = 2 ** 20  # 7^7 maps are scanned, 8^8 are refused
+# Entries kept by the per-lattice caches; the full suite uses fewer than 20.
+CACHE_SIZE = 256
 
 
 class LatticeError(ValueError):
@@ -208,7 +210,7 @@ def lattice_from_leq(n: int, pairs) -> Lattice:
     return Lattice.from_poset(Poset.from_pairs(n, pairs))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def chain(n: int) -> Lattice:
     """The total order with elements ``0 < 1 < ... < n`` (n + 1 elements)."""
     return lattice_from_leq(n + 1, [(i, i + 1) for i in range(n)])
@@ -293,7 +295,7 @@ def is_distributive(lattice: Lattice) -> bool:
                for t in range(n) for r in range(n) for s in range(n))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def mobius(obj):
     """Mobius table ``{(a, b): value}`` for all pairs ``a <= b`` of a poset or lattice.
 

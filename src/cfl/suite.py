@@ -27,8 +27,8 @@ from .functor import (FundElement, LatticeFunction, act, act_mod, all_functions,
                       apply_lin, dual_star, fixed_rank, fund_act, gamma_corr,
                       gamma_span_rank, gamma_t, h_quotient_basis, irr_data,
                       orth_check, pairing, retraction_exists, star_act,
-                      star_act_mod, theta_conditions, theta_matrix, theta_rank,
-                      total_rank_formula)
+                      star_act_mod, theta_condition_tables, theta_conditions,
+                      theta_matrix, theta_rank, total_rank_formula)
 from .lattices import (CapExceeded, LatticeError, Poset, chain,
                        canonical_surjection, derived_lattices, ideal_lattice,
                        irreducibles, is_distributive, join_maps, lattice_from_leq,
@@ -44,9 +44,18 @@ from .relations import (Correspondence, order_flags, preorder_quotient,
 
 @dataclass(frozen=True)
 class Limits:
+    """Bounds of a run.  At least one lattice size (the catalog's smallest
+    lattice has one element), points from zero, and at least one sample: a
+    negative count fails inside a check, and with no lattices or no samples
+    the checks that draw from them would visit nothing."""
     max_lattice: int = 5
     max_points: int = 2
     samples: int = 200
+
+    def __post_init__(self):
+        for name, least in (("max_lattice", 1), ("max_points", 0), ("samples", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -62,6 +71,7 @@ class CheckResult:
     anchor: str
     status: str                 # "pass" | "fail" | "skip"
     witness: dict | None = None
+    elapsed_ms: int = 0
 
 
 @dataclass
@@ -92,7 +102,7 @@ class PropertyReport:
             lines.append("  note: prime-field ranks are probabilistic for "
                          "characteristic-zero claims")
         for c in self.checks:
-            lines.append(f"  [{c.status.upper():4}] {c.name}: {c.anchor}")
+            lines.append(f"  [{c.status.upper():4}] {c.name} ({c.elapsed_ms} ms): {c.anchor}")
             if c.witness is not None:
                 lines.append(f"         witness: {json.dumps(c.witness, sort_keys=True)}")
         verdict = "PASS" if self.passed else "FAIL"
@@ -155,15 +165,20 @@ def run_check(name: str, limits: Limits | None = None, seed: int = 0,
 
 
 def _run_one(name, anchor, fn, ctx) -> CheckResult:
+    start = time.perf_counter()
     try:
         outcome = fn(ctx)
     except CapExceeded as cap:
-        return CheckResult(name, anchor, "skip", {"reason": str(cap)})
-    if outcome is None:
-        return CheckResult(name, anchor, "pass")
-    if isinstance(outcome, tuple) and outcome[0] == "info":
-        return CheckResult(name, anchor, "pass", outcome[1])
-    return CheckResult(name, anchor, "fail", outcome)
+        status, witness = "skip", {"reason": str(cap)}
+    else:
+        if outcome is None:
+            status, witness = "pass", None
+        elif isinstance(outcome, tuple) and outcome[0] == "info":
+            status, witness = "pass", outcome[1]
+        else:
+            status, witness = "fail", outcome
+    elapsed = int((time.perf_counter() - start) * 1000)
+    return CheckResult(name, anchor, status, witness, elapsed)
 
 
 # --- helpers -----------------------------------------------------------------
@@ -1110,6 +1125,26 @@ def _check_six_conditions(ctx):
     return None
 
 
+@check("kernel-condition-tables",
+       "each of the six membership conditions, tabled over every pair, equals "
+       "the kernel system",
+       "fundamental")
+def _check_condition_tables(ctx):
+    for name, lat in _named(ctx):
+        for x in range(1, ctx.limits.max_points + 1):
+            system = theta_matrix(lat, x).view(bool)
+            tables = theta_condition_tables(lat, x)
+            for letter in "abcdef":
+                rows, cols = (next(tables) != system).nonzero()  # one table at a time
+                if len(rows):
+                    row, col = int(rows[0]), int(cols[0])
+                    psi = LatticeFunction.from_index(irr_data(lat).iup, x, row)
+                    phi = LatticeFunction.from_index(lat, x, col)
+                    return _witness(lat, name=name, x=x, condition=letter,
+                                    psi=list(psi.values), phi=list(phi.values))
+    return None
+
+
 @check("fundamental-action",
        "the relation action on the permutation module is multiplicative and "
        "unital",
@@ -1210,9 +1245,9 @@ _acceptance("A09-distributive-splitting",
             Limits(max_lattice=5), _check_splitting)
 
 _acceptance("A10-condition-equivalence",
-            "10^4 seeded random pairs per catalog lattice: the six kernel "
-            "conditions agree with zero disagreements",
-            Limits(max_lattice=8, samples=10000), _check_six_conditions)
+            "every (ideal function, function) pair of every catalog lattice at "
+            "|X| <= 3: each of the six kernel conditions equals the kernel system",
+            Limits(max_lattice=8, max_points=3), _check_condition_tables)
 
 _acceptance("A11-fundamental-module",
             "the permutation-module action is multiplicative (exhaustive at two "

@@ -37,7 +37,8 @@ CRITERIA = [
 SPIED = ("theta_rank", "gamma_span_rank", "orth_check", "theta_conditions",
          "h_quotient_basis", "tot_basis", "p_tuples", "all_functions", "irr_data",
          "gamma_t", "dual_star", "f_dc", "enumerate_lattices",
-         "_chain_image_count", "_has_splitting_section", "fund_act")
+         "_chain_image_count", "_has_splitting_section", "fund_act",
+         "theta_condition_tables")
 
 # (number of distinct triples, sha256 of their sorted reprs) per criterion.
 VISITED = {
@@ -60,7 +61,7 @@ VISITED = {
     "A09-distributive-splitting": (
         426, "646602b42f033abab372186f283ff702aaaf13a90990daec3af5c5784acf38b3"),
     "A10-condition-equivalence": (
-        24, "6cb7672dbc46ef6a53838ea67d4b9a82f67afd1cdfc0bdfe2c0c5acef294b125"),
+        36, "7c166ea21e7d57d301b98c9fd4f778aca3726e78a4107c8e25c4e3ea2b404ab0"),
     "A11-fundamental-module": (
         10, "c3c3f8846b7c28285fbccaba6a9bd584fa6ba23ba0a16b78fcc4f1a7b20d923a"),
     "A12-chain-summand-census": (

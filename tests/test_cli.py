@@ -90,6 +90,12 @@ def _chain_json(n):
      "2^34 subsets of points exceed cap 20000"),
     ({"size": 1, "leq": []}, ["rank", "FILE", "--points", "100000000", "--method", "gamma"],
      "100000000 points exceed cap 20000"),
+    (CHAIN2, ["verify", "--suite", "all", "--max-lattice", "0", "--max-points", "-1",
+              "--samples", "0"], "max_lattice must be at least 1, got 0"),
+    (CHAIN2, ["verify", "--max-points", "-1"], "max_points must be at least 0, got -1"),
+    (CHAIN2, ["verify", "--samples", "0"], "samples must be at least 1, got 0"),
+    (CHAIN2, ["catalog", "--max-size", "-3"], "--max-size must be non-negative, got -3"),
+    (CHAIN2, ["catalog", "--exhaustive", "-1"], "--exhaustive must be non-negative"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cfl.functor as functor
-from cfl.catalog import enumerate_posets, named_lattices
+from cfl.catalog import enumerate_lattices, enumerate_posets, named_lattices
 from cfl.exact import (ExactMatrix, PrimeField, RATIONALS, RankStats, bareiss_rank_int,
                        subspace_equal)
 from cfl.functor import (FundElement, LatticeFunction, ModVec, _decode, act, act_mod,
@@ -14,9 +14,10 @@ from cfl.functor import (FundElement, LatticeFunction, ModVec, _decode, act, act
                          fund_act, gamma_corr, gamma_span_rank, gamma_t,
                          h_quotient_basis, irr_data, orth_check, pairing,
                          pairing_matrix, perm_basis, retraction_exists,
-                         star_act, star_act_mod, theta_conditions, theta_matrix,
-                         theta_rank, total_rank_formula)
-from cfl.lattices import CapExceeded, chain, ideal_lattice, irreducibles, join_maps
+                         star_act, star_act_mod, theta_condition_tables,
+                         theta_conditions, theta_matrix, theta_rank, total_rank_formula)
+from cfl.lattices import (CACHE_SIZE, CapExceeded, chain, ideal_lattice, irreducibles,
+                          join_maps, lattice_from_json, mobius)
 from cfl.morphisms import LinMorphism, epsilon
 from cfl.relations import Correspondence
 
@@ -220,6 +221,41 @@ def test_theta_conditions_agree_randomized(named):
             assert len(set(theta_conditions(lat, phi, psi))) == 1
 
 
+@pytest.mark.parametrize("points", [0, 1, 2])
+def test_condition_tables_match_the_scalar_conditions(named, points):
+    """Each table equals ``theta_conditions`` on every pair, including the
+    single pair of empty functions at zero points."""
+    for name, lat in named.items():
+        data = irr_data(lat)
+        rows, cols = data.iup.n ** points, lat.n ** points
+        want = np.zeros((6, rows, cols), dtype=bool)
+        for r in range(rows):
+            psi = LatticeFunction.from_index(data.iup, points, r)
+            for c in range(cols):
+                phi = LatticeFunction.from_index(lat, points, c)
+                want[:, r, c] = theta_conditions(lat, phi, psi)
+        tables = list(theta_condition_tables(lat, points))
+        assert len(tables) == 6
+        for letter, table, expected in zip("abcdef", tables, want):
+            assert table.dtype == bool and table.shape == (rows, cols), (name, letter)
+            assert np.array_equal(table, expected), (name, points, letter)
+
+
+def test_condition_tables_equal_the_kernel_system_at_three_points(named):
+    """Dropping the pointwise order from (e) or (f) first shows at three
+    points (on chain2 and b2)."""
+    for lat in named.values():
+        system = theta_matrix(lat, 3)
+        for table in theta_condition_tables(lat, 3):
+            assert np.array_equal(table, system)
+
+
+def test_condition_tables_share_the_cap():
+    one = {"size": 1, "leq": []}
+    with pytest.raises(CapExceeded):
+        next(theta_condition_tables(lattice_from_json(one), 34))
+
+
 def test_pairing_examples():
     one = chain(1)
     assert pairing(fn(one, 1, 0), fn(one, 1, 0)) == 1
@@ -393,3 +429,14 @@ def test_large_ranks_are_certified_mod_p(named, name, rank_fn, points, cap, want
     stats = RankStats()
     assert rank_fn(named[name], points, cap=cap, stats=stats) == want
     assert stats.path == "modp-certified"
+
+
+def test_per_lattice_caches_stay_bounded():
+    lattices = list(enumerate_lattices(5))
+    assert len(lattices) > CACHE_SIZE
+    for lat in lattices:
+        irr_data(lat)
+        mobius(lat)
+    for cached in (irr_data, mobius, chain):
+        info = cached.cache_info()
+        assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE

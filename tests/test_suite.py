@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,28 @@ def test_reports_are_deterministic():
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert a == b
+
+
+def test_checks_carry_their_own_time():
+    @check("tmp-sleep-probe", "sleeps for 30 ms", "tmpsuite")
+    def probe(ctx):
+        time.sleep(0.03)
+
+    try:
+        report = run_suite("tmpsuite")
+        assert report.checks[0].status == "pass"
+        assert report.checks[0].elapsed_ms >= 30
+        assert f"tmp-sleep-probe ({report.checks[0].elapsed_ms} ms)" in report.to_text()
+    finally:
+        suite_mod._REGISTRY[:] = [e for e in suite_mod._REGISTRY
+                                  if e[0] != "tmp-sleep-probe"]
+
+
+def test_limits_reject_empty_ranges():
+    assert Limits(max_lattice=1, max_points=0, samples=1).max_points == 0
+    for bad in ({"max_lattice": 0}, {"max_points": -1}, {"samples": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            Limits(**bad)
 
 
 def test_tampered_mobius_fails_with_witness(monkeypatch):
