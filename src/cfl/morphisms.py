@@ -6,15 +6,29 @@ For a lattice ``T`` and a strictly increasing tuple ``B`` avoiding the top,
 ``f_dc`` multiply like matrix units, and summing the diagonal ones yields
 the central idempotent ``e_t`` projecting onto the span of all
 join-endomorphisms with totally ordered image (``tot_basis``).
+
+The algebra runs on interned Hom-sets.  ``hom_set(src, dst)`` numbers the
+join-maps ``src -> dst`` in the order they are first met and keeps their
+images as one small-int array.  It is filled lazily: most Hom-sets of the
+suite's 8-element lattices are too large to enumerate.  A ``Family`` holds
+morphisms of one Hom-space as integer numerators over those ids, with one
+denominator per member.  ``compose_families`` is the one composition
+algorithm: it gathers every composite's images in one numpy step, keys the
+distinct rows to ids, and sums the products of numerators as integers,
+in int64 only when a bound rules out overflow and as Python ints otherwise.
+``LinMorphism.compose`` is its one-by-one case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from .lattices import CapExceeded, JoinMap, Lattice, _bits, chain, mobius
+import numpy as np
+
+from .lattices import CACHE_SIZE, CapExceeded, JoinMap, Lattice, _bits, chain, mobius
 
 # A chain scan tests C(|pool|, size) subsets and is refused above
 # MAX_CHAIN_SCAN.  The central idempotent and the chain-image basis expand
@@ -31,12 +45,12 @@ class TermNotInBasis(ValueError):
 class LinMorphism:
     """A finite formal sum of join-maps with exact rational coefficients.
 
-    Terms with equal maps are merged and zero coefficients dropped, so
+    ``terms`` maps each join-map to its nonzero ``Fraction`` coefficient, so
     equality of the term dictionaries is equality of morphisms.  The public
-    constructor checks and merges its terms.  ``compose`` multiplies and
-    sums coefficients as Python ints, merging by composite image tuple, and
-    wraps the result, already merged and nonzero, with the unchecked
-    ``_trusted``; stored coefficients are always ``Fraction`` values.
+    constructor checks and merges its terms.  Sums, negations and scalings
+    of valid terms are valid, so they merge through the unchecked
+    ``_trusted``.  ``compose`` is ``compose_families`` on two one-member
+    families; its terms are the interned maps of the target Hom-set.
     """
 
     __slots__ = ("src", "dst", "terms")
@@ -84,41 +98,29 @@ class LinMorphism:
             raise ValueError("sum of morphisms between different lattices")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return LinMorphism(self.src, self.dst, out)
+            total = out.get(m, 0) + c
+            if total:
+                out[m] = total
+            else:
+                del out[m]
+        return LinMorphism._trusted(self.src, self.dst, out)
 
     def __neg__(self):
-        return LinMorphism(self.src, self.dst, {m: -c for m, c in self.terms.items()})
+        return LinMorphism._trusted(self.src, self.dst,
+                                    {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
-        return LinMorphism(self.src, self.dst,
-                           {m: scalar * c for m, c in self.terms.items()})
+        terms = {m: scalar * c for m, c in self.terms.items()} if scalar else {}
+        return LinMorphism._trusted(self.src, self.dst, terms)
 
     def compose(self, other: "LinMorphism") -> "LinMorphism":
-        """Bilinear extension of composition; ``self`` after ``other``.
-
-        Each operand's coefficients are scaled to integers by the lcm of
-        their denominators, products are summed as ints keyed by the
-        composite image tuple, and each surviving sum is divided back once.
-        """
-        if other.dst != self.src:
-            raise ValueError("middle lattice mismatch")
-        g_scale, g_terms = _integral_terms(self)
-        f_scale, f_terms = _integral_terms(other)
-        acc = {}
-        for g_images, cg in g_terms:
-            for f_images, cf in f_terms:
-                key = tuple([g_images[v] for v in f_images])
-                acc[key] = acc.get(key, 0) + cg * cf
-        src, dst = other.src, self.dst
-        scale = g_scale * f_scale
-        terms = {JoinMap._trusted(src, dst, key): Fraction(c, scale)
-                 for key, c in acc.items() if c}
-        return LinMorphism._trusted(src, dst, terms)
+        """Bilinear extension of composition; ``self`` after ``other``."""
+        return compose_families(Family(self.src, self.dst, [self]),
+                                Family(other.src, other.dst, [other])).member(0, 0)
 
     def __matmul__(self, other):
         if isinstance(other, JoinMap):
@@ -144,11 +146,212 @@ class LinMorphism:
         return "LinMorphism(" + " + ".join(f"{c}*{list(i)}" for i, c in parts) + ")"
 
 
-def _integral_terms(alpha: LinMorphism):
-    """``(L, [(images, L * c)])`` with ``L`` the lcm of the coefficient denominators."""
-    scale = math.lcm(*(c.denominator for c in alpha.terms.values()))
-    return scale, [(m.images, c.numerator * (scale // c.denominator))
-                   for m, c in alpha.terms.items()]
+def _int_dtype(bound: int):
+    """int64 when no value can reach ``bound`` in absolute value, else Python ints."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+class HomSet:
+    """The join-maps ``src -> dst`` met so far, numbered in order of first use.
+
+    ``maps[i]`` is map ``i``, ``images[i]`` its image row and ``index`` maps
+    an image tuple to its id.  Ids never change; rows are only appended.
+    For lookups in numpy, each row's bytes are a key in a sorted index that
+    takes in the new rows before each lookup.
+    """
+
+    __slots__ = ("src", "dst", "index", "maps", "_rows", "_keys", "_ids")
+
+    def __init__(self, src: Lattice, dst: Lattice):
+        self.src = src
+        self.dst = dst
+        self.index = {}
+        self.maps = []
+        self._rows = np.empty((8, src.n), np.min_scalar_type(dst.n - 1))
+        self._keys = self._key(self._rows[:0])     # sorted
+        self._ids = np.empty(0, np.intp)           # the id of each sorted key
+
+    def __len__(self):
+        return len(self.maps)
+
+    @property
+    def images(self) -> np.ndarray:
+        return self._rows[:len(self.maps)]
+
+    def _key(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(rows, self._rows.dtype)
+        return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
+
+    def id_of(self, images: tuple, m: JoinMap | None = None) -> int:
+        """The id of a join-map given by its image tuple, interned if new.
+
+        ``m``, when given, is that map; otherwise a trusted one is made."""
+        i = self.index.get(images)
+        if i is None:
+            i = len(self.maps)
+            if i == len(self._rows):
+                grown = np.empty((2 * i, self.src.n), self._rows.dtype)
+                grown[:i] = self._rows
+                self._rows = grown
+            self._rows[i] = images
+            self.maps.append(JoinMap._trusted(self.src, self.dst, images) if m is None else m)
+            self.index[images] = i
+        return i
+
+    def ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Ids of a ``(k, src.n)`` array of join-map image rows, interning
+        new ones unchecked.
+
+        Rows are looked up in the sorted index; only the distinct rows not
+        seen before become tuples."""
+        done = len(self._ids)
+        if done < len(self.maps):
+            fresh = self._key(self.images[done:])
+            order = np.argsort(fresh)
+            at = np.searchsorted(self._keys, fresh[order])
+            self._keys = np.insert(self._keys, at, fresh[order])
+            self._ids = np.insert(self._ids, at, done + order)
+        keys = self._key(rows)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        known = self._keys[at] == keys if len(self._keys) else np.zeros(len(keys), bool)
+        if known.all():
+            return self._ids[at]
+        unknown = np.flatnonzero(~known)
+        _, first = np.unique(keys[unknown], return_index=True)
+        for row in rows[unknown[first]].tolist():
+            self.id_of(tuple(row))
+        return self.ids_of_rows(rows)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def hom_set(src: Lattice, dst: Lattice) -> HomSet:
+    """The interned Hom-set of ``src -> dst``, shared by all products into it."""
+    return HomSet(src, dst)
+
+
+class Family:
+    """Morphisms ``src -> dst`` as integer numerators over Hom-set ids.
+
+    Member ``i`` is ``sum(nums[t] * hom.maps[support[at[t]]]) / dens[i]``
+    over the terms ``t`` with ``owner[t] == i``, where ``dens[i]`` is the
+    lcm of that member's coefficient denominators and ``support`` lists
+    the distinct ids.  ``weight`` bounds the sum of the absolute numerators
+    of any one member.
+    """
+
+    __slots__ = ("hom", "owner", "at", "support", "nums", "dens", "weight")
+
+    def __init__(self, src: Lattice, dst: Lattice, members):
+        hom = hom_set(src, dst)
+        owner, at, nums, dens = [], [], [], []
+        where = {}                       # hom id -> position in the support
+        weight = 0
+        for i, alpha in enumerate(members):
+            if alpha.src != src or alpha.dst != dst:
+                raise ValueError("family member with mismatched source or target lattice")
+            terms = alpha.terms
+            scale = math.lcm(*(c.denominator for c in terms.values()))
+            row = [c.numerator * (scale // c.denominator) for c in terms.values()]
+            ids = [hom.index.get(m.images) for m in terms]
+            if None in ids:
+                ids = [hom.id_of(m.images, m) for m in terms]
+            owner += [i] * len(row)
+            at += [where.setdefault(h, len(where)) for h in ids]
+            nums += row
+            dens.append(scale)
+            weight = max(weight, sum(map(abs, row)))
+        self.hom = hom
+        self.owner = np.array(owner, np.intp)
+        self.at = np.array(at, np.intp)
+        self.support = np.array(list(where), np.intp)
+        self.nums = np.array(nums, _int_dtype(weight))
+        self.dens = dens
+        self.weight = weight
+
+    def __len__(self):
+        return len(self.dens)
+
+
+class Products:
+    """Every ``outer[i]`` after ``inner[j]``: ``nums[i, j] / dens[i * k + j]``,
+    with ``k = len(inner)``, are its coefficients on the maps ``hom.maps[ids]``."""
+
+    __slots__ = ("hom", "ids", "nums", "dens")
+
+    def __init__(self, hom: HomSet, ids: np.ndarray, nums: np.ndarray, dens: list):
+        self.hom = hom
+        self.ids = ids
+        self.nums = nums
+        self.dens = dens
+
+    def member(self, i: int, j: int) -> LinMorphism:
+        den, maps = self.dens[i * self.nums.shape[1] + j], self.hom.maps
+        pairs = zip(self.ids.tolist(), self.nums[i, j].tolist())
+        if den == 1:      # the common case; Fraction(c) skips the gcd
+            terms = {maps[h]: Fraction(c) for h, c in pairs if c}
+        else:
+            terms = {maps[h]: Fraction(c, den) for h, c in pairs if c}
+        return LinMorphism._trusted(self.hom.src, self.hom.dst, terms)
+
+    def first_mismatch(self, family: Family, picks):
+        """The first pair ``(i, j)`` whose product differs from member
+        ``picks[i * len(inner) + j]`` of ``family``, or from zero where that
+        pick is negative; ``None`` when every product matches.
+
+        Picked members are compared over the whole Hom-set, with the
+        denominators cross-multiplied."""
+        picks = np.asarray(picks, np.intp)
+        if len(picks) != len(self.dens):
+            raise ValueError(f"need one pick per product, got {len(picks)} for {len(self.dens)}")
+        support = (family.support if family.hom is self.hom
+                   else self.hom.ids_of_rows(family.hom.images[family.support]))
+        got = self.nums.reshape(len(picks), -1)
+        bad = (picks < 0) & got.any(axis=1)
+        rows = np.flatnonzero(picks >= 0)
+        members, back = np.unique(picks[rows], return_inverse=True)
+        slot = np.full(len(family), -1, np.intp)
+        slot[members] = np.arange(len(members))
+        terms = np.flatnonzero(slot[family.owner] >= 0)
+        want = np.zeros((len(members), len(self.hom)), family.nums.dtype)
+        want[slot[family.owner[terms]], support[family.at[terms]]] = family.nums[terms]
+        want = want[back.reshape(-1)]
+        have = np.zeros_like(want, self.nums.dtype)
+        have[:, self.ids] = got[rows]
+        have_dens = [self.dens[r] for r in rows.tolist()]
+        want_dens = [family.dens[p] for p in picks[rows].tolist()]
+        bound = max(int(np.abs(have).max(initial=0)) * max(want_dens, default=1),
+                    int(np.abs(want).max(initial=0)) * max(have_dens, default=1))
+        dtype = _int_dtype(bound)
+        left = have.astype(dtype) * np.array(want_dens, dtype)[:, None]
+        right = want.astype(dtype) * np.array(have_dens, dtype)[:, None]
+        bad[rows] = (left != right).any(axis=1)
+        wrong = np.flatnonzero(bad)
+        return divmod(int(wrong[0]), self.nums.shape[1]) if len(wrong) else None
+
+
+def compose_families(outer: Family, inner: Family) -> Products:
+    """Every composite ``outer[i]`` after ``inner[j]``, as one integer batch.
+
+    The images ``g(f(t))`` of every pair of maps in the two supports come
+    from one numpy gather, and the Hom-set keys them to ids.  Each pair of
+    terms adds the product of its numerators at its composite's id, in
+    int64 only when the weights bound every sum below 2^63.
+    """
+    if inner.hom.dst != outer.hom.src:
+        raise ValueError("middle lattice mismatch")
+    hom = hom_set(inner.hom.src, outer.hom.dst)
+    rows = outer.hom.images[outer.support][:, inner.hom.images[inner.support]]
+    ids, cell = np.unique(hom.ids_of_rows(rows.reshape(-1, hom.src.n)),
+                          return_inverse=True)
+    cell = cell.reshape(len(outer.support), len(inner.support))
+    m, k, u = len(outer), len(inner), len(ids)
+    dtype = _int_dtype(outer.weight * inner.weight)
+    slots = (outer.owner[:, None] * k + inner.owner) * u + cell[outer.at[:, None], inner.at]
+    values = outer.nums.astype(dtype)[:, None] * inner.nums.astype(dtype)
+    nums = np.zeros(m * k * u, dtype)
+    np.add.at(nums, slots.reshape(-1), values.reshape(-1))
+    dens = [a * b for a in outer.dens for b in inner.dens]
+    return Products(hom, ids, nums.reshape(m, k, u), dens)
 
 
 def adjoint_op(f: JoinMap) -> JoinMap:
@@ -247,14 +450,18 @@ def _check_chain_tuples(count: int, what: str) -> None:
 
 
 def pi_of_tuple(b: ChainTuple) -> JoinMap:
-    """The surjection onto a total order determined by a top-avoiding chain."""
+    """The surjection onto a total order determined by a top-avoiding chain.
+
+    ``t`` goes to the first bound above it.  The bounds above ``t v u`` are
+    those above both, so joins go to maxima and the map is built unchecked.
+    """
     lattice = b.lattice
     if b.kind != "P":
         raise ValueError("pi_of_tuple needs a P-kind tuple")
     bounds = list(b.entries) + [lattice.top]
-    images = [next(h for h, bh in enumerate(bounds) if lattice.le(t, bh))
-              for t in range(lattice.n)]
-    return JoinMap(lattice, chain(len(b)), images)
+    images = tuple(next(h for h, bh in enumerate(bounds) if lattice.le(t, bh))
+                   for t in range(lattice.n))
+    return JoinMap._trusted(lattice, chain(len(b)), images)
 
 
 def j_of_tuple(b: ChainTuple) -> LinMorphism:
@@ -262,7 +469,8 @@ def j_of_tuple(b: ChainTuple) -> LinMorphism:
 
     A signed sum over all tuples with ``a_h`` in the closed interval between
     consecutive bounds; terms with vanishing Mobius weight are dropped at
-    construction.
+    construction.  Each term is monotone from a chain and sends the bottom
+    to the bottom, so it preserves joins and is built unchecked.
     """
     lattice = b.lattice
     if b.kind != "P":
@@ -282,15 +490,16 @@ def j_of_tuple(b: ChainTuple) -> LinMorphism:
         coeff = sign
         for _, w in choice:
             coeff *= w
-        terms[JoinMap(chain(n), lattice, images)] = Fraction(coeff)
-    return LinMorphism(chain(n), lattice, terms)
+        terms[JoinMap._trusted(chain(n), lattice, images)] = Fraction(coeff)
+    return LinMorphism._trusted(chain(n), lattice, terms)
 
 
 def lambda_of_tuple(v: ChainTuple) -> JoinMap:
-    """The embedding of a total order along a bottom-avoiding chain."""
+    """The embedding of a total order along a bottom-avoiding chain; monotone
+    from a chain with the bottom kept, so built unchecked."""
     if v.kind != "Y":
         raise ValueError("lambda_of_tuple needs a Y-kind tuple")
-    return JoinMap(chain(len(v)), v.lattice, (v.lattice.bottom,) + v.entries)
+    return JoinMap._trusted(chain(len(v)), v.lattice, (v.lattice.bottom,) + v.entries)
 
 
 def f_dc(d: ChainTuple, c: ChainTuple) -> LinMorphism:
@@ -304,12 +513,13 @@ def f_dc(d: ChainTuple, c: ChainTuple) -> LinMorphism:
 
 def rho_y(n: int, ys) -> JoinMap:
     """The endomorphism of the total order keeping levels in ``ys`` and
-    dropping the others one step."""
+    dropping the others one step; monotone with the bottom kept, so built
+    unchecked."""
     ys = set(ys)
     if any(not 1 <= h <= n for h in ys):
         raise ValueError(f"levels must lie in 1..{n}")
-    images = [0] + [h if h in ys else h - 1 for h in range(1, n + 1)]
-    return JoinMap(chain(n), chain(n), images)
+    images = (0,) + tuple(h if h in ys else h - 1 for h in range(1, n + 1))
+    return JoinMap._trusted(chain(n), chain(n), images)
 
 
 def beta(n: int, m: int) -> LinMorphism:

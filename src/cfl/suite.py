@@ -34,8 +34,8 @@ from .lattices import (CapExceeded, LatticeError, Poset, chain,
                        irreducibles, is_distributive, join_maps, lattice_from_leq,
                        lattice_to_json, lattices_isomorphic, mobius,
                        posets_isomorphic, principal_embed)
-from .morphisms import (LinMorphism, adjoint_op, beta, e_t, epsilon, f_dc,
-                        j_of_tuple, lambda_of_tuple, lin_to_vector,
+from .morphisms import (Family, LinMorphism, adjoint_op, beta, compose_families,
+                        e_t, epsilon, f_dc, j_of_tuple, lambda_of_tuple, lin_to_vector,
                         max_tuple_size, p_tuples, pi_of_tuple, rho_y, tot_basis,
                         y_tuples)
 from .relations import (Correspondence, order_flags, preorder_quotient,
@@ -487,16 +487,19 @@ def _check_enumeration(ctx):
 def _check_matrix_units(ctx):
     for name, lat in _named(ctx, 6):
         tuples = _all_tuples(lat, 3)
-        fds = {(d.entries, c.entries): f_dc(d, c)
-               for d in tuples for c in tuples if len(d) == len(c)}
-        items = list(fds.items())
-        for (dk, ck), f1 in items:
-            for (bk, ak), f2 in items:
-                prod = f1 @ f2
-                want = fds[dk, ak] if ck == bk else LinMorphism.zero(lat, lat)
-                if prod != want:
-                    return _witness(lat, name=name, tuples=[list(dk), list(ck),
-                                                            list(bk), list(ak)])
+        pairs = [(d, c) for d in tuples for c in tuples if len(d) == len(c)]
+        keys = [(d.entries, c.entries) for d, c in pairs]
+        units = [f_dc(d, c) for d, c in pairs]
+        family = Family(lat, lat, units)
+        position = {key: i for i, key in enumerate(keys)}
+        for (dk, ck), unit in zip(keys, units):
+            # f_dc f_ba is f_da when c = b and zero otherwise (index -1)
+            picks = [position[dk, ak] if ck == bk else -1 for bk, ak in keys]
+            bad = compose_families(Family(lat, lat, [unit]), family).first_mismatch(family, picks)
+            if bad is not None:
+                bk, ak = keys[bad[1]]
+                return _witness(lat, name=name, tuples=[list(dk), list(ck),
+                                                        list(bk), list(ak)])
     return None
 
 
@@ -506,22 +509,28 @@ def _check_matrix_units(ctx):
        "idempotents")
 def _check_section_quotient(ctx):
     for name, lat in _named(ctx, 6):
-        for b in _all_tuples(lat, 3):
-            n = len(b)
-            pi = LinMorphism.of_map(pi_of_tuple(b))
-            jb = j_of_tuple(b)
+        tuples = _all_tuples(lat, 3)
+        for n in range(len(tuples[-1]) + 1):
+            bs = [b for b in tuples if len(b) == n]
             sign = -1 if n % 2 else 1
             want = LinMorphism.zero(chain(n), chain(n))
             for k in range(n + 1):
                 for ys in itertools.combinations(range(1, n + 1), k):
                     want = want + (sign * (-1) ** k) * LinMorphism.of_map(rho_y(n, ys))
-            if pi @ jb != want:
-                return _witness(lat, name=name, tuple=list(b.entries),
-                                law="quotient after section")
-            fbb = jb @ pi
-            if fbb @ fbb != fbb:
-                return _witness(lat, name=name, tuple=list(b.entries),
-                                law="idempotent")
+            pis = Family(lat, chain(n), [LinMorphism.of_map(pi_of_tuple(b)) for b in bs])
+            sections = Family(chain(n), lat, [j_of_tuple(b) for b in bs])
+            # each batch multiplies all pairs; only the diagonal (b, b) is read
+            after = compose_families(pis, sections)
+            units = compose_families(sections, pis)
+            fbbs = [units.member(i, i) for i in range(len(bs))]
+            squares = compose_families(Family(lat, lat, fbbs), Family(lat, lat, fbbs))
+            for i, b in enumerate(bs):
+                if after.member(i, i) != want:
+                    return _witness(lat, name=name, tuple=list(b.entries),
+                                    law="quotient after section")
+                if squares.member(i, i) != fbbs[i]:
+                    return _witness(lat, name=name, tuple=list(b.entries),
+                                    law="idempotent")
     return None
 
 
@@ -537,11 +546,11 @@ def _check_chain_idempotents(ctx):
             total = total + b
         if total != LinMorphism.identity(chain(n)):
             return {"n": n, "law": "sum to identity"}
-        for l, bl in enumerate(blocks):
-            for m, bm in enumerate(blocks):
-                want = bl if l == m else LinMorphism.zero(chain(n), chain(n))
-                if bl @ bm != want:
-                    return {"n": n, "l": l, "m": m, "law": "orthogonality"}
+        family = Family(chain(n), chain(n), blocks)
+        picks = [l if l == m else -1 for l in range(n + 1) for m in range(n + 1)]
+        bad = compose_families(family, family).first_mismatch(family, picks)
+        if bad is not None:
+            return {"n": n, "l": bad[0], "m": bad[1], "law": "orthogonality"}
         if epsilon(n) != blocks[n]:
             return {"n": n, "law": "top block"}
     return None
@@ -592,12 +601,17 @@ def _check_units_span(ctx):
         rows = _int_rows(lin_to_vector(f, basis) for f in family)
         if fast_int_rank(rows, ctx.ring) != len(basis):
             return _witness(lat, name=name, law="span equality")
-        unit = e_t(lat)
-        for m in basis:
-            lm = LinMorphism.of_map(m)
-            if unit @ lm != lm or lm @ unit != lm:
-                return _witness(lat, name=name, images=list(m.images),
-                                law="identity on the span")
+        unit = Family(lat, lat, [e_t(lat)])
+        span = Family(lat, lat, [LinMorphism.of_map(m) for m in basis])
+        fixed = range(len(basis))      # the unit fixes each basis element, both sides
+        bad = []
+        for products in (compose_families(unit, span), compose_families(span, unit)):
+            pair = products.first_mismatch(span, fixed)
+            if pair is not None:
+                bad.append(max(pair))  # (0, j) or (j, 0): basis[j] either way
+        if bad:
+            return _witness(lat, name=name, images=list(basis[min(bad)].images),
+                            law="identity on the span")
     return None
 
 
@@ -606,14 +620,16 @@ def _check_units_span(ctx):
        "idempotents")
 def _check_center_naturality(ctx):
     entries = _named(ctx, 4)
-    units = {name: e_t(lat) for name, lat in entries}
+    units = {name: Family(lat, lat, [e_t(lat)]) for name, lat in entries}
     for name1, lat1 in entries:
         for name2, lat2 in entries:
             maps = join_maps(lat1, lat2)
             picks = maps if len(maps) <= 20 else ctx.rng.sample(maps, 20)
-            for theta in picks:
-                lm = LinMorphism.of_map(theta)
-                if lm @ units[name1] != units[name2] @ lm:
+            thetas = Family(lat1, lat2, [LinMorphism.of_map(theta) for theta in picks])
+            after = compose_families(thetas, units[name1])
+            before = compose_families(units[name2], thetas)
+            for j, theta in enumerate(picks):
+                if after.member(j, 0) != before.member(0, j):
                     return {"src": name1, "dst": name2, "images": list(theta.images)}
     return None
 
@@ -1108,14 +1124,21 @@ def _check_gamma_invariance(ctx):
 # --- fundamental ----------------------------------------------------------------
 
 
+def _condition_points(limits) -> int:
+    """Both condition checks cover 1..this many points.  At least three: a
+    table that drops the pointwise order of (e) or (f) first disagrees there."""
+    return max(limits.max_points, 3)
+
+
 @check("kernel-condition-equivalence",
        "the six membership conditions for the kernel system always agree",
        "fundamental")
 def _check_six_conditions(ctx):
+    top = _condition_points(ctx.limits)
     for name, lat in _named(ctx):
         data = irr_data(lat)
         for _ in range(ctx.limits.samples):
-            x = ctx.rng.randint(1, 3)
+            x = ctx.rng.randint(1, top)
             phi = _rand_function(ctx.rng, lat, x)
             psi = _rand_function(ctx.rng, data.iup, x)
             conds = theta_conditions(lat, phi, psi)
@@ -1131,7 +1154,7 @@ def _check_six_conditions(ctx):
        "fundamental")
 def _check_condition_tables(ctx):
     for name, lat in _named(ctx):
-        for x in range(1, ctx.limits.max_points + 1):
+        for x in range(1, _condition_points(ctx.limits) + 1):
             system = theta_matrix(lat, x).view(bool)
             tables = theta_condition_tables(lat, x)
             for letter in "abcdef":

@@ -3,17 +3,19 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfl.catalog import enumerate_lattices, named_lattices
-from cfl.lattices import (CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps,
-                          mobius)
-from cfl.morphisms import (ChainTuple, LinMorphism, TermNotInBasis, adjoint_op,
-                           beta, e_t, epsilon, f_dc, j_of_tuple,
-                           lambda_of_tuple, lin_to_vector, max_tuple_size,
-                           p_tuples, pi_of_tuple, rho_y, tot_basis, y_tuples)
+from cfl.lattices import (CACHE_SIZE, CapExceeded, JoinMap, NotJoinPreserving, chain,
+                          join_maps, mobius)
+from cfl.morphisms import (ChainTuple, Family, HomSet, LinMorphism, TermNotInBasis,
+                           adjoint_op, beta, compose_families, e_t, epsilon, f_dc,
+                           hom_set, j_of_tuple, lambda_of_tuple, lin_to_vector,
+                           max_tuple_size, p_tuples, pi_of_tuple, rho_y, tot_basis,
+                           y_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,29 @@ def test_j_of_tuple_two_chain():
 def test_j_of_tuple_empty():
     j = j_of_tuple(ChainTuple(chain(2), (), "P"))
     assert j.terms == {JoinMap(chain(0), chain(2), (0,)): Fraction(1)}
+
+
+def _revalidated(m):
+    return JoinMap(m.src, m.dst, m.images) == m
+
+
+def test_j_of_tuple_terms_pass_the_validating_constructor(named):
+    # j_of_tuple builds its terms unchecked; each must be a real join-map
+    for lat in named.values():
+        for n in range(min(3, max_tuple_size(lat)) + 1):
+            for b in p_tuples(lat, n):
+                assert all(_revalidated(m) for m in j_of_tuple(b).terms)
+
+
+def test_unchecked_chain_maps_pass_the_validating_constructor(named):
+    for lat in named.values():
+        for n in range(min(3, max_tuple_size(lat)) + 1):
+            assert all(_revalidated(pi_of_tuple(b)) for b in p_tuples(lat, n))
+            assert all(_revalidated(lambda_of_tuple(v)) for v in y_tuples(lat, n))
+    for n in range(5):
+        for k in range(n + 1):
+            for ys in itertools.combinations(range(1, n + 1), k):
+                assert _revalidated(rho_y(n, ys))
 
 
 def test_j_of_full_chain_tuple_is_the_top_idempotent():
@@ -343,3 +368,102 @@ def test_compose_rejects_mismatched_middle_lattice(data):
         g.compose(f)
     with pytest.raises(ValueError, match="middle lattice mismatch"):
         LinMorphism.of_map(g).compose(LinMorphism.of_map(f))
+    with pytest.raises(ValueError, match="middle lattice mismatch"):
+        compose_families(Family(c, d, [LinMorphism.of_map(g)]), Family(a, b, []))
+
+
+# --- the family product -------------------------------------------------------
+
+
+@st.composite
+def family_composable(draw):
+    """Two families of 0-3 members of up to 4 drawn terms (denominators
+    1/2/3); the first outer member also gets a cancelling twin pair."""
+    a, b, c = (draw(st.sampled_from(SMALL)) for _ in range(3))
+    fs, gs = _maps(a, b), _maps(b, c)
+
+    def members(maps):
+        return [draw(st.lists(st.tuples(st.sampled_from(maps), coefficients), max_size=4))
+                for _ in range(draw(st.integers(0, 3)))]
+
+    inner, outer = members(fs), members(gs)
+    if outer and inner and inner[0]:
+        f = inner[0][0][0]
+        g1 = draw(st.sampled_from(gs))
+        twins = [g for g in gs if g != g1 and all(g(v) == g1(v) for v in f.images)]
+        g2 = draw(st.sampled_from(twins or [g1]))
+        coeff = draw(coefficients)
+        outer[0] += [(g1, coeff), (g2, -coeff)]
+    return (a, b, c, [LinMorphism(b, c, terms) for terms in outer],
+            [LinMorphism(a, b, terms) for terms in inner])
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_composable())
+def test_family_product_matches_naive_compose_pairwise(case):
+    a, b, c, outer, inner = case
+    products = compose_families(Family(b, c, outer), Family(a, b, inner))
+    assert products.nums.shape[:2] == (len(outer), len(inner))
+    for i, g in enumerate(outer):
+        for j, f in enumerate(inner):
+            got = products.member(i, j)
+            assert (got.src, got.dst) == (a, c)
+            assert got.terms == _naive_compose(g, f)
+            assert all(type(x) is Fraction and x for x in got.terms.values())
+
+
+def test_compose_stays_exact_past_int64(named):
+    # every product of two coefficients is near 2^80, far past int64
+    b2 = named["b2"]
+    maps = _maps(b2, b2)
+    big = 2 ** 40
+    outer = LinMorphism(b2, b2, [(m, Fraction(big + 7 * k, 1 + k % 2))
+                                 for k, m in enumerate(maps[:6])])
+    inner = LinMorphism(b2, b2, [(m, -(big - 3 * k)) for k, m in enumerate(maps[1:7])])
+    assert (outer @ inner).terms == _naive_compose(outer, inner)
+    assert (inner @ outer).terms == _naive_compose(inner, outer)
+
+
+def test_first_mismatch_cross_multiplies_denominators(named):
+    b2 = named["b2"]
+    one = LinMorphism.identity(b2)
+    drop = LinMorphism.of_map(JoinMap.constant_bottom(b2, b2))
+    family = Family(b2, b2, [Fraction(1, 3) * one, Fraction(2, 3) * drop])
+    halves = Family(b2, b2, [Fraction(1, 2) * one])
+    doubled = Family(b2, b2, [2 * one])
+    # (1/2 one) after (1/3 one) is 1/6 one, member 0 scaled by 1/2: no match
+    assert compose_families(halves, family).first_mismatch(family, [0, 1]) == (0, 0)
+    # (2 one) after the family: 2/3 one and 4/3 drop
+    assert compose_families(doubled, family).first_mismatch(family, [0, 1]) == (0, 0)
+    thirds = Family(b2, b2, [one])
+    assert compose_families(thirds, family).first_mismatch(family, [0, 1]) is None
+    assert compose_families(family, thirds).first_mismatch(family, [0, 1]) is None
+    assert compose_families(thirds, family).first_mismatch(family, [0, -1]) == (0, 1)
+    with pytest.raises(ValueError, match="one pick per product"):
+        compose_families(thirds, family).first_mismatch(family, [0])
+    hom_set.cache_clear()      # the products now land in a new Hom-set object
+    products = compose_families(thirds, family)
+    assert products.hom is not family.hom
+    assert products.first_mismatch(family, [0, 1]) is None
+
+
+def test_hom_set_interns_rows_once(named):
+    b2 = named["b2"]
+    hom = HomSet(b2, b2)
+    maps = _maps(b2, b2)
+    rows = np.array([m.images for m in maps] * 2)
+    ids = hom.ids_of_rows(rows)
+    assert len(hom) == len(maps)
+    assert [hom.maps[i].images for i in ids.tolist()] == [m.images for m in maps] * 2
+    assert [hom.id_of(m.images) for m in maps] == ids[:len(maps)].tolist()
+    assert hom.ids_of_rows(rows[:0]).shape == (0,)
+
+
+def test_hom_set_index_stays_bounded():
+    lattices = list(enumerate_lattices(5))
+    assert len(lattices) > CACHE_SIZE
+    for lat in lattices:
+        one = LinMorphism.identity(lat)
+        assert one @ one == one
+    info = hom_set.cache_info()
+    assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE

@@ -6,6 +6,7 @@ import pytest
 import cfl.suite as suite_mod
 from cfl.exact import PrimeField
 from cfl.lattices import CapExceeded
+from cfl.morphisms import LinMorphism
 from cfl.suite import Limits, check, list_checks, run_check, run_suite, suite_names
 
 
@@ -95,6 +96,51 @@ def test_tampered_mobius_fails_with_witness(monkeypatch):
     result = run_check("mobius-duality", small())
     assert result.status == "fail"
     assert result.witness is not None and "lattice" in result.witness
+
+
+def test_perturbed_matrix_unit_fails_with_witness(monkeypatch):
+    real = suite_mod.f_dc
+
+    def perturbed(d, c):
+        unit = real(d, c)
+        if d.entries == c.entries == (0,) and d.lattice.n == 4:
+            m, coeff = next(iter(unit.terms.items()))
+            unit = LinMorphism(unit.src, unit.dst, {**unit.terms, m: coeff + 1})
+        return unit
+
+    monkeypatch.setattr(suite_mod, "f_dc", perturbed)
+    result = run_check("matrix-unit-products", small())
+    assert result.status == "fail"
+    assert result.witness["lattice"]["size"] == 4
+    assert len(result.witness["tuples"]) == 4
+    assert [0] in result.witness["tuples"]
+
+
+def test_perturbed_section_fails_with_witness(monkeypatch):
+    real = suite_mod.j_of_tuple
+
+    def doubled(b):
+        return 2 * real(b) if len(b) == 2 else real(b)
+
+    monkeypatch.setattr(suite_mod, "j_of_tuple", doubled)
+    result = run_check("section-quotient-identities", small())
+    assert result.status == "fail"
+    assert result.witness["name"] == "chain2" and result.witness["tuple"] == [0, 1]
+    assert result.witness["law"] == "quotient after section"
+
+
+def test_condition_tables_reach_three_points_at_the_default_limits(monkeypatch):
+    # at two points no table can miss the pointwise order of (e) or (f)
+    real = suite_mod.theta_condition_tables
+    seen = set()
+
+    def spy(lat, x):
+        seen.add(x)
+        return real(lat, x)
+
+    monkeypatch.setattr(suite_mod, "theta_condition_tables", spy)
+    assert run_check("kernel-condition-tables", Limits()).status == "pass"
+    assert seen == {1, 2, 3}
 
 
 def test_cap_exceeded_marks_skip():
