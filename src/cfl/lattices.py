@@ -489,6 +489,11 @@ def posets_isomorphic(a: Poset, b: Poset) -> bool:
 # adds "bottom", "top", "distributive" and "irreducibles".
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; ``true`` and ``false`` are read as bools, not as 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def poset_from_json(obj) -> Poset:
     if not isinstance(obj, dict):
         raise LatticeError("top-level JSON value must be an object")
@@ -497,14 +502,14 @@ def poset_from_json(obj) -> Poset:
         raw = obj["leq"]
     except KeyError as missing:
         raise LatticeError(f"missing required key {missing}") from None
-    if not isinstance(n, int) or not 0 <= n <= MAX_POINTS:
+    if not _is_int(n) or not 0 <= n <= MAX_POINTS:
         raise LatticeError(f"size must be an integer in 0..{MAX_POINTS}, got {n!r}")
     if not isinstance(raw, list):
         raise LatticeError(f"leq must be a list of [a, b] pairs, got {raw!r}")
     pairs = []
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and all(isinstance(v, int) for v in entry)):
+                and all(map(_is_int, entry))):
             raise LatticeError(f"leq entries must be [a, b] pairs, got {entry!r}")
         a, b = entry
         if not (0 <= a < n and 0 <= b < n):

@@ -7,28 +7,24 @@ For a lattice ``T`` and a strictly increasing tuple ``B`` avoiding the top,
 the central idempotent ``e_t`` projecting onto the span of all
 join-endomorphisms with totally ordered image (``tot_basis``).
 
-The algebra runs on interned Hom-sets.  ``hom_set(src, dst)`` numbers the
-join-maps ``src -> dst`` in the order they are first met and keeps their
-images as one small-int array.  It is filled lazily: most Hom-sets of the
-suite's 8-element lattices are too large to enumerate.  A ``Family`` holds
-morphisms of one Hom-space as integer numerators over those ids, with one
-denominator per member.  ``compose_families`` is the one composition
-algorithm: it gathers every composite's images in one numpy step, keys the
-distinct rows to ids, and sums the products of numerators as integers,
-in int64 only when a bound rules out overflow and as Python ints otherwise.
+A ``Family`` holds morphisms of one Hom-space as integer numerators over
+its distinct join-maps, with one denominator per member.
+``compose_families`` is the one composition algorithm: it gathers every
+composite's images in one numpy step, keys the distinct rows by their
+bytes, and sums the products of numerators as integers, in int64 only when
+a bound rules out overflow and as Python ints otherwise.
 ``LinMorphism.compose`` is its one-by-one case.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .lattices import CACHE_SIZE, CapExceeded, JoinMap, Lattice, _bits, chain, mobius
+from .lattices import CapExceeded, JoinMap, Lattice, _bits, chain, mobius
 
 # A chain scan tests C(|pool|, size) subsets and is refused above
 # MAX_CHAIN_SCAN.  The central idempotent and the chain-image basis expand
@@ -50,7 +46,7 @@ class LinMorphism:
     constructor checks and merges its terms.  Sums, negations and scalings
     of valid terms are valid, so they merge through the unchecked
     ``_trusted``.  ``compose`` is ``compose_families`` on two one-member
-    families; its terms are the interned maps of the target Hom-set.
+    families.
     """
 
     __slots__ = ("src", "dst", "terms")
@@ -151,100 +147,27 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 2 ** 63 else object
 
 
-class HomSet:
-    """The join-maps ``src -> dst`` met so far, numbered in order of first use.
-
-    ``maps[i]`` is map ``i``, ``images[i]`` its image row and ``index`` maps
-    an image tuple to its id.  Ids never change; rows are only appended.
-    For lookups in numpy, each row's bytes are a key in a sorted index that
-    takes in the new rows before each lookup.
-    """
-
-    __slots__ = ("src", "dst", "index", "maps", "_rows", "_keys", "_ids")
-
-    def __init__(self, src: Lattice, dst: Lattice):
-        self.src = src
-        self.dst = dst
-        self.index = {}
-        self.maps = []
-        self._rows = np.empty((8, src.n), np.min_scalar_type(dst.n - 1))
-        self._keys = self._key(self._rows[:0])     # sorted
-        self._ids = np.empty(0, np.intp)           # the id of each sorted key
-
-    def __len__(self):
-        return len(self.maps)
-
-    @property
-    def images(self) -> np.ndarray:
-        return self._rows[:len(self.maps)]
-
-    def _key(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, self._rows.dtype)
-        return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
-
-    def id_of(self, images: tuple, m: JoinMap | None = None) -> int:
-        """The id of a join-map given by its image tuple, interned if new.
-
-        ``m``, when given, is that map; otherwise a trusted one is made."""
-        i = self.index.get(images)
-        if i is None:
-            i = len(self.maps)
-            if i == len(self._rows):
-                grown = np.empty((2 * i, self.src.n), self._rows.dtype)
-                grown[:i] = self._rows
-                self._rows = grown
-            self._rows[i] = images
-            self.maps.append(JoinMap._trusted(self.src, self.dst, images) if m is None else m)
-            self.index[images] = i
-        return i
-
-    def ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ids of a ``(k, src.n)`` array of join-map image rows, interning
-        new ones unchecked.
-
-        Rows are looked up in the sorted index; only the distinct rows not
-        seen before become tuples."""
-        done = len(self._ids)
-        if done < len(self.maps):
-            fresh = self._key(self.images[done:])
-            order = np.argsort(fresh)
-            at = np.searchsorted(self._keys, fresh[order])
-            self._keys = np.insert(self._keys, at, fresh[order])
-            self._ids = np.insert(self._ids, at, done + order)
-        keys = self._key(rows)
-        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        known = self._keys[at] == keys if len(self._keys) else np.zeros(len(keys), bool)
-        if known.all():
-            return self._ids[at]
-        unknown = np.flatnonzero(~known)
-        _, first = np.unique(keys[unknown], return_index=True)
-        for row in rows[unknown[first]].tolist():
-            self.id_of(tuple(row))
-        return self.ids_of_rows(rows)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def hom_set(src: Lattice, dst: Lattice) -> HomSet:
-    """The interned Hom-set of ``src -> dst``, shared by all products into it."""
-    return HomSet(src, dst)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte-string key per row, so that ``np.unique`` keys whole rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
 class Family:
-    """Morphisms ``src -> dst`` as integer numerators over Hom-set ids.
+    """Morphisms ``src -> dst`` as integer numerators over distinct join-maps.
 
-    Member ``i`` is ``sum(nums[t] * hom.maps[support[at[t]]]) / dens[i]``
-    over the terms ``t`` with ``owner[t] == i``, where ``dens[i]`` is the
-    lcm of that member's coefficient denominators and ``support`` lists
-    the distinct ids.  ``weight`` bounds the sum of the absolute numerators
-    of any one member.
+    Member ``i`` is ``sum(nums[t] * g[at[t]]) / dens[i]`` over the terms
+    ``t`` with ``owner[t] == i``, where ``g[k]`` is the join-map with image
+    row ``images[k]`` and ``dens[i]`` is the lcm of that member's
+    coefficient denominators.  ``weight`` bounds the sum of the absolute
+    numerators of any one member.
     """
 
-    __slots__ = ("hom", "owner", "at", "support", "nums", "dens", "weight")
+    __slots__ = ("src", "dst", "images", "owner", "at", "nums", "dens", "weight")
 
     def __init__(self, src: Lattice, dst: Lattice, members):
-        hom = hom_set(src, dst)
         owner, at, nums, dens = [], [], [], []
-        where = {}                       # hom id -> position in the support
+        where = {}                       # image tuple -> row of ``images``
         weight = 0
         for i, alpha in enumerate(members):
             if alpha.src != src or alpha.dst != dst:
@@ -252,18 +175,16 @@ class Family:
             terms = alpha.terms
             scale = math.lcm(*(c.denominator for c in terms.values()))
             row = [c.numerator * (scale // c.denominator) for c in terms.values()]
-            ids = [hom.index.get(m.images) for m in terms]
-            if None in ids:
-                ids = [hom.id_of(m.images, m) for m in terms]
             owner += [i] * len(row)
-            at += [where.setdefault(h, len(where)) for h in ids]
+            at += [where.setdefault(m.images, len(where)) for m in terms]
             nums += row
             dens.append(scale)
             weight = max(weight, sum(map(abs, row)))
-        self.hom = hom
+        self.src = src
+        self.dst = dst
+        self.images = np.array(list(where), np.min_scalar_type(dst.n - 1)).reshape(-1, src.n)
         self.owner = np.array(owner, np.intp)
         self.at = np.array(at, np.intp)
-        self.support = np.array(list(where), np.intp)
         self.nums = np.array(nums, _int_dtype(weight))
         self.dens = dens
         self.weight = weight
@@ -274,49 +195,57 @@ class Family:
 
 class Products:
     """Every ``outer[i]`` after ``inner[j]``: ``nums[i, j] / dens[i * k + j]``,
-    with ``k = len(inner)``, are its coefficients on the maps ``hom.maps[ids]``."""
+    with ``k = len(inner)``, are its coefficients on the join-maps whose
+    image rows are ``images``."""
 
-    __slots__ = ("hom", "ids", "nums", "dens")
+    __slots__ = ("src", "dst", "images", "nums", "dens", "_maps")
 
-    def __init__(self, hom: HomSet, ids: np.ndarray, nums: np.ndarray, dens: list):
-        self.hom = hom
-        self.ids = ids
+    def __init__(self, src: Lattice, dst: Lattice, images: np.ndarray, nums: np.ndarray,
+                 dens: list):
+        self.src = src
+        self.dst = dst
+        self.images = images
         self.nums = nums
         self.dens = dens
+        self._maps = None
 
     def member(self, i: int, j: int) -> LinMorphism:
-        den, maps = self.dens[i * self.nums.shape[1] + j], self.hom.maps
-        pairs = zip(self.ids.tolist(), self.nums[i, j].tolist())
+        if self._maps is None:
+            self._maps = [JoinMap._trusted(self.src, self.dst, tuple(row))
+                          for row in self.images.tolist()]
+        den = self.dens[i * self.nums.shape[1] + j]
+        pairs = zip(self._maps, self.nums[i, j].tolist())
         if den == 1:      # the common case; Fraction(c) skips the gcd
-            terms = {maps[h]: Fraction(c) for h, c in pairs if c}
+            terms = {m: Fraction(c) for m, c in pairs if c}
         else:
-            terms = {maps[h]: Fraction(c, den) for h, c in pairs if c}
-        return LinMorphism._trusted(self.hom.src, self.hom.dst, terms)
+            terms = {m: Fraction(c, den) for m, c in pairs if c}
+        return LinMorphism._trusted(self.src, self.dst, terms)
 
     def first_mismatch(self, family: Family, picks):
         """The first pair ``(i, j)`` whose product differs from member
         ``picks[i * len(inner) + j]`` of ``family``, or from zero where that
         pick is negative; ``None`` when every product matches.
 
-        Picked members are compared over the whole Hom-set, with the
-        denominators cross-multiplied."""
+        Both sides are laid out over the union of their image rows, with
+        the denominators cross-multiplied."""
         picks = np.asarray(picks, np.intp)
         if len(picks) != len(self.dens):
             raise ValueError(f"need one pick per product, got {len(picks)} for {len(self.dens)}")
-        support = (family.support if family.hom is self.hom
-                   else self.hom.ids_of_rows(family.hom.images[family.support]))
-        got = self.nums.reshape(len(picks), -1)
+        union, key = np.unique(_row_keys(np.concatenate([self.images, family.images])),
+                               return_inverse=True)
+        mine, theirs = key[:len(self.images)], key[len(self.images):]
+        got = self.nums.reshape(len(picks), self.nums.shape[2])
         bad = (picks < 0) & got.any(axis=1)
         rows = np.flatnonzero(picks >= 0)
         members, back = np.unique(picks[rows], return_inverse=True)
         slot = np.full(len(family), -1, np.intp)
         slot[members] = np.arange(len(members))
         terms = np.flatnonzero(slot[family.owner] >= 0)
-        want = np.zeros((len(members), len(self.hom)), family.nums.dtype)
-        want[slot[family.owner[terms]], support[family.at[terms]]] = family.nums[terms]
+        want = np.zeros((len(members), len(union)), family.nums.dtype)
+        want[slot[family.owner[terms]], theirs[family.at[terms]]] = family.nums[terms]
         want = want[back.reshape(-1)]
         have = np.zeros_like(want, self.nums.dtype)
-        have[:, self.ids] = got[rows]
+        have[:, mine] = got[rows]
         have_dens = [self.dens[r] for r in rows.tolist()]
         want_dens = [family.dens[p] for p in picks[rows].tolist()]
         bound = max(int(np.abs(have).max(initial=0)) * max(want_dens, default=1),
@@ -332,26 +261,25 @@ class Products:
 def compose_families(outer: Family, inner: Family) -> Products:
     """Every composite ``outer[i]`` after ``inner[j]``, as one integer batch.
 
-    The images ``g(f(t))`` of every pair of maps in the two supports come
-    from one numpy gather, and the Hom-set keys them to ids.  Each pair of
-    terms adds the product of its numerators at its composite's id, in
-    int64 only when the weights bound every sum below 2^63.
+    The images ``g(f(t))`` of every pair of maps in the two families come
+    from one numpy gather, and one ``np.unique`` over their bytes keys the
+    distinct composites.  Each pair of terms adds the product of its
+    numerators at its composite's key, in int64 only when the weights bound
+    every sum below 2^63.
     """
-    if inner.hom.dst != outer.hom.src:
+    if inner.dst != outer.src:
         raise ValueError("middle lattice mismatch")
-    hom = hom_set(inner.hom.src, outer.hom.dst)
-    rows = outer.hom.images[outer.support][:, inner.hom.images[inner.support]]
-    ids, cell = np.unique(hom.ids_of_rows(rows.reshape(-1, hom.src.n)),
-                          return_inverse=True)
-    cell = cell.reshape(len(outer.support), len(inner.support))
-    m, k, u = len(outer), len(inner), len(ids)
+    rows = outer.images[:, inner.images].reshape(-1, inner.src.n)
+    _, first, cell = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    cell = cell.reshape(len(outer.images), len(inner.images))
+    m, k, u = len(outer), len(inner), len(first)
     dtype = _int_dtype(outer.weight * inner.weight)
     slots = (outer.owner[:, None] * k + inner.owner) * u + cell[outer.at[:, None], inner.at]
     values = outer.nums.astype(dtype)[:, None] * inner.nums.astype(dtype)
     nums = np.zeros(m * k * u, dtype)
     np.add.at(nums, slots.reshape(-1), values.reshape(-1))
     dens = [a * b for a in outer.dens for b in inner.dens]
-    return Products(hom, ids, nums.reshape(m, k, u), dens)
+    return Products(inner.src, outer.dst, rows[first], nums.reshape(m, k, u), dens)
 
 
 def adjoint_op(f: JoinMap) -> JoinMap:

@@ -553,6 +553,13 @@ def _check_chain_idempotents(ctx):
             return {"n": n, "l": bad[0], "m": bad[1], "law": "orthogonality"}
         if epsilon(n) != blocks[n]:
             return {"n": n, "law": "top block"}
+        ends = join_maps(chain(n), chain(n))
+        endos = Family(chain(n), chain(n), [LinMorphism.of_map(f) for f in ends])
+        after = compose_families(family, endos)
+        before = compose_families(endos, family)
+        for m, j in itertools.product(range(n + 1), range(len(ends))):
+            if after.member(m, j) != before.member(j, m):
+                return {"n": n, "m": m, "images": list(ends[j].images), "law": "centrality"}
     return None
 
 

@@ -96,6 +96,10 @@ def _chain_json(n):
     (CHAIN2, ["verify", "--samples", "0"], "samples must be at least 1, got 0"),
     (CHAIN2, ["catalog", "--max-size", "-3"], "--max-size must be non-negative, got -3"),
     (CHAIN2, ["catalog", "--exhaustive", "-1"], "--exhaustive must be non-negative"),
+    ({"size": True, "leq": []}, ["lattice", "check", "FILE"],
+     "size must be an integer in 0..64, got True"),
+    ({"size": 2, "leq": [[True, 1]]}, ["lattice", "check", "FILE"],
+     "leq entries must be [a, b] pairs, got [True, 1]"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"

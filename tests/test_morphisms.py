@@ -3,19 +3,16 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfl.catalog import enumerate_lattices, named_lattices
-from cfl.lattices import (CACHE_SIZE, CapExceeded, JoinMap, NotJoinPreserving, chain,
-                          join_maps, mobius)
-from cfl.morphisms import (ChainTuple, Family, HomSet, LinMorphism, TermNotInBasis,
-                           adjoint_op, beta, compose_families, e_t, epsilon, f_dc,
-                           hom_set, j_of_tuple, lambda_of_tuple, lin_to_vector,
-                           max_tuple_size, p_tuples, pi_of_tuple, rho_y, tot_basis,
-                           y_tuples)
+from cfl.lattices import CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps, mobius
+from cfl.morphisms import (ChainTuple, Family, LinMorphism, TermNotInBasis, adjoint_op,
+                           beta, compose_families, e_t, epsilon, f_dc, j_of_tuple,
+                           lambda_of_tuple, lin_to_vector, max_tuple_size, p_tuples,
+                           pi_of_tuple, rho_y, tot_basis, y_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -441,29 +438,43 @@ def test_first_mismatch_cross_multiplies_denominators(named):
     assert compose_families(thirds, family).first_mismatch(family, [0, -1]) == (0, 1)
     with pytest.raises(ValueError, match="one pick per product"):
         compose_families(thirds, family).first_mismatch(family, [0])
-    hom_set.cache_clear()      # the products now land in a new Hom-set object
-    products = compose_families(thirds, family)
-    assert products.hom is not family.hom
-    assert products.first_mismatch(family, [0, 1]) is None
 
 
-def test_hom_set_interns_rows_once(named):
-    b2 = named["b2"]
-    hom = HomSet(b2, b2)
-    maps = _maps(b2, b2)
-    rows = np.array([m.images for m in maps] * 2)
-    ids = hom.ids_of_rows(rows)
-    assert len(hom) == len(maps)
-    assert [hom.maps[i].images for i in ids.tolist()] == [m.images for m in maps] * 2
-    assert [hom.id_of(m.images) for m in maps] == ids[:len(maps)].tolist()
-    assert hom.ids_of_rows(rows[:0]).shape == (0,)
+@st.composite
+def mismatch_case(draw):
+    """Products of two drawn families and a family to compare them with.
+
+    The family holds most of the products (over reduced denominators, where
+    the products keep ``den(outer) * den(inner)``), near misses (a product
+    scaled and plus a map drawn from the whole Hom-set, which no product
+    need produce) and drawn morphisms.  Each product's pick is mostly -1
+    (zero), a member equal to it or its near miss."""
+    a, b, c, outer, inner = draw(family_composable())
+    products = compose_families(Family(b, c, outer), Family(a, b, inner))
+    exact = [products.member(i, j) for i in range(len(outer)) for j in range(len(inner))]
+    maps = st.sampled_from(_maps(a, c))
+    near = [draw(st.sampled_from([1, Fraction(1, 2), 2])) * alpha
+            + draw(coefficients) * LinMorphism.of_map(draw(maps)) for alpha in exact]
+    members = [alpha for alpha in exact if draw(st.integers(0, 3))]
+    members += [miss for miss in near if draw(st.booleans())]
+    members += [LinMorphism(a, c, terms) for terms in draw(st.lists(
+        st.lists(st.tuples(maps, coefficients), max_size=4), max_size=3))]
+    members = draw(st.permutations(members))
+    picks = []
+    for alpha, miss in zip(exact, near):
+        likely = [-1] + [p for p, other in enumerate(members) if other in (alpha, miss)]
+        anything = st.integers(-1, len(members) - 1)
+        picks.append(draw(st.sampled_from(likely) if draw(st.integers(0, 3)) else anything))
+    return a, c, products, members, picks
 
 
-def test_hom_set_index_stays_bounded():
-    lattices = list(enumerate_lattices(5))
-    assert len(lattices) > CACHE_SIZE
-    for lat in lattices:
-        one = LinMorphism.identity(lat)
-        assert one @ one == one
-    info = hom_set.cache_info()
-    assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE
+@settings(max_examples=150, deadline=None)
+@given(mismatch_case())
+def test_first_mismatch_is_the_first_differing_product(case):
+    a, c, products, members, picks = case
+    k = products.nums.shape[1]
+    zero = LinMorphism.zero(a, c)
+    want = next((divmod(t, k) for t, p in enumerate(picks)
+                 if products.member(*divmod(t, k)) != (members[p] if p >= 0 else zero)),
+                None)
+    assert products.first_mismatch(Family(a, c, members), picks) == want

@@ -5,8 +5,8 @@ import pytest
 
 import cfl.suite as suite_mod
 from cfl.exact import PrimeField
-from cfl.lattices import CapExceeded
-from cfl.morphisms import LinMorphism
+from cfl.lattices import CapExceeded, chain
+from cfl.morphisms import LinMorphism, f_dc, p_tuples
 from cfl.suite import Limits, check, list_checks, run_check, run_suite, suite_names
 
 
@@ -127,6 +127,27 @@ def test_perturbed_section_fails_with_witness(monkeypatch):
     assert result.status == "fail"
     assert result.witness["name"] == "chain2" and result.witness["tuple"] == [0, 1]
     assert result.witness["law"] == "quotient after section"
+
+
+def test_non_central_blocks_fail_with_witness(monkeypatch):
+    # Conjugating the blocks by a unit gives them back, since they are
+    # central.  Moving one diagonal matrix unit of chain(2) from the size-1
+    # block into the size-0 block keeps an orthogonal decomposition of the
+    # identity with the same top block, but that unit is not central.
+    real = suite_mod.beta
+    b = p_tuples(chain(2), 1)[0]
+    unit = f_dc(b, b)
+
+    def skewed(n, m):
+        block = real(n, m)
+        if n == 2 and m < 2:
+            block = block + (unit if m == 0 else -unit)
+        return block
+
+    monkeypatch.setattr(suite_mod, "beta", skewed)
+    result = run_check("chain-central-idempotents", small())
+    assert result.status == "fail"
+    assert result.witness["n"] == 2 and result.witness["law"] == "centrality"
 
 
 def test_condition_tables_reach_three_points_at_the_default_limits(monkeypatch):
