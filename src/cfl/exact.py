@@ -26,6 +26,7 @@ Bareiss pivot, signed by the parity of the row swaps.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from fractions import Fraction
 from math import lcm
@@ -174,13 +175,13 @@ def _cleared_int_rows(data, p=None):
 def _bareiss(int_rows):
     """Fraction-free elimination of a copy of the integer rows.
 
-    Every entry is coerced to a Python int first, so fixed-width inputs such
-    as numpy arrays cannot wrap.  Returns ``(echelon rows, pivot columns, row
-    swaps)``: the echelon rows span the input's row space and are zero left
-    of their pivots.  When a square matrix has full rank, its determinant is
-    the last pivot times ``(-1) ** swaps``.
+    Entries become Python ints by ``operator.index``, so fixed-width inputs
+    cannot wrap and a non-integer (or a numpy bool) raises TypeError.
+    Returns ``(echelon rows, pivot columns, row swaps)``: the echelon rows
+    span the input's row space, zero left of their pivots.  A full-rank
+    square matrix has the last pivot times ``(-1) ** swaps`` as determinant.
     """
-    m = [[int(v) for v in row] for row in int_rows]
+    m = [[operator.index(v) for v in row] for row in int_rows]
     nr, nc = len(m), len(m[0]) if m else 0
     prev = 1
     swaps = 0
@@ -237,8 +238,9 @@ def _modp_echelon(int_rows, p: int):
     ``(echelon rows as an array, pivot columns)``.
 
     Takes integer rows or a 2-D integer array (uint64 and object arrays are
-    refused: they may not fit in int64).  Raises ValueError for
-    ``p >= 2^31``, where int64 products would overflow.
+    refused: they may not fit in int64; non-integer row entries raise
+    TypeError).  Raises ValueError for ``p >= 2^31``, where int64 products
+    would overflow.
     """
     _check_prime_bound(p)
     if isinstance(int_rows, np.ndarray):
@@ -248,7 +250,8 @@ def _modp_echelon(int_rows, p: int):
         a = int_rows.astype(np.int64, order="C")  # row operations below
         a %= p
     else:
-        a = np.array([[v % p for v in row] for row in int_rows], dtype=np.int64, ndmin=2)
+        a = np.array([[operator.index(v) % p for v in row] for row in int_rows],
+                     dtype=np.int64, ndmin=2)
     nr, nc = a.shape
     pivots = []
     for c in range(nc):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .relations import (MAX_POINTS, Correspondence, order_flags,
                         reflexive_transitive_closure)
 
-# The ideal scan tests every subset of the points, so it is refused above this.
+# Counting ideals can take time exponential in the points, so it is refused above this.
 MAX_IDEAL_POINTS = 20
 MAX_JOIN_MAP_SCAN = 2 ** 20  # 7^7 maps are scanned, 8^8 are refused
 # Entries kept by the per-lattice caches; the full suite uses fewer than 20.
@@ -235,23 +235,29 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _lower_ideal_masks(down, n: int):
+def _lower_ideal_masks(down, up, n: int):
+    """The lower ideals of an order with down-sets ``down`` and up-sets
+    ``up``, as ascending bitmasks.  The ideals of each prefix of a linear
+    extension are those of the prefix before, some extended by the new
+    element.  Listing stops once there are more than ``MAX_POINTS``; a
+    memoized recursion counts them for the refusal: with ``x`` minimal in
+    ``rest``, the ideals of ``rest`` without ``x``, then those with it."""
     if n > MAX_IDEAL_POINTS:
         raise CapExceeded(f"ideal scan capped at {MAX_IDEAL_POINTS} points, "
                           f"the order has {n}")
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        m = mask
-        while m:
-            low = m & -m
-            if down[low.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(mask)
-    return out
+    order = sorted(range(n), key=lambda e: down[e].bit_count())
+    masks = [0]
+    for e in order:
+        below = down[e] & ~(1 << e)
+        masks += [m | 1 << e for m in masks if not below & ~m]
+        if len(masks) > MAX_POINTS:
+            @functools.cache
+            def count(rest):
+                x = next((y for y in order if rest >> y & 1), None)
+                return 1 if x is None else count(rest & ~up[x]) + count(rest & ~(1 << x))
+            raise CapExceeded(f"{count((1 << n) - 1)} ideals exceed the "
+                              f"{MAX_POINTS}-element lattice limit")
+    return sorted(masks)
 
 
 def _lattice_of_masks(masks) -> Lattice:
@@ -274,11 +280,8 @@ def ideal_lattice(poset: Poset, direction: str = "lower"):
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    down = poset.down if direction == "lower" else poset.up
-    masks = _lower_ideal_masks(down, poset.n)
-    if len(masks) > MAX_POINTS:
-        raise CapExceeded(f"{len(masks)} ideals exceed the {MAX_POINTS}-element "
-                          f"lattice limit")
+    down, up = (poset.down, poset.up) if direction == "lower" else (poset.up, poset.down)
+    masks = _lower_ideal_masks(down, up, poset.n)
     return _lattice_of_masks(masks), tuple(masks)
 
 

@@ -7,13 +7,16 @@ For a lattice ``T`` and a strictly increasing tuple ``B`` avoiding the top,
 the central idempotent ``e_t`` projecting onto the span of all
 join-endomorphisms with totally ordered image (``tot_basis``).
 
-A ``Family`` holds morphisms of one Hom-space as integer numerators over
-its distinct join-maps, with one denominator per member.
-``compose_families`` is the one composition algorithm: it gathers every
-composite's images in one numpy step, keys the distinct rows by their
-bytes, and sums the products of numerators as integers, in int64 only when
-a bound rules out overflow and as Python ints otherwise.
-``LinMorphism.compose`` is its one-by-one case.
+A ``Family`` is the one batch type: morphisms of one Hom-space as a dense
+table of integer numerators over their distinct join-maps, with one
+denominator per member.  ``compose_families`` is the one composition
+algorithm: it gathers every composite's images in one numpy step, keys the
+distinct rows by their bytes, and sums the products of numerators as
+integers, in int64 only when a bound rules out overflow and as Python ints
+otherwise.  Its result is again a ``Family``, whose member
+``i * len(inner) + j`` is ``outer[i]`` after ``inner[j]``;
+``Family.first_mismatch`` compares two families member by member without
+building a ``LinMorphism``.  ``LinMorphism.compose`` is the one-by-one case.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class LinMorphism:
     def compose(self, other: "LinMorphism") -> "LinMorphism":
         """Bilinear extension of composition; ``self`` after ``other``."""
         return compose_families(Family(self.src, self.dst, [self]),
-                                Family(other.src, other.dst, [other])).member(0, 0)
+                                Family(other.src, other.dst, [other])).member(0)
 
     def __matmul__(self, other):
         if isinstance(other, JoinMap):
@@ -156,19 +159,18 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 class Family:
     """Morphisms ``src -> dst`` as integer numerators over distinct join-maps.
 
-    Member ``i`` is ``sum(nums[t] * g[at[t]]) / dens[i]`` over the terms
-    ``t`` with ``owner[t] == i``, where ``g[k]`` is the join-map with image
-    row ``images[k]`` and ``dens[i]`` is the lcm of that member's
-    coefficient denominators.  ``weight`` bounds the sum of the absolute
-    numerators of any one member.
+    Member ``i`` is ``sum(nums[i, k] * g[k]) / dens[i]``, where ``g[k]`` is
+    the join-map with image row ``images[k]`` and ``dens[i]`` is a positive
+    common denominator (the lcm of the member's coefficient denominators
+    when built from morphisms).  ``weight`` bounds ``sum(abs(nums[i]))`` for
+    every member; ``nums`` is int64 only when that bound is below 2^63.
     """
 
-    __slots__ = ("src", "dst", "images", "owner", "at", "nums", "dens", "weight")
+    __slots__ = ("src", "dst", "images", "nums", "dens", "weight", "_maps", "_nonzero")
 
     def __init__(self, src: Lattice, dst: Lattice, members):
         owner, at, nums, dens = [], [], [], []
-        where = {}                       # image tuple -> row of ``images``
-        weight = 0
+        where, weight = {}, 0            # image tuple -> row of ``images``
         for i, alpha in enumerate(members):
             if alpha.src != src or alpha.dst != dst:
                 raise ValueError("family member with mismatched source or target lattice")
@@ -180,92 +182,82 @@ class Family:
             nums += row
             dens.append(scale)
             weight = max(weight, sum(map(abs, row)))
-        self.src = src
-        self.dst = dst
+        self.src, self.dst, self.dens, self.weight = src, dst, dens, weight
+        self._maps = self._nonzero = None
         self.images = np.array(list(where), np.min_scalar_type(dst.n - 1)).reshape(-1, src.n)
-        self.owner = np.array(owner, np.intp)
-        self.at = np.array(at, np.intp)
-        self.nums = np.array(nums, _int_dtype(weight))
-        self.dens = dens
-        self.weight = weight
+        self.nums = np.zeros((len(dens), len(where)), _int_dtype(weight))
+        self.nums[owner, at] = nums
+
+    @classmethod
+    def _trusted(cls, src, dst, images, nums, dens, weight) -> "Family":
+        """Wrap distinct image rows and their numerator columns; no checks."""
+        out = object.__new__(cls)
+        out.src, out.dst, out.images, out.nums = src, dst, images, nums
+        out.dens, out.weight, out._maps, out._nonzero = dens, weight, None, None
+        return out
 
     def __len__(self):
         return len(self.dens)
 
+    def _terms(self):
+        """Member, column and value of each nonzero numerator, found once: a
+        family can be the operand of many products, its table far larger."""
+        if self._nonzero is None:
+            owner, at = np.nonzero(self.nums)
+            self._nonzero = owner, at, self.nums[owner, at]
+        return self._nonzero
 
-class Products:
-    """Every ``outer[i]`` after ``inner[j]``: ``nums[i, j] / dens[i * k + j]``,
-    with ``k = len(inner)``, are its coefficients on the join-maps whose
-    image rows are ``images``."""
-
-    __slots__ = ("src", "dst", "images", "nums", "dens", "_maps")
-
-    def __init__(self, src: Lattice, dst: Lattice, images: np.ndarray, nums: np.ndarray,
-                 dens: list):
-        self.src = src
-        self.dst = dst
-        self.images = images
-        self.nums = nums
-        self.dens = dens
-        self._maps = None
-
-    def member(self, i: int, j: int) -> LinMorphism:
+    def member(self, i: int) -> LinMorphism:
         if self._maps is None:
             self._maps = [JoinMap._trusted(self.src, self.dst, tuple(row))
                           for row in self.images.tolist()]
-        den = self.dens[i * self.nums.shape[1] + j]
-        pairs = zip(self._maps, self.nums[i, j].tolist())
+        den = self.dens[i]
+        pairs = zip(self._maps, self.nums[i].tolist())
         if den == 1:      # the common case; Fraction(c) skips the gcd
             terms = {m: Fraction(c) for m, c in pairs if c}
         else:
             terms = {m: Fraction(c, den) for m, c in pairs if c}
         return LinMorphism._trusted(self.src, self.dst, terms)
 
-    def first_mismatch(self, family: Family, picks):
-        """The first pair ``(i, j)`` whose product differs from member
-        ``picks[i * len(inner) + j]`` of ``family``, or from zero where that
-        pick is negative; ``None`` when every product matches.
+    def first_mismatch(self, other: "Family", picks):
+        """The first member ``i`` that differs from ``other[picks[i]]``, or
+        from zero where that pick is negative; ``None`` when all match.
 
         Both sides are laid out over the union of their image rows, with
         the denominators cross-multiplied."""
         picks = np.asarray(picks, np.intp)
-        if len(picks) != len(self.dens):
-            raise ValueError(f"need one pick per product, got {len(picks)} for {len(self.dens)}")
-        union, key = np.unique(_row_keys(np.concatenate([self.images, family.images])),
+        if len(picks) != len(self):
+            raise ValueError(f"need one pick per member, got {len(picks)} for {len(self)}")
+        union, key = np.unique(_row_keys(np.concatenate([self.images, other.images])),
                                return_inverse=True)
         mine, theirs = key[:len(self.images)], key[len(self.images):]
-        got = self.nums.reshape(len(picks), self.nums.shape[2])
-        bad = (picks < 0) & got.any(axis=1)
+        bad = (picks < 0) & self.nums.any(axis=1).astype(bool)
         rows = np.flatnonzero(picks >= 0)
-        members, back = np.unique(picks[rows], return_inverse=True)
-        slot = np.full(len(family), -1, np.intp)
-        slot[members] = np.arange(len(members))
-        terms = np.flatnonzero(slot[family.owner] >= 0)
-        want = np.zeros((len(members), len(union)), family.nums.dtype)
-        want[slot[family.owner[terms]], theirs[family.at[terms]]] = family.nums[terms]
-        want = want[back.reshape(-1)]
-        have = np.zeros_like(want, self.nums.dtype)
-        have[:, mine] = got[rows]
+        have = np.zeros((len(rows), len(union)), self.nums.dtype)
+        have[:, mine] = self.nums[rows]
+        want = np.zeros_like(have, other.nums.dtype)
+        want[:, theirs] = other.nums[picks[rows]]
         have_dens = [self.dens[r] for r in rows.tolist()]
-        want_dens = [family.dens[p] for p in picks[rows].tolist()]
-        bound = max(int(np.abs(have).max(initial=0)) * max(want_dens, default=1),
-                    int(np.abs(want).max(initial=0)) * max(have_dens, default=1))
+        want_dens = [other.dens[p] for p in picks[rows].tolist()]
+        bound = max(int(np.abs(have).max(initial=1)) * max(want_dens, default=1),
+                    int(np.abs(want).max(initial=1)) * max(have_dens, default=1))
         dtype = _int_dtype(bound)
         left = have.astype(dtype) * np.array(want_dens, dtype)[:, None]
         right = want.astype(dtype) * np.array(have_dens, dtype)[:, None]
         bad[rows] = (left != right).any(axis=1)
         wrong = np.flatnonzero(bad)
-        return divmod(int(wrong[0]), self.nums.shape[1]) if len(wrong) else None
+        return int(wrong[0]) if len(wrong) else None
 
 
-def compose_families(outer: Family, inner: Family) -> Products:
-    """Every composite ``outer[i]`` after ``inner[j]``, as one integer batch.
+def compose_families(outer: Family, inner: Family) -> Family:
+    """Every composite ``outer[i]`` after ``inner[j]``, as member
+    ``i * len(inner) + j`` of one family.
 
     The images ``g(f(t))`` of every pair of maps in the two families come
     from one numpy gather, and one ``np.unique`` over their bytes keys the
-    distinct composites.  Each pair of terms adds the product of its
-    numerators at its composite's key, in int64 only when the weights bound
-    every sum below 2^63.
+    distinct composites.  Each pair of nonzero numerators adds its product
+    at its composite's key, in int64 only when the weights bound every sum
+    below 2^63.
     """
     if inner.dst != outer.src:
         raise ValueError("middle lattice mismatch")
@@ -273,13 +265,15 @@ def compose_families(outer: Family, inner: Family) -> Products:
     _, first, cell = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     cell = cell.reshape(len(outer.images), len(inner.images))
     m, k, u = len(outer), len(inner), len(first)
-    dtype = _int_dtype(outer.weight * inner.weight)
-    slots = (outer.owner[:, None] * k + inner.owner) * u + cell[outer.at[:, None], inner.at]
-    values = outer.nums.astype(dtype)[:, None] * inner.nums.astype(dtype)
+    weight = outer.weight * inner.weight
+    dtype = _int_dtype(max(weight, outer.weight, inner.weight))  # never narrows an operand
+    (g_owner, g_at, g_nums), (f_owner, f_at, f_nums) = outer._terms(), inner._terms()
+    slots = (g_owner[:, None] * k + f_owner) * u + cell[g_at[:, None], f_at]
+    values = g_nums.astype(dtype)[:, None] * f_nums.astype(dtype)
     nums = np.zeros(m * k * u, dtype)
     np.add.at(nums, slots.reshape(-1), values.reshape(-1))
-    dens = [a * b for a in outer.dens for b in inner.dens]
-    return Products(inner.src, outer.dst, rows[first], nums.reshape(m, k, u), dens)
+    return Family._trusted(inner.src, outer.dst, rows[first], nums.reshape(m * k, u),
+                           [a * b for a in outer.dens for b in inner.dens], weight)
 
 
 def adjoint_op(f: JoinMap) -> JoinMap:
@@ -454,15 +448,8 @@ def beta(n: int, m: int) -> LinMorphism:
     """The central idempotent of the total order selecting the size-``m`` block."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    total = LinMorphism.zero(chain(n), chain(n))
-    for b in p_tuples(chain(n), m):
-        total = total + f_dc(b, b)
-    return total
-
-
-def epsilon(n: int) -> LinMorphism:
-    """The top central idempotent of the total order, ``beta(n, n)``."""
-    return beta(n, n)
+    units = (f_dc(b, b) for b in p_tuples(chain(n), m))
+    return sum(units, LinMorphism.zero(chain(n), chain(n)))
 
 
 def e_t(lattice: Lattice) -> LinMorphism:
@@ -471,10 +458,7 @@ def e_t(lattice: Lattice) -> LinMorphism:
     diagonal = [b for n in range(max_tuple_size(lattice) + 1)
                 for b in p_tuples(lattice, n)]
     _check_chain_tuples(len(diagonal), "central idempotent")
-    total = LinMorphism.zero(lattice, lattice)
-    for b in diagonal:
-        total = total + f_dc(b, b)
-    return total
+    return sum((f_dc(b, b) for b in diagonal), LinMorphism.zero(lattice, lattice))
 
 
 def tot_basis(lattice: Lattice):

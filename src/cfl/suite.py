@@ -35,7 +35,7 @@ from .lattices import (CapExceeded, LatticeError, Poset, chain,
                        lattice_to_json, lattices_isomorphic, mobius,
                        posets_isomorphic, principal_embed)
 from .morphisms import (Family, LinMorphism, adjoint_op, beta, compose_families,
-                        e_t, epsilon, f_dc, j_of_tuple, lambda_of_tuple, lin_to_vector,
+                        e_t, f_dc, j_of_tuple, lambda_of_tuple, lin_to_vector,
                         max_tuple_size, p_tuples, pi_of_tuple, rho_y, tot_basis,
                         y_tuples)
 from .relations import (Correspondence, order_flags, preorder_quotient,
@@ -218,8 +218,19 @@ def _chain_image_count(lat, points):
     return count
 
 
-def _int_rows(vectors):
-    return [[int(c) for c in v] for v in vectors]
+def _integer_rows(family, basis):
+    """Coefficient rows over a basis of join-maps; ``None`` if one is not an integer."""
+    rows = [lin_to_vector(f, basis) for f in family]
+    integral = all(c.denominator == 1 for row in rows for c in row)
+    return [[c.numerator for c in row] for row in rows] if integral else None
+
+
+def _level_drop_sum(n):
+    """``sum over Y of (-1)^(n - |Y|) rho_Y``: the quotient of a chain after
+    its section, and the top block ``beta(n, n)`` of the total order."""
+    return LinMorphism(chain(n), chain(n),
+                       [(rho_y(n, ys), (-1) ** (n - k)) for k in range(n + 1)
+                        for ys in itertools.combinations(range(1, n + 1), k)])
 
 
 def _has_splitting_section(lat) -> bool:
@@ -497,7 +508,7 @@ def _check_matrix_units(ctx):
             picks = [position[dk, ak] if ck == bk else -1 for bk, ak in keys]
             bad = compose_families(Family(lat, lat, [unit]), family).first_mismatch(family, picks)
             if bad is not None:
-                bk, ak = keys[bad[1]]
+                bk, ak = keys[bad]
                 return _witness(lat, name=name, tuples=[list(dk), list(ck),
                                                         list(bk), list(ak)])
     return None
@@ -512,23 +523,19 @@ def _check_section_quotient(ctx):
         tuples = _all_tuples(lat, 3)
         for n in range(len(tuples[-1]) + 1):
             bs = [b for b in tuples if len(b) == n]
-            sign = -1 if n % 2 else 1
-            want = LinMorphism.zero(chain(n), chain(n))
-            for k in range(n + 1):
-                for ys in itertools.combinations(range(1, n + 1), k):
-                    want = want + (sign * (-1) ** k) * LinMorphism.of_map(rho_y(n, ys))
+            want = _level_drop_sum(n)
             pis = Family(lat, chain(n), [LinMorphism.of_map(pi_of_tuple(b)) for b in bs])
             sections = Family(chain(n), lat, [j_of_tuple(b) for b in bs])
-            # each batch multiplies all pairs; only the diagonal (b, b) is read
+            # each batch multiplies all pairs; only the diagonal i * (len(bs) + 1) is read
             after = compose_families(pis, sections)
             units = compose_families(sections, pis)
-            fbbs = [units.member(i, i) for i in range(len(bs))]
+            fbbs = [units.member(i * (len(bs) + 1)) for i in range(len(bs))]
             squares = compose_families(Family(lat, lat, fbbs), Family(lat, lat, fbbs))
             for i, b in enumerate(bs):
-                if after.member(i, i) != want:
+                if after.member(i * (len(bs) + 1)) != want:
                     return _witness(lat, name=name, tuple=list(b.entries),
                                     law="quotient after section")
-                if squares.member(i, i) != fbbs[i]:
+                if squares.member(i * (len(bs) + 1)) != fbbs[i]:
                     return _witness(lat, name=name, tuple=list(b.entries),
                                     law="idempotent")
     return None
@@ -541,25 +548,25 @@ def _check_section_quotient(ctx):
 def _check_chain_idempotents(ctx):
     for n in range(min(4, ctx.limits.max_lattice) + 1):
         blocks = [beta(n, m) for m in range(n + 1)]
-        total = LinMorphism.zero(chain(n), chain(n))
-        for b in blocks:
-            total = total + b
-        if total != LinMorphism.identity(chain(n)):
+        if sum(blocks, LinMorphism.zero(chain(n), chain(n))) != LinMorphism.identity(chain(n)):
             return {"n": n, "law": "sum to identity"}
         family = Family(chain(n), chain(n), blocks)
         picks = [l if l == m else -1 for l in range(n + 1) for m in range(n + 1)]
         bad = compose_families(family, family).first_mismatch(family, picks)
         if bad is not None:
-            return {"n": n, "l": bad[0], "m": bad[1], "law": "orthogonality"}
-        if epsilon(n) != blocks[n]:
+            l, m = divmod(bad, n + 1)
+            return {"n": n, "l": l, "m": m, "law": "orthogonality"}
+        if blocks[n] != _level_drop_sum(n):
             return {"n": n, "law": "top block"}
         ends = join_maps(chain(n), chain(n))
         endos = Family(chain(n), chain(n), [LinMorphism.of_map(f) for f in ends])
+        # beta_m after f_j is member m * |ends| + j, f_j after beta_m is j * (n + 1) + m
         after = compose_families(family, endos)
-        before = compose_families(endos, family)
-        for m, j in itertools.product(range(n + 1), range(len(ends))):
-            if after.member(m, j) != before.member(j, m):
-                return {"n": n, "m": m, "images": list(ends[j].images), "law": "centrality"}
+        swapped = [j * (n + 1) + m for m in range(n + 1) for j in range(len(ends))]
+        bad = after.first_mismatch(compose_families(endos, family), swapped)
+        if bad is not None:
+            m, j = divmod(bad, len(ends))
+            return {"n": n, "m": m, "images": list(ends[j].images), "law": "centrality"}
     return None
 
 
@@ -579,7 +586,9 @@ def _check_chain_endo(ctx):
         family = [f_dc(d, c)
                   for m in range(n + 1)
                   for d in p_tuples(chain(n), m) for c in p_tuples(chain(n), m)]
-        rows = _int_rows(lin_to_vector(f, basis) for f in family)
+        rows = _integer_rows(family, basis)
+        if rows is None:
+            return {"n": n, "law": "integer coefficients"}
         want = sum(math.comb(n, m) ** 2 for m in range(n + 1))
         got = fast_int_rank(rows, ctx.ring)
         if got != want or want != len(basis):
@@ -605,17 +614,17 @@ def _check_units_span(ctx):
         family = [f_dc(d, c)
                   for n in range(len(sizes))
                   for d in p_tuples(lat, n) for c in p_tuples(lat, n)]
-        rows = _int_rows(lin_to_vector(f, basis) for f in family)
+        rows = _integer_rows(family, basis)
+        if rows is None:
+            return _witness(lat, name=name, law="integer coefficients")
         if fast_int_rank(rows, ctx.ring) != len(basis):
             return _witness(lat, name=name, law="span equality")
         unit = Family(lat, lat, [e_t(lat)])
         span = Family(lat, lat, [LinMorphism.of_map(m) for m in basis])
         fixed = range(len(basis))      # the unit fixes each basis element, both sides
-        bad = []
-        for products in (compose_families(unit, span), compose_families(span, unit)):
-            pair = products.first_mismatch(span, fixed)
-            if pair is not None:
-                bad.append(max(pair))  # (0, j) or (j, 0): basis[j] either way
+        found = [products.first_mismatch(span, fixed)  # member j is basis[j] either way
+                 for products in (compose_families(unit, span), compose_families(span, unit))]
+        bad = [j for j in found if j is not None]
         if bad:
             return _witness(lat, name=name, images=list(basis[min(bad)].images),
                             law="identity on the span")
@@ -633,11 +642,11 @@ def _check_center_naturality(ctx):
             maps = join_maps(lat1, lat2)
             picks = maps if len(maps) <= 20 else ctx.rng.sample(maps, 20)
             thetas = Family(lat1, lat2, [LinMorphism.of_map(theta) for theta in picks])
+            # member j of both products is built from theta_j
             after = compose_families(thetas, units[name1])
-            before = compose_families(units[name2], thetas)
-            for j, theta in enumerate(picks):
-                if after.member(j, 0) != before.member(0, j):
-                    return {"src": name1, "dst": name2, "images": list(theta.images)}
+            j = after.first_mismatch(compose_families(units[name2], thetas), range(len(picks)))
+            if j is not None:
+                return {"src": name1, "dst": name2, "images": list(picks[j].images)}
     return None
 
 
@@ -732,7 +741,7 @@ def _check_map_naturality(ctx):
         if apply_lin(alpha, act_mod(r, v)) != act_mod(r, apply_lin(alpha, v)):
             return _witness(lat, name=name, r=sorted(r.pairs()))
     for n in range(1, 4):
-        eps = epsilon(n)
+        eps = beta(n, n)
         covering = set(h_quotient_basis(chain(n), 2))
         for f in all_functions(chain(n), 2):
             out = apply_lin(eps, ModVec.basis_vector(f))

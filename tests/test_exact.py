@@ -225,6 +225,16 @@ def test_bareiss_is_exact_on_int64_arrays():
     assert bareiss_rank_int(arr) == bareiss_rank_int(deficient) == 11
 
 
+def test_integer_kernels_refuse_non_integer_entries():
+    # truncation used to answer rank 0, determinant 1, rank 1 and rank 0
+    for kernel, rows in ((bareiss_rank_int, [[Fraction(1, 2)]]),
+                         (det_int, [[Fraction(3, 2)]]),
+                         (fast_int_rank, [[Fraction(1, 2), 0], [0, 1]]),
+                         (modp_rank, [[Fraction(1, 2)]])):
+        with pytest.raises(TypeError):
+            kernel(rows)
+
+
 def _deficient(draw_rows, combos):
     # Append integer combinations of the drawn rows, so the rank stays below
     # the row count and the fraction-free fallback has to decide.

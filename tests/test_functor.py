@@ -18,7 +18,7 @@ from cfl.functor import (FundElement, LatticeFunction, ModVec, _decode, act, act
                          theta_conditions, theta_matrix, theta_rank, total_rank_formula)
 from cfl.lattices import (CACHE_SIZE, CapExceeded, chain, ideal_lattice, irreducibles,
                           join_maps, lattice_from_json, mobius)
-from cfl.morphisms import LinMorphism, epsilon
+from cfl.morphisms import LinMorphism, beta
 from cfl.relations import Correspondence
 
 
@@ -87,7 +87,7 @@ def test_apply_lin_identity_and_epsilon():
     ident = LinMorphism.identity(two)
     for f in all_functions(two, 2):
         assert apply_lin(ident, ModVec.basis_vector(f)) == ModVec.basis_vector(f)
-    eps = epsilon(2)
+    eps = beta(2, 2)
     covering = set(h_quotient_basis(two, 2))
     for f in all_functions(two, 2):
         out = apply_lin(eps, ModVec.basis_vector(f))

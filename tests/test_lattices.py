@@ -111,6 +111,32 @@ def test_ideal_lattice_direction():
         ideal_lattice(p, "sideways")
 
 
+def test_ideal_masks_match_the_subset_scan():
+    for n in range(5):
+        for p in enumerate_posets(n):
+            for direction, down in (("lower", p.down), ("upper", p.up)):
+                scan = [m for m in range(1 << n)
+                        if all(down[e] & ~m == 0 for e in range(n) if m >> e & 1)]
+                assert list(ideal_lattice(p, direction)[1]) == scan
+
+
+def test_ideal_scan_stops_past_the_lattice_limit():
+    # All 2^12 subsets of a 12-point antichain are ideals.  The scan must
+    # stop listing them past 64, and still count them for the message.
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    anti = Poset.antichain(12)
+    anti.down, anti.up = Counted(anti.down), Counted(anti.up)
+    with pytest.raises(CapExceeded, match="4096 ideals exceed the 64-element lattice limit"):
+        ideal_lattice(anti)
+    assert len(reads) < 200
+
+
 def test_principal_embed_examples():
     p = Poset.from_pairs(2, [(0, 1)])
     lat, enc = ideal_lattice(p)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cfl.catalog import enumerate_lattices, named_lattices
 from cfl.lattices import CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps, mobius
 from cfl.morphisms import (ChainTuple, Family, LinMorphism, TermNotInBasis, adjoint_op,
-                           beta, compose_families, e_t, epsilon, f_dc, j_of_tuple,
+                           beta, compose_families, e_t, f_dc, j_of_tuple,
                            lambda_of_tuple, lin_to_vector, max_tuple_size, p_tuples,
                            pi_of_tuple, rho_y, tot_basis, y_tuples)
 
@@ -136,7 +136,7 @@ def test_unchecked_chain_maps_pass_the_validating_constructor(named):
 def test_j_of_full_chain_tuple_is_the_top_idempotent():
     for n in range(4):
         full = ChainTuple(chain(n), tuple(range(n)), "P")
-        assert j_of_tuple(full) == epsilon(n)
+        assert j_of_tuple(full) == beta(n, n)
 
 
 def test_rho_y():
@@ -186,15 +186,15 @@ def test_beta_partition_of_identity():
 
 
 def test_epsilon_examples():
-    assert epsilon(1) == (LinMorphism.identity(chain(1))
+    assert beta(1, 1) == (LinMorphism.identity(chain(1))
                           - LinMorphism.of_map(rho_y(1, [])))
-    assert epsilon(0) == LinMorphism.identity(chain(0))
+    assert beta(0, 0) == LinMorphism.identity(chain(0))
 
 
 def test_top_idempotent_spans_a_line():
     # right multiples of the top block stay on the line it spans
     for n in range(1, 4):
-        eps = epsilon(n)
+        eps = beta(n, n)
         ref_map, ref_coeff = next(iter(eps.terms.items()))
         for m in tot_basis(chain(n)):
             prod = eps @ LinMorphism.of_map(m)
@@ -400,10 +400,10 @@ def family_composable(draw):
 def test_family_product_matches_naive_compose_pairwise(case):
     a, b, c, outer, inner = case
     products = compose_families(Family(b, c, outer), Family(a, b, inner))
-    assert products.nums.shape[:2] == (len(outer), len(inner))
+    assert len(products) == products.nums.shape[0] == len(outer) * len(inner)
     for i, g in enumerate(outer):
         for j, f in enumerate(inner):
-            got = products.member(i, j)
+            got = products.member(i * len(inner) + j)
             assert (got.src, got.dst) == (a, c)
             assert got.terms == _naive_compose(g, f)
             assert all(type(x) is Fraction and x for x in got.terms.values())
@@ -421,6 +421,18 @@ def test_compose_stays_exact_past_int64(named):
     assert (inner @ outer).terms == _naive_compose(inner, outer)
 
 
+def test_zero_operands_past_int64(named):
+    # a zero operand has weight 0, so the bound on the products alone would
+    # pick int64 and narrow the other operand's Python ints
+    b2 = named["b2"]
+    big, zero = 2 ** 70 * LinMorphism.identity(b2), LinMorphism.zero(b2, b2)
+    assert (big @ zero).is_zero() and (zero @ big).is_zero()
+    # a zero product keeps the denominator 2^70, which int64 cannot hold
+    tiny = Family(b2, b2, [Fraction(1, 2 ** 70) * LinMorphism.identity(b2)])
+    product = compose_families(tiny, Family(b2, b2, [zero]))
+    assert product.dens == [2 ** 70] and product.first_mismatch(product, [-1]) is None
+
+
 def test_first_mismatch_cross_multiplies_denominators(named):
     b2 = named["b2"]
     one = LinMorphism.identity(b2)
@@ -429,14 +441,14 @@ def test_first_mismatch_cross_multiplies_denominators(named):
     halves = Family(b2, b2, [Fraction(1, 2) * one])
     doubled = Family(b2, b2, [2 * one])
     # (1/2 one) after (1/3 one) is 1/6 one, member 0 scaled by 1/2: no match
-    assert compose_families(halves, family).first_mismatch(family, [0, 1]) == (0, 0)
+    assert compose_families(halves, family).first_mismatch(family, [0, 1]) == 0
     # (2 one) after the family: 2/3 one and 4/3 drop
-    assert compose_families(doubled, family).first_mismatch(family, [0, 1]) == (0, 0)
+    assert compose_families(doubled, family).first_mismatch(family, [0, 1]) == 0
     thirds = Family(b2, b2, [one])
     assert compose_families(thirds, family).first_mismatch(family, [0, 1]) is None
     assert compose_families(family, thirds).first_mismatch(family, [0, 1]) is None
-    assert compose_families(thirds, family).first_mismatch(family, [0, -1]) == (0, 1)
-    with pytest.raises(ValueError, match="one pick per product"):
+    assert compose_families(thirds, family).first_mismatch(family, [0, -1]) == 1
+    with pytest.raises(ValueError, match="one pick per member"):
         compose_families(thirds, family).first_mismatch(family, [0])
 
 
@@ -451,7 +463,7 @@ def mismatch_case(draw):
     (zero), a member equal to it or its near miss."""
     a, b, c, outer, inner = draw(family_composable())
     products = compose_families(Family(b, c, outer), Family(a, b, inner))
-    exact = [products.member(i, j) for i in range(len(outer)) for j in range(len(inner))]
+    exact = [products.member(t) for t in range(len(products))]
     maps = st.sampled_from(_maps(a, c))
     near = [draw(st.sampled_from([1, Fraction(1, 2), 2])) * alpha
             + draw(coefficients) * LinMorphism.of_map(draw(maps)) for alpha in exact]
@@ -472,9 +484,8 @@ def mismatch_case(draw):
 @given(mismatch_case())
 def test_first_mismatch_is_the_first_differing_product(case):
     a, c, products, members, picks = case
-    k = products.nums.shape[1]
     zero = LinMorphism.zero(a, c)
-    want = next((divmod(t, k) for t, p in enumerate(picks)
-                 if products.member(*divmod(t, k)) != (members[p] if p >= 0 else zero)),
+    want = next((t for t, p in enumerate(picks)
+                 if products.member(t) != (members[p] if p >= 0 else zero)),
                 None)
     assert products.first_mismatch(Family(a, c, members), picks) == want

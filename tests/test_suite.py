@@ -1,8 +1,11 @@
+import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+import cfl.morphisms as morphisms_mod
 import cfl.suite as suite_mod
 from cfl.exact import PrimeField
 from cfl.lattices import CapExceeded, chain
@@ -150,6 +153,43 @@ def test_non_central_blocks_fail_with_witness(monkeypatch):
     assert result.witness["n"] == 2 and result.witness["law"] == "centrality"
 
 
+def test_swapped_top_block_fails_with_witness(monkeypatch):
+    # Swapping the size-0 and size-2 blocks of chain(2) keeps an orthogonal
+    # decomposition of the identity into central idempotents; only the closed
+    # form of the top block tells the swap apart.
+    real = morphisms_mod.beta
+
+    def swapped(n, m):
+        return real(n, {0: 2, 2: 0}.get(m, m) if n == 2 else m)
+
+    monkeypatch.setattr(suite_mod, "beta", swapped)
+    monkeypatch.setattr(morphisms_mod, "beta", swapped)
+    result = run_check("chain-central-idempotents", small())
+    assert result.status == "fail"
+    assert result.witness == {"n": 2, "law": "top block"}
+    assert run_check("A03-idempotent-calculus").witness == {"n": 2, "law": "top block"}
+
+
+def test_fractional_matrix_unit_fails_with_witness(monkeypatch):
+    # int() would truncate the coefficients 3/2 to 1 and keep the family
+    # unimodular over the chain-image basis
+    real = suite_mod.f_dc
+
+    def scaled(d, c):
+        unit = real(d, c)
+        if d.lattice == chain(2) and d.entries == c.entries == (0,):
+            unit = Fraction(3, 2) * unit
+        return unit
+
+    monkeypatch.setattr(suite_mod, "f_dc", scaled)
+    endo = run_check("chain-endo-structure", small())
+    assert endo.status == "fail" and endo.witness == {"n": 2, "law": "integer coefficients"}
+    span = run_check("matrix-units-span", small())
+    assert span.status == "fail" and span.witness["name"] == "chain2"
+    assert span.witness["law"] == "integer coefficients"
+    assert run_check("A04-chain-endomorphisms").witness == endo.witness
+
+
 def test_condition_tables_reach_three_points_at_the_default_limits(monkeypatch):
     # at two points no table can miss the pointwise order of (e) or (f)
     real = suite_mod.theta_condition_tables
@@ -199,3 +239,13 @@ def test_check_listing_carries_anchors():
     names = [name for name, _, _ in listing]
     assert len(names) == len(set(names))
     assert sum(1 for n in names if n.startswith("A")) == 12
+
+
+# (number of checks, sha256 of the repr of each listed check, one per line, in order)
+LISTING = (52, "1d3a57508de515a4f42aee48b1de38c608118e9ddc2fea26a4015afffd0b1197")
+
+
+def test_check_listing_is_pinned():
+    listing = list_checks()
+    blob = "\n".join(repr(entry) for entry in listing).encode()
+    assert (len(listing), hashlib.sha256(blob).hexdigest()) == LISTING
