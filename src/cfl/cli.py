@@ -141,7 +141,7 @@ def _cmd_rank(args):
                           "method": args.method, "ring": ring.name,
                           "exact": ring.exact,
                           "shape": stats.shape and list(stats.shape),
-                          "path": stats.path,
+                          "path": stats.path, "peeled": stats.peeled,
                           "build_s": round(stats.build_s, 6),
                           "eliminate_s": round(stats.eliminate_s, 6)},
                          sort_keys=True))

@@ -2,20 +2,32 @@
 
 The rings are the rationals (``RATIONALS``) and a prime field
 (``PrimeField(p)``): tags with ``name``, ``exact`` and ``p`` (``None`` for
-the rationals).  Matrices are integer rows or 2-D integer numpy arrays;
-``_cleared_int_rows`` is the one place a ``Fraction`` becomes an int, by
-scaling each row by the lcm of its denominators (over ``F_p`` a denominator
-that p divides has no image and raises ValueError).
+the rationals).  An integer matrix is read in one place, ``_coerced``: a 2-D
+array of a dtype that casts safely to int64 (bool included) stays an array,
+and rows become tuples of Python ints by ``operator.index``, so every kernel
+accepts and refuses the same inputs.  ``_cleared_int_rows`` is the one place
+a ``Fraction`` becomes an int, by scaling each row by the lcm of its
+denominators (over ``F_p`` a denominator that p divides has no image and
+raises ValueError).
 
 Two eliminations return echelon rows and pivot columns: ``_modp_echelon``,
 vectorized in an int64 copy with pivots scaled to 1, and ``_bareiss``,
-fraction-free over Python ints, so fixed-width inputs cannot wrap.
+fraction-free over Python ints, so fixed-width inputs cannot wrap.  The mod-p
+elimination delays its reductions: entries start in ``[0, p)``, each row
+update subtracts at most (p - 1)^2, and the trailing block is reduced only
+every ``(2^63 - 1 - p) // (p - 1)^2`` pivots, about 9.2 million at the default
+prime and 2 at ``2^31 - 1``.
+
 ``fast_int_rank`` is the one rank entry point, for both rings.  It drops
-zero rows, repeated rows and zero columns, then takes the rank mod p.  Over
+zero rows, repeated rows and zero columns, then peels singletons: a column or
+row with one live entry (nonzero over the rationals, nonzero mod p over
+``F_p``) is a pivot, removed with the line crossing it, and adds exactly 1 to
+the rank.  Peeling repeats until no singleton is left, working on the
+coordinates of the live entries.  The rest, if any, is ranked mod p.  Over
 ``F_p`` that is the answer.  Over the rationals it is a lower bound, which
-pins the rank when it reaches the row or column count; otherwise Bareiss
-decides.  A ``RankStats`` record, if passed, reports the shape that reached
-elimination and the path that settled the rank.
+pins the rank when it reaches the row or column count of the rest; otherwise
+Bareiss decides on the rest.  A ``RankStats`` record, if passed, reports the
+pruned shape, the peeled pivots and the path that settled the rank.
 
 ``ExactMatrix`` stores cleared rows; its nullspace back-substitutes one
 vector per free column through the echelon rows (``Fraction`` division over
@@ -152,7 +164,7 @@ def subspace_equal(vectors_a, vectors_b, cols: int, ring=RATIONALS) -> bool:
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         both = np.vstack([a, b])
     else:
-        both = [list(map(int, v)) for v in itertools.chain(a, b)]
+        both = [row for v in (a, b) for row in (v.tolist() if isinstance(v, np.ndarray) else v)]
     ra = fast_int_rank(a, ring)
     return ra == fast_int_rank(b, ring) == fast_int_rank(both, ring)
 
@@ -172,17 +184,41 @@ def _cleared_int_rows(data, p=None):
     return rows, scales
 
 
-def _bareiss(int_rows):
-    """Fraction-free elimination of a copy of the integer rows.
+def _coerced(int_rows):
+    """The one reading of an integer matrix, shared by every kernel.
 
-    Entries become Python ints by ``operator.index``, so fixed-width inputs
-    cannot wrap and a non-integer (or a numpy bool) raises TypeError.
+    A 2-D array whose dtype casts safely to int64 (bool, the signed integers
+    and the unsigned ones below 64 bits) is returned as it is.  Float, uint64
+    and object arrays raise TypeError: their values need not be int64
+    integers.  Anything else is rows, returned as tuples of Python ints by
+    ``operator.index``, so big integers stay exact and a ``Fraction``, a
+    float or a numpy bool entry raises TypeError.
+    """
+    if isinstance(int_rows, np.ndarray):
+        if int_rows.ndim != 2 or not np.can_cast(int_rows.dtype, np.int64):
+            raise TypeError(f"expected a 2-D array of int64-castable integers, "
+                            f"got {int_rows.dtype} of shape {int_rows.shape}")
+        return int_rows
+    return [tuple(map(operator.index, row)) for row in int_rows]
+
+
+def _shape(a):
+    return (len(a), len(a[0]) if len(a) else 0)
+
+
+def _bareiss(rows):
+    """Fraction-free elimination of a copy of coerced rows (``_coerced``).
+
+    The elimination runs over Python ints, so fixed-width inputs cannot wrap.
     Returns ``(echelon rows, pivot columns, row swaps)``: the echelon rows
     span the input's row space, zero left of their pivots.  A full-rank
     square matrix has the last pivot times ``(-1) ** swaps`` as determinant.
     """
-    m = [[operator.index(v) for v in row] for row in int_rows]
-    nr, nc = len(m), len(m[0]) if m else 0
+    if isinstance(rows, np.ndarray):
+        m = rows.astype(np.int64, copy=False).tolist()
+    else:
+        m = [list(row) for row in rows]
+    nr, nc = _shape(m)
     prev = 1
     swaps = 0
     pivots = []
@@ -214,14 +250,15 @@ def _bareiss(int_rows):
 
 
 def bareiss_rank_int(int_rows) -> int:
-    """Exact rank of an integer matrix (rows or a 2-D array) by fraction-free
-    elimination."""
-    return len(_bareiss(int_rows)[1])
+    """Exact rank of an integer matrix (rows or a 2-D array, read by
+    ``_coerced``) by fraction-free elimination."""
+    return len(_bareiss(_coerced(int_rows))[1])
 
 
 def det_int(int_rows) -> int:
-    """Exact determinant of a square integer matrix (rows or a 2-D array)."""
-    rows = list(int_rows)
+    """Exact determinant of a square integer matrix (rows or a 2-D array,
+    read by ``_coerced``)."""
+    rows = _coerced(int_rows)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
@@ -233,32 +270,36 @@ def det_int(int_rows) -> int:
     return -echelon[-1][-1] if swaps % 2 else echelon[-1][-1]
 
 
-def _modp_echelon(int_rows, p: int):
-    """Row echelon form mod p of an int64 copy, pivots scaled to 1; returns
-    ``(echelon rows as an array, pivot columns)``.
+def _modp_echelon(rows, p: int):
+    """Row echelon form mod p of coerced rows (``_coerced``), pivots scaled
+    to 1; returns ``(echelon rows as an int64 array, pivot columns)``.
 
-    Takes integer rows or a 2-D integer array (uint64 and object arrays are
-    refused: they may not fit in int64; non-integer row entries raise
-    TypeError).  Raises ValueError for ``p >= 2^31``, where int64 products
-    would overflow.
+    The work is an int64 copy with delayed reduction.  Entries start in
+    ``[0, p)``.  At each pivot only the candidate column and the pivot row
+    are reduced; the rows below that the pivot column hits take
+    ``outer(multipliers, pivot row)`` unreduced, on the pivot row's nonzero
+    columns only when those are fewer than half.  Each such update subtracts
+    at most (p - 1)^2, so the trailing block is reduced every ``period``
+    pivots, before any entry can pass -2^63.  The returned rows are reduced.
+    Raises ValueError for ``p >= 2^31``, where one product would overflow.
     """
     _check_prime_bound(p)
-    if isinstance(int_rows, np.ndarray):
-        if int_rows.ndim != 2 or not np.can_cast(int_rows.dtype, np.int64):
-            raise TypeError(f"expected a 2-D array of int64-castable integers, "
-                            f"got {int_rows.dtype} of shape {int_rows.shape}")
-        a = int_rows.astype(np.int64, order="C")  # row operations below
+    if isinstance(rows, np.ndarray):
+        a = rows.astype(np.int64, order="C")  # row operations below
         a %= p
     else:
-        a = np.array([[operator.index(v) % p for v in row] for row in int_rows],
-                     dtype=np.int64, ndmin=2)
+        a = np.array([[v % p for v in row] for row in rows], dtype=np.int64, ndmin=2)
     nr, nc = a.shape
+    period = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    pending = 0
     pivots = []
     for c in range(nc):
         r = len(pivots)
         if r == nr:
             break
-        nz = np.flatnonzero(a[r:, c])
+        col = a[r:, c]
+        col %= p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -266,77 +307,153 @@ def _modp_echelon(int_rows, p: int):
             a[[r, i]] = a[[i, r]]
         # Rows r and below are zero left of column c, so only a[:, c:] changes.
         top = a[r, c:]
+        top %= p
         top *= pow(int(top[0]), p - 2, p)
         top %= p
-        below = a[r + 1:, c:]
-        hit = np.flatnonzero(below[:, 0])
+        hit = r + nz[1:]  # the rows below that column c hits; the swap moved a zero
         if hit.size:
-            below[hit] = (below[hit] - np.outer(below[hit, 0], top)) % p
+            live = top.nonzero()[0]
+            if 2 * live.size < top.size:  # a sparse pivot row: update its columns only
+                a[np.ix_(hit, c + live)] -= np.outer(a[hit, c], top[live])
+            else:
+                a[hit, c:] -= np.outer(a[hit, c], top)
         pivots.append(c)
+        pending += 1
+        if pending == period:
+            a[r + 1:, c + 1:] %= p
+            pending = 0
     return a[:len(pivots)], pivots
 
 
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
-    """Rank mod p of integer rows or a 2-D integer array (as taken by
-    ``_modp_echelon``); always <= the rational rank."""
-    return len(_modp_echelon(int_rows, p)[1])
+    """Rank mod p of integer rows or a 2-D integer array (read by
+    ``_coerced``); always <= the rational rank."""
+    return len(_modp_echelon(_coerced(int_rows), p)[1])
 
 
 class RankStats:
     """How ``fast_int_rank`` settled one rank, plus the caller's build time.
 
-    ``shape`` is (rows, columns) of the matrix that reached elimination;
-    ``path`` is ``"modp-certified"`` (the rank mod p reached min(shape)),
-    ``"bareiss"`` (fraction-free fallback) or ``"prime-field"``.  A plain
+    ``shape`` is (rows, columns) after pruning; ``peeled`` counts the pivots
+    settled by peeling singletons.  ``path`` names what settled the rest:
+    ``"structural"`` (peeling settled the whole rank), ``"modp-certified"``
+    (the rank mod p of the remainder reached min of its shape), ``"bareiss"``
+    (fraction-free fallback on the remainder) or ``"prime-field"``.  A plain
     class: a dataclass would add about a millisecond to ``import cfl``.
     """
 
-    __slots__ = ("shape", "path", "build_s", "eliminate_s")
+    __slots__ = ("shape", "path", "peeled", "build_s", "eliminate_s")
 
     def __init__(self, shape=(0, 0), path="", build_s=0.0, eliminate_s=0.0):
-        self.shape, self.path = shape, path
+        self.shape, self.path, self.peeled = shape, path, 0
         self.build_s, self.eliminate_s = build_s, eliminate_s
 
 
-def _pruned(int_rows):
-    """The matrix without zero rows, repeated rows (first occurrences kept,
+def _pruned(rows):
+    """Coerced rows without zero rows, repeated rows (first occurrences kept,
     in order) and zero columns, none of which changes the rank.
 
-    A 2-D array stays an array; anything else becomes a list of tuples."""
-    if isinstance(int_rows, np.ndarray):
-        a = int_rows[int_rows.any(axis=1)]
+    A 2-D array stays an array, and is not copied when nothing drops;
+    rows stay a list of tuples."""
+    if isinstance(rows, np.ndarray):
+        a = rows
+        nonzero = a.any(axis=1)
+        if not nonzero.all():
+            a = a[nonzero]
         first = {}
         for i, row in enumerate(a):
             first.setdefault(row.tobytes(), i)
-        a = a[list(first.values())]
-        return a[:, a.any(axis=0)]
-    rows = list(dict.fromkeys(tuple(r) for r in int_rows if any(r)))
+        if len(first) < len(a):
+            a = a[list(first.values())]
+        live = a.any(axis=0)
+        return a if live.all() else a.take(np.flatnonzero(live), axis=1)
+    rows = list(dict.fromkeys(r for r in rows if any(r)))
     keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
     return [tuple(row[j] for j in keep) for row in rows]
 
 
-def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> int:
-    """Rank of an integer matrix (rows or a 2-D integer array) over ``ring``,
-    with a cheap certificate.
+def _live(a, p):
+    """Where a coerced matrix is nonzero, over the rationals (``p`` None) or
+    mod p, as a bool array."""
+    if not isinstance(a, np.ndarray):
+        return np.array([[v % p != 0 if p else v != 0 for v in row] for row in a],
+                        dtype=bool, ndmin=2)
+    if p is None or a.dtype == bool or -p < np.iinfo(a.dtype).min and np.iinfo(a.dtype).max < p:
+        return a != 0
+    return a.astype(np.int64) % p != 0  # int8 % 1000003 would overflow
 
-    Zero rows, repeated rows and zero columns are dropped first.  Over a
-    prime field the result is the rank mod p.  Over the rationals the rank
-    mod the fixed prime is a lower bound; if it matches min(rows, cols) the
-    exact rank is pinned without big-integer work, otherwise fraction-free
-    elimination over Python ints decides.  ``stats``, if given, records the
-    pruned shape, the path taken and the elimination time.
+
+def _peel(a, p):
+    """Settle the singleton lines of a pruned coerced matrix; returns
+    ``(peeled, rest)``.
+
+    A column with exactly one live entry is a pivot: removing it with the
+    row of that entry drops the rank by exactly 1, over any field in which
+    the entry is nonzero.  So is a row with one live entry, with its column.
+    Live means nonzero, or nonzero mod p when ``p`` is given.  Columns, then
+    rows, are peeled in turn until neither gives a singleton; several
+    singletons on one line remove it once.  Each round works on the
+    coordinates of the live entries, so it costs one ``bincount`` over them.
+    ``rest`` keeps the surviving rows and columns that still hold a live
+    entry; it is ``a`` itself when nothing peels.
+    """
+    shape = _shape(a)
+    if not min(shape):
+        return 0, a
+    # (row, column) of each live entry; a 2-D nonzero is ten times slower
+    coords = np.array(np.divmod(np.flatnonzero(_live(a, p)), shape[1]))
+    keep = (np.ones(shape[0], dtype=bool), np.ones(shape[1], dtype=bool))
+    peeled = idle = 0
+    axis = 1
+    while idle < 2:
+        line, partner = coords[axis], coords[1 - axis]
+        single = np.bincount(line, minlength=shape[axis])[line] == 1
+        if single.any():
+            keep[axis][line[single]] = False
+            # One pivot per line crossing a singleton, however many it crosses.
+            other = keep[1 - axis]
+            alive = np.count_nonzero(other)
+            other[partner[single]] = False
+            peeled += int(alive - np.count_nonzero(other))
+            coords = coords[:, keep[0][coords[0]] & keep[1][coords[1]]]
+            idle = 0
+        else:
+            idle += 1
+        axis = 1 - axis
+    if not peeled:
+        return 0, a
+    rows, cols = (np.flatnonzero(np.bincount(c, minlength=n)) for c, n in zip(coords, shape))
+    if isinstance(a, np.ndarray):
+        return peeled, a[np.ix_(rows, cols)]
+    cols = cols.tolist()
+    return peeled, [tuple(a[i][j] for j in cols) for i in rows.tolist()]
+
+
+def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> int:
+    """Rank of an integer matrix (rows or a 2-D integer array, read by
+    ``_coerced``) over ``ring``, with a certificate.
+
+    Zero rows, repeated rows and zero columns are dropped, then singletons
+    are peeled (``_peel``); each peeled pivot adds exactly 1.  Over a prime
+    field the rest is ranked mod p, and that is the answer.  Over the
+    rationals a full peel is exact.  Otherwise the rank of the rest mod the
+    fixed prime is a lower bound; if it matches min(rows, cols) of the rest
+    the rank is pinned without big-integer work, else fraction-free
+    elimination of the rest decides.  ``stats``, if given, records the
+    pruned shape, the peeled pivots, the path and the elimination time.
     """
     start = time.perf_counter()
-    a = _pruned(int_rows)
-    shape = (len(a), len(a[0]) if len(a) else 0)
+    a = _pruned(_coerced(int_rows))
+    peeled, rest = _peel(a, ring.p)
     if ring.p is not None:
-        path, r = "prime-field", modp_rank(a, ring.p)
+        path, r = "prime-field", modp_rank(rest, ring.p)
+    elif peeled and not len(rest):
+        path, r = "structural", 0
     else:
-        path, r = "modp-certified", modp_rank(a)
-        if r < min(shape):
-            rows = a.tolist() if isinstance(a, np.ndarray) else a
-            path, r = "bareiss", bareiss_rank_int(rows)
+        path, r = "modp-certified", modp_rank(rest)
+        if r < min(_shape(rest)):
+            path, r = "bareiss", bareiss_rank_int(rest)
     if stats is not None:
-        stats.shape, stats.path = shape, path
+        stats.shape, stats.path, stats.peeled = _shape(a), path, peeled
         stats.eliminate_s = time.perf_counter() - start
-    return r
+    return peeled + r

@@ -169,11 +169,11 @@ def test_rank_json_and_prime_ring(m3_file, capsys):
     timings = {key: blob.pop(key) for key in ("build_s", "eliminate_s")}
     assert blob == {"exact": False, "method": "theta", "points": 3,
                     "rank": 6, "ring": "p:1000003",
-                    "shape": [6, 6], "path": "prime-field"}
+                    "shape": [6, 6], "path": "prime-field", "peeled": 6}
     assert all(isinstance(v, float) and v >= 0 for v in timings.values())
     assert main(["rank", m3_file, "--points", "3", "--method", "gamma", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
-    assert blob["rank"] == 6 and blob["path"] == "modp-certified"
+    assert blob["rank"] == 6 and blob["path"] == "structural" and blob["peeled"] == 6
     assert blob["exact"] is True and min(blob["shape"]) == 6
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats,
-                       bareiss_rank_int, det_int, fast_int_rank, modp_rank,
+                       _modp_echelon, bareiss_rank_int, det_int, fast_int_rank, modp_rank,
                        parse_ring, subspace_equal)
 
 
@@ -235,6 +235,67 @@ def test_integer_kernels_refuse_non_integer_entries():
             kernel(rows)
 
 
+def test_every_kernel_reads_a_bool_array_as_its_integers():
+    b = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)  # determinant 2
+    assert bareiss_rank_int(b) == modp_rank(b) == fast_int_rank(b) == 3
+    assert det_int(b) == 2 and type(det_int(np.eye(2, dtype=bool))) is int
+    assert modp_rank(b, 2) == fast_int_rank(b, PrimeField(2)) == 2
+    assert all(kernel(np.eye(2, dtype=bool)) == 2
+               for kernel in (bareiss_rank_int, modp_rank, fast_int_rank))
+    # Rows are read entry by entry with operator.index, which numpy bools fail.
+    for kernel in (bareiss_rank_int, det_int, fast_int_rank, modp_rank):
+        with pytest.raises(TypeError):
+            kernel(list(b))
+
+
+def _echelon_mod_p(rows, p):
+    """Row echelon form mod p over Python ints, with the pivot rule of
+    ``_modp_echelon``: the first nonzero of the column, scaled to 1."""
+    m = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for k in range(r + 1, len(m)):
+            f = m[k][c]
+            m[k] = [(v - f * w) % p for v, w in zip(m[k], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def test_delayed_reduction_stays_exact_at_the_largest_prime():
+    # At p = 2^31 - 1 the bulk reduction comes every 2 pivots: two updates of
+    # (p - 1)^2 fit in int64, three do not.  L U with every off-diagonal
+    # entry -1 makes each multiplier and each pivot-row entry p - 1, so the
+    # last two entries of the fourth row take three updates of exactly
+    # (p - 1)^2 each.  The zero last row of U makes the rank 3, so a wrapped
+    # entry would also show as a fourth pivot.
+    p = 2 ** 31 - 1
+    n = 4
+    lower = [[1 if i == k else -1 if k < i else 0 for k in range(n)] for i in range(n)]
+    upper = [[int(k == j) or -(k < j) for j in range(n + 1)] for k in range(n - 1)]
+    upper.append([0] * (n + 1))
+    rows = [[sum(lower[i][k] * upper[k][j] for k in range(n)) % p for j in range(n + 1)]
+            for i in range(n)]
+    want = _echelon_mod_p(rows, p)
+    assert len(want[1]) == n - 1
+    for given in (rows, np.array(rows, dtype=np.int64)):
+        echelon, pivots = _modp_echelon(given, p)
+        assert (echelon.tolist(), pivots) == want
+        assert modp_rank(given, p) == fast_int_rank(given, PrimeField(p)) == n - 1
+    rng = random.Random(31)
+    for size in (6, 12):
+        rows = [[p - rng.randint(1, 9) for _ in range(size)] for _ in range(size - 1)]
+        rows.append([sum(r[j] for r in rows[:3]) for j in range(size)])
+        echelon, pivots = _modp_echelon(rows, p)
+        assert (echelon.tolist(), pivots) == _echelon_mod_p(rows, p)
+
+
 def _deficient(draw_rows, combos):
     # Append integer combinations of the drawn rows, so the rank stays below
     # the row count and the fraction-free fallback has to decide.
@@ -274,6 +335,88 @@ def test_fast_int_rank_prunes_arrays_like_lists():
                       np.array([[2 ** 70, 1]], dtype=object)):
         with pytest.raises(TypeError):
             fast_int_rank(not_int64)
+
+
+# Peeling.  Blocks of four kinds are laid on the diagonal and the rows and
+# columns shuffled: triangular blocks peel completely from a row or a column
+# singleton; rank-deficient dense blocks leave a remainder for the mod-p rank
+# and the fraction-free fallback; a line whose one entry is a multiple of a
+# prime peels over the rationals and must not peel over that field; and a
+# one-entry block holds a prime itself.
+_PRIMES = (2, 5, DEFAULT_PRIME)
+_prime_multiples = st.sampled_from([2, 5, 10, DEFAULT_PRIME, 2 * DEFAULT_PRIME])
+
+
+def _triangular(diagonal, above, transpose):
+    n = len(diagonal)
+    block = [[diagonal[i] if i == j else above[(i * n + j) % len(above)] if i < j else 0
+              for j in range(n)] for i in range(n)]
+    return [list(col) for col in zip(*block)] if transpose else block
+
+
+def _dead_mod_p(q, tail):
+    # Column 0 holds q alone; over F_p for p | q the row is just the tail.
+    return [[q] + tail, [0] + [v + 1 for v in tail]]
+
+
+_peel_blocks = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.builds(
+        _triangular,
+        st.lists(st.one_of(st.integers(1, 3), st.integers(-3, -1), _prime_multiples),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=6), st.booleans())),
+    st.builds(_deficient,
+              st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                       min_size=1, max_size=3),
+              st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                                 st.integers(0, 2), st.integers(0, 2)),
+                       min_size=1, max_size=2)),
+    st.builds(_dead_mod_p, _prime_multiples,
+              st.lists(st.integers(-2, 2), min_size=1, max_size=3)),
+    _prime_multiples.map(lambda q: [[q]]),
+)
+
+
+def _diagonal_shuffled(blocks, seed):
+    width = sum(len(b[0]) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(row) + [0] * (width - at - len(row)) for row in b]
+        at += len(b[0])
+    rng = random.Random(seed)
+    rng.shuffle(rows)
+    cols = list(range(width))
+    rng.shuffle(cols)
+    return [[row[j] for j in cols] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(_diagonal_shuffled, st.lists(_peel_blocks, min_size=1, max_size=5),
+                 st.integers(0, 2 ** 16)))
+def test_peeling_agrees_with_whole_eliminations(rows):
+    want = bareiss_rank_int(rows)
+    assert fast_int_rank(rows) == fast_int_rank(np.array(rows, dtype=np.int64)) == want
+    for p in _PRIMES:
+        field = PrimeField(p)
+        want = modp_rank(rows, p)
+        assert fast_int_rank(rows, field) == fast_int_rank(np.array(rows), field) == want
+
+
+def test_peeling_settles_what_it_can_and_leaves_the_rest():
+    p = 5
+    stats = RankStats()
+    # column 0 holds p alone: it peels over the rationals, and is zero mod p
+    assert fast_int_rank([[p, 1], [0, 1]], stats=stats) == 2
+    assert stats.path == "structural" and stats.peeled == 2
+    assert fast_int_rank([[p, 1], [0, 1]], PrimeField(p), stats) == 1
+    assert stats.path == "prime-field" and stats.peeled == 1
+    # the singleton 7 peels; the deficient rest goes to the fallback
+    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 7]]
+    assert fast_int_rank(rows, stats=stats) == 2
+    assert stats.path == "bareiss" and stats.peeled == 1 and stats.shape == (3, 3)
+    # two singleton columns on one row remove that row once
+    assert fast_int_rank([[1, 1, 1], [0, 0, 1]], stats=stats) == 2
+    assert stats.path == "structural" and stats.peeled == 2
 
 
 def test_fractions_over_a_prime_field_are_cleared_not_truncated():

@@ -425,10 +425,23 @@ def test_one_point_lattice_rank_is_one():
 ])
 def test_large_ranks_are_certified_mod_p(named, name, rank_fn, points, cap, want):
     # The largest systems cfl ranks routinely; each one is full rank after
-    # pruning, so the mod-p elimination alone must settle it.
+    # pruning.  chain3's has no singleton line, so the mod-p elimination alone
+    # must settle it; the others peel to nothing.
     stats = RankStats()
     assert rank_fn(named[name], points, cap=cap, stats=stats) == want
-    assert stats.path == "modp-certified"
+    if name == "chain3":
+        assert stats.path == "modp-certified" and stats.peeled == 0
+    else:
+        assert stats.path == "structural" and stats.peeled == want
+
+
+def test_b2_theta_seven_is_settled_by_peeling(named):
+    # A 12138 x 12138 system, which mod-p elimination alone took minutes to
+    # rank: every pivot is a singleton line, found in about a second.
+    stats = RankStats()
+    assert theta_rank(named["b2"], 7, stats=stats) == 12138
+    assert stats.path == "structural" and stats.peeled == 12138
+    assert stats.shape == (12138, 12138)
 
 
 def test_per_lattice_caches_stay_bounded():

@@ -106,14 +106,15 @@ def test_rank_stats_report_the_pruned_system():
     stats = RankStats()
     assert theta_rank(chain(2), 3, stats=stats) == 12
     assert stats.path == "modp-certified" and stats.shape == (12, 12)
+    assert stats.peeled == 0
     assert stats.build_s >= 0 and stats.eliminate_s >= 0
     stats = RankStats()
     assert gamma_span_rank(chain(2), 3, PrimeField(7), stats=stats) == 12
-    assert stats.path == "prime-field"
+    assert stats.path == "prime-field" and stats.peeled == 12
     stats = RankStats()
     deficient = np.array([[1, 2, 3, 0], [2, 4, 6, 0], [1, 1, 1, 0], [1, 1, 1, 0]])
     assert fast_int_rank(deficient, stats=stats) == 2
-    assert stats.path == "bareiss" and stats.shape == (3, 3)
+    assert stats.path == "bareiss" and stats.shape == (3, 3) and stats.peeled == 0
 
 
 def test_gamma_entries_never_overflow_the_build_dtype():
