@@ -10,10 +10,9 @@ bottom, its top, and an arbitrary order on the remaining elements.
 from __future__ import annotations
 
 import functools
-import itertools
 
-from .lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
-                       ideal_lattice, lattice_from_leq)
+from .lattices import (CapExceeded, Lattice, LatticeError, Poset, _bits,
+                       _lower_ideal_masks, chain, ideal_lattice, lattice_from_leq)
 from .relations import Correspondence
 
 ENUMERATION_CAP = 6
@@ -51,44 +50,26 @@ def named_lattices() -> dict:
 
 
 def enumerate_posets(k: int):
-    """All labeled posets on ``k`` points, as Poset values.
+    """All labeled posets on ``k`` points, sorted by their strict down-sets.
 
-    Scans strict down-set vectors and keeps the transitive ones; the closure
-    condition also rules out two-cycles, so no separate antisymmetry check
-    is needed.
+    One-point extension (Brinkmann & McKay, Order 19, 2002): each is exactly
+    one poset on the first ``k - 1`` points plus a last point whose strict
+    down-set D is a lower ideal and whose strict up-set U is an upper ideal,
+    disjoint from D and above every element of it.
     """
     if k == 0:
-        return [Poset(Correspondence.identity(0))]
-    choices = []
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        subsets = []
-        for picks in itertools.chain.from_iterable(
-                itertools.combinations(others, r) for r in range(k)):
-            mask = 0
-            for j in picks:
-                mask |= 1 << j
-            subsets.append(mask)
-        subsets.sort()
-        choices.append(subsets)
+        return [Poset.antichain(0)]
+    last = 1 << (k - 1)
     out = []
-    for down in itertools.product(*choices):
-        ok = True
-        for i in range(k):
-            di = down[i]
-            m = di
-            while m:
-                low = m & -m
-                if down[low.bit_length() - 1] & ~di:
-                    ok = False
-                    break
-                m ^= low
-            if not ok:
-                break
-        if ok:
-            rows = tuple((1 << a) | sum(1 << b for b in range(k) if down[b] >> a & 1)
-                         for a in range(k))
-            out.append(Poset(Correspondence(k, k, rows)))
+    for p in enumerate_posets(k - 1):
+        ups = _lower_ideal_masks(p.up, p.down, k - 1)
+        for d in _lower_ideal_masks(p.down, p.up, k - 1):
+            above = functools.reduce(int.__and__, (p.up[a] for a in _bits(d)), last - 1)
+            rows = [p.up[a] | (last if d >> a & 1 else 0) for a in range(k - 1)]
+            for u in ups:
+                if u & ~above == 0 and not u & d:
+                    out.append(Poset._trusted(Correspondence(k, k, rows + [last | u])))
+    out.sort(key=lambda p: p.down)
     return out
 
 
@@ -103,24 +84,20 @@ def enumerate_lattices(max_n: int):
         raise CapExceeded(f"lattice enumeration capped at {ENUMERATION_CAP} elements")
     if max_n >= 1:
         yield lattice_from_leq(1, [])
-    middle_cache = {}
     for n in range(2, max_n + 1):
-        k = n - 2
-        if k not in middle_cache:
-            middle_cache[k] = enumerate_posets(k)
+        middles = enumerate_posets(n - 2)
         for bottom in range(n):
             for top in range(n):
                 if top == bottom:
                     continue
                 rest = [e for e in range(n) if e not in (bottom, top)]
-                for mid in middle_cache[k]:
-                    pairs = [(bottom, e) for e in range(n) if e != bottom]
-                    pairs += [(e, top) for e in range(n) if e != top]
-                    pairs += [(rest[i], rest[j])
-                              for i in range(k) for j in range(k)
-                              if i != j and mid.le(i, j)]
+                for mid in middles:
+                    rows = [1 << top] * n
+                    rows[bottom] = (1 << n) - 1
+                    for i, e in enumerate(rest):
+                        rows[e] |= sum(1 << rest[j] for j in _bits(mid.up[i]))
                     try:
-                        yield lattice_from_leq(n, pairs)
+                        yield Lattice.from_poset(Poset._trusted(Correspondence(n, n, rows)))
                     except LatticeError:
                         continue
 

@@ -192,14 +192,18 @@ def _coerced(int_rows):
     and object arrays raise TypeError: their values need not be int64
     integers.  Anything else is rows, returned as tuples of Python ints by
     ``operator.index``, so big integers stay exact and a ``Fraction``, a
-    float or a numpy bool entry raises TypeError.
+    float or a numpy bool entry raises TypeError.  Rows of unequal length
+    raise ValueError.
     """
     if isinstance(int_rows, np.ndarray):
         if int_rows.ndim != 2 or not np.can_cast(int_rows.dtype, np.int64):
             raise TypeError(f"expected a 2-D array of int64-castable integers, "
                             f"got {int_rows.dtype} of shape {int_rows.shape}")
         return int_rows
-    return [tuple(map(operator.index, row)) for row in int_rows]
+    rows = [tuple(map(operator.index, row)) for row in int_rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"rows of unequal length: {[len(row) for row in rows]}")
+    return rows
 
 
 def _shape(a):

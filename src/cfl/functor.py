@@ -42,10 +42,10 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import RATIONALS, RankStats, fast_int_rank, subspace_equal
-from .lattices import (CACHE_SIZE, CapExceeded, Lattice, _bits, ideal_lattice,
-                       irreducibles, mobius, r_of)
+from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
+                       ideal_lattice, irreducibles, mobius, r_of)
 from .morphisms import LinMorphism
-from .relations import Correspondence, all_permutations, order_flags
+from .relations import Correspondence, all_permutations
 
 DEFAULT_FUNCTION_CAP = 20000
 
@@ -291,14 +291,14 @@ def h_quotient_basis(lattice: Lattice, points: int):
     return np.flatnonzero(_covering(_digits(lattice.n, points), data.elems)).tolist()
 
 
-def retraction_exists(r: Correspondence, s: Correspondence) -> bool:
-    """Whether some correspondence pulls ``s`` back onto the order ``r``.
+def retraction_exists(order: Poset, s: Correspondence) -> bool:
+    """Whether some correspondence pulls ``s`` back onto the relation of
+    ``order``.
 
-    ``s`` must already absorb ``r`` on the right.  Row by row, the union of
-    all rows of ``s`` contained in the target row is the largest candidate,
-    so feasibility reduces to one union per element."""
-    if not order_flags(r).is_order:
-        raise ValueError("r must be an order relation")
+    ``s`` must already absorb the order on the right.  Row by row, the union
+    of all rows of ``s`` contained in the target row is the largest
+    candidate, so feasibility reduces to one union per element."""
+    r = order.leq
     if s.src_size != r.dst_size:
         raise ValueError("s must target the ordered set")
     if s.compose(r) != s:
@@ -675,16 +675,14 @@ class FundElement:
         return "FundElement(" + " + ".join(parts or ["0"]) + ")"
 
 
-def fund_act(q: Correspondence, v: FundElement, r: Correspondence) -> FundElement:
+def fund_act(q: Correspondence, v: FundElement, order: Poset) -> FundElement:
     """Action of a relation on the permutation module attached to an order.
 
     A basis permutation survives exactly when some (then unique) permutation
     squeezes the relation between the diagonal and the conjugated order; the
     basis element is then moved by that permutation."""
-    if not order_flags(r).is_order:
-        raise ValueError("r must be an order relation")
     e = v.e_size
-    if q.dst_size != e or q.src_size != e or r.dst_size != e:
+    if q.dst_size != e or q.src_size != e or order.n != e:
         raise ValueError("size mismatch")
     basis = perm_basis(e)
     taus = [(p.images, p.inverse().images) for p in all_permutations(e)]
@@ -705,7 +703,7 @@ def fund_act(q: Correspondence, v: FundElement, r: Correspondence) -> FundElemen
                 row = q.rows[y]
                 ty = sigma_inv[tau_inv[y]]
                 for x in _bits(row):
-                    if not r.rows[ty] >> sigma_inv[x] & 1:
+                    if not order.up[ty] >> sigma_inv[x] & 1:
                         ok = False
                         break
                 if not ok:
@@ -719,14 +717,12 @@ def fund_act(q: Correspondence, v: FundElement, r: Correspondence) -> FundElemen
     return out
 
 
-def fixed_rank(target: Lattice, r: Correspondence) -> int:
+def fixed_rank(target: Lattice, order: Poset) -> int:
     """Rank of the idempotent action of the opposite order on functions from
     the ordered set into ``target``: the number of fixed basis functions."""
-    if not order_flags(r).is_order:
-        raise ValueError("r must be an order relation")
-    rop = r.opposite()
+    rop = order.leq.opposite()
     count = 0
-    for f in all_functions(target, r.dst_size):
+    for f in all_functions(target, order.n):
         if act(rop, f) == f:
             count += 1
     return count

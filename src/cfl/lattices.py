@@ -60,7 +60,11 @@ class CapExceeded(ValueError):
 
 
 class Poset:
-    """A finite poset: element count plus the ``a <= b`` relation."""
+    """A finite poset: element count plus the ``a <= b`` relation.
+
+    The type is the order guarantee.  ``Poset(leq)`` checks the axioms on an
+    order from outside; an order derived from another order is built by the
+    unchecked ``_trusted``, and code that takes a ``Poset`` checks nothing."""
 
     __slots__ = ("n", "leq", "up", "down", "_hash")
 
@@ -75,28 +79,40 @@ class Poset:
         self._hash = hash(leq)
 
     @classmethod
+    def _trusted(cls, leq: Correspondence) -> "Poset":
+        """A poset from a relation known to be an order; no checks."""
+        p = object.__new__(cls)
+        p.n = leq.dst_size
+        p.leq = leq
+        p.up = leq.rows
+        p.down = leq.opposite().rows
+        p._hash = hash(leq)
+        return p
+
+    @classmethod
     def from_pairs(cls, n: int, pairs) -> "Poset":
         rel = reflexive_transitive_closure(Correspondence.from_pairs(n, n, pairs))
         _check_antisymmetric(rel)
-        return cls(rel)
+        return cls._trusted(rel)
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
-        return cls(Correspondence.identity(n))
+        return cls._trusted(Correspondence.identity(n))
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 
     def opposite(self) -> "Poset":
-        return Poset(self.leq.opposite())
+        return Poset._trusted(self.leq.opposite())
 
     def restrict(self, elements) -> "Poset":
-        """Full subposet on the given elements, reindexed in list order."""
+        """Full subposet on the given distinct elements, reindexed in list order."""
         elements = list(elements)
-        pairs = [(i, j)
-                 for i, a in enumerate(elements)
-                 for j, b in enumerate(elements) if self.le(a, b)]
-        return Poset(Correspondence.from_pairs(len(elements), len(elements), pairs))
+        if len(set(elements)) != len(elements):
+            raise ValueError(f"repeated element in {elements!r}")
+        rows = [sum(1 << j for j, b in enumerate(elements) if self.le(a, b))
+                for a in elements]
+        return Poset._trusted(Correspondence(len(elements), len(elements), rows))
 
     def __eq__(self, other):
         if self is other:
@@ -120,13 +136,14 @@ def _check_antisymmetric(rel: Correspondence) -> None:
                 raise NotAntisymmetric(a, b)
 
 
-def _least_of(poset: Poset, mask: int):
-    """The least element of the masked subset, or None."""
+def _least_of(up, mask: int):
+    """The least element of the masked subset, or None: the member whose
+    up-set ``up[u]`` covers the mask.  Given down-sets, the greatest."""
     m = mask
     while m:
         low = m & -m
         u = low.bit_length() - 1
-        if mask & ~poset.up[u] == 0:
+        if mask & ~up[u] == 0:
             return u
         m ^= low
     return None
@@ -153,15 +170,14 @@ class Lattice:
             raise LatticeError("a lattice needs at least one element")
         join = [[0] * n for _ in range(n)]
         meet = [[0] * n for _ in range(n)]
-        opp = poset.opposite()
         # Scan (0,1), (0,2), (1,2), (0,3), ... so the reported witness pair
         # involves the smallest possible elements.
         for b in range(n):
             for a in range(b + 1):
-                j = _least_of(poset, poset.up[a] & poset.up[b])
+                j = _least_of(poset.up, poset.up[a] & poset.up[b])
                 if j is None:
                     raise NoJoin(a, b)
-                m = _least_of(opp, poset.down[a] & poset.down[b])
+                m = _least_of(poset.down, poset.down[a] & poset.down[b])
                 if m is None:
                     raise NoMeet(a, b)
                 join[a][b] = join[b][a] = j
@@ -265,7 +281,7 @@ def _lattice_of_masks(masks) -> Lattice:
     index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
     pairs = [(i, j) for i in range(k) for j in range(k) if masks[i] & ~masks[j] == 0]
-    poset = Poset(Correspondence.from_pairs(k, k, pairs))
+    poset = Poset._trusted(Correspondence.from_pairs(k, k, pairs))
     join = [[index[a | b] for b in masks] for a in masks]
     meet = [[index[a & b] for b in masks] for a in masks]
     return Lattice(poset, join, meet, index[masks[0]], index[masks[-1]])

@@ -1,9 +1,43 @@
+import hashlib
+import itertools
+
 import pytest
 
 from cfl.catalog import (catalog_entries, enumerate_lattices, enumerate_posets,
                          named_lattices, product_lattice)
-from cfl.lattices import (CapExceeded, Lattice, LatticeError, chain,
+from cfl.lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
                           is_distributive, lattices_isomorphic)
+from cfl.relations import Correspondence
+
+# (entries, sha256 of their (name, size, leq rows) reprs) of
+# catalog_entries(exhaustive_max=6): the x<n>.<i> names and the lattices
+# behind them must not shift.
+EXHAUSTIVE_CATALOG = (
+    6827, "1241620ac8123e6043a4d67466bd30ccb631589151d2a80639af1e53fc8abf22")
+
+
+def _scan_posets(k):
+    """The oracle: every vector of strict down-sets, in ``itertools.product``
+    order, kept when it is transitive; the closure condition also rules out
+    two-cycles.  Returns the order relations."""
+    if k == 0:
+        return [Correspondence.identity(0)]
+    choices = []
+    for i in range(k):
+        others = [j for j in range(k) if j != i]
+        subsets = []
+        for picks in itertools.chain.from_iterable(
+                itertools.combinations(others, r) for r in range(k)):
+            subsets.append(sum(1 << j for j in picks))
+        choices.append(sorted(subsets))
+    out = []
+    for down in itertools.product(*choices):
+        if all(down[j] & ~down[i] == 0
+               for i in range(k) for j in range(k) if down[i] >> j & 1):
+            rows = [(1 << a) | sum(1 << b for b in range(k) if down[b] >> a & 1)
+                    for a in range(k)]
+            out.append(Correspondence(k, k, rows))
+    return out
 
 
 def test_named_catalog_shapes():
@@ -33,7 +67,14 @@ def test_product_lattice():
 
 
 def test_poset_counts():
-    assert [len(enumerate_posets(k)) for k in range(5)] == [1, 1, 3, 19, 219]
+    assert [len(enumerate_posets(k)) for k in range(6)] == [1, 1, 3, 19, 219, 4231]
+
+
+def test_enumerate_posets_matches_the_scan():
+    for k in range(6):
+        posets = enumerate_posets(k)
+        assert [p.leq for p in posets] == _scan_posets(k)
+        assert all(p == Poset(p.leq) and p.down == Poset(p.leq).down for p in posets)
 
 
 def test_enumerate_smallest():
@@ -71,6 +112,13 @@ def test_enumeration_recount_at_five():
             pass
     fast = sum(1 for lat in enumerate_lattices(5) if lat.n == 5)
     assert fast == brute
+
+
+def test_exhaustive_catalog_is_pinned():
+    entries = catalog_entries(exhaustive_max=6)
+    blob = "\n".join(repr((name, lat.n, lat.poset.leq.rows))
+                      for name, lat in entries).encode()
+    assert (len(entries), hashlib.sha256(blob).hexdigest()) == EXHAUSTIVE_CATALOG
 
 
 def test_enumeration_cap():

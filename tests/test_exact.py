@@ -235,6 +235,14 @@ def test_integer_kernels_refuse_non_integer_entries():
             kernel(rows)
 
 
+def test_integer_kernels_refuse_ragged_rows():
+    # zip over the columns used to truncate these to rank 1
+    for rows in ([[1], [0, 1]], [[0, 0], [0, 1, 5]], [[1, 2], [3]]):
+        for kernel in (fast_int_rank, modp_rank, bareiss_rank_int, det_int):
+            with pytest.raises(ValueError, match="unequal length"):
+                kernel(rows)
+
+
 def test_every_kernel_reads_a_bool_array_as_its_integers():
     b = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)  # determinant 2
     assert bareiss_rank_int(b) == modp_rank(b) == fast_int_rank(b) == 3

@@ -16,8 +16,9 @@ from cfl.functor import (FundElement, LatticeFunction, ModVec, _decode, act, act
                          pairing_matrix, perm_basis, retraction_exists,
                          star_act, star_act_mod, theta_condition_tables,
                          theta_conditions, theta_matrix, theta_rank, total_rank_formula)
-from cfl.lattices import (CACHE_SIZE, CapExceeded, chain, ideal_lattice, irreducibles,
-                          join_maps, lattice_from_json, mobius)
+from cfl.lattices import (CACHE_SIZE, CapExceeded, LatticeError, Poset, chain,
+                          ideal_lattice, irreducibles, join_maps, lattice_from_json,
+                          mobius)
 from cfl.morphisms import LinMorphism, beta
 from cfl.relations import Correspondence
 
@@ -138,18 +139,17 @@ def test_h_quotient_basis_examples(named):
 def test_retraction_examples():
     anti2 = enumerate_posets(2)[0]
     assert sorted(anti2.leq.pairs()) == [(0, 0), (1, 1)]
-    r = anti2.leq
-    assert retraction_exists(r, r)  # S = R retracts via U = R
+    assert retraction_exists(anti2, anti2.leq)  # S = R retracts via U = R
     full_column = Correspondence.full(1, 2)
-    assert not retraction_exists(r, full_column)
+    assert not retraction_exists(anti2, full_column)
     chain_p = chain(1).poset
     with pytest.raises(ValueError):
-        retraction_exists(chain_p.leq, Correspondence.from_pairs(1, 2, [(0, 0)]))
+        retraction_exists(chain_p, Correspondence.from_pairs(1, 2, [(0, 0)]))
     s = Correspondence.from_pairs(1, 2, [(0, 0), (0, 1)])
-    assert retraction_exists(chain_p.leq, s) is False
+    assert retraction_exists(chain_p, s) is False
     # rows {0,1} and {1}: both principal upper ideals appear
     s_good = Correspondence(2, 2, [0b11, 0b10])
-    assert retraction_exists(chain_p.leq, s_good)
+    assert retraction_exists(chain_p, s_good)
 
 
 def test_retraction_matches_brute_force():
@@ -160,7 +160,7 @@ def test_retraction_matches_brute_force():
                 s = Correspondence(x, 2, [enc[v] for v in f.values])
                 brute = any(Correspondence(2, x, rows) @ s == p.leq
                             for rows in itertools.product(range(1 << x), repeat=2))
-                assert retraction_exists(p.leq, s) == brute
+                assert retraction_exists(p, s) == brute
 
 
 def test_theta_rank_on_chains():
@@ -363,7 +363,7 @@ def test_orth_check_fails_without_the_dual_copy(monkeypatch, ring):
 
 def test_fund_act_examples():
     ident = Correspondence.identity(2)
-    r_delta = Correspondence.identity(2)
+    r_delta = Poset.antichain(2)
     v = FundElement.basis_vector(2, (0, 1))
     assert fund_act(ident, v, r_delta) == v
     full = Correspondence.full(2, 2)
@@ -382,18 +382,19 @@ def test_fund_act_respects_composition():
         q1 = Correspondence(3, 3, [rng.getrandbits(3) for _ in range(3)])
         q2 = Correspondence(3, 3, [rng.getrandbits(3) for _ in range(3)])
         v = FundElement.basis_vector(3, rng.choice(perm_basis(3)))
-        assert fund_act(q1 @ q2, v, p.leq) == fund_act(q1, fund_act(q2, v, p.leq), p.leq)
+        assert fund_act(q1 @ q2, v, p) == fund_act(q1, fund_act(q2, v, p), p)
 
 
 def test_fund_act_requires_an_order():
-    with pytest.raises(ValueError):
-        fund_act(Correspondence.identity(2), FundElement(2), Correspondence.full(2, 2))
+    # fund_act takes a Poset, and only an order makes one
+    with pytest.raises(LatticeError):
+        Poset(Correspondence.full(2, 2))
 
 
 def test_fixed_rank_examples():
     one_point = enumerate_posets(1)[0]
-    assert fixed_rank(chain(1), one_point.leq) == 2
-    assert fixed_rank(chain(2), one_point.leq) == 3
+    assert fixed_rank(chain(1), one_point) == 2
+    assert fixed_rank(chain(2), one_point) == 3
 
 
 def test_fixed_rank_counts_join_maps(named):
@@ -401,7 +402,7 @@ def test_fixed_rank_counts_join_maps(named):
     for p in enumerate_posets(2):
         idl, _ = ideal_lattice(p, "lower")
         for target in targets:
-            assert fixed_rank(target, p.leq) == len(join_maps(idl, target))
+            assert fixed_rank(target, p) == len(join_maps(idl, target))
 
 
 def test_total_rank_formula_examples():

@@ -11,6 +11,7 @@ from cfl.lattices import (BottomNotPreserved, CapExceeded, JoinMap, Lattice,
                           join_maps, lattice_from_json, lattice_from_leq,
                           lattice_to_json, lattices_isomorphic, mobius,
                           posets_isomorphic, principal_embed, r_of)
+from cfl.relations import Correspondence
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,35 @@ def test_ideal_lattice_direction():
     assert up_enc == dn_enc and up_lat == dn_lat
     with pytest.raises(ValueError):
         ideal_lattice(p, "sideways")
+
+
+def _assert_same_poset(trusted, validated):
+    assert trusted == validated and hash(trusted) == hash(validated)
+    assert (trusted.n, trusted.up, trusted.down) == (validated.n, validated.up,
+                                                    validated.down)
+
+
+def test_trusted_builds_equal_validated_ones():
+    for n in range(5):
+        _assert_same_poset(Poset.antichain(n), Poset(Correspondence.identity(n)))
+    for p in enumerate_posets(4):
+        _assert_same_poset(p.opposite(), Poset(p.leq.opposite()))
+        strict = [(a, b) for a, b in p.leq.pairs() if a != b]
+        _assert_same_poset(Poset.from_pairs(4, strict), Poset(p.leq))
+        for elements in ([3, 1, 0, 2], [2, 0], [1], []):
+            pairs = [(i, j) for i, a in enumerate(elements)
+                     for j, b in enumerate(elements) if p.le(a, b)]
+            k = len(elements)
+            _assert_same_poset(p.restrict(elements),
+                               Poset(Correspondence.from_pairs(k, k, pairs)))
+        for direction in ("lower", "upper"):
+            ideals = ideal_lattice(p, direction)[0].poset
+            _assert_same_poset(ideals, Poset(ideals.leq))
+
+
+def test_restrict_refuses_a_repeated_element():
+    with pytest.raises(ValueError, match="repeated"):
+        chain(2).poset.restrict([0, 0])
 
 
 def test_ideal_masks_match_the_subset_scan():
