@@ -142,6 +142,7 @@ def _cmd_rank(args):
                           "exact": ring.exact,
                           "shape": stats.shape and list(stats.shape),
                           "path": stats.path, "peeled": stats.peeled,
+                          "prime": stats.prime,
                           "build_s": round(stats.build_s, 6),
                           "eliminate_s": round(stats.eliminate_s, 6)},
                          sort_keys=True))

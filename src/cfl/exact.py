@@ -18,16 +18,23 @@ update subtracts at most (p - 1)^2, and the trailing block is reduced only
 every ``(2^63 - 1 - p) // (p - 1)^2`` pivots, about 9.2 million at the default
 prime and 2 at ``2^31 - 1``.
 
-``fast_int_rank`` is the one rank entry point, for both rings.  It drops
-zero rows, repeated rows and zero columns, then peels singletons: a column or
-row with one live entry (nonzero over the rationals, nonzero mod p over
-``F_p``) is a pivot, removed with the line crossing it, and adds exactly 1 to
-the rank.  Peeling repeats until no singleton is left, working on the
-coordinates of the live entries.  The rest, if any, is ranked mod p.  Over
-``F_p`` that is the answer.  Over the rationals it is a lower bound, which
-pins the rank when it reaches the row or column count of the rest; otherwise
-Bareiss decides on the rest.  A ``RankStats`` record, if passed, reports the
-pruned shape, the peeled pivots and the path that settled the rank.
+A third elimination returns only a rank: ``_f2_rank``, mod 2, with each row
+packed 64 columns to a ``uint64`` word, so a row update is one XOR per word.
+``modp_rank(rows, 2)`` is that kernel, so ``PrimeField(2)`` ranks with it.
+
+``fast_int_rank`` is the one rank entry point, for both rings.  Its cascade
+is prune, peel, mod 2, mod p, Bareiss.  It drops zero rows, repeated rows and
+zero columns, then peels singletons: a column or row with one live entry
+(nonzero over the rationals, nonzero mod p over ``F_p``) is a pivot, removed
+with the line crossing it, and adds exactly 1 to the rank.  Peeling repeats
+until no singleton is left, working on the coordinates of the live entries.
+Over ``F_p`` the rest, if any, is ranked mod p, and that is the answer.  Over
+the rationals a rank of the rest mod any prime is a lower bound, which pins
+the rank when it reaches the row or column count of the rest.  The mod-2 rank
+tries first, and gives up once too many columns lack a pivot for it to get
+there; then the rank mod ``DEFAULT_PRIME`` tries; otherwise Bareiss decides
+on the rest.  A ``RankStats`` record, if passed, reports the pruned shape,
+the peeled pivots, the path and the prime that settled the rank.
 
 ``ExactMatrix`` stores cleared rows; its nullspace back-substitutes one
 vector per free column through the echelon rows (``Fraction`` division over
@@ -329,10 +336,55 @@ def _modp_echelon(rows, p: int):
     return a[:len(pivots)], pivots
 
 
+def _f2_rank(rows, give_up=None):
+    """Rank mod 2 of coerced rows (``_coerced``), bit-packed 64 columns to a
+    word; ``None`` once more than ``give_up`` columns (if given) have no pivot.
+
+    Each row's parities are packed straight from its entries, ``& 1`` on an
+    integer array or a Python int (two's complement parity for negatives),
+    so no wider copy is made.  Columns are taken word by word, and within a
+    word bit by bit, so every row below the pivots is zero in the words
+    before the current one.  At each pivot one masked scan of that word
+    column finds the rows it hits, and each takes one XOR of the pivot row
+    from that word on.
+    """
+    if isinstance(rows, np.ndarray):
+        bits = rows if rows.dtype == bool else rows & 1
+    else:
+        bits = np.array([[v & 1 for v in row] for row in rows], dtype=np.uint8, ndmin=2)
+    nr, nc = bits.shape
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((nr, -(-nc // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view("<u8")  # column 64 w + b is bit b of word w on any host
+    masks = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    r = missed = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        w = c >> 6
+        nz = np.flatnonzero(words[r:, w] & masks[c & 63])
+        if nz.size == 0:
+            missed += 1
+            if give_up is not None and missed > give_up:
+                return None
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            words[[r, i], w:] = words[[i, r], w:]
+        if nz.size > 1:
+            words[r + nz[1:], w:] ^= words[r, w:]
+        r += 1
+    return r
+
+
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
     """Rank mod p of integer rows or a 2-D integer array (read by
-    ``_coerced``); always <= the rational rank."""
-    return len(_modp_echelon(_coerced(int_rows), p)[1])
+    ``_coerced``); always <= the rational rank.  Mod 2 it is ``_f2_rank``."""
+    rows = _coerced(int_rows)
+    if p == 2:
+        return _f2_rank(rows)
+    return len(_modp_echelon(rows, p)[1])
 
 
 class RankStats:
@@ -342,14 +394,17 @@ class RankStats:
     settled by peeling singletons.  ``path`` names what settled the rest:
     ``"structural"`` (peeling settled the whole rank), ``"modp-certified"``
     (the rank mod p of the remainder reached min of its shape), ``"bareiss"``
-    (fraction-free fallback on the remainder) or ``"prime-field"``.  A plain
-    class: a dataclass would add about a millisecond to ``import cfl``.
+    (fraction-free fallback on the remainder) or ``"prime-field"``.
+    ``prime`` is the prime whose elimination settled the remainder: 2 or
+    ``DEFAULT_PRIME`` on ``"modp-certified"``, the ring's p on
+    ``"prime-field"``, ``None`` otherwise.  A plain class: a dataclass would
+    add about a millisecond to ``import cfl``.
     """
 
-    __slots__ = ("shape", "path", "peeled", "build_s", "eliminate_s")
+    __slots__ = ("shape", "path", "peeled", "prime", "build_s", "eliminate_s")
 
     def __init__(self, shape=(0, 0), path="", build_s=0.0, eliminate_s=0.0):
-        self.shape, self.path, self.peeled = shape, path, 0
+        self.shape, self.path, self.peeled, self.prime = shape, path, 0, None
         self.build_s, self.eliminate_s = build_s, eliminate_s
 
 
@@ -437,27 +492,35 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
     """Rank of an integer matrix (rows or a 2-D integer array, read by
     ``_coerced``) over ``ring``, with a certificate.
 
-    Zero rows, repeated rows and zero columns are dropped, then singletons
-    are peeled (``_peel``); each peeled pivot adds exactly 1.  Over a prime
-    field the rest is ranked mod p, and that is the answer.  Over the
-    rationals a full peel is exact.  Otherwise the rank of the rest mod the
-    fixed prime is a lower bound; if it matches min(rows, cols) of the rest
-    the rank is pinned without big-integer work, else fraction-free
-    elimination of the rest decides.  ``stats``, if given, records the
-    pruned shape, the peeled pivots, the path and the elimination time.
+    The cascade is prune, peel, mod 2, mod p, Bareiss.  Zero rows, repeated
+    rows and zero columns are dropped, then singletons are peeled
+    (``_peel``); each peeled pivot adds exactly 1.  Over a prime field the
+    rest is ranked mod p, and that is the answer.  Over the rationals a full
+    peel is exact.  Otherwise a rank of the rest mod any prime is a lower
+    bound, which pins the rank when it reaches min(rows, cols) of the rest.
+    The bit-packed mod-2 elimination (``_f2_rank``) tries first and gives up
+    as soon as too many columns lack a pivot for it to get there; then the
+    rank mod ``DEFAULT_PRIME`` tries, and if it falls short too,
+    fraction-free elimination of the rest decides.  ``stats``, if given,
+    records the pruned shape, the peeled pivots, the path, the prime that
+    settled it and the elimination time.
     """
     start = time.perf_counter()
     a = _pruned(_coerced(int_rows))
     peeled, rest = _peel(a, ring.p)
     if ring.p is not None:
-        path, r = "prime-field", modp_rank(rest, ring.p)
+        path, prime, r = "prime-field", ring.p, modp_rank(rest, ring.p)
     elif peeled and not len(rest):
-        path, r = "structural", 0
+        path, prime, r = "structural", None, 0
     else:
-        path, r = "modp-certified", modp_rank(rest)
-        if r < min(_shape(rest)):
-            path, r = "bareiss", bareiss_rank_int(rest)
+        nr, nc = _shape(rest)
+        full = min(nr, nc)
+        path, prime, r = "modp-certified", 2, _f2_rank(rest, give_up=nc - full)
+        if r is None:
+            prime, r = DEFAULT_PRIME, modp_rank(rest)
+            if r < full:
+                path, prime, r = "bareiss", None, bareiss_rank_int(rest)
     if stats is not None:
-        stats.shape, stats.path, stats.peeled = _shape(a), path, peeled
+        stats.shape, stats.path, stats.peeled, stats.prime = _shape(a), path, peeled, prime
         stats.eliminate_s = time.perf_counter() - start
     return peeled + r

@@ -45,7 +45,7 @@ from .exact import RATIONALS, RankStats, fast_int_rank, subspace_equal
 from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
                        ideal_lattice, irreducibles, mobius, r_of)
 from .morphisms import LinMorphism
-from .relations import Correspondence, all_permutations
+from .relations import Correspondence
 
 DEFAULT_FUNCTION_CAP = 20000
 
@@ -641,6 +641,19 @@ def perm_basis(e_size: int):
     return list(itertools.permutations(range(e_size)))
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _perm_pairs(e_size: int):
+    """Each permutation of ``0..e_size-1`` in the order of ``perm_basis``,
+    as the pair (images, inverse images) of tuples."""
+    pairs = []
+    for tau in itertools.permutations(range(e_size)):
+        inv = [0] * e_size
+        for x, y in enumerate(tau):
+            inv[y] = x
+        pairs.append((tau, tuple(inv)))
+    return tuple(pairs)
+
+
 class FundElement:
     """An element of the rank-``|E|!`` module with basis the permutations."""
 
@@ -685,15 +698,12 @@ def fund_act(q: Correspondence, v: FundElement, order: Poset) -> FundElement:
     if q.dst_size != e or q.src_size != e or order.n != e:
         raise ValueError("size mismatch")
     basis = perm_basis(e)
-    taus = [(p.images, p.inverse().images) for p in all_permutations(e)]
+    taus = _perm_pairs(e)
     out = FundElement(e)
     for i, c in enumerate(v.coeffs):
         if not c:
             continue
-        sigma = basis[i]
-        sigma_inv = [0] * e
-        for x, y in enumerate(sigma):
-            sigma_inv[y] = x
+        sigma, sigma_inv = taus[i]
         found = None
         for tau, tau_inv in taus:
             if not all(q.rows[tau[x]] >> x & 1 for x in range(e)):

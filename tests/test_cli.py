@@ -169,7 +169,8 @@ def test_rank_json_and_prime_ring(m3_file, capsys):
     timings = {key: blob.pop(key) for key in ("build_s", "eliminate_s")}
     assert blob == {"exact": False, "method": "theta", "points": 3,
                     "rank": 6, "ring": "p:1000003",
-                    "shape": [6, 6], "path": "prime-field", "peeled": 6}
+                    "shape": [6, 6], "path": "prime-field", "peeled": 6,
+                    "prime": 1000003}
     assert all(isinstance(v, float) and v >= 0 for v in timings.values())
     assert main(["rank", m3_file, "--points", "3", "--method", "gamma", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)

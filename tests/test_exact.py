@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats,
-                       _modp_echelon, bareiss_rank_int, det_int, fast_int_rank, modp_rank,
-                       parse_ring, subspace_equal)
+                       _f2_rank, _modp_echelon, bareiss_rank_int, det_int, fast_int_rank,
+                       modp_rank, parse_ring, subspace_equal)
 
 
 def test_rank_examples():
@@ -178,7 +178,20 @@ def test_rank_invariant_under_permutations():
 def test_fast_rank_certificate_path():
     # full-rank square case is certified by the modular bound alone
     rows = [[1, 0, 1], [0, 1, 1], [1, 1, 1]]
-    assert fast_int_rank(rows) == 3
+    stats = RankStats()
+    assert fast_int_rank(rows, stats=stats) == 3
+    assert stats.path == "modp-certified" and stats.prime == 2
+    # mod 2 the middle column has no pivot, as many as cols - rows allows
+    assert fast_int_rank([[1, 1, 2], [1, 1, 1]], stats=stats) == 2
+    assert stats.path == "modp-certified" and stats.prime == 2
+    # full rank over Q but singular mod 2, with no singleton to peel: the
+    # mod-2 pass gives up and the rank mod DEFAULT_PRIME certifies it
+    for rows in ([[1, 1], [1, -1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                 [[1, 1, 1], [1, 1, -1]]):
+        for given in (rows, np.array(rows, dtype=np.int8)):
+            assert fast_int_rank(given, stats=stats) == min(len(rows), len(rows[0]))
+            assert stats.path == "modp-certified" and stats.prime == DEFAULT_PRIME
+            assert stats.peeled == 0
     # duplicate and zero rows are dropped before any elimination
     assert fast_int_rank([[1, 1], [1, 1], [0, 0]]) == 1
     assert fast_int_rank([[0, 0]]) == 0
@@ -188,7 +201,49 @@ def test_fast_rank_certificate_path():
 def test_fast_rank_falls_back_exactly():
     # rank deficient: the certificate cannot apply, Bareiss decides
     rows = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-    assert fast_int_rank(rows) == 2
+    stats = RankStats()
+    assert fast_int_rank(rows, stats=stats) == 2
+    assert stats.path == "bareiss" and stats.prime is None
+
+
+_F2_WIDTHS = (0, 1, 63, 64, 65, 130)
+# Parity-preserving maps of an int into each array dtype's range.
+_F2_DTYPES = {
+    bool: lambda v: bool(v & 1),
+    np.int8: lambda v: (v + 2 ** 7) % 2 ** 8 - 2 ** 7,
+    np.uint32: lambda v: v % 2 ** 32,
+    np.int64: lambda v: (v + 2 ** 63) % 2 ** 64 - 2 ** 63,
+}
+
+
+@st.composite
+def _f2_matrices(draw):
+    # Sparse rows of one width, with entries past 2^64 and negative ones, and
+    # sums of earlier rows appended so that some matrices are deficient mod 2.
+    width = draw(st.sampled_from(_F2_WIDTHS))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 2 ** 64 + 1, -(2 ** 65) - 3, 2 ** 70])
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=7))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=3)):
+        if rows:
+            rows.append([x + y for x, y in zip(rows[i % len(rows)], rows[j % len(rows)])])
+    return width, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_f2_matrices())
+def test_packed_f2_rank_is_the_rank_mod_2(matrix):
+    width, rows = matrix
+    full = min(len(rows), width)
+    want = len(_modp_echelon(rows, 2)[1]) if rows else 0
+    arrays = [np.array([[cast(v) for v in row] for row in rows], dtype=dtype)
+              .reshape(len(rows), width) for dtype, cast in _F2_DTYPES.items()]
+    for given in [rows] + arrays:
+        assert modp_rank(given, 2) == want
+        if isinstance(given, np.ndarray):
+            assert len(_modp_echelon(given, 2)[1]) == want
+        # As a certificate it reaches min(shape) or gives up.
+        reached = _f2_rank(given, give_up=width - full)
+        assert reached == (want if want == full else None)
 
 
 def test_bareiss_handles_column_skips():
@@ -417,7 +472,7 @@ def test_peeling_settles_what_it_can_and_leaves_the_rest():
     assert fast_int_rank([[p, 1], [0, 1]], stats=stats) == 2
     assert stats.path == "structural" and stats.peeled == 2
     assert fast_int_rank([[p, 1], [0, 1]], PrimeField(p), stats) == 1
-    assert stats.path == "prime-field" and stats.peeled == 1
+    assert stats.path == "prime-field" and stats.peeled == 1 and stats.prime == p
     # the singleton 7 peels; the deficient rest goes to the fallback
     rows = [[1, 2, 0], [2, 4, 0], [0, 0, 7]]
     assert fast_int_rank(rows, stats=stats) == 2

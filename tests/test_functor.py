@@ -426,14 +426,14 @@ def test_one_point_lattice_rank_is_one():
 ])
 def test_large_ranks_are_certified_mod_p(named, name, rank_fn, points, cap, want):
     # The largest systems cfl ranks routinely; each one is full rank after
-    # pruning.  chain3's has no singleton line, so the mod-p elimination alone
-    # must settle it; the others peel to nothing.
+    # pruning.  chain3's has no singleton line, so elimination must settle
+    # it, and it is full rank already mod 2; the others peel to nothing.
     stats = RankStats()
     assert rank_fn(named[name], points, cap=cap, stats=stats) == want
     if name == "chain3":
-        assert stats.path == "modp-certified" and stats.peeled == 0
+        assert stats.path == "modp-certified" and stats.peeled == 0 and stats.prime == 2
     else:
-        assert stats.path == "structural" and stats.peeled == want
+        assert stats.path == "structural" and stats.peeled == want and stats.prime is None
 
 
 def test_b2_theta_seven_is_settled_by_peeling(named):
