@@ -31,10 +31,10 @@ until no singleton is left, working on the coordinates of the live entries.
 Over ``F_p`` the rest, if any, is ranked mod p, and that is the answer.  Over
 the rationals a rank of the rest mod any prime is a lower bound, which pins
 the rank when it reaches the row or column count of the rest.  The mod-2 rank
-tries first, and gives up once too many columns lack a pivot for it to get
-there; then the rank mod ``DEFAULT_PRIME`` tries; otherwise Bareiss decides
-on the rest.  A ``RankStats`` record, if passed, reports the pruned shape,
-the peeled pivots, the path and the prime that settled the rank.
+tries first; if it falls short, the rank mod ``DEFAULT_PRIME`` tries;
+otherwise Bareiss decides on the rest.  A ``RankStats`` record, if passed,
+reports the pruned shape, the peeled pivots, the path and the prime that
+settled the rank.
 
 ``ExactMatrix`` stores cleared rows; its nullspace back-substitutes one
 vector per free column through the echelon rows (``Fraction`` division over
@@ -336,9 +336,9 @@ def _modp_echelon(rows, p: int):
     return a[:len(pivots)], pivots
 
 
-def _f2_rank(rows, give_up=None):
+def _f2_rank(rows) -> int:
     """Rank mod 2 of coerced rows (``_coerced``), bit-packed 64 columns to a
-    word; ``None`` once more than ``give_up`` columns (if given) have no pivot.
+    word.
 
     Each row's parities are packed straight from its entries, ``& 1`` on an
     integer array or a Python int (two's complement parity for negatives),
@@ -358,16 +358,13 @@ def _f2_rank(rows, give_up=None):
     words[:, :packed.shape[1]] = packed
     words = words.view("<u8")  # column 64 w + b is bit b of word w on any host
     masks = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    r = missed = 0
+    r = 0
     for c in range(nc):
         if r == nr:
             break
         w = c >> 6
         nz = np.flatnonzero(words[r:, w] & masks[c & 63])
         if nz.size == 0:
-            missed += 1
-            if give_up is not None and missed > give_up:
-                return None
             continue
         i = r + int(nz[0])
         if i != r:
@@ -498,9 +495,8 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
     rest is ranked mod p, and that is the answer.  Over the rationals a full
     peel is exact.  Otherwise a rank of the rest mod any prime is a lower
     bound, which pins the rank when it reaches min(rows, cols) of the rest.
-    The bit-packed mod-2 elimination (``_f2_rank``) tries first and gives up
-    as soon as too many columns lack a pivot for it to get there; then the
-    rank mod ``DEFAULT_PRIME`` tries, and if it falls short too,
+    The bit-packed mod-2 elimination (``_f2_rank``) tries first; if it falls
+    short, the rank mod ``DEFAULT_PRIME`` tries, and if that falls short too,
     fraction-free elimination of the rest decides.  ``stats``, if given,
     records the pruned shape, the peeled pivots, the path, the prime that
     settled it and the elimination time.
@@ -513,10 +509,9 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
     elif peeled and not len(rest):
         path, prime, r = "structural", None, 0
     else:
-        nr, nc = _shape(rest)
-        full = min(nr, nc)
-        path, prime, r = "modp-certified", 2, _f2_rank(rest, give_up=nc - full)
-        if r is None:
+        full = min(_shape(rest))
+        path, prime, r = "modp-certified", 2, _f2_rank(rest)
+        if r < full:
             prime, r = DEFAULT_PRIME, modp_rank(rest)
             if r < full:
                 path, prime, r = "bareiss", None, bareiss_rank_int(rest)

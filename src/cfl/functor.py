@@ -45,7 +45,7 @@ from .exact import RATIONALS, RankStats, fast_int_rank, subspace_equal
 from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
                        ideal_lattice, irreducibles, mobius, r_of)
 from .morphisms import LinMorphism
-from .relations import Correspondence
+from .relations import Correspondence, Permutation
 
 DEFAULT_FUNCTION_CAP = 20000
 
@@ -643,15 +643,11 @@ def perm_basis(e_size: int):
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _perm_pairs(e_size: int):
-    """Each permutation of ``0..e_size-1`` in the order of ``perm_basis``,
-    as the pair (images, inverse images) of tuples."""
-    pairs = []
-    for tau in itertools.permutations(range(e_size)):
-        inv = [0] * e_size
-        for x, y in enumerate(tau):
-            inv[y] = x
-        pairs.append((tau, tuple(inv)))
-    return tuple(pairs)
+    """The ``perm_basis`` permutations as (images, inverse images) pairs,
+    and the position of each in that basis."""
+    basis = perm_basis(e_size)
+    pairs = tuple((tau, Permutation(tau).inverse().images) for tau in basis)
+    return pairs, {tau: i for i, tau in enumerate(basis)}
 
 
 class FundElement:
@@ -697,8 +693,7 @@ def fund_act(q: Correspondence, v: FundElement, order: Poset) -> FundElement:
     e = v.e_size
     if q.dst_size != e or q.src_size != e or order.n != e:
         raise ValueError("size mismatch")
-    basis = perm_basis(e)
-    taus = _perm_pairs(e)
+    taus, position = _perm_pairs(e)
     out = FundElement(e)
     for i, c in enumerate(v.coeffs):
         if not c:
@@ -723,7 +718,7 @@ def fund_act(q: Correspondence, v: FundElement, order: Poset) -> FundElement:
                 found = tau
         if found is not None:
             moved = tuple(found[sigma[x]] for x in range(e))
-            out.coeffs[basis.index(moved)] += c
+            out.coeffs[position[moved]] += c
     return out
 
 

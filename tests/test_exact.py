@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats,
-                       _f2_rank, _modp_echelon, bareiss_rank_int, det_int, fast_int_rank,
-                       modp_rank, parse_ring, subspace_equal)
+                       _modp_echelon, bareiss_rank_int, det_int, fast_int_rank, modp_rank,
+                       parse_ring, subspace_equal)
 
 
 def test_rank_examples():
@@ -181,11 +181,11 @@ def test_fast_rank_certificate_path():
     stats = RankStats()
     assert fast_int_rank(rows, stats=stats) == 3
     assert stats.path == "modp-certified" and stats.prime == 2
-    # mod 2 the middle column has no pivot, as many as cols - rows allows
+    # mod 2 the middle column has no pivot, yet the rank mod 2 reaches 2
     assert fast_int_rank([[1, 1, 2], [1, 1, 1]], stats=stats) == 2
     assert stats.path == "modp-certified" and stats.prime == 2
     # full rank over Q but singular mod 2, with no singleton to peel: the
-    # mod-2 pass gives up and the rank mod DEFAULT_PRIME certifies it
+    # rank mod 2 falls short and the rank mod DEFAULT_PRIME certifies it
     for rows in ([[1, 1], [1, -1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
                  [[1, 1, 1], [1, 1, -1]]):
         for given in (rows, np.array(rows, dtype=np.int8)):
@@ -233,7 +233,6 @@ def _f2_matrices(draw):
 @given(_f2_matrices())
 def test_packed_f2_rank_is_the_rank_mod_2(matrix):
     width, rows = matrix
-    full = min(len(rows), width)
     want = len(_modp_echelon(rows, 2)[1]) if rows else 0
     arrays = [np.array([[cast(v) for v in row] for row in rows], dtype=dtype)
               .reshape(len(rows), width) for dtype, cast in _F2_DTYPES.items()]
@@ -241,9 +240,6 @@ def test_packed_f2_rank_is_the_rank_mod_2(matrix):
         assert modp_rank(given, 2) == want
         if isinstance(given, np.ndarray):
             assert len(_modp_echelon(given, 2)[1]) == want
-        # As a certificate it reaches min(shape) or gives up.
-        reached = _f2_rank(given, give_up=width - full)
-        assert reached == (want if want == full else None)
 
 
 def test_bareiss_handles_column_skips():
