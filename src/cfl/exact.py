@@ -23,18 +23,22 @@ packed 64 columns to a ``uint64`` word, so a row update is one XOR per word.
 ``modp_rank(rows, 2)`` is that kernel, so ``PrimeField(2)`` ranks with it.
 
 ``fast_int_rank`` is the one rank entry point, for both rings.  Its cascade
-is prune, peel, mod 2, mod p, Bareiss.  It drops zero rows, repeated rows and
-zero columns, then peels singletons: a column or row with one live entry
-(nonzero over the rationals, nonzero mod p over ``F_p``) is a pivot, removed
-with the line crossing it, and adds exactly 1 to the rank.  Peeling repeats
-until no singleton is left, working on the coordinates of the live entries.
-Over ``F_p`` the rest, if any, is ranked mod p, and that is the answer.  Over
-the rationals a rank of the rest mod any prime is a lower bound, which pins
-the rank when it reaches the row or column count of the rest.  The mod-2 rank
-tries first; if it falls short, the rank mod ``DEFAULT_PRIME`` tries;
-otherwise Bareiss decides on the rest.  A ``RankStats`` record, if passed,
-reports the pruned shape, the peeled pivots, the path and the prime that
-settled the rank.
+is prune and peel, mod 2, mod p, Bareiss.  One pass, ``_reduced``, prunes
+and peels on the coordinates of the nonzero entries, read once (an array
+block by block of rows, rows of Python ints by a scan).  It drops zero rows,
+repeated rows (compared exactly, by their column and value runs) and zero
+columns, then peels singletons: a column or row with one live entry
+(nonzero over the rationals, nonzero mod p over ``F_p``, tested on the
+nonzero values alone) is a pivot, removed with the line crossing it, and
+adds exactly 1 to the rank.  Peeling repeats until no singleton is left.
+Only what peeling leaves is read back from the dense matrix, so a system
+that peels fully is never copied.  Over ``F_p`` the rest, if any, is ranked
+mod p, and that is the answer.  Over the rationals a rank of the rest mod
+any prime is a lower bound, which pins the rank when it reaches the row or
+column count of the rest.  The mod-2 rank tries first; if it falls short,
+the rank mod ``DEFAULT_PRIME`` tries; otherwise Bareiss decides on the
+rest.  A ``RankStats`` record, if passed, reports the pruned shape, the
+peeled pivots, the path and the prime that settled the rank.
 
 ``ExactMatrix`` stores cleared rows; its nullspace back-substitutes one
 vector per free column through the echelon rows (``Fraction`` division over
@@ -368,7 +372,9 @@ def _f2_rank(rows) -> int:
             continue
         i = r + int(nz[0])
         if i != r:
-            words[[r, i], w:] = words[[i, r], w:]
+            top = words[i, w:].copy()
+            words[i, w:] = words[r, w:]
+            words[r, w:] = top
         if nz.size > 1:
             words[r + nz[1:], w:] ^= words[r, w:]
         r += 1
@@ -405,65 +411,115 @@ class RankStats:
         self.build_s, self.eliminate_s = build_s, eliminate_s
 
 
-def _pruned(rows):
-    """Coerced rows without zero rows, repeated rows (first occurrences kept,
-    in order) and zero columns, none of which changes the rank.
-
-    A 2-D array stays an array, and is not copied when nothing drops;
-    rows stay a list of tuples."""
-    if isinstance(rows, np.ndarray):
-        a = rows
-        nonzero = a.any(axis=1)
-        if not nonzero.all():
-            a = a[nonzero]
-        first = {}
-        for i, row in enumerate(a):
-            first.setdefault(row.tobytes(), i)
-        if len(first) < len(a):
-            a = a[list(first.values())]
-        live = a.any(axis=0)
-        return a if live.all() else a.take(np.flatnonzero(live), axis=1)
-    rows = list(dict.fromkeys(r for r in rows if any(r)))
-    keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
-    return [tuple(row[j] for j in keep) for row in rows]
+# Cells compared with zero at a time when ``_reduced`` reads an array.
+_BLOCK_CELLS = 1 << 18
 
 
-def _live(a, p):
-    """Where a coerced matrix is nonzero, over the rationals (``p`` None) or
-    mod p, as a bool array."""
-    if not isinstance(a, np.ndarray):
-        return np.array([[v % p != 0 if p else v != 0 for v in row] for row in a],
-                        dtype=bool, ndmin=2)
-    if p is None or a.dtype == bool or -p < np.iinfo(a.dtype).min and np.iinfo(a.dtype).max < p:
-        return a != 0
-    return a.astype(np.int64) % p != 0  # int8 % 1000003 would overflow
+def _distinct_entries(a):
+    """Row, column and value of each nonzero entry of a 2-D array, in
+    row-major order, as three arrays (the values in ``a``'s dtype), without
+    the entries of repeated rows (first occurrences kept).
+
+    The array is read once, a block of rows at a time, so the comparison
+    with zero holds at most ``_BLOCK_CELLS`` cells and no copy of ``a`` is
+    made.  Rows are compared exactly, by the bytes of their column and
+    value runs."""
+    nr, nc = a.shape
+    step = max(1, _BLOCK_CELLS // max(nc, 1))
+    flats, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=a.dtype)]
+    for i in range(0, nr if nc else 0, step):
+        block = a[i:i + step].ravel()  # a view when a is C-contiguous
+        at = np.flatnonzero(block != 0)
+        vals.append(block[at])
+        at += i * nc
+        flats.append(at)
+    cols, vals = np.concatenate(flats), np.concatenate(vals)
+    del flats
+    rows = np.empty_like(cols)
+    np.divmod(cols, max(nc, 1), out=(rows, cols))
+    # the first entry of each nonzero row, and one past its last
+    ends = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1, [len(rows)]))
+    runs = np.empty(len(rows), dtype=[("col", np.min_scalar_type(nc)), ("val", vals.dtype)])
+    runs["col"], runs["val"] = cols, vals
+    key, bounds = runs.tobytes(), (ends * runs.itemsize).tolist()
+    del runs
+    first = {}
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        first.setdefault(key[lo:hi], k)
+    if len(first) == len(ends) - 1:
+        return rows, cols, vals
+    kept = np.zeros(len(ends) - 1, dtype=bool)
+    kept[list(first.values())] = True
+    kept = np.repeat(kept, np.diff(ends))
+    return rows[kept], cols[kept], vals[kept]
 
 
-def _peel(a, p):
-    """Settle the singleton lines of a pruned coerced matrix; returns
-    ``(peeled, rest)``.
+def _live(vals, p):
+    """Which nonzero values stay nonzero mod p, or None when all do: over
+    the rationals, and for a dtype whose every nonzero value lies strictly
+    between -p and p.  The test runs in the values' own dtype."""
+    if p is None or vals.dtype == bool:
+        return None
+    info = np.iinfo(vals.dtype)
+    if -p < info.min and info.max < p:
+        return None
+    return vals % vals.dtype.type(p) != 0
 
-    A column with exactly one live entry is a pivot: removing it with the
-    row of that entry drops the rank by exactly 1, over any field in which
-    the entry is nonzero.  So is a row with one live entry, with its column.
-    Live means nonzero, or nonzero mod p when ``p`` is given.  Columns, then
-    rows, are peeled in turn until neither gives a singleton; several
-    singletons on one line remove it once.  Each round works on the
-    coordinates of the live entries, so it costs one ``bincount`` over them.
-    ``rest`` keeps the surviving rows and columns that still hold a live
-    entry; it is ``a`` itself when nothing peels.
+
+def _reduced(m, p):
+    """Prune and peel a coerced matrix (``_coerced``) on the coordinates of
+    its nonzero entries; returns ``(shape, peeled, rest)``.
+
+    The entries are read once: from an array block by block
+    (``_distinct_entries``), from rows by a scan.  Pruning drops zero rows,
+    repeated rows (first occurrences kept, in order) and zero columns, none
+    of which changes the rank; ``shape`` is what it leaves.  Rows are
+    compared exactly: by the bytes of their column and value runs, or, for
+    rows of Python ints, by their ``(column, value)`` pairs.
+
+    Peeling then settles singletons.  A column with exactly one live entry
+    is a pivot: removing it with the row of that entry drops the rank by
+    exactly 1, over any field in which the entry is nonzero.  So is a row
+    with one live entry, with its column.  Live means nonzero, or nonzero
+    mod p when ``p`` is given, tested on the nonzero values only.  Columns,
+    then rows, are peeled in turn until neither gives a singleton; several
+    singletons on one line remove it once.  Each round costs one
+    ``bincount`` over the live coordinates.
+
+    ``rest`` is the pruned matrix when nothing peels (``m`` itself when
+    pruning drops nothing), and otherwise the surviving rows and columns
+    that still hold a live entry, in order.  Only ``rest`` is read back from
+    ``m``, so a matrix that peels fully is never copied.
     """
-    shape = _shape(a)
-    if not min(shape):
-        return 0, a
-    # (row, column) of each live entry; a 2-D nonzero is ten times slower
-    coords = np.array(np.divmod(np.flatnonzero(_live(a, p)), shape[1]))
-    keep = (np.ones(shape[0], dtype=bool), np.ones(shape[1], dtype=bool))
+    if isinstance(m, np.ndarray):
+        nr, nc = m.shape
+        rows, cols, vals = _distinct_entries(m)
+        live = _live(vals, p)
+    else:
+        nr, nc = _shape(m)
+        first = {}
+        for i, row in enumerate(m):
+            run = tuple((j, v) for j, v in enumerate(row) if v)
+            if run:
+                first.setdefault(run, i)
+        rows = np.array([i for run, i in first.items() for _ in run], dtype=np.intp)
+        cols = np.array([j for run in first for j, _ in run], dtype=np.intp)
+        live = None if p is None else np.array([v % p != 0 for run in first for _, v in run],
+                                               dtype=bool)
+    rest_rows = np.flatnonzero(np.bincount(rows, minlength=nr))
+    rest_cols = np.flatnonzero(np.bincount(cols, minlength=nc))
+    shape = (len(rest_rows), len(rest_cols))
+
+    if live is not None and not live.all():
+        rows, cols = rows[live], cols[live]
+    coords = (rows, cols)
+    keep = (np.ones(nr, dtype=bool), np.ones(nc, dtype=bool))
+    size = (nr, nc)
     peeled = idle = 0
     axis = 1
     while idle < 2:
         line, partner = coords[axis], coords[1 - axis]
-        single = np.bincount(line, minlength=shape[axis])[line] == 1
+        single = np.bincount(line, minlength=size[axis])[line] == 1
         if single.any():
             keep[axis][line[single]] = False
             # One pivot per line crossing a singleton, however many it crosses.
@@ -471,39 +527,42 @@ def _peel(a, p):
             alive = np.count_nonzero(other)
             other[partner[single]] = False
             peeled += int(alive - np.count_nonzero(other))
-            coords = coords[:, keep[0][coords[0]] & keep[1][coords[1]]]
+            held = keep[0][coords[0]] & keep[1][coords[1]]
+            coords = (coords[0][held], coords[1][held])
             idle = 0
         else:
             idle += 1
         axis = 1 - axis
-    if not peeled:
-        return 0, a
-    rows, cols = (np.flatnonzero(np.bincount(c, minlength=n)) for c, n in zip(coords, shape))
-    if isinstance(a, np.ndarray):
-        return peeled, a[np.ix_(rows, cols)]
-    cols = cols.tolist()
-    return peeled, [tuple(a[i][j] for j in cols) for i in rows.tolist()]
+    if peeled:
+        rest_rows, rest_cols = (np.flatnonzero(np.bincount(c, minlength=n))
+                                for c, n in zip(coords, size))
+    elif isinstance(m, np.ndarray) and shape == m.shape:
+        return shape, 0, m
+    if isinstance(m, np.ndarray):
+        return shape, peeled, m[np.ix_(rest_rows, rest_cols)]
+    rest_cols = rest_cols.tolist()
+    return shape, peeled, [tuple(m[i][j] for j in rest_cols) for i in rest_rows.tolist()]
 
 
 def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> int:
     """Rank of an integer matrix (rows or a 2-D integer array, read by
     ``_coerced``) over ``ring``, with a certificate.
 
-    The cascade is prune, peel, mod 2, mod p, Bareiss.  Zero rows, repeated
-    rows and zero columns are dropped, then singletons are peeled
-    (``_peel``); each peeled pivot adds exactly 1.  Over a prime field the
-    rest is ranked mod p, and that is the answer.  Over the rationals a full
-    peel is exact.  Otherwise a rank of the rest mod any prime is a lower
-    bound, which pins the rank when it reaches min(rows, cols) of the rest.
-    The bit-packed mod-2 elimination (``_f2_rank``) tries first; if it falls
+    The cascade is prune and peel, mod 2, mod p, Bareiss.  ``_reduced``
+    drops zero rows, repeated rows and zero columns and peels singletons in
+    one pass over the nonzero entries; each peeled pivot adds exactly 1, and
+    only the rest is copied out of an array.  Over a prime field the rest is
+    ranked mod p, and that is the answer.  Over the rationals a full peel is
+    exact.  Otherwise a rank of the rest mod any prime is a lower bound,
+    which pins the rank when it reaches min(rows, cols) of the rest.  The
+    bit-packed mod-2 elimination (``_f2_rank``) tries first; if it falls
     short, the rank mod ``DEFAULT_PRIME`` tries, and if that falls short too,
     fraction-free elimination of the rest decides.  ``stats``, if given,
     records the pruned shape, the peeled pivots, the path, the prime that
     settled it and the elimination time.
     """
     start = time.perf_counter()
-    a = _pruned(_coerced(int_rows))
-    peeled, rest = _peel(a, ring.p)
+    shape, peeled, rest = _reduced(_coerced(int_rows), ring.p)
     if ring.p is not None:
         path, prime, r = "prime-field", ring.p, modp_rank(rest, ring.p)
     elif peeled and not len(rest):
@@ -516,6 +575,6 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
             if r < full:
                 path, prime, r = "bareiss", None, bareiss_rank_int(rest)
     if stats is not None:
-        stats.shape, stats.path, stats.peeled, stats.prime = _shape(a), path, peeled, prime
+        stats.shape, stats.path, stats.peeled, stats.prime = shape, path, peeled, prime
         stats.eliminate_s = time.perf_counter() - start
     return peeled + r

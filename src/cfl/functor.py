@@ -604,7 +604,8 @@ def gamma_generators(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_
         values = [lowered[i] if mask >> i & 1 else data.elems[i] for i in range(k)]
         meets = np.array([lattice.meet_many(values[e] for e in _bits(enc))
                           for enc in data.iup_enc], dtype=np.int64)
-        np.add.at(out, (rows, meets[psi] @ weights), -1 if mask.bit_count() % 2 else 1)
+        # one cell per row, so no index repeats and a plain += adds every term
+        out[rows, meets[psi] @ weights] += -1 if mask.bit_count() % 2 else 1
     return out
 
 

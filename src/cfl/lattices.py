@@ -418,17 +418,37 @@ class JoinMap:
 
 
 def join_maps(src: Lattice, dst: Lattice):
-    """All join-preserving maps, by brute enumeration (desk scale only)."""
+    """All join-preserving maps, in lexicographic order of their images.
+
+    Every element is the join of the join-irreducibles below it, so a
+    join-map is fixed by its images of the irreducibles.  Each choice of
+    those images is extended by joins, kept when it gives the irreducibles
+    back the chosen images, and then checked by ``JoinMap``.  That scans
+    ``dst.n ** k`` choices for k irreducibles; the cap still bounds the
+    ``dst.n ** src.n`` maps of the brute scan, so refusals do not depend
+    on the shape of ``src`` (desk scale only).
+    """
     scan = dst.n ** src.n
     if scan > MAX_JOIN_MAP_SCAN:
         raise CapExceeded(f"join-map scan of {dst.n}^{src.n} = {scan} maps "
                           f"exceeds cap {MAX_JOIN_MAP_SCAN}")
-    out = []
-    for images in itertools.product(range(dst.n), repeat=src.n):
+    elems, _ = irreducibles(src)
+    below = [[i for i, e in enumerate(elems) if src.le(e, t)] for t in range(src.n)]
+    join, out = dst.join, []
+    for chosen in itertools.product(range(dst.n), repeat=len(elems)):
+        images = []
+        for b in below:
+            v = dst.bottom
+            for i in b:
+                v = join[v][chosen[i]]
+            images.append(v)
+        if any(images[e] != v for e, v in zip(elems, chosen)):
+            continue
         try:
             out.append(JoinMap(src, dst, images))
         except LatticeError:
             pass
+    out.sort(key=lambda f: f.images)
     return out
 
 

@@ -669,8 +669,9 @@ def _check_adjoints(ctx):
                     return {"src": name1, "dst": name2, "images": list(f.images),
                             "law": "involution"}
     lat = named_lattices()["b2"]
-    for f in join_maps(lat, lat)[:12]:
-        for g in join_maps(lat, lat)[:12]:
+    maps = join_maps(lat, lat)[:12]
+    for f in maps:
+        for g in maps:
             if adjoint_op(g @ f) != adjoint_op(f) @ adjoint_op(g):
                 return {"law": "anti-automorphism", "f": list(f.images),
                         "g": list(g.images)}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats,
-                       _modp_echelon, bareiss_rank_int, det_int, fast_int_rank, modp_rank,
-                       parse_ring, subspace_equal)
+                       _coerced, _modp_echelon, _reduced, bareiss_rank_int, det_int,
+                       fast_int_rank, modp_rank, parse_ring, subspace_equal)
 
 
 def test_rank_examples():
@@ -476,6 +477,125 @@ def test_peeling_settles_what_it_can_and_leaves_the_rest():
     # two singleton columns on one row remove that row once
     assert fast_int_rank([[1, 1, 1], [0, 0, 1]], stats=stats) == 2
     assert stats.path == "structural" and stats.peeled == 2
+
+
+def _dense_pruned(rows):
+    """Coerced rows without zero rows, repeated rows (first occurrences
+    kept, in order) and zero columns: the dense pruning that ``_reduced``
+    replaced, kept as its oracle."""
+    if isinstance(rows, np.ndarray):
+        a = rows
+        nonzero = a.any(axis=1)
+        if not nonzero.all():
+            a = a[nonzero]
+        first = {}
+        for i, row in enumerate(a):
+            first.setdefault(row.tobytes(), i)
+        if len(first) < len(a):
+            a = a[list(first.values())]
+        live = a.any(axis=0)
+        return a if live.all() else a.take(np.flatnonzero(live), axis=1)
+    rows = list(dict.fromkeys(r for r in rows if any(r)))
+    keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
+    return [tuple(row[j] for j in keep) for row in rows]
+
+
+def _dense_peel(a, p):
+    """Peel the singleton lines of a pruned matrix on the dense live mask;
+    returns ``(peeled, rest)``, the dense peeling that ``_reduced`` replaced."""
+    shape = (len(a), len(a[0]) if len(a) else 0)
+    if not min(shape):
+        return 0, a
+    if not isinstance(a, np.ndarray):
+        live = np.array([[v % p != 0 if p else v != 0 for v in row] for row in a],
+                        dtype=bool, ndmin=2)
+    elif p is None or a.dtype == bool:
+        live = a != 0
+    else:
+        live = a.astype(np.int64) % p != 0
+    coords = np.array(np.divmod(np.flatnonzero(live), shape[1]))
+    keep = (np.ones(shape[0], dtype=bool), np.ones(shape[1], dtype=bool))
+    peeled = idle = 0
+    axis = 1
+    while idle < 2:
+        line, partner = coords[axis], coords[1 - axis]
+        single = np.bincount(line, minlength=shape[axis])[line] == 1
+        if single.any():
+            keep[axis][line[single]] = False
+            other = keep[1 - axis]
+            alive = np.count_nonzero(other)
+            other[partner[single]] = False
+            peeled += int(alive - np.count_nonzero(other))
+            coords = coords[:, keep[0][coords[0]] & keep[1][coords[1]]]
+            idle = 0
+        else:
+            idle += 1
+        axis = 1 - axis
+    if not peeled:
+        return 0, a
+    rows, cols = (np.flatnonzero(np.bincount(c, minlength=n)) for c, n in zip(coords, shape))
+    if isinstance(a, np.ndarray):
+        return peeled, a[np.ix_(rows, cols)]
+    cols = cols.tolist()
+    return peeled, [tuple(a[i][j] for j in cols) for i in rows.tolist()]
+
+
+_REDUCE_DTYPES = {bool: [0, 1], np.int8: [0, 0, 1, -1, 2, -3, 127, -128],
+                  np.int64: [0, 0, 1, -1, 2, 3, -6, DEFAULT_PRIME, -2 * DEFAULT_PRIME, 2 ** 40]}
+
+
+@st.composite
+def _prunable(draw):
+    """A sparse matrix with zero rows and columns, repeated rows and, for
+    rows of Python ints, entries past int64: as rows or an array."""
+    dtype = draw(st.sampled_from([None, *_REDUCE_DTYPES]))
+    values = _REDUCE_DTYPES.get(dtype, _REDUCE_DTYPES[np.int64] + [2 ** 70, -(2 ** 65) - 3])
+    width = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=width, max_size=width),
+                         max_size=7))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7)), max_size=3)):
+        if rows:  # a repeated row, or a zero row, at a drawn place
+            row = rows[i % len(rows)] if i % 2 else [0] * width
+            rows.insert(j % (len(rows) + 1), list(row))
+    zero_col = draw(st.integers(0, width))
+    rows = [row[:zero_col] + [0] + row[zero_col:] for row in rows]
+    if dtype is None:
+        return rows
+    return np.array(rows, dtype=dtype).reshape(len(rows), width + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prunable(), st.sampled_from([None, 2, 3, DEFAULT_PRIME]))
+def test_reduced_matches_the_dense_prune_and_peel(matrix, p):
+    m = _coerced(matrix)
+    pruned = _dense_pruned(m)
+    peeled, rest = _dense_peel(pruned, p)
+    got_shape, got_peeled, got_rest = _reduced(m, p)
+    if isinstance(m, np.ndarray):
+        with mock.patch("cfl.exact._BLOCK_CELLS", 3):  # blocks of one or a few rows
+            blocked = _reduced(m, p)
+        assert blocked[:2] == (got_shape, got_peeled)
+        assert np.array_equal(blocked[2], got_rest)
+    assert got_shape == (len(pruned), len(pruned[0]) if len(pruned) else 0)
+    assert got_peeled == peeled
+    if isinstance(m, np.ndarray):
+        assert got_rest.dtype == m.dtype and got_rest.shape == rest.shape
+        assert np.array_equal(got_rest, rest)
+    else:
+        assert got_rest == rest
+
+
+def test_reduced_reads_arrays_in_blocks_and_copies_nothing_unpeeled():
+    a = np.array([[0, 1, 1], [1, 0, 1], [0, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int16)
+    full = a[[0, 1, 3]]
+    with mock.patch("cfl.exact._BLOCK_CELLS", 5):  # one row to a block
+        shape, peeled, rest = _reduced(a, None)
+        assert (shape, peeled) == ((3, 3), 0) and np.array_equal(rest, full)
+        assert _reduced(full, None)[2] is full
+        # a strided view is read block by block as well, and not copied
+        view = full[:, ::-1]
+        shape, peeled, rest = _reduced(view, 2)
+        assert (shape, peeled) == ((3, 3), 0) and rest is view
 
 
 def test_fractions_over_a_prime_field_are_cleared_not_truncated():

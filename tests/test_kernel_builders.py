@@ -8,14 +8,16 @@ builders must reproduce them entry for entry, in the same row and column
 order, on every named lattice at 0 to 3 points.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cfl.catalog import named_lattices
 from cfl.exact import PrimeField, RankStats, fast_int_rank
-from cfl.functor import (_decode, _encode, function_space_size, gamma_generators,
-                         gamma_span_rank, h_quotient_basis, irr_data, theta_matrix,
-                         theta_rank)
+from cfl.functor import (_decode, _encode, _theta_system, function_space_size,
+                         gamma_generators, gamma_span_rank, h_quotient_basis, irr_data,
+                         theta_matrix, theta_rank)
 from cfl.lattices import CapExceeded, _bits, chain, r_of
 
 POINTS = range(4)
@@ -115,6 +117,22 @@ def test_rank_stats_report_the_pruned_system():
     deficient = np.array([[1, 2, 3, 0], [2, 4, 6, 0], [1, 1, 1, 0], [1, 1, 1, 0]])
     assert fast_int_rank(deficient, stats=stats) == 2
     assert stats.path == "bareiss" and stats.shape == (3, 3) and stats.peeled == 0
+
+
+@pytest.mark.parametrize("name, method", [("chain3", "theta"), ("b2", "gamma")])
+def test_f2_rank_peak_memory_stays_near_the_system_size(name, method):
+    # Liveness mod 2 is read from the nonzero values only, so no int64 copy
+    # of the int8 system is made: the traced peak stays below 3x its bytes.
+    lat = named_lattices()[name]
+    system = (_theta_system(lat, 6, 20000, pruned=True) if method == "theta"
+              else gamma_generators(lat, 6))
+    tracemalloc.start()
+    try:
+        fast_int_rank(system, PrimeField(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * system.nbytes
 
 
 def test_gamma_entries_never_overflow_the_build_dtype():

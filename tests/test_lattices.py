@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -261,6 +262,28 @@ def test_join_map_composition_and_image(named):
 def test_join_maps_enumeration_matches_filter():
     maps = join_maps(chain(1), chain(2))
     assert len(maps) == 3  # the generator can go to 0, 1 or 2
+
+
+def _brute_join_maps(src, dst):
+    """Every image tuple in lexicographic order, kept when ``JoinMap``
+    accepts it: the scan ``join_maps`` replaced, kept as its oracle."""
+    out = []
+    for images in itertools.product(range(dst.n), repeat=src.n):
+        try:
+            out.append(JoinMap(src, dst, images))
+        except LatticeError:
+            pass
+    return out
+
+
+def test_join_maps_extend_the_irreducibles_as_the_brute_scan_finds(named):
+    # b2 with its top labelled 1, so a join is listed before the atoms it joins
+    top_first = lattice_from_leq(4, [(0, 2), (0, 3), (2, 1), (3, 1)])
+    lattices = list(named.values()) + [chain(0), chain(1), top_first]
+    for src in lattices:
+        for dst in lattices:
+            if dst.n ** src.n <= 2 ** 12:
+                assert join_maps(src, dst) == _brute_join_maps(src, dst)
 
 
 def test_join_maps_refuses_oversized_scans():
