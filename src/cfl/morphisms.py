@@ -5,16 +5,18 @@ For a lattice ``T`` and a strictly increasing tuple ``B`` avoiding the top,
 ``j_of_tuple`` is its Mobius-weighted one-sided inverse.  Their composites
 ``f_dc`` multiply like matrix units, and summing the diagonal ones yields
 the central idempotent ``e_t`` projecting onto the span of all
-join-endomorphisms with totally ordered image (``tot_basis``).
+join-endomorphisms with totally ordered image (``tot_basis``).  Since the
+quotient is onto, ``f_dc`` re-indexes the terms of the section one by one,
+with no product and no merge.
 
 A ``Family`` is the one batch type: morphisms of one Hom-space as a dense
 table of integer numerators over their distinct join-maps, with one
 denominator per member.  ``compose_families`` is the one composition
 algorithm: it gathers every composite's images in one numpy step, keys the
-distinct rows by their bytes, and sums the products of numerators as
-integers, in int64 only when a bound rules out overflow and as Python ints
-otherwise.  Its result is again a ``Family``, whose member
-``i * len(inner) + j`` is ``outer[i]`` after ``inner[j]``;
+distinct rows by one ``np.lexsort`` over their columns, and sums the
+products of numerators as integers, in int64 only when a bound rules out
+overflow and as Python ints otherwise.  Its result is again a ``Family``,
+whose member ``i * len(inner) + j`` is ``outer[i]`` after ``inner[j]``;
 ``Family.first_mismatch`` compares two families member by member without
 building a ``LinMorphism``.  ``LinMorphism.compose`` is the one-by-one case.
 """
@@ -150,10 +152,24 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 2 ** 63 else object
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One byte-string key per row, so that ``np.unique`` keys whole rows."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
+def _distinct_rows(rows: np.ndarray):
+    """``(first, key)`` for the distinct rows of a 2-d array: the index of
+    each distinct row's first occurrence, in lexicographic row order, and
+    each row's position in that order.
+
+    One stable ``np.lexsort`` over the columns (the first column most
+    significant) sorts the rows; a row starts a run where some column
+    differs from the row sorted before it.  The same for any row width.
+    """
+    order = np.lexsort(rows.T[::-1])
+    starts = np.zeros(len(rows), bool)
+    starts[:1] = True
+    for column in rows.T:
+        column = column[order]
+        starts[1:] |= column[1:] != column[:-1]
+    key = np.empty(len(rows), np.intp)
+    key[order] = np.cumsum(starts) - 1
+    return order[starts], key
 
 
 class Family:
@@ -228,8 +244,7 @@ class Family:
         picks = np.asarray(picks, np.intp)
         if len(picks) != len(self):
             raise ValueError(f"need one pick per member, got {len(picks)} for {len(self)}")
-        union, key = np.unique(_row_keys(np.concatenate([self.images, other.images])),
-                               return_inverse=True)
+        union, key = _distinct_rows(np.concatenate([self.images, other.images]))
         mine, theirs = key[:len(self.images)], key[len(self.images):]
         bad = (picks < 0) & self.nums.any(axis=1).astype(bool)
         rows = np.flatnonzero(picks >= 0)
@@ -254,15 +269,15 @@ def compose_families(outer: Family, inner: Family) -> Family:
     ``i * len(inner) + j`` of one family.
 
     The images ``g(f(t))`` of every pair of maps in the two families come
-    from one numpy gather, and one ``np.unique`` over their bytes keys the
-    distinct composites.  Each pair of nonzero numerators adds its product
-    at its composite's key, in int64 only when the weights bound every sum
-    below 2^63.
+    from one numpy gather, and one lexsort of those rows (``_distinct_rows``)
+    keys the distinct composites.  Each pair of nonzero numerators adds its
+    product at its composite's key, in int64 only when the weights bound
+    every sum below 2^63.
     """
     if inner.dst != outer.src:
         raise ValueError("middle lattice mismatch")
     rows = outer.images[:, inner.images].reshape(-1, inner.src.n)
-    _, first, cell = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    first, cell = _distinct_rows(rows)
     cell = cell.reshape(len(outer.images), len(inner.images))
     m, k, u = len(outer), len(inner), len(first)
     weight = outer.weight * inner.weight
@@ -425,12 +440,23 @@ def lambda_of_tuple(v: ChainTuple) -> JoinMap:
 
 
 def f_dc(d: ChainTuple, c: ChainTuple) -> LinMorphism:
-    """The matrix-unit endomorphism ``j - then - pi`` for two same-size chains."""
+    """The matrix-unit endomorphism ``j_of_tuple(d) @ pi_of_tuple(c)``, built
+    by re-indexing the terms of the section.
+
+    ``pi = pi_of_tuple(c)`` is onto ``chain(len(c))``: it sends the ``h``-th
+    bound (the entries of ``c``, then the top) to ``h``.  So two terms
+    ``g != g'`` of the section differ at some ``h = pi(t)``, and their
+    composites differ at ``t``: each term ``g`` gives one distinct term
+    ``g.compose(pi)`` with the same coefficient, and nothing merges or
+    cancels.
+    """
     if len(d) != len(c):
         raise ValueError("tuples must have the same size")
     if d.lattice != c.lattice:
         raise ValueError("tuples must live in the same lattice")
-    return j_of_tuple(d) @ pi_of_tuple(c)
+    pi = pi_of_tuple(c)
+    terms = {g.compose(pi): coeff for g, coeff in j_of_tuple(d).terms.items()}
+    return LinMorphism._trusted(d.lattice, d.lattice, terms)
 
 
 def rho_y(n: int, ys) -> JoinMap:

@@ -3,14 +3,15 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfl.catalog import enumerate_lattices, named_lattices
 from cfl.lattices import CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps, mobius
-from cfl.morphisms import (ChainTuple, Family, LinMorphism, TermNotInBasis, adjoint_op,
-                           beta, compose_families, e_t, f_dc, j_of_tuple,
+from cfl.morphisms import (ChainTuple, Family, LinMorphism, TermNotInBasis, _distinct_rows,
+                           adjoint_op, beta, compose_families, e_t, f_dc, j_of_tuple,
                            lambda_of_tuple, lin_to_vector, max_tuple_size, p_tuples,
                            pi_of_tuple, rho_y, tot_basis, y_tuples)
 
@@ -170,6 +171,26 @@ def test_f_dc_idempotents_and_products(named):
     assert f_dc(d, c) @ f_dc(c, d) == f_dc(d, d)
     with pytest.raises(ValueError):
         f_dc(tuples[0], tuples[1])
+
+
+def test_f_dc_equals_section_after_quotient(named):
+    # f_dc re-indexes the section's terms; the oracle is the compose path
+    for lat in named.values():
+        if lat.n > 6:
+            continue
+        tuples = [t for n in range(max_tuple_size(lat) + 1) for t in p_tuples(lat, n)]
+        for d in tuples:
+            for c in tuples:
+                if len(d) == len(c):
+                    assert f_dc(d, c) == j_of_tuple(d) @ pi_of_tuple(c), (d, c)
+
+
+def test_f_dc_refuses_mismatched_tuples(named):
+    b2, m3 = named["b2"], named["m3"]
+    with pytest.raises(ValueError, match="same size"):
+        f_dc(p_tuples(b2, 1)[0], p_tuples(b2, 2)[0])
+    with pytest.raises(ValueError, match="same lattice"):
+        f_dc(p_tuples(b2, 1)[0], p_tuples(m3, 1)[0])
 
 
 def test_beta_partition_of_identity():
@@ -489,3 +510,40 @@ def test_first_mismatch_is_the_first_differing_product(case):
                  if products.member(t) != (members[p] if p >= 0 else zero)),
                 None)
     assert products.first_mismatch(Family(a, c, members), picks) == want
+
+
+def _void_unique(rows):
+    """Rows keyed by their bytes through ``np.unique``, the old keying."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+@st.composite
+def image_rows(draw):
+    """Image arrays of 0 to 40 rows, often repeated, up to 12 columns wide."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    width = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([1, 3, np.iinfo(dtype).max]))
+    row = st.lists(st.integers(0, top), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return np.array([pool[p] for p in picks], dtype).reshape(-1, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(image_rows())
+@example(np.zeros((0, 3), np.uint8))
+@example(np.array([[2, 0, 1]], np.uint16))
+def test_distinct_rows_partitions_like_unique_over_bytes(rows):
+    first, key = _distinct_rows(rows)
+    old_first, old_key = _void_unique(rows)
+    assert len(first) == len(old_first)
+    assert sorted(first.tolist()) == sorted(old_first.tolist())
+    # each row goes to the first occurrence of its value, on both sides
+    assert first[key].tolist() == old_first[old_key].tolist()
+    assert (rows[first[key]] == rows).all()
+    # the distinct rows come in strictly increasing lexicographic order
+    distinct = [tuple(r) for r in rows[first].tolist()]
+    assert all(a < b for a, b in zip(distinct, distinct[1:]))

@@ -115,8 +115,30 @@ def test_perturbed_matrix_unit_fails_with_witness(monkeypatch):
     result = run_check("matrix-unit-products", small())
     assert result.status == "fail"
     assert result.witness["lattice"]["size"] == 4
-    assert len(result.witness["tuples"]) == 4
-    assert [0] in result.witness["tuples"]
+    assert result.witness["name"] == "chain3"
+    # (d, c, b, a): f_dc after f_ba differs from its expected product
+    assert result.witness["tuples"] == [[], [], [0], [0]]
+
+
+@pytest.mark.parametrize("cells", [1, suite_mod._UNIT_BLOCK_CELLS, 2 ** 18])
+def test_doubled_chain5_unit_fails_past_the_first_block(monkeypatch, cells):
+    # chain5 has 226 units over 226 distinct join-maps.  Doubling the last
+    # unit first shows in unit 135 after it, past the first block at each
+    # budget (blocks of 1, 1 and 5 units); the witness must be that of the
+    # unit-by-unit loop.
+    assert cells // 226 ** 2 < 135
+    real, top = suite_mod.f_dc, ((2, 3, 4), (2, 3, 4))
+
+    def doubled(d, c):
+        unit = real(d, c)
+        return 2 * unit if d.lattice == chain(5) and (d.entries, c.entries) == top else unit
+
+    monkeypatch.setattr(suite_mod, "f_dc", doubled)
+    monkeypatch.setattr(suite_mod, "_UNIT_BLOCK_CELLS", cells)
+    result = run_check("A03-idempotent-calculus")
+    assert result.status == "fail"
+    assert result.witness["name"] == "chain5"
+    assert result.witness["tuples"] == [[0, 1, 2], [2, 3, 4], [2, 3, 4], [2, 3, 4]]
 
 
 def test_perturbed_section_fails_with_witness(monkeypatch):
