@@ -97,7 +97,7 @@ def enumerate_lattices(max_n: int):
                     for i, e in enumerate(rest):
                         rows[e] |= sum(1 << rest[j] for j in _bits(mid.up[i]))
                     try:
-                        yield Lattice.from_poset(Poset._trusted(Correspondence(n, n, rows)))
+                        yield Lattice(Poset._trusted(Correspondence(n, n, rows)))
                     except LatticeError:
                         continue
 

@@ -13,7 +13,8 @@ import sys
 
 from .catalog import catalog_entries
 from .exact import RankStats, parse_ring
-from .functor import gamma_span_rank, theta_rank, total_rank_formula
+from .functor import (DEFAULT_FUNCTION_CAP, gamma_span_rank, theta_rank,
+                      total_rank_formula)
 from .lattices import (CapExceeded, LatticeError, ideal_lattice, irreducibles,
                        is_distributive, lattice_from_json, lattice_to_json,
                        mobius, poset_from_json)
@@ -219,16 +220,17 @@ def _build_parser():
     rank.add_argument("--method", choices=("theta", "gamma", "formula"),
                       default="theta")
     rank.add_argument("--ring")
-    rank.add_argument("--cap", type=int, default=20000)
+    rank.add_argument("--cap", type=int, default=DEFAULT_FUNCTION_CAP)
     rank.add_argument("--json", action="store_true")
     rank.set_defaults(fn=_cmd_rank)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all",
                         help=f"one of: {', '.join(suite_names())}")
-    verify.add_argument("--max-lattice", type=int, default=5)
-    verify.add_argument("--max-points", type=int, default=2)
-    verify.add_argument("--samples", type=int, default=200)
+    defaults = Limits()
+    verify.add_argument("--max-lattice", type=int, default=defaults.max_lattice)
+    verify.add_argument("--max-points", type=int, default=defaults.max_points)
+    verify.add_argument("--samples", type=int, default=defaults.samples)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--ring")
     verify.add_argument("--json", action="store_true")

@@ -2,13 +2,15 @@
 
 The rings are the rationals (``RATIONALS``) and a prime field
 (``PrimeField(p)``): tags with ``name``, ``exact`` and ``p`` (``None`` for
-the rationals).  An integer matrix is read in one place, ``_coerced``: a 2-D
-array of a dtype that casts safely to int64 (bool included) stays an array,
-and rows become tuples of Python ints by ``operator.index``, so every kernel
-accepts and refuses the same inputs.  ``_cleared_int_rows`` is the one place
-a ``Fraction`` becomes an int, by scaling each row by the lcm of its
-denominators (over ``F_p`` a denominator that p divides has no image and
-raises ValueError).
+the rationals).  An integer matrix is read in one place, ``_coerced``, into a
+2-D array, so every kernel accepts and refuses the same inputs and reads one
+form: an array of a dtype that casts safely to int64 (bool included) stays
+as it is, and rows are read by ``operator.index`` into int64.  An entry past
+int64 is reduced mod p when a prime is given, and otherwise leaves the rows
+an object array of Python ints, which only fraction-free elimination reads.
+``_cleared_int_rows`` is the one place a ``Fraction`` becomes an int, by
+scaling each row by the lcm of its denominators (over ``F_p`` a denominator
+that p divides has no image and raises ValueError).
 
 Two eliminations return echelon rows and pivot columns: ``_modp_echelon``,
 vectorized in an int64 copy with pivots scaled to 1, and ``_bareiss``,
@@ -23,22 +25,22 @@ packed 64 columns to a ``uint64`` word, so a row update is one XOR per word.
 ``modp_rank(rows, 2)`` is that kernel, so ``PrimeField(2)`` ranks with it.
 
 ``fast_int_rank`` is the one rank entry point, for both rings.  Its cascade
-is prune and peel, mod 2, mod p, Bareiss.  One pass, ``_reduced``, prunes
-and peels on the coordinates of the nonzero entries, read once (an array
-block by block of rows, rows of Python ints by a scan).  It drops zero rows,
-repeated rows (compared exactly, by their column and value runs) and zero
-columns, then peels singletons: a column or row with one live entry
-(nonzero over the rationals, nonzero mod p over ``F_p``, tested on the
-nonzero values alone) is a pivot, removed with the line crossing it, and
-adds exactly 1 to the rank.  Peeling repeats until no singleton is left.
-Only what peeling leaves is read back from the dense matrix, so a system
-that peels fully is never copied.  Over ``F_p`` the rest, if any, is ranked
-mod p, and that is the answer.  Over the rationals a rank of the rest mod
-any prime is a lower bound, which pins the rank when it reaches the row or
-column count of the rest.  The mod-2 rank tries first; if it falls short,
-the rank mod ``DEFAULT_PRIME`` tries; otherwise Bareiss decides on the
-rest.  A ``RankStats`` record, if passed, reports the pruned shape, the
-peeled pivots, the path and the prime that settled the rank.
+is prune and peel, mod 2, mod p, Bareiss; a rational matrix with an entry
+past int64 goes straight to Bareiss.  One pass, ``_reduced``, prunes and
+peels on the coordinates of the nonzero entries, read once, block by block
+of rows.  It drops zero rows, repeated rows (compared exactly, by their
+column and value runs) and zero columns, then peels singletons: a column or
+row with one live entry (nonzero over the rationals, nonzero mod p over
+``F_p``, tested on the nonzero values alone) is a pivot, removed with the
+line crossing it, and adds exactly 1 to the rank.  Peeling repeats until no
+singleton is left.  Only what peeling leaves is read back from the dense
+matrix, so a system that peels fully is never copied.  Over ``F_p`` the
+rest, if any, is ranked mod p, and that is the answer.  Over the rationals a
+rank of the rest mod any prime is a lower bound, which pins the rank when it
+reaches the row or column count of the rest.  The mod-2 rank tries first; if
+it falls short, the rank mod ``DEFAULT_PRIME`` tries; otherwise Bareiss
+decides on the rest.  A ``RankStats`` record, if passed, reports the pruned
+shape, the peeled pivots, the path and the prime that settled the rank.
 
 ``ExactMatrix`` stores cleared rows; its nullspace back-substitutes one
 vector per free column through the echelon rows (``Fraction`` division over
@@ -143,10 +145,11 @@ class ExactMatrix:
         Entries are ``Fraction``s over the rationals and ints in ``0..p-1``
         over ``F_p``."""
         p = self.ring.p
+        a = _coerced(self.data, p)
         if p is None:
-            echelon, pivots, _ = _bareiss(self.data)
+            echelon, pivots, _ = _bareiss(a)
         else:
-            echelon, pivots = _modp_echelon(self.data, p)
+            echelon, pivots = _modp_echelon(a, p)
             echelon = echelon.tolist()
         basis = []
         for free in sorted(set(range(self.cols)) - set(pivots)):
@@ -195,16 +198,19 @@ def _cleared_int_rows(data, p=None):
     return rows, scales
 
 
-def _coerced(int_rows):
-    """The one reading of an integer matrix, shared by every kernel.
+def _coerced(int_rows, p=None):
+    """The one reading of an integer matrix, shared by every kernel: it
+    always returns a 2-D array.
 
     A 2-D array whose dtype casts safely to int64 (bool, the signed integers
     and the unsigned ones below 64 bits) is returned as it is.  Float, uint64
     and object arrays raise TypeError: their values need not be int64
-    integers.  Anything else is rows, returned as tuples of Python ints by
-    ``operator.index``, so big integers stay exact and a ``Fraction``, a
-    float or a numpy bool entry raises TypeError.  Rows of unequal length
-    raise ValueError.
+    integers.  Anything else is rows, read entry by entry by
+    ``operator.index``, so a ``Fraction``, a float or a numpy bool entry
+    raises TypeError, and rows of unequal length raise ValueError.  Rows
+    that fit become an int64 array.  An entry past int64 is reduced mod
+    ``p`` into int64 when ``p`` is given; otherwise the rows become an
+    object array of Python ints, which only ``_bareiss`` reads.
     """
     if isinstance(int_rows, np.ndarray):
         if int_rows.ndim != 2 or not np.can_cast(int_rows.dtype, np.int64):
@@ -214,26 +220,25 @@ def _coerced(int_rows):
     rows = [tuple(map(operator.index, row)) for row in int_rows]
     if len({len(row) for row in rows}) > 1:
         raise ValueError(f"rows of unequal length: {[len(row) for row in rows]}")
-    return rows
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        if p is not None:
+            rows = [[v % p for v in row] for row in rows]
+        return np.array(rows, dtype=object if p is None else np.int64).reshape(shape)
 
 
-def _shape(a):
-    return (len(a), len(a[0]) if len(a) else 0)
-
-
-def _bareiss(rows):
-    """Fraction-free elimination of a copy of coerced rows (``_coerced``).
+def _bareiss(a):
+    """Fraction-free elimination of a copy of a coerced matrix (``_coerced``).
 
     The elimination runs over Python ints, so fixed-width inputs cannot wrap.
     Returns ``(echelon rows, pivot columns, row swaps)``: the echelon rows
     span the input's row space, zero left of their pivots.  A full-rank
     square matrix has the last pivot times ``(-1) ** swaps`` as determinant.
     """
-    if isinstance(rows, np.ndarray):
-        m = rows.astype(np.int64, copy=False).tolist()
-    else:
-        m = [list(row) for row in rows]
-    nr, nc = _shape(m)
+    m = (a if a.dtype == object else a.astype(np.int64, copy=False)).tolist()
+    nr, nc = a.shape
     prev = 1
     swaps = 0
     pivots = []
@@ -273,21 +278,22 @@ def bareiss_rank_int(int_rows) -> int:
 def det_int(int_rows) -> int:
     """Exact determinant of a square integer matrix (rows or a 2-D array,
     read by ``_coerced``)."""
-    rows = _coerced(int_rows)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    a = _coerced(int_rows)
+    n = len(a)
+    if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    echelon, pivots, swaps = _bareiss(rows)
+    echelon, pivots, swaps = _bareiss(a)
     if len(pivots) < n:
         return 0
     return -echelon[-1][-1] if swaps % 2 else echelon[-1][-1]
 
 
 def _modp_echelon(rows, p: int):
-    """Row echelon form mod p of coerced rows (``_coerced``), pivots scaled
-    to 1; returns ``(echelon rows as an int64 array, pivot columns)``.
+    """Row echelon form mod p of a coerced int64-castable matrix
+    (``_coerced``), pivots scaled to 1; returns ``(echelon rows as an int64
+    array, pivot columns)``.
 
     The work is an int64 copy with delayed reduction.  Entries start in
     ``[0, p)``.  At each pivot only the candidate column and the pivot row
@@ -299,11 +305,8 @@ def _modp_echelon(rows, p: int):
     Raises ValueError for ``p >= 2^31``, where one product would overflow.
     """
     _check_prime_bound(p)
-    if isinstance(rows, np.ndarray):
-        a = rows.astype(np.int64, order="C")  # row operations below
-        a %= p
-    else:
-        a = np.array([[v % p for v in row] for row in rows], dtype=np.int64, ndmin=2)
+    a = rows.astype(np.int64, order="C")  # row operations below
+    a %= p
     nr, nc = a.shape
     period = (2 ** 63 - 1 - p) // (p - 1) ** 2
     pending = 0
@@ -341,21 +344,18 @@ def _modp_echelon(rows, p: int):
 
 
 def _f2_rank(rows) -> int:
-    """Rank mod 2 of coerced rows (``_coerced``), bit-packed 64 columns to a
-    word.
+    """Rank mod 2 of a coerced int64-castable matrix (``_coerced``),
+    bit-packed 64 columns to a word.
 
-    Each row's parities are packed straight from its entries, ``& 1`` on an
-    integer array or a Python int (two's complement parity for negatives),
-    so no wider copy is made.  Columns are taken word by word, and within a
+    Each row's parities are packed straight from its entries, ``& 1`` in the
+    array's own dtype (two's complement parity for negatives), so no wider
+    copy is made.  Columns are taken word by word, and within a
     word bit by bit, so every row below the pivots is zero in the words
     before the current one.  At each pivot one masked scan of that word
     column finds the rows it hits, and each takes one XOR of the pivot row
     from that word on.
     """
-    if isinstance(rows, np.ndarray):
-        bits = rows if rows.dtype == bool else rows & 1
-    else:
-        bits = np.array([[v & 1 for v in row] for row in rows], dtype=np.uint8, ndmin=2)
+    bits = rows if rows.dtype == bool else rows & 1
     nr, nc = bits.shape
     packed = np.packbits(bits, axis=1, bitorder="little")
     words = np.zeros((nr, -(-nc // 64) * 8), dtype=np.uint8)
@@ -384,7 +384,7 @@ def _f2_rank(rows) -> int:
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
     """Rank mod p of integer rows or a 2-D integer array (read by
     ``_coerced``); always <= the rational rank.  Mod 2 it is ``_f2_rank``."""
-    rows = _coerced(int_rows)
+    rows = _coerced(int_rows, p)
     if p == 2:
         return _f2_rank(rows)
     return len(_modp_echelon(rows, p)[1])
@@ -394,14 +394,17 @@ class RankStats:
     """How ``fast_int_rank`` settled one rank, plus the caller's build time.
 
     ``shape`` is (rows, columns) after pruning; ``peeled`` counts the pivots
-    settled by peeling singletons.  ``path`` names what settled the rest:
-    ``"structural"`` (peeling settled the whole rank), ``"modp-certified"``
-    (the rank mod p of the remainder reached min of its shape), ``"bareiss"``
-    (fraction-free fallback on the remainder) or ``"prime-field"``.
-    ``prime`` is the prime whose elimination settled the remainder: 2 or
-    ``DEFAULT_PRIME`` on ``"modp-certified"``, the ring's p on
-    ``"prime-field"``, ``None`` otherwise.  A plain class: a dataclass would
-    add about a millisecond to ``import cfl``.
+    settled by peeling singletons.  A rational matrix with an entry past
+    int64 is neither pruned nor peeled: its ``shape`` is the input's and its
+    path ``"bareiss"``.  Over ``F_p`` such entries are read as residues, so
+    ``shape`` counts the residues' rows and columns.  ``path`` names what
+    settled the rest: ``"structural"`` (peeling settled the whole rank),
+    ``"modp-certified"`` (the rank mod p of the remainder reached min of its
+    shape), ``"bareiss"`` (fraction-free fallback on the remainder) or
+    ``"prime-field"``.  ``prime`` is the prime whose elimination settled the
+    remainder: 2 or ``DEFAULT_PRIME`` on ``"modp-certified"``, the ring's p
+    on ``"prime-field"``, ``None`` otherwise.  A plain class: a dataclass
+    would add about a millisecond to ``import cfl``.
     """
 
     __slots__ = ("shape", "path", "peeled", "prime", "build_s", "eliminate_s")
@@ -467,15 +470,14 @@ def _live(vals, p):
 
 
 def _reduced(m, p):
-    """Prune and peel a coerced matrix (``_coerced``) on the coordinates of
-    its nonzero entries; returns ``(shape, peeled, rest)``.
+    """Prune and peel a coerced int64-castable matrix (``_coerced``) on the
+    coordinates of its nonzero entries; returns ``(shape, peeled, rest)``.
 
-    The entries are read once: from an array block by block
-    (``_distinct_entries``), from rows by a scan.  Pruning drops zero rows,
-    repeated rows (first occurrences kept, in order) and zero columns, none
-    of which changes the rank; ``shape`` is what it leaves.  Rows are
-    compared exactly: by the bytes of their column and value runs, or, for
-    rows of Python ints, by their ``(column, value)`` pairs.
+    The entries are read once, block by block (``_distinct_entries``).
+    Pruning drops zero rows, repeated rows (first occurrences kept, in
+    order) and zero columns, none of which changes the rank; ``shape`` is
+    what it leaves.  Rows are compared exactly, by the bytes of their column
+    and value runs.
 
     Peeling then settles singletons.  A column with exactly one live entry
     is a pivot: removing it with the row of that entry drops the rank by
@@ -491,21 +493,9 @@ def _reduced(m, p):
     that still hold a live entry, in order.  Only ``rest`` is read back from
     ``m``, so a matrix that peels fully is never copied.
     """
-    if isinstance(m, np.ndarray):
-        nr, nc = m.shape
-        rows, cols, vals = _distinct_entries(m)
-        live = _live(vals, p)
-    else:
-        nr, nc = _shape(m)
-        first = {}
-        for i, row in enumerate(m):
-            run = tuple((j, v) for j, v in enumerate(row) if v)
-            if run:
-                first.setdefault(run, i)
-        rows = np.array([i for run, i in first.items() for _ in run], dtype=np.intp)
-        cols = np.array([j for run in first for j, _ in run], dtype=np.intp)
-        live = None if p is None else np.array([v % p != 0 for run in first for _, v in run],
-                                               dtype=bool)
+    nr, nc = m.shape
+    rows, cols, vals = _distinct_entries(m)
+    live = _live(vals, p)
     rest_rows = np.flatnonzero(np.bincount(rows, minlength=nr))
     rest_cols = np.flatnonzero(np.bincount(cols, minlength=nc))
     shape = (len(rest_rows), len(rest_cols))
@@ -536,22 +526,21 @@ def _reduced(m, p):
     if peeled:
         rest_rows, rest_cols = (np.flatnonzero(np.bincount(c, minlength=n))
                                 for c, n in zip(coords, size))
-    elif isinstance(m, np.ndarray) and shape == m.shape:
+    elif shape == m.shape:
         return shape, 0, m
-    if isinstance(m, np.ndarray):
-        return shape, peeled, m[np.ix_(rest_rows, rest_cols)]
-    rest_cols = rest_cols.tolist()
-    return shape, peeled, [tuple(m[i][j] for j in rest_cols) for i in rest_rows.tolist()]
+    return shape, peeled, m[np.ix_(rest_rows, rest_cols)]
 
 
 def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> int:
     """Rank of an integer matrix (rows or a 2-D integer array, read by
     ``_coerced``) over ``ring``, with a certificate.
 
-    The cascade is prune and peel, mod 2, mod p, Bareiss.  ``_reduced``
-    drops zero rows, repeated rows and zero columns and peels singletons in
-    one pass over the nonzero entries; each peeled pivot adds exactly 1, and
-    only the rest is copied out of an array.  Over a prime field the rest is
+    The cascade is prune and peel, mod 2, mod p, Bareiss; over the
+    rationals an entry past int64 sends the whole matrix to fraction-free
+    elimination (``_bareiss``), and over ``F_p`` it is read as its residue.
+    ``_reduced`` drops zero rows, repeated rows and zero columns and peels
+    singletons in one pass over the nonzero entries; each peeled pivot adds
+    exactly 1, and only the rest is copied out of the array.  Over a prime field the rest is
     ranked mod p, and that is the answer.  Over the rationals a full peel is
     exact.  Otherwise a rank of the rest mod any prime is a lower bound,
     which pins the rank when it reaches min(rows, cols) of the rest.  The
@@ -562,18 +551,22 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
     settled it and the elimination time.
     """
     start = time.perf_counter()
-    shape, peeled, rest = _reduced(_coerced(int_rows), ring.p)
-    if ring.p is not None:
-        path, prime, r = "prime-field", ring.p, modp_rank(rest, ring.p)
-    elif peeled and not len(rest):
-        path, prime, r = "structural", None, 0
+    m = _coerced(int_rows, ring.p)
+    if m.dtype == object:  # an entry past int64, over the rationals
+        shape, peeled, path, prime, r = m.shape, 0, "bareiss", None, len(_bareiss(m)[1])
     else:
-        full = min(_shape(rest))
-        path, prime, r = "modp-certified", 2, _f2_rank(rest)
-        if r < full:
-            prime, r = DEFAULT_PRIME, modp_rank(rest)
+        shape, peeled, rest = _reduced(m, ring.p)
+        if ring.p is not None:
+            path, prime, r = "prime-field", ring.p, modp_rank(rest, ring.p)
+        elif peeled and not len(rest):
+            path, prime, r = "structural", None, 0
+        else:
+            full = min(rest.shape)
+            path, prime, r = "modp-certified", 2, _f2_rank(rest)
             if r < full:
-                path, prime, r = "bareiss", None, bareiss_rank_int(rest)
+                prime, r = DEFAULT_PRIME, modp_rank(rest)
+                if r < full:
+                    path, prime, r = "bareiss", None, bareiss_rank_int(rest)
     if stats is not None:
         stats.shape, stats.path, stats.peeled, stats.prime = shape, path, peeled, prime
         stats.eliminate_s = time.perf_counter() - start

@@ -232,8 +232,6 @@ IrrData = namedtuple("IrrData", [
     "up_masks",   # for each irreducible: mask of its principal upper ideal
     "iup",        # lattice of upper ideals of (E, R)
     "iup_enc",    # their subset encodings
-    "idown",      # lattice of lower ideals of (E, R)
-    "idown_enc",
 ])
 
 
@@ -248,9 +246,8 @@ def irr_data(lattice: Lattice) -> IrrData:
                 mask |= 1 << i
         down_irr.append(mask)
     iup, iup_enc = ideal_lattice(sub, "upper")
-    idown, idown_enc = ideal_lattice(sub, "lower")
     return IrrData(tuple(elems), sub, tuple(sub.down), tuple(down_irr),
-                   tuple(sub.up), iup, iup_enc, idown, idown_enc)
+                   tuple(sub.up), iup, iup_enc)
 
 
 def gamma_corr(lattice: Lattice, f: LatticeFunction) -> Correspondence:

@@ -18,6 +18,8 @@ from .relations import (MAX_POINTS, Correspondence, order_flags,
 # Counting ideals can take time exponential in the points, so it is refused above this.
 MAX_IDEAL_POINTS = 20
 MAX_JOIN_MAP_SCAN = 2 ** 20  # 7^7 maps are scanned, 8^8 are refused
+# Subset lattices are built for lattices of at most this many elements.
+BOOLEAN_CAP = 6
 # Entries kept by the per-lattice caches; the full suite uses fewer than 20.
 CACHE_SIZE = 256
 
@@ -150,21 +152,16 @@ def _least_of(up, mask: int):
 
 
 class Lattice:
-    """A finite lattice with precomputed join and meet tables."""
+    """A finite lattice with precomputed join and meet tables.
+
+    Equality and the per-lattice caches read only the poset, so ``Lattice``
+    computes the tables itself; tables known to be the poset's own, such as
+    those of an opposite, are taken by the unchecked ``_trusted``."""
 
     __slots__ = ("poset", "join", "meet", "bottom", "top", "_hash")
 
-    def __init__(self, poset: Poset, join, meet, bottom: int, top: int):
-        self.poset = poset
-        self.join = tuple(tuple(row) for row in join)
-        self.meet = tuple(tuple(row) for row in meet)
-        self.bottom = bottom
-        self.top = top
-        self._hash = hash(("lat", poset.leq))
-
-    @classmethod
-    def from_poset(cls, poset: Poset) -> "Lattice":
-        """Validate joins and meets; raises NoJoin/NoMeet on the first failing pair."""
+    def __init__(self, poset: Poset):
+        """Compute joins and meets; raises NoJoin/NoMeet on the first failing pair."""
         n = poset.n
         if n == 0:
             raise LatticeError("a lattice needs at least one element")
@@ -184,7 +181,19 @@ class Lattice:
                 meet[a][b] = meet[b][a] = m
         bottom = functools.reduce(lambda x, y: meet[x][y], range(n))
         top = functools.reduce(lambda x, y: join[x][y], range(n))
-        return cls(poset, join, meet, bottom, top)
+        self._fill(poset, join, meet, bottom, top)
+
+    @classmethod
+    def _trusted(cls, poset: Poset, join, meet, bottom: int, top: int) -> "Lattice":
+        """A lattice from tables known to be the poset's joins and meets; no checks."""
+        lat = object.__new__(cls)
+        lat._fill(poset, join, meet, bottom, top)
+        return lat
+
+    def _fill(self, poset, join, meet, bottom, top):
+        self.poset, self.bottom, self.top = poset, bottom, top
+        self.join, self.meet = tuple(map(tuple, join)), tuple(map(tuple, meet))
+        self._hash = hash(("lat", poset.leq))
 
     @property
     def n(self) -> int:
@@ -201,7 +210,8 @@ class Lattice:
         return functools.reduce(lambda x, y: self.meet[x][y], elements, self.top)
 
     def opposite(self) -> "Lattice":
-        return Lattice(self.poset.opposite(), self.meet, self.join, self.top, self.bottom)
+        return Lattice._trusted(self.poset.opposite(), self.meet, self.join, self.top,
+                                self.bottom)
 
     def is_chain(self) -> bool:
         return all(self.le(a, b) or self.le(b, a)
@@ -223,7 +233,7 @@ def lattice_from_leq(n: int, pairs) -> Lattice:
     The reflexive-transitive closure of ``pairs`` is taken first; the first
     failing axiom is reported by name with its witness pair.
     """
-    return Lattice.from_poset(Poset.from_pairs(n, pairs))
+    return Lattice(Poset.from_pairs(n, pairs))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -284,7 +294,7 @@ def _lattice_of_masks(masks) -> Lattice:
     poset = Poset._trusted(Correspondence.from_pairs(k, k, pairs))
     join = [[index[a | b] for b in masks] for a in masks]
     meet = [[index[a & b] for b in masks] for a in masks]
-    return Lattice(poset, join, meet, index[masks[0]], index[masks[-1]])
+    return Lattice._trusted(poset, join, meet, index[masks[0]], index[masks[-1]])
 
 
 def ideal_lattice(poset: Poset, direction: str = "lower"):
@@ -471,11 +481,11 @@ class DerivedLattices:
     upsilon: JoinMap
 
 
-def derived_lattices(lattice: Lattice, boolean_cap: int = 6) -> DerivedLattices:
+def derived_lattices(lattice: Lattice) -> DerivedLattices:
     """Opposite lattice, lattice of all subsets, and the join-of-subset map."""
-    if lattice.n > boolean_cap:
+    if lattice.n > BOOLEAN_CAP:
         raise CapExceeded(
-            f"boolean lattice of a {lattice.n}-element lattice exceeds cap {boolean_cap}")
+            f"boolean lattice of a {lattice.n}-element lattice exceeds cap {BOOLEAN_CAP}")
     boolean, masks = ideal_lattice(Poset.antichain(lattice.n), "lower")
     upsilon = JoinMap(boolean, lattice,
                       [lattice.join_many(_bits(m)) for m in masks])
@@ -561,7 +571,7 @@ def poset_from_json(obj) -> Poset:
 
 
 def lattice_from_json(obj) -> Lattice:
-    return Lattice.from_poset(poset_from_json(obj))
+    return Lattice(poset_from_json(obj))
 
 
 def lattice_to_json(lattice: Lattice, names=None) -> dict:

@@ -9,7 +9,6 @@ Elements are always canonical indices ``0..n-1``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 # Desk-scale guard against runaway allocations.  One machine word: the
@@ -65,12 +64,6 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
-
-
-def all_permutations(n: int):
-    """All permutations of ``{0..n-1}`` in lexicographic image order."""
-    for images in itertools.permutations(range(n)):
-        yield Permutation(images)
 
 
 class Correspondence:

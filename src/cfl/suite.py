@@ -234,33 +234,34 @@ def _level_drop_sum(n):
 
 
 def _has_splitting_section(lat) -> bool:
-    """Search for a join-preserving right inverse of the join-of-subset map."""
+    """Search for a join-preserving right inverse s of the join-of-subset map.
+
+    Such an s is fixed by its subsets s(e) at the join-irreducibles e and
+    extends by unions, s(t) = union of s(e) over e <= t.  The set s(e)
+    must join to e, and the elements strictly below an irreducible e join
+    to less than e, so s(e) is e with any subset of the rest of its
+    down-set.  Every extension of such a choice is a section: s(t) joins to
+    the join of the irreducibles below t, which is t.  It is also monotone,
+    so join preservation is left to test, on incomparable pairs only."""
+    n, join, down = lat.n, lat.join, lat.poset.down
     elems, _ = irreducibles(lat)
-    if not elems:
-        return True
-    candidates = []
+    options = []
     for e in elems:
-        opts = []
-        below = lat.poset.down[e]
-        members = [b for b in range(lat.n) if below >> b & 1]
-        for r in range(len(members) + 1):
-            for picks in itertools.combinations(members, r):
-                if lat.join_many(picks) == e:
-                    opts.append(sum(1 << b for b in picks))
-        candidates.append(opts)
-    for assign in itertools.product(*candidates):
-        sigma = []
-        for t in range(lat.n):
-            acc = 0
-            for e, mask in zip(elems, assign):
-                if lat.le(e, t):
-                    acc |= mask
-            sigma.append(acc)
-        if any(lat.join_many(b for b in range(lat.n) if m >> b & 1) != t
-               for t, m in enumerate(sigma)):
-            continue
-        if all(sigma[lat.join[a][b]] == sigma[a] | sigma[b]
-               for a in range(lat.n) for b in range(lat.n)):
+        rest = down[e] & ~(1 << e)
+        sub, subs = rest, [1 << e | rest]
+        while sub:
+            sub = (sub - 1) & rest
+            subs.append(1 << e | sub)
+        options.append(subs)
+    below = [[i for i, e in enumerate(elems) if down[t] >> e & 1] for t in range(n)]
+    pairs = [(a, b, join[a][b]) for a in range(n) for b in range(a + 1, n)
+             if not (lat.le(a, b) or lat.le(b, a))]
+    for assign in itertools.product(*options):
+        sigma = [0] * n
+        for t, under in enumerate(below):
+            for i in under:
+                sigma[t] |= assign[i]
+        if all(sigma[j] == sigma[a] | sigma[b] for a, b, j in pairs):
             return True
     return False
 
@@ -479,7 +480,7 @@ def _check_enumeration(ctx):
         brute = 0
         for p in posets:
             try:
-                Lattice.from_poset(p)
+                Lattice(p)
                 brute += 1
             except LatticeError:
                 pass

@@ -106,7 +106,7 @@ def test_enumeration_recount_at_five():
     brute = 0
     for p in posets:
         try:
-            Lattice.from_poset(p)
+            Lattice(p)
             brute += 1
         except LatticeError:
             pass

@@ -4,8 +4,10 @@ import pytest
 
 import cfl.suite as suite_mod
 from cfl.catalog import named_lattices
-from cfl.cli import main
+from cfl.cli import _build_parser, main
+from cfl.functor import DEFAULT_FUNCTION_CAP
 from cfl.lattices import lattice_to_json
+from cfl.suite import Limits
 
 
 @pytest.fixture
@@ -241,3 +243,10 @@ def test_catalog_listing(capsys):
     assert "m3" in names and "b3" not in names
     entry = next(e for e in blob if e["name"] == "m3")
     assert entry["distributive"] is False and entry["irreducibles"] == 3
+
+
+def test_parser_defaults_come_from_their_sources():
+    parser = _build_parser()
+    verify = parser.parse_args(["verify"])
+    assert Limits(verify.max_lattice, verify.max_points, verify.samples) == Limits()
+    assert parser.parse_args(["rank", "--points", "2"]).cap == DEFAULT_FUNCTION_CAP

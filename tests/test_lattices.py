@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cfl.catalog import enumerate_posets, named_lattices
+from cfl.functor import irr_data, theta_rank
 from cfl.lattices import (BottomNotPreserved, CapExceeded, JoinMap, Lattice,
                           LatticeError, NoJoin, NoMeet, NotAntisymmetric,
                           NotJoinPreserving,
@@ -333,7 +334,19 @@ def test_json_errors():
 
 def test_empty_poset_is_rejected_as_lattice():
     with pytest.raises(LatticeError):
-        Lattice.from_poset(Poset.antichain(0))
+        Lattice(Poset.antichain(0))
+
+
+def test_outside_tables_cannot_poison_the_per_lattice_caches():
+    # Lattice equality and the caches read only the poset.  Tables taken
+    # unchecked from outside made a lattice equal to chain(2) whose irr_data
+    # entry then served chain(2): theta_rank(chain(2), 2) answered 3.
+    with pytest.raises(TypeError):
+        irr_data(Lattice(chain(2).poset, [[2] * 3] * 3, [[0] * 3] * 3, 0, 2))
+    assert theta_rank(chain(2), 2) == 2
+    rebuilt = Lattice(chain(2).poset)
+    assert (rebuilt.join, rebuilt.meet, rebuilt.bottom, rebuilt.top) == \
+        (chain(2).join, chain(2).meet, 0, 2)
 
 
 def test_mobius_duality(named):

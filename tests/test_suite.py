@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -7,8 +8,9 @@ import pytest
 
 import cfl.morphisms as morphisms_mod
 import cfl.suite as suite_mod
+from cfl.catalog import enumerate_lattices, named_lattices
 from cfl.exact import PrimeField
-from cfl.lattices import CapExceeded, chain
+from cfl.lattices import CapExceeded, chain, irreducibles, is_distributive
 from cfl.morphisms import LinMorphism, f_dc, p_tuples
 from cfl.suite import Limits, check, list_checks, run_check, run_suite, suite_names
 
@@ -224,6 +226,48 @@ def test_condition_tables_reach_three_points_at_the_default_limits(monkeypatch):
     monkeypatch.setattr(suite_mod, "theta_condition_tables", spy)
     assert run_check("kernel-condition-tables", Limits()).status == "pass"
     assert seen == {1, 2, 3}
+
+
+def _exhaustive_splitting_section(lat) -> bool:
+    """The section search that ``_has_splitting_section`` replaced, kept as
+    its oracle: every subset of each irreducible's down-set that joins to
+    it, and a section test and a join test on all pairs per assignment."""
+    elems, _ = irreducibles(lat)
+    if not elems:
+        return True
+    candidates = []
+    for e in elems:
+        opts = []
+        below = lat.poset.down[e]
+        members = [b for b in range(lat.n) if below >> b & 1]
+        for r in range(len(members) + 1):
+            for picks in itertools.combinations(members, r):
+                if lat.join_many(picks) == e:
+                    opts.append(sum(1 << b for b in picks))
+        candidates.append(opts)
+    for assign in itertools.product(*candidates):
+        sigma = []
+        for t in range(lat.n):
+            acc = 0
+            for e, mask in zip(elems, assign):
+                if lat.le(e, t):
+                    acc |= mask
+            sigma.append(acc)
+        if any(lat.join_many(b for b in range(lat.n) if m >> b & 1) != t
+               for t, m in enumerate(sigma)):
+            continue
+        if all(sigma[lat.join[a][b]] == sigma[a] | sigma[b]
+               for a in range(lat.n) for b in range(lat.n)):
+            return True
+    return False
+
+
+def test_splitting_section_search_matches_the_exhaustive_one():
+    lattices = list(enumerate_lattices(5)) + list(named_lattices().values())
+    assert len(lattices) == 425 + 12
+    for lat in lattices:
+        found = suite_mod._has_splitting_section(lat)
+        assert found == _exhaustive_splitting_section(lat) == is_distributive(lat)
 
 
 def test_cap_exceeded_marks_skip():
