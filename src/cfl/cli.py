@@ -125,6 +125,8 @@ def _cmd_rank(args):
         raise _InputError("two different lattice files given")
     if args.points < 0:
         raise _InputError(f"--points must be non-negative, got {args.points}")
+    if args.cap < 1:
+        raise _InputError(f"--cap must be at least 1, got {args.cap}")
     lat = _load(path)
     ring = _ring_from(args)
     stats = RankStats(shape=None, path="formula")

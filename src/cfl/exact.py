@@ -2,15 +2,15 @@
 
 The rings are the rationals (``RATIONALS``) and a prime field
 (``PrimeField(p)``): tags with ``name``, ``exact`` and ``p`` (``None`` for
-the rationals).  An integer matrix is read in one place, ``_coerced``, into a
-2-D array, so every kernel accepts and refuses the same inputs and reads one
-form: an array of a dtype that casts safely to int64 (bool included) stays
-as it is, and rows are read by ``operator.index`` into int64.  An entry past
-int64 is reduced mod p when a prime is given, and otherwise leaves the rows
-an object array of Python ints, which only fraction-free elimination reads.
-``_cleared_int_rows`` is the one place a ``Fraction`` becomes an int, by
-scaling each row by the lcm of its denominators (over ``F_p`` a denominator
-that p divides has no image and raises ValueError).
+the rationals).  A matrix is read once into a 2-D array, so every kernel
+accepts and refuses the same inputs and reads one form.  ``_coerced`` reads
+integers: an array of a dtype that casts safely to int64 (bool included)
+stays as it is, and rows are read by ``operator.index`` into int64.  An
+entry past int64 is reduced mod p when a prime is given, and otherwise
+leaves an object array of Python ints, which only fraction-free elimination
+reads.  ``_cleared`` reads rationals: the one place a ``Fraction`` becomes
+an int, it scales each row by the lcm of its denominators before
+``_coerced`` (over ``F_p`` a denominator that p divides has no image).
 
 Two eliminations return echelon rows and pivot columns: ``_modp_echelon``,
 vectorized in an int64 copy with pivots scaled to 1, and ``_bareiss``,
@@ -24,33 +24,35 @@ A third elimination returns only a rank: ``_f2_rank``, mod 2, with each row
 packed 64 columns to a ``uint64`` word, so a row update is one XOR per word.
 ``modp_rank(rows, 2)`` is that kernel, so ``PrimeField(2)`` ranks with it.
 
-``fast_int_rank`` is the one rank entry point, for both rings.  Its cascade
-is prune and peel, mod 2, mod p, Bareiss; a rational matrix with an entry
-past int64 goes straight to Bareiss.  One pass, ``_reduced``, prunes and
-peels on the coordinates of the nonzero entries, read once, block by block
-of rows.  It drops zero rows, repeated rows (compared exactly, by their
-column and value runs) and zero columns, then peels singletons: a column or
-row with one live entry (nonzero over the rationals, nonzero mod p over
-``F_p``, tested on the nonzero values alone) is a pivot, removed with the
-line crossing it, and adds exactly 1 to the rank.  Peeling repeats until no
-singleton is left.  Only what peeling leaves is read back from the dense
-matrix, so a system that peels fully is never copied.  Over ``F_p`` the
-rest, if any, is ranked mod p, and that is the answer.  Over the rationals a
+``fast_int_rank``, for both rings, is ``_coerced`` then ``_rank``, the
+cascade that ``ExactMatrix`` and ``subspace_equal`` call on the arrays
+``_cleared`` gives them: prune and peel, mod 2, mod p, Bareiss; a rational
+matrix with an entry past int64 goes straight to Bareiss.  One pass,
+``_reduced``, prunes and peels on the coordinates of the nonzero entries,
+read once, block by block of rows.  It drops zero rows, repeated rows
+(compared exactly, by their column and value runs) and zero columns, then
+peels singletons: a column or row with one live entry (nonzero over the
+rationals, nonzero mod p over ``F_p``, tested on the nonzero values alone)
+is a pivot, removed with the line crossing it, and adds exactly 1 to the
+rank.  Peeling repeats until no singleton is left.  Only what peeling leaves
+is read back from the dense matrix, so a system that peels fully is never
+copied.  Over ``F_p`` the rest, if any, is ranked mod p, and that is the
+answer.  Over the rationals an empty rest settles the rank, and otherwise a
 rank of the rest mod any prime is a lower bound, which pins the rank when it
 reaches the row or column count of the rest.  The mod-2 rank tries first; if
 it falls short, the rank mod ``DEFAULT_PRIME`` tries; otherwise Bareiss
 decides on the rest.  A ``RankStats`` record, if passed, reports the pruned
 shape, the peeled pivots, the path and the prime that settled the rank.
 
-``ExactMatrix`` stores cleared rows; its nullspace back-substitutes one
-vector per free column through the echelon rows (``Fraction`` division over
-the rationals, arithmetic mod p over ``F_p``).  ``det_int`` reads the last
-Bareiss pivot, signed by the parity of the row swaps.
+``ExactMatrix`` keeps the array ``_cleared`` reads; its nullspace
+back-substitutes one vector per free column through the echelon rows
+(``Fraction`` division over the rationals, arithmetic mod p over ``F_p``).
+``det_int`` reads the last Bareiss pivot, signed by the parity of the row
+swaps.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 from fractions import Fraction
@@ -109,34 +111,27 @@ def parse_ring(spec: str):
 
 
 class ExactMatrix:
-    """A dense rectangular matrix over a ring, stored as cleared integer rows.
+    """A dense rectangular matrix over a ring, read once into a 2-D array.
 
-    ``data`` holds each input row times ``scales``, the lcm of its
-    denominators; that scaling changes neither the rank nor the nullspace.
+    ``data`` is the array ``_cleared`` reads, each input row times its entry
+    of ``scales``, which changes neither the rank nor the nullspace; every
+    method reads it as it is (an object array past int64 over the rationals).
     """
 
     __slots__ = ("rows", "cols", "data", "scales", "ring")
 
     def __init__(self, data, cols=None, ring=RATIONALS):
-        data, scales = _cleared_int_rows(data, ring.p)
-        if data:
-            cols = len(data[0]) if cols is None else cols
-            if any(len(row) != cols for row in data):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self.rows = len(data)
-        self.cols = cols
-        self.data = tuple(data)
-        self.scales = tuple(scales)
-        self.ring = ring
+        data, self.scales = _cleared(data, ring.p, cols)
+        self.data = data.view()  # read-only here, whoever else holds the array
+        self.data.flags.writeable = False
+        self.rows, self.cols, self.ring = *data.shape, ring
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[Fraction(row[j], s) for row, s in zip(self.data, self.scales)]
-                            for j in range(self.cols)], cols=self.rows, ring=self.ring)
+        return ExactMatrix([[Fraction(v, s) for v, s in zip(col, self.scales)]
+                            for col in self.data.T.tolist()], cols=self.rows, ring=self.ring)
 
     def rank(self) -> int:
-        return fast_int_rank(self.data, self.ring)
+        return _rank(self.data, self.ring)
 
     def nullspace(self):
         """Basis of ``{v : M v = 0}``: one vector per free column, 1 there and
@@ -145,11 +140,10 @@ class ExactMatrix:
         Entries are ``Fraction``s over the rationals and ints in ``0..p-1``
         over ``F_p``."""
         p = self.ring.p
-        a = _coerced(self.data, p)
         if p is None:
-            echelon, pivots, _ = _bareiss(a)
+            echelon, pivots, _ = _bareiss(self.data)
         else:
-            echelon, pivots = _modp_echelon(a, p)
+            echelon, pivots = _modp_echelon(self.data, p)
             echelon = echelon.tolist()
         basis = []
         for free in sorted(set(range(self.cols)) - set(pivots)):
@@ -168,34 +162,36 @@ class ExactMatrix:
 def subspace_equal(vectors_a, vectors_b, cols: int, ring=RATIONALS) -> bool:
     """Whether two families of vectors span the same subspace of ``ring^cols``.
 
-    Each family is rows (of ints or ``Fraction``s) or a 2-D integer array;
-    the ranks of the two and of their union decide."""
-    a, b = (v if isinstance(v, np.ndarray) else _cleared_int_rows(v, ring.p)[0]
-            for v in (vectors_a, vectors_b))
-    for v in itertools.chain(a, b):
-        if len(v) != cols:
-            raise ValueError(f"vector of length {len(v)} in ambient dimension {cols}")
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        both = np.vstack([a, b])
+    Each family is rows (of ints or ``Fraction``s) or a 2-D integer array,
+    read once by ``_cleared``; the ranks of the two and of their union
+    decide."""
+    a, b = (_cleared(v, ring.p, cols)[0] for v in (vectors_a, vectors_b))
+    return _rank(a, ring) == _rank(b, ring) == _rank(np.vstack([a, b]), ring)
+
+
+def _cleared(data, p=None, cols=None):
+    """The one reading of a rational matrix: returns ``(array, scales)``.
+
+    A 2-D array goes to ``_coerced`` as it is, with unit scales.  Rows are
+    scaled to Python ints, each by the lcm of its denominators (its scale),
+    and read by ``_coerced``; over ``F_p`` (``p`` given) a denominator that
+    p divides has no image, and raises ValueError.  ``cols``, if given, is
+    the width the array must have; an empty list of rows needs it.
+    """
+    if isinstance(data, np.ndarray):
+        a, scales = _coerced(data, p), [1] * len(data)
     else:
-        both = [row for v in (a, b) for row in (v.tolist() if isinstance(v, np.ndarray) else v)]
-    ra = fast_int_rank(a, ring)
-    return ra == fast_int_rank(b, ring) == fast_int_rank(both, ring)
-
-
-def _cleared_int_rows(data, p=None):
-    """Each row scaled to Python ints by the lcm of its denominators; returns
-    (rows, scales).  Over ``F_p`` (``p`` given) a denominator that p divides
-    has no image, and raises ValueError."""
-    rows, scales = [], []
-    for row in data:
-        row = [Fraction(v) for v in row]
-        scale = lcm(*(v.denominator for v in row))
-        if p is not None and scale % p == 0:
+        fracs = [[v if type(v) in (int, Fraction) else Fraction(v) for v in row] for row in data]
+        scales = [lcm(*(v.denominator for v in row)) for row in fracs]
+        if p is not None and any(s % p == 0 for s in scales):
             raise ValueError(f"entry with a denominator divisible by {p} has no value mod {p}")
-        rows.append(tuple(v.numerator * (scale // v.denominator) for v in row))
-        scales.append(scale)
-    return rows, scales
+        rows = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(fracs, scales)]
+        if not rows and cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        a = _coerced(rows, p) if rows else np.zeros((0, cols), dtype=np.int64)
+    if cols is not None and a.shape[1] != cols:
+        raise ValueError(f"rows of length {a.shape[1]} in ambient dimension {cols}")
+    return a, tuple(scales)
 
 
 def _coerced(int_rows, p=None):
@@ -398,12 +394,13 @@ class RankStats:
     int64 is neither pruned nor peeled: its ``shape`` is the input's and its
     path ``"bareiss"``.  Over ``F_p`` such entries are read as residues, so
     ``shape`` counts the residues' rows and columns.  ``path`` names what
-    settled the rest: ``"structural"`` (peeling settled the whole rank),
-    ``"modp-certified"`` (the rank mod p of the remainder reached min of its
-    shape), ``"bareiss"`` (fraction-free fallback on the remainder) or
-    ``"prime-field"``.  ``prime`` is the prime whose elimination settled the
-    remainder: 2 or ``DEFAULT_PRIME`` on ``"modp-certified"``, the ring's p
-    on ``"prime-field"``, ``None`` otherwise.  A plain class: a dataclass
+    settled the rest: ``"structural"`` (pruning and peeling settled the
+    whole rank, as for an all-zero matrix), ``"modp-certified"`` (the rank
+    mod p of the remainder reached min of its shape), ``"bareiss"``
+    (fraction-free fallback on the remainder) or ``"prime-field"``.
+    ``prime`` is the prime whose elimination settled the remainder: 2 or
+    ``DEFAULT_PRIME`` on ``"modp-certified"``, the ring's p on
+    ``"prime-field"``, ``None`` otherwise.  A plain class: a dataclass
     would add about a millisecond to ``import cfl``.
     """
 
@@ -540,25 +537,28 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
     elimination (``_bareiss``), and over ``F_p`` it is read as its residue.
     ``_reduced`` drops zero rows, repeated rows and zero columns and peels
     singletons in one pass over the nonzero entries; each peeled pivot adds
-    exactly 1, and only the rest is copied out of the array.  Over a prime field the rest is
-    ranked mod p, and that is the answer.  Over the rationals a full peel is
-    exact.  Otherwise a rank of the rest mod any prime is a lower bound,
-    which pins the rank when it reaches min(rows, cols) of the rest.  The
-    bit-packed mod-2 elimination (``_f2_rank``) tries first; if it falls
-    short, the rank mod ``DEFAULT_PRIME`` tries, and if that falls short too,
-    fraction-free elimination of the rest decides.  ``stats``, if given,
-    records the pruned shape, the peeled pivots, the path, the prime that
-    settled it and the elimination time.
+    exactly 1, and only the rest is copied out of the array.  Over a prime
+    field the rest is ranked mod p, and that is the answer.  Over the
+    rationals an empty rest is exact, and otherwise a rank of the rest mod
+    any prime is a lower bound, which pins the rank when it reaches
+    min(rows, cols) of the rest: mod 2 (``_f2_rank``) tries first, then mod
+    ``DEFAULT_PRIME``, then fraction-free elimination of the rest decides.
+    ``stats``, if given, records the pruned shape, the peeled pivots, the
+    path, the prime that settled it and the elimination time.
     """
+    return _rank(_coerced(int_rows, ring.p), ring, stats)
+
+
+def _rank(m, ring, stats: RankStats | None = None) -> int:
+    """The cascade of ``fast_int_rank`` on a matrix ``_coerced`` has read."""
     start = time.perf_counter()
-    m = _coerced(int_rows, ring.p)
     if m.dtype == object:  # an entry past int64, over the rationals
         shape, peeled, path, prime, r = m.shape, 0, "bareiss", None, len(_bareiss(m)[1])
     else:
         shape, peeled, rest = _reduced(m, ring.p)
         if ring.p is not None:
             path, prime, r = "prime-field", ring.p, modp_rank(rest, ring.p)
-        elif peeled and not len(rest):
+        elif not len(rest):
             path, prime, r = "structural", None, 0
         else:
             full = min(rest.shape)

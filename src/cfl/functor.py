@@ -415,20 +415,22 @@ def _all_of(shape, arrays) -> np.ndarray:
     return out
 
 
+def _condition_d(rop_rows, subsets, table, shape) -> np.ndarray:
+    """Condition (d) of ``theta_conditions`` on every (psi, phi) pair, from
+    ``_theta_inputs``: for each irreducible e, one gather at S_e(psi) of the
+    subset-OR table of phi's down-masks equals the opposite-order row of e."""
+    return _all_of(shape, ((table == row)[s] for row, s in zip(rop_rows, subsets)))
+
+
 def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.ndarray:
     """The 0/1 kernel system as an int8 array, rows over ideal-valued
-    functions and columns over lattice-valued functions, in index order.
-
-    The cell (psi, phi) is one when, for every irreducible e, the down-masks
-    of phi joined over the points whose ideal contains e give the row of e in
-    the opposite order (condition (d) of ``theta_conditions``): one gather
-    of the subset-OR table per irreducible.  Pruned rows and columns (see
-    ``_theta_inputs``) are identically zero.
+    functions and columns over lattice-valued functions, in index order: a
+    one where condition (d) holds (``_condition_d``).  Pruned rows and
+    columns (see ``_theta_inputs``) are identically zero.
     """
-    rop_rows = irr_data(lattice).rop_rows
     phi, psi, _, subsets, table = _theta_inputs(lattice, points, cap, pruned)
-    return _all_of((len(psi), len(phi)),
-                   ((table == row)[s] for row, s in zip(rop_rows, subsets))).view(np.int8)
+    rop_rows = irr_data(lattice).rop_rows
+    return _condition_d(rop_rows, subsets, table, (len(psi), len(phi))).view(np.int8)
 
 
 def theta_condition_tables(lattice: Lattice, points: int):
@@ -470,7 +472,7 @@ def theta_condition_tables(lattice: Lattice, points: int):
     full = (1 << k) - 1
     yield _all_of(shape, (((table >> e & 1).astype(bool) & (table & (full ^ rop[e]) == 0))
                           [subsets[e]] for e in range(k)))
-    yield _all_of(shape, ((table == rop[e])[subsets[e]] for e in range(k)))
+    yield _condition_d(rop, subsets, table, shape)
 
     le = _order_table(lattice)
     meets = np.array([lattice.meet_many(elems[i] for i in _bits(m)) for m in data.iup_enc])

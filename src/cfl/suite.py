@@ -218,13 +218,6 @@ def _chain_image_count(lat, points):
     return count
 
 
-def _integer_rows(family, basis):
-    """Coefficient rows over a basis of join-maps; ``None`` if one is not an integer."""
-    rows = [lin_to_vector(f, basis) for f in family]
-    integral = all(c.denominator == 1 for row in rows for c in row)
-    return [[c.numerator for c in row] for row in rows] if integral else None
-
-
 def _level_drop_sum(n):
     """``sum over Y of (-1)^(n - |Y|) rho_Y``: the quotient of a chain after
     its section, and the top block ``beta(n, n)`` of the total order."""
@@ -601,15 +594,15 @@ def _check_chain_endo(ctx):
         family = [f_dc(d, c)
                   for m in range(n + 1)
                   for d in p_tuples(chain(n), m) for c in p_tuples(chain(n), m)]
-        rows = _integer_rows(family, basis)
-        if rows is None:
+        coeffs = ExactMatrix([lin_to_vector(f, basis) for f in family], cols=len(basis))
+        if any(s != 1 for s in coeffs.scales):
             return {"n": n, "law": "integer coefficients"}
         want = sum(math.comb(n, m) ** 2 for m in range(n + 1))
-        got = fast_int_rank(rows, ctx.ring)
+        got = fast_int_rank(coeffs.data, ctx.ring)
         if got != want or want != len(basis):
             return {"n": n, "rank": got, "want": want}
         if n <= 3:
-            det = det_int(rows)
+            det = det_int(coeffs.data)
             if abs(det) != 1:
                 return {"n": n, "det": det, "law": "unimodular change of basis"}
     return None
@@ -629,10 +622,14 @@ def _check_units_span(ctx):
         family = [f_dc(d, c)
                   for n in range(len(sizes))
                   for d in p_tuples(lat, n) for c in p_tuples(lat, n)]
-        rows = _integer_rows(family, basis)
-        if rows is None:
+        inside = set(basis)
+        stray = next((m for f in family for m in f.terms if m not in inside), None)
+        if stray is not None:
+            return _witness(lat, name=name, images=list(stray.images), law="span inclusion")
+        coeffs = ExactMatrix([lin_to_vector(f, basis) for f in family], cols=len(basis))
+        if any(s != 1 for s in coeffs.scales):
             return _witness(lat, name=name, law="integer coefficients")
-        if fast_int_rank(rows, ctx.ring) != len(basis):
+        if fast_int_rank(coeffs.data, ctx.ring) != len(basis):
             return _witness(lat, name=name, law="span equality")
         unit = Family(lat, lat, [e_t(lat)])
         span = Family(lat, lat, [LinMorphism.of_map(m) for m in basis])
@@ -915,8 +912,7 @@ def _check_fixed_rank(ctx):
             for f in all_functions(lat, p.n):
                 out = act(rop, f).index
                 rows.append([1 if j == out else 0 for j in range(lat.n ** p.n)])
-            mat_rank = ExactMatrix(list(map(list, zip(*rows))),
-                                   cols=len(rows), ring=RATIONALS).rank()
+            mat_rank = fast_int_rank(rows)
             if got != want or mat_rank != want:
                 return {"poset": sorted(p.leq.pairs()), "target": name,
                         "count": got, "maps": want, "rank": mat_rank}

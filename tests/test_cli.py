@@ -191,6 +191,14 @@ def test_rank_ring_env_override(chain2_file, capsys, monkeypatch):
 def test_rank_cap(m3_file, capsys):
     assert main(["rank", m3_file, "--points", "3", "--cap", "10"]) == 1
     assert "cap" in capsys.readouterr().err
+    for cap in ("0", "-5"):
+        assert main(["rank", m3_file, "--points", "1", "--cap", cap]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --cap must be at least 1, got {cap}\n"
+    # 1 is a cap, which m3's five functions at one point exceed
+    assert main(["rank", m3_file, "--points", "1", "--cap", "1"]) == 1
+    assert "functions exceed cap 1" in capsys.readouterr().err
+    assert main(["rank", m3_file, "--points", "1", "--cap", "8"]) == 0
 
 
 def test_verify_small_suite(capsys):

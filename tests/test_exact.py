@@ -390,7 +390,7 @@ def test_fast_int_rank_prunes_arrays_like_lists():
         assert stats.shape == (3, 2) and stats.path == "modp-certified"
     stats = RankStats()
     assert fast_int_rank(np.zeros((3, 0), dtype=np.int8), stats=stats) == 0
-    assert stats.shape == (0, 0) and stats.path == "modp-certified"
+    assert (stats.shape, stats.path, stats.prime) == ((0, 0), "structural", None)
     for not_int64 in (np.ones((2, 2)), np.full((2, 2), 2 ** 64 - 1, dtype=np.uint64),
                       np.array([[2 ** 70, 1]], dtype=object)):
         with pytest.raises(TypeError):
@@ -701,3 +701,40 @@ def test_transpose_keeps_the_shape_of_empty_matrices():
     assert (t.rows, t.cols) == (2, 0) and t.rank() == 0 and t.nullspace() == []
     back = t.transpose()
     assert (back.rows, back.cols) == (0, 2) and len(back.nullspace()) == 2
+
+
+def test_exact_matrix_reads_its_rows_once():
+    # _coerced hands an array back as it is; only rows are read.  Peeling
+    # leaves a 2 x 2 rest of rank 1, which goes on to the later kernels.
+    rows = [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, Fraction(3, 4)], [1, 2, 3]]
+    for ring in (RATIONALS, PrimeField(5)):
+        with mock.patch("cfl.exact._coerced", wraps=_coerced) as coerced:
+            def reads():
+                return [c.args[0] for c in coerced.call_args_list
+                        if not isinstance(c.args[0], np.ndarray)]
+            m = ExactMatrix(rows, ring=ring)
+            assert len(reads()) == 1
+            assert m.rank() == len(m.nullspace()) + 1 == m.rank()
+            assert len(reads()) == 1
+        assert m.scales == (2, 1, 4, 1) and m.data.shape == (m.rows, m.cols) == (4, 3)
+
+
+def test_entries_past_int64_stay_in_the_matrix_that_holds_them():
+    m = ExactMatrix([[2 ** 70, 1], [2 ** 71, 2]])
+    assert m.data.dtype == object and m.rank() == 1
+    assert m.nullspace() == [(Fraction(-1, 2 ** 70), 1)]
+    t = m.transpose()
+    assert (t.rows, t.cols) == (2, 2) and t.rank() == 1 and len(t.nullspace()) == 1
+    back = t.transpose()
+    assert back.data.tolist() == m.data.tolist() and back.scales == m.scales == (1, 1)
+    assert ExactMatrix([[2 ** 70, 1], [2 ** 71, 2]], ring=PrimeField(1000003)).rank() == 1
+
+
+def test_subspace_equal_reads_entries_past_int64_against_small_arrays():
+    big = 2 ** 70
+    for ring in (RATIONALS, PrimeField(1000003)):  # 2^70 is a unit mod 1000003
+        assert subspace_equal([[big, 0], [0, 1]], np.eye(2, dtype=np.int8), 2, ring)
+        assert subspace_equal(np.array([[1, 1]], dtype=np.int8), [[big, big]], 2, ring)
+        assert not subspace_equal([[big, 1]], np.array([[1, 1]], dtype=np.int8), 2, ring)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            subspace_equal([[big, 1, 0]], np.eye(2, dtype=np.int8), 2, ring)

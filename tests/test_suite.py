@@ -10,7 +10,7 @@ import cfl.morphisms as morphisms_mod
 import cfl.suite as suite_mod
 from cfl.catalog import enumerate_lattices, named_lattices
 from cfl.exact import PrimeField
-from cfl.lattices import CapExceeded, chain, irreducibles, is_distributive
+from cfl.lattices import CapExceeded, JoinMap, chain, irreducibles, is_distributive
 from cfl.morphisms import LinMorphism, f_dc, p_tuples
 from cfl.suite import Limits, check, list_checks, run_check, run_suite, suite_names
 
@@ -120,6 +120,23 @@ def test_perturbed_matrix_unit_fails_with_witness(monkeypatch):
     assert result.witness["name"] == "chain3"
     # (d, c, b, a): f_dc after f_ba differs from its expected product
     assert result.witness["tuples"] == [[], [], [0], [0]]
+
+
+def test_unit_outside_the_span_fails_with_witness(monkeypatch):
+    # The identity of b2 is a join-map whose image is no chain, so it lies
+    # outside the chain-image basis that the matrix units span; b2 is the
+    # first named lattice where that happens.
+    real = suite_mod.f_dc
+
+    def widened(d, c):
+        return real(d, c) + LinMorphism.of_map(JoinMap.identity(d.lattice))
+
+    monkeypatch.setattr(suite_mod, "f_dc", widened)
+    result = run_check("matrix-units-span", small())
+    assert result.status == "fail"
+    assert result.witness["law"] == "span inclusion"
+    assert result.witness["name"] == "b2" and result.witness["lattice"]["size"] == 4
+    assert result.witness["images"] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("cells", [1, suite_mod._UNIT_BLOCK_CELLS, 2 ** 18])
