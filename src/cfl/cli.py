@@ -118,16 +118,13 @@ def _cmd_lattice_endo(args):
 
 
 def _cmd_rank(args):
-    path = args.file or args.lattice
-    if not path:
-        raise _InputError("rank needs a lattice file (positional or --lattice)")
-    if args.file and args.lattice and args.file != args.lattice:
-        raise _InputError("two different lattice files given")
+    if not args.file:
+        raise _InputError("rank needs a lattice file")
     if args.points < 0:
         raise _InputError(f"--points must be non-negative, got {args.points}")
     if args.cap < 1:
         raise _InputError(f"--cap must be at least 1, got {args.cap}")
-    lat = _load(path)
+    lat = _load(args.file)
     ring = _ring_from(args)
     stats = RankStats(shape=None, path="formula")
     if args.method == "theta":
@@ -217,7 +214,6 @@ def _build_parser():
 
     rank = sub.add_parser("rank", help="rank of the quotient module at a point count")
     rank.add_argument("file", nargs="?")
-    rank.add_argument("--lattice")
     rank.add_argument("--points", type=int, required=True)
     rank.add_argument("--method", choices=("theta", "gamma", "formula"),
                       default="theta")

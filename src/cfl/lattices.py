@@ -74,22 +74,21 @@ class Poset:
         flags = order_flags(leq)
         if not flags.is_order:
             raise LatticeError(f"relation is not a partial order: {flags}")
-        self.n = leq.dst_size
-        self.leq = leq
-        self.up = leq.rows                    # up[a] = mask of {b : a <= b}
-        self.down = leq.opposite().rows       # down[b] = mask of {a : a <= b}
-        self._hash = hash(leq)
+        self._fill(leq)
 
     @classmethod
     def _trusted(cls, leq: Correspondence) -> "Poset":
         """A poset from a relation known to be an order; no checks."""
         p = object.__new__(cls)
-        p.n = leq.dst_size
-        p.leq = leq
-        p.up = leq.rows
-        p.down = leq.opposite().rows
-        p._hash = hash(leq)
+        p._fill(leq)
         return p
+
+    def _fill(self, leq):
+        self.n = leq.dst_size
+        self.leq = leq
+        self.up = leq.rows                    # up[a] = mask of {b : a <= b}
+        self.down = leq.opposite().rows       # down[b] = mask of {a : a <= b}
+        self._hash = hash(leq)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Poset":

@@ -18,7 +18,8 @@ products of numerators as integers, in int64 only when a bound rules out
 overflow and as Python ints otherwise.  Its result is again a ``Family``,
 whose member ``i * len(inner) + j`` is ``outer[i]`` after ``inner[j]``;
 ``Family.first_mismatch`` compares two families member by member without
-building a ``LinMorphism``.  ``LinMorphism.compose`` is the one-by-one case.
+building a ``LinMorphism``, and ``Family.over`` tabulates a family over a
+list of join-maps.  ``LinMorphism.compose`` is the one-by-one case.
 """
 
 from __future__ import annotations
@@ -40,7 +41,22 @@ MAX_CHAIN_TUPLES = 2 ** 9
 
 
 class TermNotInBasis(ValueError):
-    pass
+    """A term outside a given list of join-maps; ``images`` is its image row."""
+
+    def __init__(self, images):
+        self.images = tuple(images)
+        super().__init__(f"term with images {list(self.images)} not in the given maps")
+
+
+def _merged(out: dict, pairs) -> dict:
+    """``out`` with the ``(join-map, Fraction)`` pairs added; zero sums drop out."""
+    for m, c in pairs:
+        total = out.get(m, 0) + c
+        if total:
+            out[m] = total
+        else:
+            out.pop(m, None)
+    return out
 
 
 class LinMorphism:
@@ -48,38 +64,25 @@ class LinMorphism:
 
     ``terms`` maps each join-map to its nonzero ``Fraction`` coefficient, so
     equality of the term dictionaries is equality of morphisms.  The public
-    constructor checks and merges its terms.  Sums, negations and scalings
-    of valid terms are valid, so they merge through the unchecked
-    ``_trusted``.  ``compose`` is ``compose_families`` on two one-member
-    families.
+    constructor checks its terms, and it and sums merge through ``_merged``.
+    Sums, negations and scalings of valid terms are valid, so they wrap
+    through the unchecked ``_trusted``.  ``compose`` is ``compose_families``
+    on two one-member families.
     """
 
     __slots__ = ("src", "dst", "terms")
 
     def __init__(self, src: Lattice, dst: Lattice, terms):
-        merged = {}
-        for m, c in (terms.items() if isinstance(terms, dict) else terms):
-            if m.src != src or m.dst != dst:
-                raise ValueError("term with mismatched source or target lattice")
-            c = Fraction(c)
-            if c:
-                acc = merged.get(m)
-                total = c if acc is None else acc + c
-                if total:
-                    merged[m] = total
-                elif acc is not None:
-                    del merged[m]
-        self.src = src
-        self.dst = dst
-        self.terms = merged
+        pairs = [(m, Fraction(c)) for m, c in (terms.items() if isinstance(terms, dict) else terms)]
+        if any(m.src != src or m.dst != dst for m, _ in pairs):
+            raise ValueError("term with mismatched source or target lattice")
+        self.src, self.dst, self.terms = src, dst, _merged({}, pairs)
 
     @classmethod
     def _trusted(cls, src: Lattice, dst: Lattice, terms: dict) -> "LinMorphism":
         """Wrap a dict of distinct ``src -> dst`` maps to nonzero Fractions; no checks."""
         out = object.__new__(cls)
-        out.src = src
-        out.dst = dst
-        out.terms = terms
+        out.src, out.dst, out.terms = src, dst, terms
         return out
 
     @classmethod
@@ -97,14 +100,8 @@ class LinMorphism:
     def __add__(self, other: "LinMorphism") -> "LinMorphism":
         if (self.src, self.dst) != (other.src, other.dst):
             raise ValueError("sum of morphisms between different lattices")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            total = out.get(m, 0) + c
-            if total:
-                out[m] = total
-            else:
-                del out[m]
-        return LinMorphism._trusted(self.src, self.dst, out)
+        return LinMorphism._trusted(self.src, self.dst,
+                                    _merged(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return LinMorphism._trusted(self.src, self.dst,
@@ -180,6 +177,7 @@ class Family:
     common denominator (the lcm of the member's coefficient denominators
     when built from morphisms).  ``weight`` bounds ``sum(abs(nums[i]))`` for
     every member; ``nums`` is int64 only when that bound is below 2^63.
+    ``over`` gives the same numerators as columns of a given list of maps.
     """
 
     __slots__ = ("src", "dst", "images", "nums", "dens", "weight", "_maps", "_nonzero")
@@ -234,6 +232,23 @@ class Family:
         else:
             terms = {m: Fraction(c, den) for m, c in pairs if c}
         return LinMorphism._trusted(self.src, self.dst, terms)
+
+    def over(self, maps) -> np.ndarray:
+        """The numerators laid over ``maps``, distinct join-maps ``src -> dst``:
+        entry ``[i, k]`` is member ``i``'s numerator at ``maps[k]``.
+
+        Raises ``TermNotInBasis`` for the first image row, in the order of
+        ``images``, that no map in the list has."""
+        if any(m.src != self.src or m.dst != self.dst for m in maps):
+            raise ValueError("map with mismatched source or target lattice")
+        column = {m.images: k for k, m in enumerate(maps)}
+        try:
+            at = [column[row] for row in map(tuple, self.images.tolist())]
+        except KeyError as stray:
+            raise TermNotInBasis(stray.args[0]) from None
+        table = np.zeros((len(self), len(maps)), self.nums.dtype)
+        table[:, at] = self.nums
+        return table
 
     def first_mismatch(self, other: "Family", picks):
         """The first member ``i`` that differs from ``other[picks[i]]``, or
@@ -505,14 +520,3 @@ def tot_basis(lattice: Lattice):
                 out.append(lam @ pi)
     return out
 
-
-def lin_to_vector(alpha: LinMorphism, basis):
-    """Coefficients of a morphism over a fixed list of join-maps."""
-    position = {m: i for i, m in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for m, c in alpha.terms.items():
-        try:
-            vec[position[m]] = c
-        except KeyError:
-            raise TermNotInBasis(f"term {m!r} not in the given basis") from None
-    return vec

@@ -34,8 +34,8 @@ from .lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
                        irreducibles, is_distributive, join_maps, lattice_from_leq,
                        lattice_to_json, lattices_isomorphic, mobius,
                        posets_isomorphic, principal_embed)
-from .morphisms import (Family, LinMorphism, adjoint_op, beta, compose_families,
-                        e_t, f_dc, j_of_tuple, lambda_of_tuple, lin_to_vector,
+from .morphisms import (Family, LinMorphism, TermNotInBasis, adjoint_op, beta,
+                        compose_families, e_t, f_dc, j_of_tuple, lambda_of_tuple,
                         max_tuple_size, p_tuples, pi_of_tuple, rho_y, tot_basis,
                         y_tuples)
 from .relations import (Correspondence, order_flags, preorder_quotient,
@@ -208,6 +208,14 @@ def _all_tuples(lat, max_size):
             for b in p_tuples(lat, n)]
 
 
+def _units(lat, max_size):
+    """Keys ``(d.entries, c.entries)`` and matrix units ``f_dc(d, c)`` of all
+    pairs of top-avoiding chains of one size up to ``max_size``, by size, then d."""
+    tuples = _all_tuples(lat, max_size)
+    pairs = [(d, c) for d in tuples for c in tuples if len(d) == len(c)]
+    return [(d.entries, c.entries) for d, c in pairs], [f_dc(d, c) for d, c in pairs]
+
+
 def _chain_image_count(lat, points):
     count = 0
     for f in all_functions(lat, points):
@@ -343,9 +351,9 @@ def _check_preorder_quotient(ctx):
             for y in range(n):
                 if ((x, y) in pre) != ((proj[x], proj[y]) in quo):
                     return {"pairs": sorted(pre.pairs()), "law": "projection compatible"}
+        below = pre.opposite().rows
         pre_ideals = [m for m in range(1 << n)
-                      if all(pre.opposite().rows[b] & ~m == 0
-                             for b in range(n) if m >> b & 1)]
+                      if all(below[b] & ~m == 0 for b in range(n) if m >> b & 1)]
         k = len(pre_ideals)
         idx = {m: i for i, m in enumerate(pre_ideals)}
         pre_lat = lattice_from_leq(
@@ -499,10 +507,7 @@ _UNIT_BLOCK_CELLS = 2 ** 15
        "idempotents")
 def _check_matrix_units(ctx):
     for name, lat in _named(ctx, 6):
-        tuples = _all_tuples(lat, 3)
-        pairs = [(d, c) for d in tuples for c in tuples if len(d) == len(c)]
-        keys = [(d.entries, c.entries) for d, c in pairs]
-        units = [f_dc(d, c) for d, c in pairs]
+        keys, units = _units(lat, 3)
         family = Family(lat, lat, units)
         position = {key: i for i, key in enumerate(keys)}
         # product i * len(keys) + j of a block is its unit i after member j,
@@ -583,26 +588,23 @@ def _check_chain_idempotents(ctx):
        "the matrix units span them with determinant +-1",
        "idempotents")
 def _check_chain_endo(ctx):
-    for n in range(min(6, ctx.limits.max_lattice + 1) + 1):
-        basis = tot_basis(chain(n))
+    bases = [tot_basis(chain(n)) for n in range(min(6, ctx.limits.max_lattice + 1) + 1)]
+    for n, basis in enumerate(bases):
         if len(basis) != math.comb(2 * n, n) or len(set(basis)) != len(basis):
             return {"n": n, "count": len(basis), "law": "endo count"}
         if n <= 3 and len(join_maps(chain(n), chain(n))) != len(basis):
             return {"n": n, "law": "brute endo count"}
-    for n in range(min(4, ctx.limits.max_lattice) + 1):
-        basis = tot_basis(chain(n))
-        family = [f_dc(d, c)
-                  for m in range(n + 1)
-                  for d in p_tuples(chain(n), m) for c in p_tuples(chain(n), m)]
-        coeffs = ExactMatrix([lin_to_vector(f, basis) for f in family], cols=len(basis))
-        if any(s != 1 for s in coeffs.scales):
+    for n, basis in enumerate(bases[:min(4, ctx.limits.max_lattice) + 1]):
+        family = Family(chain(n), chain(n), _units(chain(n), n)[1])
+        coeffs = family.over(basis)
+        if any(den != 1 for den in family.dens):
             return {"n": n, "law": "integer coefficients"}
         want = sum(math.comb(n, m) ** 2 for m in range(n + 1))
-        got = fast_int_rank(coeffs.data, ctx.ring)
+        got = fast_int_rank(coeffs, ctx.ring)
         if got != want or want != len(basis):
             return {"n": n, "rank": got, "want": want}
         if n <= 3:
-            det = det_int(coeffs.data)
+            det = det_int(coeffs)
             if abs(det) != 1:
                 return {"n": n, "det": det, "law": "unimodular change of basis"}
     return None
@@ -619,17 +621,14 @@ def _check_units_span(ctx):
         ysizes = [len(y_tuples(lat, n)) for n in range(max_tuple_size(lat) + 1)]
         if sizes != ysizes or len(basis) != sum(a * b for a, b in zip(sizes, ysizes)):
             return _witness(lat, name=name, law="tuple counts")
-        family = [f_dc(d, c)
-                  for n in range(len(sizes))
-                  for d in p_tuples(lat, n) for c in p_tuples(lat, n)]
-        inside = set(basis)
-        stray = next((m for f in family for m in f.terms if m not in inside), None)
-        if stray is not None:
+        family = Family(lat, lat, _units(lat, len(sizes) - 1)[1])
+        try:
+            coeffs = family.over(basis)
+        except TermNotInBasis as stray:
             return _witness(lat, name=name, images=list(stray.images), law="span inclusion")
-        coeffs = ExactMatrix([lin_to_vector(f, basis) for f in family], cols=len(basis))
-        if any(s != 1 for s in coeffs.scales):
+        if any(den != 1 for den in family.dens):
             return _witness(lat, name=name, law="integer coefficients")
-        if fast_int_rank(coeffs.data, ctx.ring) != len(basis):
+        if fast_int_rank(coeffs, ctx.ring) != len(basis):
             return _witness(lat, name=name, law="span equality")
         unit = Family(lat, lat, [e_t(lat)])
         span = Family(lat, lat, [LinMorphism.of_map(m) for m in basis])

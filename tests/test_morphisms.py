@@ -9,11 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfl.catalog import enumerate_lattices, named_lattices
-from cfl.lattices import CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps, mobius
+from cfl.lattices import CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps
 from cfl.morphisms import (ChainTuple, Family, LinMorphism, TermNotInBasis, _distinct_rows,
                            adjoint_op, beta, compose_families, e_t, f_dc, j_of_tuple,
-                           lambda_of_tuple, lin_to_vector, max_tuple_size, p_tuples,
-                           pi_of_tuple, rho_y, tot_basis, y_tuples)
+                           lambda_of_tuple, max_tuple_size, p_tuples, pi_of_tuple, rho_y,
+                           tot_basis, y_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -284,21 +284,26 @@ def test_lambda_of_tuple(named):
         lambda_of_tuple(ChainTuple(b2, (1,), "P"))
 
 
-def test_lin_to_vector(named):
+def test_family_over(named):
     b2 = named["b2"]
     basis = tot_basis(b2)
-    mob = mobius(b2)
-    for b in p_tuples(b2, 1):
-        vec = lin_to_vector(f_dc(b, b), basis)
-        assert all(v.denominator == 1 for v in vec)
-        assert any(v != 0 for v in vec)
-        values = sorted({abs(v) for v in vec if v})
-        assert values == [1] or values == [1, 2]
-    zero = LinMorphism.zero(b2, b2)
-    assert lin_to_vector(zero, basis) == [0] * len(basis)
-    stranger = LinMorphism.identity(chain(1))
-    with pytest.raises(TermNotInBasis):
-        lin_to_vector(stranger, basis)
+    tuples = [b for n in range(max_tuple_size(b2) + 1) for b in p_tuples(b2, n)]
+    units = [f_dc(d, c) for d in tuples for c in tuples if len(d) == len(c)]
+    family = Family(b2, b2, units)
+    assert family.dens == [1] * len(units)
+    position = {m: k for k, m in enumerate(basis)}
+    want = np.zeros((len(units), len(basis)), np.int64)
+    for i, unit in enumerate(units):
+        for m, c in unit.terms.items():
+            want[i, position[m]] = c
+    assert np.array_equal(family.over(basis), want)
+    table = Family(b2, b2, [units[0], LinMorphism.zero(b2, b2)]).over(basis)
+    assert np.array_equal(table[0], want[0]) and not table[1].any()
+    with pytest.raises(TermNotInBasis) as err:  # the identity's image is no chain
+        Family(b2, b2, units[:1] + [LinMorphism.identity(b2)]).over(basis)
+    assert err.value.images == (0, 1, 2, 3)
+    with pytest.raises(ValueError):
+        Family(chain(1), chain(1), [LinMorphism.identity(chain(1))]).over(basis)
 
 
 def test_adjoint_of_chain_image_factorization(named):
