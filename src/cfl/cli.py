@@ -28,11 +28,11 @@ class _InputError(Exception):
 
 def _load_json(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as err:
         raise _InputError(f"cannot read {path}: {err.strerror}")
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad JSON, not UTF-8, or nested too deep
         raise _InputError(f"{path}: JSON parse error: {err}")
 
 

@@ -5,7 +5,8 @@ pointwise joins; the meet-side (star) action realizes the dual module.  This
 module assembles the derived objects of interest: the subspace spanned by
 functions missing an irreducible, the kernel linear system and its rank, the
 duality pairing with its Mobius dual basis, the alternating generator of the
-dual copy, and the permutation module with its relation action.
+dual copy, and the relation action on the permutation module, which sends
+each basis permutation to one basis permutation or to zero.
 
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
 digit ``i`` of the index, base ``|T|``.
@@ -642,84 +643,37 @@ def perm_basis(e_size: int):
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _perm_pairs(e_size: int):
-    """The ``perm_basis`` permutations as (images, inverse images) pairs,
-    and the position of each in that basis."""
-    basis = perm_basis(e_size)
-    pairs = tuple((tau, Permutation(tau).inverse().images) for tau in basis)
-    return pairs, {tau: i for i, tau in enumerate(basis)}
+def _perm_inverses(e_size: int):
+    """Each ``perm_basis`` permutation mapped to its inverse, in basis order."""
+    return {tau: Permutation(tau).inverse().images for tau in perm_basis(e_size)}
 
 
-class FundElement:
-    """An element of the rank-``|E|!`` module with basis the permutations."""
+def fund_act(q: Correspondence, sigma, order: Poset):
+    """Action of a relation on a basis permutation of the permutation module
+    attached to an order; the action on the whole module is its linear
+    extension.
 
-    __slots__ = ("e_size", "coeffs")
-
-    def __init__(self, e_size: int, coeffs=None):
-        size = math.factorial(e_size)
-        if coeffs is None:
-            coeffs = [Fraction(0)] * size
-        else:
-            coeffs = [Fraction(c) for c in coeffs]
-            if len(coeffs) != size:
-                raise ValueError(f"expected {size} coefficients")
-        self.e_size = e_size
-        self.coeffs = coeffs
-
-    @classmethod
-    def basis_vector(cls, e_size: int, sigma) -> "FundElement":
-        v = cls(e_size)
-        v.coeffs[perm_basis(e_size).index(tuple(sigma))] = Fraction(1)
-        return v
-
-    def __eq__(self, other):
-        return (isinstance(other, FundElement) and self.e_size == other.e_size
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __repr__(self):
-        basis = perm_basis(self.e_size)
-        parts = [f"{c}*{list(basis[i])}" for i, c in enumerate(self.coeffs) if c]
-        return "FundElement(" + " + ".join(parts or ["0"]) + ")"
-
-
-def fund_act(q: Correspondence, v: FundElement, order: Poset) -> FundElement:
-    """Action of a relation on the permutation module attached to an order.
-
-    A basis permutation survives exactly when some (then unique) permutation
-    squeezes the relation between the diagonal and the conjugated order; the
-    basis element is then moved by that permutation."""
-    e = v.e_size
-    if q.dst_size != e or q.src_size != e or order.n != e:
+    The basis permutation ``sigma`` survives exactly when some (then unique)
+    permutation ``tau`` squeezes the relation between the diagonal and the
+    conjugated order, ``delta(tau) <= q <= delta(tau sigma) leq
+    delta(sigma)^op``; its image is then ``tau sigma``, and otherwise the
+    relation acts as zero and the result is None."""
+    e = order.n
+    if q.dst_size != e or q.src_size != e or len(sigma) != e:
         raise ValueError("size mismatch")
-    taus, position = _perm_pairs(e)
-    out = FundElement(e)
-    for i, c in enumerate(v.coeffs):
-        if not c:
+    inverses = _perm_inverses(e)
+    sigma_inv = inverses.get(tuple(sigma))
+    if sigma_inv is None:
+        raise ValueError(f"not a permutation of 0..{e - 1}: {sigma!r}")
+    found = None
+    for tau, tau_inv in inverses.items():
+        if not all(q.rows[tau[x]] >> x & 1 for x in range(e)):
             continue
-        sigma, sigma_inv = taus[i]
-        found = None
-        for tau, tau_inv in taus:
-            if not all(q.rows[tau[x]] >> x & 1 for x in range(e)):
-                continue
-            ok = True
-            for y in range(e):
-                row = q.rows[y]
-                ty = sigma_inv[tau_inv[y]]
-                for x in _bits(row):
-                    if not order.up[ty] >> sigma_inv[x] & 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                assert found is None, "squeezing permutation is not unique"
-                found = tau
-        if found is not None:
-            moved = tuple(found[sigma[x]] for x in range(e))
-            out.coeffs[position[moved]] += c
-    return out
+        if all(order.up[sigma_inv[tau_inv[y]]] >> sigma_inv[x] & 1
+               for y in range(e) for x in _bits(q.rows[y])):
+            assert found is None, "squeezing permutation is not unique"
+            found = tau
+    return None if found is None else tuple(found[x] for x in sigma)
 
 
 def fixed_rank(target: Lattice, order: Poset) -> int:

@@ -23,10 +23,10 @@ from fractions import Fraction
 from .catalog import enumerate_lattices, enumerate_posets, named_lattices
 from .exact import (ExactMatrix, RATIONALS, bareiss_rank_int, det_int,
                     fast_int_rank, modp_rank)
-from .functor import (FundElement, LatticeFunction, act, act_mod, all_functions,
-                      apply_lin, dual_star, fixed_rank, fund_act, gamma_corr,
+from .functor import (LatticeFunction, act, act_mod, all_functions, apply_lin,
+                      dual_star, fixed_rank, fund_act, gamma_corr,
                       gamma_span_rank, gamma_t, h_quotient_basis, irr_data,
-                      orth_check, pairing, retraction_exists, star_act,
+                      orth_check, pairing, perm_basis, retraction_exists, star_act,
                       star_act_mod, theta_condition_tables, theta_conditions,
                       theta_matrix, theta_rank, total_rank_formula)
 from .lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
@@ -1201,30 +1201,31 @@ def _check_fund_action(ctx):
     for p in enumerate_posets(2):
         rels = [Correspondence(2, 2, rows)
                 for rows in itertools.product(range(4), repeat=2)]
-        for v_idx in range(2):
-            v = FundElement(2)
-            v.coeffs[v_idx] = Fraction(1)
-            if fund_act(Correspondence.identity(2), v, p) != v:
+        for sigma in perm_basis(2):
+            if fund_act(Correspondence.identity(2), sigma, p) != sigma:
                 return {"poset": sorted(p.leq.pairs()), "law": "identity"}
             for q1 in rels:
                 for q2 in rels:
-                    left = fund_act(q1 @ q2, v, p)
-                    right = fund_act(q1, fund_act(q2, v, p), p)
-                    if left != right:
+                    if fund_act(q1 @ q2, sigma, p) != _act_after(q1, q2, sigma, p):
                         return {"poset": sorted(p.leq.pairs()),
                                 "q1": sorted(q1.pairs()), "q2": sorted(q2.pairs()),
                                 "law": "multiplicative"}
-    posets3 = enumerate_posets(3)
+    posets3, basis3 = enumerate_posets(3), perm_basis(3)
     for _ in range(ctx.limits.samples):
         p = ctx.rng.choice(posets3)
         q1 = _rand_corr(ctx.rng, 3, 3)
         q2 = _rand_corr(ctx.rng, 3, 3)
-        v = FundElement(3)
-        v.coeffs[ctx.rng.randrange(6)] = Fraction(1)
-        if fund_act(q1 @ q2, v, p) != fund_act(q1, fund_act(q2, v, p), p):
+        sigma = basis3[ctx.rng.randrange(6)]
+        if fund_act(q1 @ q2, sigma, p) != _act_after(q1, q2, sigma, p):
             return {"poset": sorted(p.leq.pairs()), "q1": sorted(q1.pairs()),
                     "q2": sorted(q2.pairs()), "law": "multiplicative"}
     return None
+
+
+def _act_after(q1, q2, sigma, p):
+    """``q1`` acting on the image of ``sigma`` under ``q2``; None is zero."""
+    image = fund_act(q2, sigma, p)
+    return None if image is None else fund_act(q1, image, p)
 
 
 # --- acceptance (bounds pinned by the criteria) ----------------------------------

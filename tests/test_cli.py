@@ -52,6 +52,18 @@ def test_malformed_json_distinguished(tmp_path, capsys):
     assert "JSON parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-100000-deep"])
+@pytest.mark.parametrize("argv", [["lattice", "check"], ["rank", "--points", "1"]],
+                         ids=["lattice-check", "rank"])
+def test_unreadable_json_exits_1_with_one_line(tmp_path, capsys, content, argv):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: JSON parse error") and err.count("\n") == 1
+
+
 def test_missing_file(capsys):
     assert main(["lattice", "check", "/nonexistent/x.json"]) == 1
     assert "cannot read" in capsys.readouterr().err

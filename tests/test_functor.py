@@ -9,7 +9,7 @@ import cfl.functor as functor
 from cfl.catalog import enumerate_lattices, enumerate_posets, named_lattices
 from cfl.exact import (ExactMatrix, PrimeField, RATIONALS, RankStats, bareiss_rank_int,
                        subspace_equal)
-from cfl.functor import (FundElement, LatticeFunction, ModVec, _decode, act, act_mod,
+from cfl.functor import (LatticeFunction, ModVec, _decode, act, act_mod,
                          all_functions, apply_lin, dual_star, fixed_rank,
                          fund_act, gamma_corr, gamma_span_rank, gamma_t,
                          h_quotient_basis, irr_data, orth_check, pairing,
@@ -20,7 +20,7 @@ from cfl.lattices import (CACHE_SIZE, CapExceeded, LatticeError, Poset, chain,
                           ideal_lattice, irreducibles, join_maps, lattice_from_json,
                           mobius)
 from cfl.morphisms import LinMorphism, beta
-from cfl.relations import Correspondence
+from cfl.relations import Correspondence, Permutation, delta
 
 
 @pytest.fixture(scope="module")
@@ -364,14 +364,11 @@ def test_orth_check_fails_without_the_dual_copy(monkeypatch, ring):
 def test_fund_act_examples():
     ident = Correspondence.identity(2)
     r_delta = Poset.antichain(2)
-    v = FundElement.basis_vector(2, (0, 1))
-    assert fund_act(ident, v, r_delta) == v
+    assert fund_act(ident, (0, 1), r_delta) == (0, 1)
     full = Correspondence.full(2, 2)
-    zero = fund_act(full, v, r_delta)
-    assert zero == FundElement(2)
+    assert fund_act(full, (0, 1), r_delta) is None
     swap = Correspondence.from_pairs(2, 2, [(1, 0), (0, 1)])
-    moved = fund_act(swap, v, r_delta)
-    assert moved == FundElement.basis_vector(2, (1, 0))
+    assert fund_act(swap, (0, 1), r_delta) == (1, 0)
 
 
 def test_fund_act_respects_composition():
@@ -381,8 +378,49 @@ def test_fund_act_respects_composition():
         p = rng.choice(posets)
         q1 = Correspondence(3, 3, [rng.getrandbits(3) for _ in range(3)])
         q2 = Correspondence(3, 3, [rng.getrandbits(3) for _ in range(3)])
-        v = FundElement.basis_vector(3, rng.choice(perm_basis(3)))
-        assert fund_act(q1 @ q2, v, p) == fund_act(q1, fund_act(q2, v, p), p)
+        sigma = rng.choice(perm_basis(3))
+        image = fund_act(q2, sigma, p)
+        after = None if image is None else fund_act(q1, image, p)
+        assert fund_act(q1 @ q2, sigma, p) == after
+
+
+def _squeezed_image(q, sigma, p):
+    """The action read off the relations layer: ``tau sigma`` for the unique
+    ``tau`` with ``delta(tau) <= q <= delta(tau sigma) leq delta(sigma)^op``,
+    or None when there is no such ``tau``."""
+    s = Permutation(sigma)
+    images = [(tau * s).images for tau in map(Permutation, perm_basis(p.n))
+              if delta(tau) <= q <= delta(tau * s) @ p.leq @ delta(s).opposite()]
+    return images[0] if len(images) == 1 else None
+
+
+def test_fund_act_matches_the_squeeze_at_two_points():
+    for p in enumerate_posets(2):
+        for rows in itertools.product(range(4), repeat=2):
+            q = Correspondence(2, 2, rows)
+            for sigma in perm_basis(2):
+                assert fund_act(q, sigma, p) == _squeezed_image(q, sigma, p)
+
+
+def test_fund_act_matches_the_squeeze_at_three_points():
+    rng = random.Random(19)
+    posets = enumerate_posets(3)
+    for _ in range(600):
+        p = rng.choice(posets)
+        q = Correspondence(3, 3, [rng.getrandbits(3) for _ in range(3)])
+        sigma = rng.choice(perm_basis(3))
+        assert fund_act(q, sigma, p) == _squeezed_image(q, sigma, p)
+
+
+def test_fund_act_on_the_empty_order():
+    empty = enumerate_posets(0)[0]
+    assert fund_act(Correspondence.identity(0), (), empty) == ()
+
+
+@pytest.mark.parametrize("sigma", [(0,), (0, 1, 2), (0, 0), (1, 2)])
+def test_fund_act_rejects_a_basis_outside_the_module(sigma):
+    with pytest.raises(ValueError):
+        fund_act(Correspondence.identity(2), sigma, Poset.antichain(2))
 
 
 def test_fund_act_requires_an_order():
