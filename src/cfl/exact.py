@@ -20,9 +20,10 @@ update subtracts at most (p - 1)^2, and the trailing block is reduced only
 every ``(2^63 - 1 - p) // (p - 1)^2`` pivots, about 9.2 million at the default
 prime and 2 at ``2^31 - 1``.
 
-A third elimination returns only a rank: ``_f2_rank``, mod 2, with each row
-packed 64 columns to a ``uint64`` word, so a row update is one XOR per word.
-``modp_rank(rows, 2)`` is that kernel, so ``PrimeField(2)`` ranks with it.
+A third elimination returns only a rank: ``_f2_rank``, mod 2, reads each
+row into one Python int and reduces it against a table of pivot rows keyed
+by their top bit, so a row update is one int XOR.  ``modp_rank(rows, 2)`` is
+that kernel, so ``PrimeField(2)`` ranks with it.
 
 ``fast_int_rank``, for both rings, is ``_coerced`` then ``_rank``, the
 cascade that ``ExactMatrix`` and ``subspace_equal`` call on the arrays
@@ -105,7 +106,7 @@ def parse_ring(spec: str):
     """Ring from a name: ``"rat"`` or ``"p:PRIME"``."""
     if spec == "rat":
         return RATIONALS
-    if spec.startswith("p:"):
+    if spec.startswith("p:") and spec[2:].isdecimal():
         return PrimeField(int(spec[2:]))
     raise ValueError(f"unknown ring {spec!r}; expected 'rat' or 'p:PRIME'")
 
@@ -340,41 +341,33 @@ def _modp_echelon(rows, p: int):
 
 
 def _f2_rank(rows) -> int:
-    """Rank mod 2 of a coerced int64-castable matrix (``_coerced``),
-    bit-packed 64 columns to a word.
+    """Rank mod 2 of a coerced int64-castable matrix (``_coerced``), one
+    row at a time, each row a Python int.
 
-    Each row's parities are packed straight from its entries, ``& 1`` in the
-    array's own dtype (two's complement parity for negatives), so no wider
-    copy is made.  Columns are taken word by word, and within a
-    word bit by bit, so every row below the pivots is zero in the words
-    before the current one.  At each pivot one masked scan of that word
-    column finds the rows it hits, and each takes one XOR of the pivot row
-    from that word on.
+    The parities, ``& 1`` in the array's own dtype (two's complement parity
+    for negatives, so no wider copy is made), are packed once, eight columns
+    to a byte, and each row is read big-endian, so column 0 is its top bit.
+    A row is reduced against a table of pivot rows keyed by their top bit
+    (``bit_length``, a small int, where a low-bit key ``v & -v`` would be as
+    wide as the row and hashed at every step): while its own top bit has a
+    pivot, that pivot is XORed in.  A row that reaches zero is dependent;
+    otherwise it becomes the pivot of its new top bit.  The rank is the size
+    of the table.
     """
     bits = rows if rows.dtype == bool else rows & 1
-    nr, nc = bits.shape
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((nr, -(-nc // 64) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    words = words.view("<u8")  # column 64 w + b is bit b of word w on any host
-    masks = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        w = c >> 6
-        nz = np.flatnonzero(words[r:, w] & masks[c & 63])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            top = words[i, w:].copy()
-            words[i, w:] = words[r, w:]
-            words[r, w:] = top
-        if nz.size > 1:
-            words[r + nz[1:], w:] ^= words[r, w:]
-        r += 1
-    return r
+    width = -(-bits.shape[1] // 8)
+    packed = np.packbits(bits, axis=1, bitorder="big").tobytes()
+    pivots = {}
+    for i in range(0, len(packed), width or 1):  # rows of no columns take no bytes
+        v = int.from_bytes(packed[i:i + width], "big")
+        while v:
+            top = v.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = v
+                break
+            v ^= pivot
+    return len(pivots)
 
 
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:

@@ -114,6 +114,8 @@ def _chain_json(n):
      "size must be an integer in 0..64, got True"),
     ({"size": 2, "leq": [[True, 1]]}, ["lattice", "check", "FILE"],
      "leq entries must be [a, b] pairs, got [True, 1]"),
+    (CHAIN2, ["rank", "FILE", "--points", "2", "--ring", "p:abc"],
+     "unknown ring 'p:abc'; expected 'rat' or 'p:PRIME'"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"

@@ -79,6 +79,12 @@ def test_parse_ring():
     assert parse_ring("p:7").p == 7
     with pytest.raises(ValueError):
         parse_ring("float")
+    # a prime that is no decimal integer is an unknown ring, not int()'s message
+    for spec in ("p:abc", "p:", "p:3.0", "p:-7", "p: 7"):
+        with pytest.raises(ValueError, match=f"unknown ring '{spec}'; expected 'rat' or 'p:PRIME'"):
+            parse_ring(spec)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        parse_ring("p:4")
 
 
 def test_modp_rank_matches_bareiss_on_generic_matrices():
@@ -207,7 +213,9 @@ def test_fast_rank_falls_back_exactly():
     assert stats.path == "bareiss" and stats.prime is None
 
 
-_F2_WIDTHS = (0, 1, 63, 64, 65, 130)
+# Rows are packed eight columns to a byte: widths on both sides of a byte
+# and of a 64-bit word.
+_F2_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 130, 200)
 # Parity-preserving maps of an int into each array dtype's range.
 _F2_DTYPES = {
     bool: lambda v: bool(v & 1),
@@ -227,13 +235,13 @@ def _f2_matrices(draw):
     for i, j in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=3)):
         if rows:
             rows.append([x + y for x, y in zip(rows[i % len(rows)], rows[j % len(rows)])])
-    return width, rows
+    return width, rows, draw(st.permutations(range(len(rows)))), draw(st.permutations(range(width)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_f2_matrices())
-def test_packed_f2_rank_is_the_rank_mod_2(matrix):
-    width, rows = matrix
+def test_f2_rank_is_the_rank_mod_2(matrix):
+    width, rows, row_order, col_order = matrix
     want = len(_modp_echelon(_coerced(rows, 2), 2)[1])
     arrays = [np.array([[cast(v) for v in row] for row in rows], dtype=dtype)
               .reshape(len(rows), width) for dtype, cast in _F2_DTYPES.items()]
@@ -241,6 +249,8 @@ def test_packed_f2_rank_is_the_rank_mod_2(matrix):
         assert modp_rank(given, 2) == want
         if isinstance(given, np.ndarray):
             assert len(_modp_echelon(given, 2)[1]) == want
+            # the rank does not depend on the order of the rows or the columns
+            assert modp_rank(given[np.ix_(row_order, col_order)], 2) == want
 
 
 def test_bareiss_handles_column_skips():

@@ -8,6 +8,7 @@ builders must reproduce them entry for entry, in the same row and column
 order, on every named lattice at 0 to 3 points.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from cfl.exact import PrimeField, RankStats, fast_int_rank
 from cfl.functor import (_decode, _encode, _theta_system, function_space_size,
                          gamma_generators, gamma_span_rank, h_quotient_basis, irr_data,
                          theta_matrix, theta_rank)
-from cfl.lattices import CapExceeded, _bits, chain, r_of
+from cfl.lattices import (CapExceeded, _bits, chain, lattice_from_json, lattice_to_json,
+                          r_of)
 
 POINTS = range(4)
 
@@ -117,6 +119,19 @@ def test_rank_stats_report_the_pruned_system():
     deficient = np.array([[1, 2, 3, 0], [2, 4, 6, 0], [1, 1, 1, 0], [1, 1, 1, 0]])
     assert fast_int_rank(deficient, stats=stats) == 2
     assert stats.path == "bareiss" and stats.shape == (3, 3) and stats.peeled == 0
+
+
+def test_chain3_theta_rank_does_not_depend_on_the_labels():
+    # chain3.theta.6 is the one benchmark system that peeling cannot settle;
+    # the benchmark ranks it under random relabelings, which reorder its rows
+    # and columns.  Each of the 24 must be certified mod 2 at A01's rank.
+    leq = lattice_to_json(chain(3))["leq"]
+    for perm in itertools.permutations(range(4)):
+        lat = lattice_from_json({"size": 4, "leq": [[perm[a], perm[b]] for a, b in leq]})
+        stats = RankStats()
+        assert theta_rank(lat, 6, stats=stats) == 2100, perm
+        got = (stats.shape, stats.peeled, stats.path, stats.prime)
+        assert got == ((2100, 2100), 0, "modp-certified", 2), (perm, got)
 
 
 @pytest.mark.parametrize("name, method", [("chain3", "theta"), ("b2", "gamma")])
