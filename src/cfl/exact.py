@@ -30,20 +30,21 @@ cascade that ``ExactMatrix`` and ``subspace_equal`` call on the arrays
 ``_cleared`` gives them: prune and peel, mod 2, mod p, Bareiss; a rational
 matrix with an entry past int64 goes straight to Bareiss.  One pass,
 ``_reduced``, prunes and peels on the coordinates of the nonzero entries,
-read once, block by block of rows.  It drops zero rows, repeated rows
-(compared exactly, by their column and value runs) and zero columns, then
-peels singletons: a column or row with one live entry (nonzero over the
-rationals, nonzero mod p over ``F_p``, tested on the nonzero values alone)
-is a pivot, removed with the line crossing it, and adds exactly 1 to the
-rank.  Peeling repeats until no singleton is left.  Only what peeling leaves
-is read back from the dense matrix, so a system that peels fully is never
-copied.  Over ``F_p`` the rest, if any, is ranked mod p, and that is the
-answer.  Over the rationals an empty rest settles the rank, and otherwise a
-rank of the rest mod any prime is a lower bound, which pins the rank when it
-reaches the row or column count of the rest.  The mod-2 rank tries first; if
-it falls short, the rank mod ``DEFAULT_PRIME`` tries; otherwise Bareiss
-decides on the rest.  A ``RankStats`` record, if passed, reports the pruned
-shape, the peeled pivots, the path and the prime that settled the rank.
+read from an array block by block of rows, or as a builder emits them
+(``_Entries``).  It drops zero rows, repeated rows (compared exactly, by
+their column and value runs) and zero columns, then peels singletons: a
+column or row with one live entry (nonzero over the rationals, nonzero mod
+p over ``F_p``, tested on the nonzero values alone) is a pivot, removed with
+the line crossing it, and adds exactly 1 to the rank.  Peeling repeats
+until no singleton is left.  Only what peeling leaves is made dense, so a
+system that peels fully is never copied.  Over ``F_p`` the rest, if any, is
+ranked mod p, and that is the answer.  Over the rationals an empty rest
+settles the rank, and otherwise a rank of the rest mod any prime is a lower
+bound, which pins the rank when it reaches the row or column count of the
+rest.  The mod-2 rank tries first; if it falls short, the rank mod
+``DEFAULT_PRIME`` tries; otherwise Bareiss decides on the rest.  A
+``RankStats`` record, if passed, reports the pruned shape, the peeled
+pivots, the path and the prime that settled the rank.
 
 ``ExactMatrix`` keeps the array ``_cleared`` reads; its nullspace
 back-substitutes one vector per free column through the echelon rows
@@ -107,7 +108,10 @@ def parse_ring(spec: str):
     if spec == "rat":
         return RATIONALS
     if spec.startswith("p:") and spec[2:].isdecimal():
-        return PrimeField(int(spec[2:]))
+        digits = "".join(str(int(c)) for c in spec[2:]).lstrip("0") or "0"  # in ASCII
+        if len(digits) > 10:  # 2^31 has 10 digits, and int() refuses past 4300
+            raise ValueError(f"{len(digits)}-digit prime too large: the mod-p kernel needs p < 2^31")
+        return PrimeField(int(digits))
     raise ValueError(f"unknown ring {spec!r}; expected 'rat' or 'p:PRIME'")
 
 
@@ -197,7 +201,7 @@ def _cleared(data, p=None, cols=None):
 
 def _coerced(int_rows, p=None):
     """The one reading of an integer matrix, shared by every kernel: it
-    always returns a 2-D array.
+    returns a 2-D array, or the ``_Entries`` a builder emits as they are.
 
     A 2-D array whose dtype casts safely to int64 (bool, the signed integers
     and the unsigned ones below 64 bits) is returned as it is.  Float, uint64
@@ -209,6 +213,8 @@ def _coerced(int_rows, p=None):
     ``p`` into int64 when ``p`` is given; otherwise the rows become an
     object array of Python ints, which only ``_bareiss`` reads.
     """
+    if isinstance(int_rows, _Entries):
+        return int_rows
     if isinstance(int_rows, np.ndarray):
         if int_rows.ndim != 2 or not np.can_cast(int_rows.dtype, np.int64):
             raise TypeError(f"expected a 2-D array of int64-castable integers, "
@@ -404,19 +410,33 @@ class RankStats:
         self.build_s, self.eliminate_s = build_s, eliminate_s
 
 
-# Cells compared with zero at a time when ``_reduced`` reads an array.
+# Cells a block holds when a matrix is read into, or built as, its nonzero entries.
 _BLOCK_CELLS = 1 << 18
 
 
-def _distinct_entries(a):
+class _Entries:
+    """A matrix of ``shape`` as a builder emits it: ``rows``, ``cols`` and
+    ``vals`` of its nonzero entries in row-major order, columns ascending
+    within a row, no cell twice.  ``dense`` scatters it into zeros."""
+
+    __slots__ = ("shape", "rows", "cols", "vals")
+
+    def __init__(self, shape, rows, cols, vals):
+        self.shape, self.rows, self.cols, self.vals = shape, rows, cols, vals
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
+def _nonzero_entries(a):
     """Row, column and value of each nonzero entry of a 2-D array, in
-    row-major order, as three arrays (the values in ``a``'s dtype), without
-    the entries of repeated rows (first occurrences kept).
+    row-major order, as three arrays (the values in ``a``'s dtype).
 
     The array is read once, a block of rows at a time, so the comparison
     with zero holds at most ``_BLOCK_CELLS`` cells and no copy of ``a`` is
-    made.  Rows are compared exactly, by the bytes of their column and
-    value runs."""
+    made."""
     nr, nc = a.shape
     step = max(1, _BLOCK_CELLS // max(nc, 1))
     flats, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=a.dtype)]
@@ -430,6 +450,13 @@ def _distinct_entries(a):
     del flats
     rows = np.empty_like(cols)
     np.divmod(cols, max(nc, 1), out=(rows, cols))
+    return rows, cols, vals
+
+
+def _distinct_rows(rows, cols, vals, nc):
+    """Row-major entries of a matrix of ``nc`` columns without those of
+    repeated rows (first occurrences kept, in order), compared exactly by
+    the bytes of their column and value runs."""
     # the first entry of each nonzero row, and one past its last
     ends = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1, [len(rows)]))
     runs = np.empty(len(rows), dtype=[("col", np.min_scalar_type(nc)), ("val", vals.dtype)])
@@ -460,14 +487,13 @@ def _live(vals, p):
 
 
 def _reduced(m, p):
-    """Prune and peel a coerced int64-castable matrix (``_coerced``) on the
-    coordinates of its nonzero entries; returns ``(shape, peeled, rest)``.
+    """Prune and peel a coerced matrix (``_coerced``: an int64-castable array
+    or ``_Entries``) on the coordinates of its nonzero entries; returns
+    ``(shape, peeled, rest)``.
 
-    The entries are read once, block by block (``_distinct_entries``).
-    Pruning drops zero rows, repeated rows (first occurrences kept, in
-    order) and zero columns, none of which changes the rank; ``shape`` is
-    what it leaves.  Rows are compared exactly, by the bytes of their column
-    and value runs.
+    An array's entries are read once, block by block (``_nonzero_entries``).
+    Pruning drops zero rows, repeated rows (``_distinct_rows``) and zero
+    columns, none of which changes the rank; ``shape`` is what it leaves.
 
     Peeling then settles singletons.  A column with exactly one live entry
     is a pivot: removing it with the row of that entry drops the rank by
@@ -478,21 +504,21 @@ def _reduced(m, p):
     singletons on one line remove it once.  Each round costs one
     ``bincount`` over the live coordinates.
 
-    ``rest`` is the pruned matrix when nothing peels (``m`` itself when
-    pruning drops nothing), and otherwise the surviving rows and columns
-    that still hold a live entry, in order.  Only ``rest`` is read back from
-    ``m``, so a matrix that peels fully is never copied.
+    ``rest`` is the pruned matrix when nothing peels (an array ``m`` itself
+    when pruning drops nothing), and otherwise the surviving rows and
+    columns that still hold a live entry, in order.  It is the one array
+    made: read back from an array ``m``, or scattered from the kept entries.
     """
     nr, nc = m.shape
-    rows, cols, vals = _distinct_entries(m)
+    given = isinstance(m, _Entries)
+    rows, cols, vals = _distinct_rows(*((m.rows, m.cols, m.vals) if given
+                                        else _nonzero_entries(m)), nc)
     live = _live(vals, p)
     rest_rows = np.flatnonzero(np.bincount(rows, minlength=nr))
     rest_cols = np.flatnonzero(np.bincount(cols, minlength=nc))
     shape = (len(rest_rows), len(rest_cols))
 
-    if live is not None and not live.all():
-        rows, cols = rows[live], cols[live]
-    coords = (rows, cols)
+    coords = (rows, cols) if live is None or live.all() else (rows[live], cols[live])
     keep = (np.ones(nr, dtype=bool), np.ones(nc, dtype=bool))
     size = (nr, nc)
     peeled = idle = 0
@@ -516,9 +542,14 @@ def _reduced(m, p):
     if peeled:
         rest_rows, rest_cols = (np.flatnonzero(np.bincount(c, minlength=n))
                                 for c, n in zip(coords, size))
-    elif shape == m.shape:
+    elif shape == m.shape and not given:
         return shape, 0, m
-    return shape, peeled, m[np.ix_(rest_rows, rest_cols)]
+    if not given:
+        return shape, peeled, m[np.ix_(rest_rows, rest_cols)]
+    held = np.isin(rows, rest_rows) & np.isin(cols, rest_cols)
+    rest = _Entries((len(rest_rows), len(rest_cols)), np.searchsorted(rest_rows, rows[held]),
+                    np.searchsorted(rest_cols, cols[held]), vals[held])
+    return shape, peeled, rest.dense()
 
 
 def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> int:
@@ -545,7 +576,7 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
 def _rank(m, ring, stats: RankStats | None = None) -> int:
     """The cascade of ``fast_int_rank`` on a matrix ``_coerced`` has read."""
     start = time.perf_counter()
-    if m.dtype == object:  # an entry past int64, over the rationals
+    if isinstance(m, np.ndarray) and m.dtype == object:  # past int64, over the rationals
         shape, peeled, path, prime, r = m.shape, 0, "bareiss", None, len(_bareiss(m)[1])
     else:
         shape, peeled, rest = _reduced(m, ring.p)

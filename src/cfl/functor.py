@@ -11,18 +11,18 @@ each basis permutation to one basis permutation or to zero.
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
 digit ``i`` of the index, base ``|T|``.
 
-Both kernel systems and the pairing are built whole with numpy over the
-digit arrays of all function indices, and stay integer arrays up to the
-rank.  The theta system precomputes, for every subset of points, the join
-of each column function's down-masks of irreducibles over that subset (the
-subset-OR table); a cell then takes one table lookup per irreducible.
+The kernel systems and the pairing are built with numpy over the digit
+arrays of all function indices; the gamma generators are ranked from their
+nonzero entries.  The theta system precomputes, for every subset of points,
+the join of each column function's down-masks of irreducibles over that
+subset (the subset-OR table); a cell takes one lookup per irreducible.
 ``theta_condition_tables`` tables each of the six membership conditions of
 ``theta_conditions`` over every pair the same way, each on its own: a
 subset-join table of the function's values for (a), the subset-OR table
 for (b)-(d), and the pointwise order and per-irreducible witnesses for (e)
 and (f).  Condition (d) is the theta system itself, so the other five check
-its builder independently.  The gamma generators add one signed term of the
-alternating generator per pass, through a table of meets per upper ideal.
+its builder independently.  The gamma generators sort and sum their 2^k
+signed terms per row, read from a table of meets per upper ideal and term.
 The pairing matrix is one gather of the order table.  ``theta_matrix``,
 ``theta_rank`` and ``h_quotient_basis`` share the theta builder and its
 covering filter; every rank goes through ``fast_int_rank``.  The
@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import RATIONALS, RankStats, fast_int_rank, subspace_equal
+from .exact import _BLOCK_CELLS, RATIONALS, RankStats, _Entries, fast_int_rank, subspace_equal
 from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
                        ideal_lattice, irreducibles, mobius, r_of)
 from .morphisms import LinMorphism
@@ -579,15 +579,14 @@ def gamma_t(lattice: Lattice) -> ModVec:
     return out
 
 
-def gamma_generators(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP):
-    """Integer coefficient vectors spanning the dual-side copy at ``points``,
-    as the rows of an integer array.
+def gamma_entries(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP) -> _Entries:
+    """The generators of ``gamma_generators`` as an ``_Entries`` record: the
+    coordinates and values of their nonzero entries, in row-major order.
 
-    Generators are indexed by upper-ideal-valued functions; acting on the
-    alternating generator by the matching correspondence and expanding.  For
-    each of its 2^k signed terms, a table of meets per upper ideal is
-    gathered over the digits of every generator at once; entries are bounded
-    by 2^k in absolute value, and the dtype holds that bound.
+    A generator's 2^k signed terms are columns, read from a table of meets
+    per (upper ideal, term).  A block of rows at a time, each row's terms are
+    sorted, equal columns summed and zero sums dropped.  The caps are checked
+    first; the values take the dtype that holds 2^k in absolute value.
     """
     data = irr_data(lattice)
     size = function_space_size(lattice, points, cap)
@@ -596,17 +595,38 @@ def gamma_generators(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_
     if 1 << k > cap:
         raise CapExceeded(f"2^{k} signed terms per generator exceed cap {cap}")
     lowered = [r_of(lattice, e) for e in data.elems]
-    psi = _digits(data.iup.n, points)
-    weights = lattice.n ** np.arange(points, dtype=np.int64)
-    rows = np.arange(n_rows)
-    out = np.zeros((n_rows, size), dtype=np.min_scalar_type(-(1 << k) - 1))
-    for mask in range(1 << k):
-        values = [lowered[i] if mask >> i & 1 else data.elems[i] for i in range(k)]
-        meets = np.array([lattice.meet_many(values[e] for e in _bits(enc))
+    terms = [[lowered[i] if mask >> i & 1 else data.elems[i] for i in range(k)]
+             for mask in range(1 << k)]
+    meets = 2 * np.array([[lattice.meet_many(values[e] for e in _bits(enc)) for values in terms]
                           for enc in data.iup_enc], dtype=np.int64)
-        # one cell per row, so no index repeats and a plain += adds every term
-        out[rows, meets[psi] @ weights] += -1 if mask.bit_count() % 2 else 1
-    return out
+    odd = np.array([mask.bit_count() & 1 for mask in range(1 << k)], dtype=np.int64)
+    psi = _digits(data.iup.n, points)
+    step, parts = max(1, _BLOCK_CELLS >> k), []
+    for lo in range(0, n_rows, step):  # n_rows >= 1: the empty ideal at every point
+        block = psi[lo:lo + step]
+        # twice the row-major cell plus the sign bit, so sorting each row sorts the block
+        keys = odd + 2 * size * np.arange(lo, lo + len(block))[:, None]
+        for x in range(points):
+            keys += meets[block[:, x]] * lattice.n ** x
+        keys.sort(axis=1)
+        cells = keys.ravel() >> 1
+        at = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        parts.append((cells[at], np.add.reduceat(1 - 2 * (keys.ravel() & 1), at)))
+    cells, vals = map(np.concatenate, zip(*parts))
+    nonzero = vals != 0
+    return _Entries((n_rows, size), *np.divmod(cells[nonzero], size),
+                    vals[nonzero].astype(np.min_scalar_type(-(1 << k) - 1)))
+
+
+def gamma_generators(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP):
+    """Integer coefficient vectors spanning the dual-side copy at ``points``,
+    as the rows of an integer array.
+
+    Generators are indexed by upper-ideal-valued functions; acting on the
+    alternating generator by the matching correspondence and expanding.
+    It is ``gamma_entries`` scattered into zeros, in the dtype that holds 2^k.
+    """
+    return gamma_entries(lattice, points, cap).dense()
 
 
 def gamma_span_rank(lattice: Lattice, points: int, ring=RATIONALS,
@@ -614,9 +634,9 @@ def gamma_span_rank(lattice: Lattice, points: int, ring=RATIONALS,
     """Rank of the span of the acted generators inside the dual-side module.
 
     ``stats``, if given, receives the build time and what ``fast_int_rank``
-    records."""
+    records from the entries (``gamma_entries``)."""
     start = time.perf_counter()
-    gens = gamma_generators(lattice, points, cap)
+    gens = gamma_entries(lattice, points, cap)
     if stats is not None:
         stats.build_s = time.perf_counter() - start
     return fast_int_rank(gens, ring, stats)

@@ -116,6 +116,7 @@ def _chain_json(n):
      "leq entries must be [a, b] pairs, got [True, 1]"),
     (CHAIN2, ["rank", "FILE", "--points", "2", "--ring", "p:abc"],
      "unknown ring 'p:abc'; expected 'rat' or 'p:PRIME'"),
+    (CHAIN2, ["rank", "FILE", "--points", "2", "--ring", "p:" + "9" * 5000], "p < 2^31"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
     path = tmp_path / "input.json"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats,
-                       _coerced, _modp_echelon, _reduced, bareiss_rank_int, det_int,
+                       _Entries, _coerced, _modp_echelon, _reduced, bareiss_rank_int, det_int,
                        fast_int_rank, modp_rank, parse_ring, subspace_equal)
 
 
@@ -162,6 +162,10 @@ def test_primes_too_large_for_int64_elimination_are_rejected():
         PrimeField(big)
     with pytest.raises(ValueError, match="2\\^31"):
         parse_ring(f"p:{big}")
+    with pytest.raises(ValueError, match="2\\^31"):  # past the digits int() reads
+        parse_ring("p:" + "9" * 5000)
+    assert parse_ring("p:0000000007").p == 7
+    assert parse_ring("p:" + "\u0660" * 10 + "\u0667").p == 7  # Arabic-Indic zeros pad too
     with pytest.raises(ValueError, match="2\\^31"):
         modp_rank([[1]], big)
     assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
@@ -598,6 +602,31 @@ def test_reduced_matches_the_dense_prune_and_peel(matrix, p):
     assert got_peeled == peeled
     assert got_rest.dtype == m.dtype and got_rest.shape == rest.shape
     assert np.array_equal(got_rest, rest)
+
+
+@st.composite
+def _structured(draw):
+    """An integer array with zero rows, repeated rows and rows that are sums
+    of two others, so that peeling can leave a singular block."""
+    width = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    for kind, i, j in draw(st.lists(st.tuples(st.sampled_from("zrs"), st.integers(0, 99),
+                                              st.integers(0, 99)), max_size=5)):
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        row = {"z": [0] * width, "r": a, "s": [x + y for x, y in zip(a, b)]}[kind]
+        rows.insert(j % (len(rows) + 1), list(row))
+    return np.array(rows, dtype=draw(st.sampled_from([np.int8, np.int64])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structured(), st.sampled_from([None, 2, 3]))
+def test_reduced_reads_entries_as_it_reads_the_array(a, p):
+    rows, cols = np.nonzero(a)
+    shape, peeled, rest = _reduced(a, p)
+    got_shape, got_peeled, got_rest = _reduced(_Entries(a.shape, rows, cols, a[rows, cols]), p)
+    assert (got_shape, got_peeled) == (shape, peeled)
+    assert got_rest.dtype == rest.dtype and np.array_equal(got_rest, rest)
 
 
 def test_reduced_reads_arrays_in_blocks_and_copies_nothing_unpeeled():

@@ -10,12 +10,13 @@ order, on every named lattice at 0 to 3 points.
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from cfl.catalog import named_lattices
-from cfl.exact import PrimeField, RankStats, fast_int_rank
+from cfl.exact import RATIONALS, PrimeField, RankStats, fast_int_rank
 from cfl.functor import (_decode, _encode, _theta_system, function_space_size,
                          gamma_generators, gamma_span_rank, h_quotient_basis, irr_data,
                          theta_matrix, theta_rank)
@@ -91,6 +92,21 @@ def test_gamma_builder_matches_the_per_mask_loop(lat, points):
     gens = gamma_generators(lat, points)
     assert gens.dtype.kind == "i"
     assert gens.tolist() == _gamma_reference(lat, points)
+    with mock.patch("cfl.functor._BLOCK_CELLS", 1):  # one row to a block
+        assert np.array_equal(gamma_generators(lat, points), gens)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(1000003)],
+                         ids=lambda ring: ring.name)
+@pytest.mark.parametrize("lat, points", list(_inputs()))
+def test_gamma_rank_from_entries_matches_the_dense_system(lat, points, ring):
+    # gamma_span_rank ranks the entries the builder emits; the dense system
+    # through the array path is the oracle, down to how the rank was settled.
+    entries, dense = RankStats(), RankStats()
+    got = gamma_span_rank(lat, points, ring, stats=entries)
+    assert got == fast_int_rank(gamma_generators(lat, points), ring, dense)
+    assert ((entries.shape, entries.peeled, entries.path, entries.prime)
+            == (dense.shape, dense.peeled, dense.path, dense.prime))
 
 
 @pytest.mark.parametrize("lat, points", list(_inputs()))
@@ -148,6 +164,20 @@ def test_f2_rank_peak_memory_stays_near_the_system_size(name, method):
     finally:
         tracemalloc.stop()
     assert peak < 3 * system.nbytes
+
+
+@pytest.mark.parametrize("name, points", [("n5", 5), ("b2", 6)])
+def test_gamma_rank_peak_memory_scales_with_the_nonzeros(name, points):
+    # The generators are ranked from their 9,840 and 10,808 nonzero entries;
+    # their dense systems would take 23.2 and 16.0 MB.
+    lat = named_lattices()[name]
+    tracemalloc.start()
+    try:
+        gamma_span_rank(lat, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_gamma_entries_never_overflow_the_build_dtype():
