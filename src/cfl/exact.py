@@ -23,7 +23,9 @@ prime and 2 at ``2^31 - 1``.
 A third elimination returns only a rank: ``_f2_rank``, mod 2, reads each
 row into one Python int and reduces it against a table of pivot rows keyed
 by their top bit, so a row update is one int XOR.  ``modp_rank(rows, 2)`` is
-that kernel, so ``PrimeField(2)`` ranks with it.
+that kernel, so ``PrimeField(2)`` ranks with it.  It reads the bytes of a
+packed 0/1 matrix (``_Bits``, rows eight columns to a byte, as the theta
+system is built) as they are, and packs an array's parities first.
 
 ``fast_int_rank``, for both rings, is ``_coerced`` then ``_rank``, the
 cascade that ``ExactMatrix`` and ``subspace_equal`` call on the arrays
@@ -36,8 +38,12 @@ their column and value runs) and zero columns, then peels singletons: a
 column or row with one live entry (nonzero over the rationals, nonzero mod
 p over ``F_p``, tested on the nonzero values alone) is a pivot, removed with
 the line crossing it, and adds exactly 1 to the rank.  Peeling repeats
-until no singleton is left.  Only what peeling leaves is made dense, so a
-system that peels fully is never copied.  Over ``F_p`` the rest, if any, is
+until no singleton is left.  A ``_Bits`` matrix is first tested on its
+bytes: when no row is zero, repeated or a singleton and no column is zero
+or a singleton, nothing prunes or peels, and it is its own rest; otherwise
+it is read as its entries.  Only what peeling leaves is made dense, so a
+system that peels fully is never copied, and a packed rest is unpacked only
+for the mod-p and Bareiss eliminations.  Over ``F_p`` the rest, if any, is
 ranked mod p, and that is the answer.  Over the rationals an empty rest
 settles the rank, and otherwise a rank of the rest mod any prime is a lower
 bound, which pins the rank when it reaches the row or column count of the
@@ -201,7 +207,8 @@ def _cleared(data, p=None, cols=None):
 
 def _coerced(int_rows, p=None):
     """The one reading of an integer matrix, shared by every kernel: it
-    returns a 2-D array, or the ``_Entries`` a builder emits as they are.
+    returns a 2-D array, or the ``_Entries`` or ``_Bits`` a builder emits
+    as they are.
 
     A 2-D array whose dtype casts safely to int64 (bool, the signed integers
     and the unsigned ones below 64 bits) is returned as it is.  Float, uint64
@@ -213,7 +220,7 @@ def _coerced(int_rows, p=None):
     ``p`` into int64 when ``p`` is given; otherwise the rows become an
     object array of Python ints, which only ``_bareiss`` reads.
     """
-    if isinstance(int_rows, _Entries):
+    if isinstance(int_rows, (_Entries, _Bits)):
         return int_rows
     if isinstance(int_rows, np.ndarray):
         if int_rows.ndim != 2 or not np.can_cast(int_rows.dtype, np.int64):
@@ -347,22 +354,25 @@ def _modp_echelon(rows, p: int):
 
 
 def _f2_rank(rows) -> int:
-    """Rank mod 2 of a coerced int64-castable matrix (``_coerced``), one
-    row at a time, each row a Python int.
+    """Rank mod 2 of a coerced matrix (``_coerced``): an int64-castable
+    array or ``_Bits``, one row at a time, each row a Python int.
 
-    The parities, ``& 1`` in the array's own dtype (two's complement parity
-    for negatives, so no wider copy is made), are packed once, eight columns
-    to a byte, and each row is read big-endian, so column 0 is its top bit.
-    A row is reduced against a table of pivot rows keyed by their top bit
-    (``bit_length``, a small int, where a low-bit key ``v & -v`` would be as
-    wide as the row and hashed at every step): while its own top bit has a
-    pivot, that pivot is XORed in.  A row that reaches zero is dependent;
-    otherwise it becomes the pivot of its new top bit.  The rank is the size
-    of the table.
+    A ``_Bits`` matrix is read from its bytes as they are.  An array's
+    parities, ``& 1`` in its own dtype (two's complement parity for
+    negatives, so no wider copy is made), are first packed into one the same
+    way, eight columns to a byte.  Each row is read big-endian, so column 0
+    is its top bit.  A row is reduced against a table of pivot rows keyed by
+    their top bit (``bit_length``, a small int, where a low-bit key
+    ``v & -v`` would be as wide as the row and hashed at every step): while
+    its own top bit has a pivot, that pivot is XORed in.  A row that reaches
+    zero is dependent; otherwise it becomes the pivot of its new top bit.
+    The rank is the size of the table.
     """
-    bits = rows if rows.dtype == bool else rows & 1
-    width = -(-bits.shape[1] // 8)
-    packed = np.packbits(bits, axis=1, bitorder="big").tobytes()
+    if not isinstance(rows, _Bits):
+        bits = rows if rows.dtype == bool else rows & 1
+        rows = _Bits(rows.shape, np.packbits(bits, axis=1, bitorder="big"))
+    width = rows.packed.shape[1]
+    packed = rows.packed.tobytes()
     pivots = {}
     for i in range(0, len(packed), width or 1):  # rows of no columns take no bytes
         v = int.from_bytes(packed[i:i + width], "big")
@@ -430,18 +440,49 @@ class _Entries:
         return out
 
 
-def _nonzero_entries(a):
-    """Row, column and value of each nonzero entry of a 2-D array, in
-    row-major order, as three arrays (the values in ``a``'s dtype).
+class _Bits:
+    """A 0/1 matrix of ``shape`` as the theta builder emits it, packed
+    eight columns to a byte: ``packed`` is a ``(rows, ceil(cols / 8))``
+    uint8 array, each row big-endian (column 0 is the top bit of its first
+    byte), its padding bits zero.  ``dense`` unpacks rows into ``dtype``,
+    int8, and ``entries`` reads the ones as ``_Entries``."""
 
-    The array is read once, a block of rows at a time, so the comparison
-    with zero holds at most ``_BLOCK_CELLS`` cells and no copy of ``a`` is
-    made."""
-    nr, nc = a.shape
+    __slots__ = ("shape", "packed")
+    dtype = np.dtype(np.int8)
+
+    def __init__(self, shape, packed):
+        self.shape, self.packed = shape, packed
+
+    def dense(self, rows=slice(None)) -> np.ndarray:
+        return np.unpackbits(self.packed[rows], axis=1, count=self.shape[1]).view(self.dtype)
+
+    def entries(self) -> _Entries:
+        return _Entries(self.shape, *_nonzero_entries(self))
+
+
+def _row_blocks(m):
+    """An array or ``_Bits``, unpacked, as blocks of consecutive rows, each
+    with the index of its first row: at most ``_BLOCK_CELLS`` cells to a
+    block but one row at least.  A matrix of no columns has no blocks."""
+    nr, nc = m.shape
     step = max(1, _BLOCK_CELLS // max(nc, 1))
-    flats, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=a.dtype)]
+    read = m.dense if isinstance(m, _Bits) else m.__getitem__
     for i in range(0, nr if nc else 0, step):
-        block = a[i:i + step].ravel()  # a view when a is C-contiguous
+        yield i, read(slice(i, i + step))
+
+
+def _nonzero_entries(a):
+    """Row, column and value of each nonzero entry of a 2-D array or a
+    ``_Bits`` matrix, in row-major order, as three arrays (the values in
+    ``a``'s dtype).
+
+    The matrix is read once, a block of rows at a time (``_row_blocks``),
+    so the comparison with zero holds at most ``_BLOCK_CELLS`` cells and no
+    copy of an array is made."""
+    nr, nc = a.shape
+    flats, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=a.dtype)]
+    for i, block in _row_blocks(a):
+        block = block.ravel()  # a view when a is C-contiguous
         at = np.flatnonzero(block != 0)
         vals.append(block[at])
         at += i * nc
@@ -486,11 +527,33 @@ def _live(vals, p):
     return vals % vals.dtype.type(p) != 0
 
 
-def _reduced(m, p):
-    """Prune and peel a coerced matrix (``_coerced``: an int64-castable array
-    or ``_Entries``) on the coordinates of its nonzero entries; returns
-    ``(shape, peeled, rest)``.
+def _reduces_to_itself(m) -> bool:
+    """Whether pruning and peeling leave a ``_Bits`` matrix as it is: no
+    row repeats, and every row and every column holds two ones or more.
 
+    Row counts are read from the bytes (``bitwise_count``), repeated rows
+    from the bytes of each row, and column counts from the rows unpacked
+    block by block (``_row_blocks``); each test runs only when those before
+    it pass."""
+    nr, nc = m.shape
+    if not nr or np.bitwise_count(m.packed).sum(axis=1).min() < 2:
+        return False
+    width, packed = m.packed.shape[1], m.packed.tobytes()
+    if len({packed[i:i + width] for i in range(0, len(packed), width)}) < nr:
+        return False
+    counts = np.zeros(nc, dtype=np.int64)
+    for _, block in _row_blocks(m):
+        counts += block.sum(axis=0, dtype=np.int32)
+    return counts.min() >= 2
+
+
+def _reduced(m, p):
+    """Prune and peel a coerced matrix (``_coerced``: an int64-castable
+    array, ``_Entries`` or ``_Bits``) on the coordinates of its nonzero
+    entries; returns ``(shape, peeled, rest)``.
+
+    A ``_Bits`` matrix that nothing prunes or peels (``_reduces_to_itself``)
+    is its own rest, never unpacked whole; any other is read as its entries.
     An array's entries are read once, block by block (``_nonzero_entries``).
     Pruning drops zero rows, repeated rows (``_distinct_rows``) and zero
     columns, none of which changes the rank; ``shape`` is what it leaves.
@@ -504,11 +567,16 @@ def _reduced(m, p):
     singletons on one line remove it once.  Each round costs one
     ``bincount`` over the live coordinates.
 
-    ``rest`` is the pruned matrix when nothing peels (an array ``m`` itself
-    when pruning drops nothing), and otherwise the surviving rows and
-    columns that still hold a live entry, in order.  It is the one array
-    made: read back from an array ``m``, or scattered from the kept entries.
+    ``rest`` is the pruned matrix when nothing peels (an array or ``_Bits``
+    ``m`` itself when pruning drops nothing), and otherwise the surviving
+    rows and columns that still hold a live entry, in order.  It is the one
+    array made: read back from an array ``m``, or scattered from the kept
+    entries.
     """
+    if isinstance(m, _Bits):
+        if _reduces_to_itself(m):
+            return m.shape, 0, m
+        m = m.entries()
     nr, nc = m.shape
     given = isinstance(m, _Entries)
     rows, cols, vals = _distinct_rows(*((m.rows, m.cols, m.vals) if given
@@ -580,14 +648,17 @@ def _rank(m, ring, stats: RankStats | None = None) -> int:
         shape, peeled, path, prime, r = m.shape, 0, "bareiss", None, len(_bareiss(m)[1])
     else:
         shape, peeled, rest = _reduced(m, ring.p)
-        if ring.p is not None:
-            path, prime, r = "prime-field", ring.p, modp_rank(rest, ring.p)
-        elif not len(rest):
+        if ring.p == 2:
+            path, prime, r = "prime-field", 2, _f2_rank(rest)
+        elif ring.p is not None:
+            path, prime, r = "prime-field", ring.p, modp_rank(_unpacked(rest), ring.p)
+        elif not rest.shape[0]:
             path, prime, r = "structural", None, 0
         else:
             full = min(rest.shape)
             path, prime, r = "modp-certified", 2, _f2_rank(rest)
             if r < full:
+                rest = _unpacked(rest)
                 prime, r = DEFAULT_PRIME, modp_rank(rest)
                 if r < full:
                     path, prime, r = "bareiss", None, bareiss_rank_int(rest)
@@ -595,3 +666,9 @@ def _rank(m, ring, stats: RankStats | None = None) -> int:
         stats.shape, stats.path, stats.peeled, stats.prime = shape, path, peeled, prime
         stats.eliminate_s = time.perf_counter() - start
     return peeled + r
+
+
+def _unpacked(m):
+    """A rest of ``_reduced`` as an array: a ``_Bits`` matrix unpacked
+    (``_Bits.dense``), an array as it is."""
+    return m.dense() if isinstance(m, _Bits) else m

@@ -13,9 +13,13 @@ digit ``i`` of the index, base ``|T|``.
 
 The kernel systems and the pairing are built with numpy over the digit
 arrays of all function indices; the gamma generators are ranked from their
-nonzero entries.  The theta system precomputes, for every subset of points,
-the join of each column function's down-masks of irreducibles over that
-subset (the subset-OR table); a cell takes one lookup per irreducible.
+nonzero entries, and the theta system from its rows packed eight columns to
+a byte (``exact._Bits``).  The theta system precomputes, for every subset
+of points, the join of each column function's down-masks of irreducibles
+over that subset (the subset-OR table).  Per irreducible, the table is
+compared with one opposite-order row, packed and gathered at the rows'
+subsets; the system is the AND of these packed gathers, and is unpacked
+only by ``theta_matrix`` and ``theta_condition_tables``.
 ``theta_condition_tables`` tables each of the six membership conditions of
 ``theta_conditions`` over every pair the same way, each on its own: a
 subset-join table of the function's values for (a), the subset-OR table
@@ -42,7 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import _BLOCK_CELLS, RATIONALS, RankStats, _Entries, fast_int_rank, subspace_equal
+from .exact import (_BLOCK_CELLS, RATIONALS, RankStats, _Bits, _Entries, fast_int_rank,
+                    subspace_equal)
 from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
                        ideal_lattice, irreducibles, mobius, r_of)
 from .morphisms import LinMorphism
@@ -416,22 +421,29 @@ def _all_of(shape, arrays) -> np.ndarray:
     return out
 
 
-def _condition_d(rop_rows, subsets, table, shape) -> np.ndarray:
+def _condition_d(rop_rows, subsets, table, shape) -> _Bits:
     """Condition (d) of ``theta_conditions`` on every (psi, phi) pair, from
-    ``_theta_inputs``: for each irreducible e, one gather at S_e(psi) of the
-    subset-OR table of phi's down-masks equals the opposite-order row of e."""
-    return _all_of(shape, ((table == row)[s] for row, s in zip(rop_rows, subsets)))
+    ``_theta_inputs``, packed eight columns to a byte (``_Bits``): for each
+    irreducible e, the subset-OR table of phi's down-masks is compared with
+    the opposite-order row of e, packed, and gathered at S_e(psi); the
+    result is the AND of these.  It starts from all ones with zero padding
+    bits, which is the answer when there is no irreducible."""
+    nr, nc = shape
+    out = np.tile(np.packbits(np.ones(nc, dtype=bool)), (nr, 1))
+    for row, s in zip(rop_rows, subsets):
+        out &= np.packbits(table == row, axis=1)[s]
+    return _Bits(shape, out)
 
 
-def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> np.ndarray:
-    """The 0/1 kernel system as an int8 array, rows over ideal-valued
-    functions and columns over lattice-valued functions, in index order: a
-    one where condition (d) holds (``_condition_d``).  Pruned rows and
-    columns (see ``_theta_inputs``) are identically zero.
+def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> _Bits:
+    """The 0/1 kernel system, packed (``_condition_d``), rows over
+    ideal-valued functions and columns over lattice-valued functions, in
+    index order: a one where condition (d) holds.  Pruned rows and columns
+    (see ``_theta_inputs``) are identically zero.
     """
     phi, psi, _, subsets, table = _theta_inputs(lattice, points, cap, pruned)
     rop_rows = irr_data(lattice).rop_rows
-    return _condition_d(rop_rows, subsets, table, (len(psi), len(phi))).view(np.int8)
+    return _condition_d(rop_rows, subsets, table, (len(psi), len(phi)))
 
 
 def theta_condition_tables(lattice: Lattice, points: int):
@@ -473,7 +485,7 @@ def theta_condition_tables(lattice: Lattice, points: int):
     full = (1 << k) - 1
     yield _all_of(shape, (((table >> e & 1).astype(bool) & (table & (full ^ rop[e]) == 0))
                           [subsets[e]] for e in range(k)))
-    yield _condition_d(rop, subsets, table, shape)
+    yield _condition_d(rop, subsets, table, shape).dense().view(bool)
 
     le = _order_table(lattice)
     meets = np.array([lattice.meet_many(elems[i] for i in _bits(m)) for m in data.iup_enc])
@@ -504,8 +516,9 @@ def theta_condition_tables(lattice: Lattice, points: int):
 def theta_matrix(lattice: Lattice, points: int) -> np.ndarray:
     """The full 0/1 kernel system as an int8 array: rows over ideal-valued
     functions, columns over lattice-valued functions, a one where the
-    product recovers the opposite order."""
-    return _theta_system(lattice, points, DEFAULT_FUNCTION_CAP, pruned=False)
+    product recovers the opposite order.  It is the packed system of
+    ``theta_rank``, unpruned and unpacked."""
+    return _theta_system(lattice, points, DEFAULT_FUNCTION_CAP, pruned=False).dense()
 
 
 def theta_rank(lattice: Lattice, points: int, ring=RATIONALS,
@@ -515,8 +528,10 @@ def theta_rank(lattice: Lattice, points: int, ring=RATIONALS,
 
     Columns of functions missing an irreducible and rows of ideal functions
     missing a principal upper ideal are identically zero, so both are pruned
-    before elimination.  ``stats``, if given, receives the build time and
-    what ``fast_int_rank`` records.
+    before elimination.  The system is built and ranked packed eight columns
+    to a byte (``_Bits``): it is unpacked into entries only when something
+    prunes or peels, and mod 2 it is read from its bytes.  ``stats``, if
+    given, receives the build time and what ``fast_int_rank`` records.
     """
     start = time.perf_counter()
     system = _theta_system(lattice, points, cap, pruned=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats,
+from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats, _Bits,
                        _Entries, _coerced, _modp_echelon, _reduced, bareiss_rank_int, det_int,
                        fast_int_rank, modp_rank, parse_ring, subspace_equal)
 
@@ -627,6 +627,76 @@ def test_reduced_reads_entries_as_it_reads_the_array(a, p):
     got_shape, got_peeled, got_rest = _reduced(_Entries(a.shape, rows, cols, a[rows, cols]), p)
     assert (got_shape, got_peeled) == (shape, peeled)
     assert got_rest.dtype == rest.dtype and np.array_equal(got_rest, rest)
+
+
+@st.composite
+def _bit_matrices(draw):
+    """A 0/1 int8 array whose width leaves padding bits in most last bytes:
+    random rows of a drawn density, some on a cyclic band so that they
+    reduce to themselves, with zero rows, repeated rows, singleton rows and
+    zero columns drawn in."""
+    width = draw(st.sampled_from([*range(18), 200]))
+    word = st.integers(0, 2 ** width - 1)
+    density = draw(st.sampled_from(["quarter", "half", "three quarters"]))
+    if density != "half":
+        word = st.builds(lambda v, w: v & w if density == "quarter" else v | w, word, word)
+    words = draw(st.lists(word, max_size=10))
+    if width and draw(st.booleans()):  # a cyclic band: two ones or more in every column
+        words = [(words[r % len(words)] if words else 0) | 1 << r % width | 1 << (r + 1) % width
+                 for r in range(max(width, 2))]
+    rows = [[v >> c & 1 for c in range(width)] for v in words]
+    kinds = st.sampled_from("zrsc" if width else "zr")
+    for kind, i, j in draw(st.lists(st.tuples(kinds, st.integers(0, 999), st.integers(0, 999)),
+                                    max_size=4)):
+        if kind == "c":
+            for row in rows:
+                row[j % width] = 0
+            continue
+        if kind == "s":
+            row = [int(c == i % width) for c in range(width)]
+        else:
+            row = rows[i % len(rows)] if kind == "r" and rows else [0] * width
+        rows.insert(j % (len(rows) + 1), list(row))
+    return np.array(rows, dtype=np.int8).reshape(len(rows), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bit_matrices(), st.sampled_from([None, 2, 3]), st.booleans())
+def test_reduced_and_fast_int_rank_read_bits_as_they_read_the_array(a, p, blocked):
+    bits = _Bits(a.shape, np.packbits(a, axis=1))
+    with mock.patch("cfl.exact._BLOCK_CELLS", 3 if blocked else 1 << 18):
+        shape, peeled, rest = _reduced(a, p)
+        got_shape, got_peeled, got_rest = _reduced(bits, p)
+        assert (got_shape, got_peeled) == (shape, peeled)
+        if isinstance(got_rest, _Bits):  # nothing to prune or peel
+            assert got_rest is bits and rest is a
+            got_rest = got_rest.dense()
+        assert got_rest.dtype == rest.dtype and np.array_equal(got_rest, rest)
+        ring = RATIONALS if p is None else PrimeField(p)
+        want, got = RankStats(), RankStats()
+        assert fast_int_rank(bits, ring, got) == fast_int_rank(a, ring, want)
+        assert ((got.shape, got.peeled, got.path, got.prime)
+                == (want.shape, want.peeled, want.path, want.prime))
+
+
+def test_an_unpeeled_packed_system_is_ranked_as_it_is():
+    # Every row and column holds two ones and no row repeats, so _reduced
+    # hands the record back as its rest, with the same packed bytes.
+    cycle = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.int8)
+    square = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int8)
+    for a, settled in [(cycle, ("modp-certified", DEFAULT_PRIME, 3)),
+                       (square, ("bareiss", None, 3))]:
+        bits = _Bits(a.shape, np.packbits(a, axis=1))
+        for p in (None, 2, 3):
+            shape, peeled, rest = _reduced(bits, p)
+            assert (shape, peeled) == (a.shape, 0) and rest is bits
+            assert rest.packed is bits.packed
+        # singular mod 2: the rank moves on to the mod-p and Bareiss fallbacks
+        stats = RankStats()
+        assert fast_int_rank(bits, stats=stats) == settled[2]
+        assert (stats.path, stats.prime) == settled[:2]
+        for p in (2, 3):
+            assert fast_int_rank(bits, PrimeField(p)) == fast_int_rank(a, PrimeField(p))
 
 
 def test_reduced_reads_arrays_in_blocks_and_copies_nothing_unpeeled():

@@ -109,6 +109,44 @@ def test_gamma_rank_from_entries_matches_the_dense_system(lat, points, ring):
             == (dense.shape, dense.peeled, dense.path, dense.prime))
 
 
+def _theta_rank_inputs():
+    for name, lat in named_lattices().items():
+        for x in range(7):
+            try:
+                _theta_system(lat, x, 20000, pruned=True)
+            except CapExceeded:
+                continue
+            yield pytest.param(lat, x, id=f"{name}-{x}")
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(1000003)],
+                         ids=lambda ring: ring.name)
+@pytest.mark.parametrize("lat, points", list(_theta_rank_inputs()))
+def test_theta_rank_from_bits_matches_the_dense_system(lat, points, ring):
+    # theta_rank ranks the packed system the builder emits; the pruned
+    # system unpacked, through the array path, is the oracle, down to how
+    # the rank was settled.
+    packed, dense = RankStats(), RankStats()
+    got = theta_rank(lat, points, ring, stats=packed)
+    system = _theta_system(lat, points, 20000, pruned=True).dense()
+    assert got == fast_int_rank(system, ring, dense)
+    assert ((packed.shape, packed.peeled, packed.path, packed.prime)
+            == (dense.shape, dense.peeled, dense.path, dense.prime))
+
+
+@pytest.mark.parametrize("points", POINTS)
+def test_theta_without_irreducibles_is_one_cell(points):
+    # The one-element lattice has no irreducible, so the packed AND over
+    # its conditions is empty: one function, one ideal function, a one in
+    # the top bit and zero padding bits.
+    lat = chain(0)
+    for pruned in (False, True):
+        system = _theta_system(lat, points, 20000, pruned)
+        assert system.shape == (1, 1) and system.packed.tolist() == [[0x80]]
+    assert theta_matrix(lat, points).tolist() == [[1]]
+    assert theta_rank(lat, points) == 1
+
+
 @pytest.mark.parametrize("lat, points", list(_inputs()))
 def test_theta_equals_gamma(lat, points):
     assert theta_rank(lat, points) == gamma_span_rank(lat, points)
@@ -153,17 +191,38 @@ def test_chain3_theta_rank_does_not_depend_on_the_labels():
 @pytest.mark.parametrize("name, method", [("chain3", "theta"), ("b2", "gamma")])
 def test_f2_rank_peak_memory_stays_near_the_system_size(name, method):
     # Liveness mod 2 is read from the nonzero values only, so no int64 copy
-    # of the int8 system is made: the traced peak stays below 3x its bytes.
+    # of the int8 gamma system is made; the theta system is ranked from its
+    # packed bytes and never unpacked whole.  The traced peak stays below 3x
+    # the bytes of the system as it is held.
     lat = named_lattices()[name]
-    system = (_theta_system(lat, 6, 20000, pruned=True) if method == "theta"
-              else gamma_generators(lat, 6))
+    if method == "theta":
+        system = _theta_system(lat, 6, 20000, pruned=True)
+        size = system.packed.nbytes
+    else:
+        system = gamma_generators(lat, 6)
+        size = system.nbytes
     tracemalloc.start()
     try:
         fast_int_rank(system, PrimeField(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * system.nbytes
+    assert peak < 3 * size
+
+
+@pytest.mark.parametrize("name, points, bound_mb", [("chain3", 6, 4), ("b2", 7, 128)])
+def test_theta_rank_peak_memory_stays_near_the_packed_system(name, points, bound_mb):
+    # Build included.  The packed systems take 0.53 and 17.6 MiB; the dense
+    # int8 ones took 4.2 and 140.5 MiB, beside bool temporaries of their size,
+    # and traced peaks of 13.1 and 426 MiB.
+    lat = named_lattices()[name]
+    tracemalloc.start()
+    try:
+        theta_rank(lat, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
 
 
 @pytest.mark.parametrize("name, points", [("n5", 5), ("b2", 6)])
