@@ -8,6 +8,14 @@ duality pairing with its Mobius dual basis, the alternating generator of the
 dual copy, and the relation action on the permutation module, which sends
 each basis permutation to one basis permutation or to zero.
 
+An element of the free module is an int64 coefficient vector in
+function-index order.  A relation acts on it through ``action_index``, the
+image index of every function from the digit array, pushed with
+``np.add.at``; the scalar ``act``, ``star_act`` and ``pairing`` stay as the
+definitions the arrays are tested against.  The Mobius dual of a basis
+function and the alternating generator are Kronecker products of one
+coefficient column per point.
+
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
 digit ``i`` of the index, base ``|T|``.
 
@@ -42,7 +50,6 @@ import itertools
 import math
 import time
 from collections import namedtuple
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,7 +57,6 @@ from .exact import (_BLOCK_CELLS, RATIONALS, RankStats, _Bits, _Entries, fast_in
                     subspace_equal)
 from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
                        ideal_lattice, irreducibles, mobius, r_of)
-from .morphisms import LinMorphism
 from .relations import Correspondence, Permutation
 
 DEFAULT_FUNCTION_CAP = 20000
@@ -141,92 +147,24 @@ def star_act(q: Correspondence, f: LatticeFunction) -> LatticeFunction:
                                  for row in q.rows))
 
 
-class ModVec:
-    """An element of the free module on functions ``X -> T``: a dense
-    rational coefficient vector aligned with the function index order."""
+def action_index(r: Correspondence, lattice: Lattice, star: bool = False) -> np.ndarray:
+    """The index of ``act(r, f)``, or of ``star_act(r, f)`` when ``star``, for
+    every function ``f`` on ``r.src_size`` points, in index order.
 
-    __slots__ = ("lattice", "points", "coeffs")
-
-    def __init__(self, lattice: Lattice, points: int, coeffs=None):
-        size = function_space_size(lattice, points)
-        if coeffs is None:
-            coeffs = [Fraction(0)] * size
-        else:
-            coeffs = [Fraction(c) for c in coeffs]
-            if len(coeffs) != size:
-                raise ValueError(f"expected {size} coefficients, got {len(coeffs)}")
-        self.lattice = lattice
-        self.points = points
-        self.coeffs = coeffs
-
-    @classmethod
-    def basis_vector(cls, f: LatticeFunction) -> "ModVec":
-        v = cls(f.lattice, f.points)
-        v.coeffs[f.index] = Fraction(1)
-        return v
-
-    def nonzero(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield i, c
-
-    def functions(self):
-        for i, c in self.nonzero():
-            yield LatticeFunction.from_index(self.lattice, self.points, i), c
-
-    def __add__(self, other):
-        if (self.lattice, self.points) != (other.lattice, other.points):
-            raise ValueError("module mismatch")
-        return ModVec(self.lattice, self.points,
-                      [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return ModVec(self.lattice, self.points, [scalar * c for c in self.coeffs])
-
-    def __eq__(self, other):
-        return (isinstance(other, ModVec) and self.lattice == other.lattice
-                and self.points == other.points and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __repr__(self):
-        parts = [f"{c}*{list(_decode(self.lattice.n, self.points, i))}"
-                 for i, c in self.nonzero()]
-        return "ModVec(" + " + ".join(parts or ["0"]) + ")"
-
-
-def _linear_action(action, r: Correspondence, v: ModVec) -> ModVec:
-    n = v.lattice.n
-    out = ModVec(v.lattice, r.dst_size)
-    for i, c in v.nonzero():
-        f = LatticeFunction(v.lattice, _decode(n, v.points, i))
-        out.coeffs[action(r, f).index] += c
-    return out
-
-
-def act_mod(r: Correspondence, v: ModVec) -> ModVec:
-    return _linear_action(act, r, v)
-
-
-def star_act_mod(q: Correspondence, v: ModVec) -> ModVec:
-    return _linear_action(star_act, q, v)
-
-
-def apply_lin(alpha: LinMorphism, v: ModVec) -> ModVec:
-    """Push a module element through a formal sum of join-maps, basis
-    function by basis function."""
-    if alpha.src != v.lattice:
-        raise ValueError("morphism source does not match the module lattice")
-    out = ModVec(alpha.dst, v.points)
-    nd = alpha.dst.n
-    for i, c in v.nonzero():
-        values = _decode(v.lattice.n, v.points, i)
-        for m, a in alpha.terms.items():
-            out.coeffs[_encode(nd, tuple(m.images[t] for t in values))] += c * a
+    Each target point gathers the join (or meet) table over the digits of
+    all functions at its related source points.  A module element ``v`` on
+    the source points acts as ``np.add.at(out, action_index(r, lattice), v)``
+    into zeros on the target points.  Both function spaces are capped."""
+    function_space_size(lattice, r.dst_size)
+    function_space_size(lattice, r.src_size)
+    digits = _digits(lattice.n, r.src_size)
+    table = np.array(lattice.meet if star else lattice.join, dtype=np.int64)
+    out = np.zeros(len(digits), dtype=np.int64)
+    for y, row in enumerate(r.rows):
+        value = np.full(len(digits), lattice.top if star else lattice.bottom, dtype=np.int64)
+        for x in _bits(row):
+            value = table[value, digits[:, x]]
+        out += value * lattice.n ** y
     return out
 
 
@@ -259,6 +197,8 @@ def irr_data(lattice: Lattice) -> IrrData:
 def gamma_corr(lattice: Lattice, f: LatticeFunction) -> Correspondence:
     """The correspondence pairing each point with the irreducibles below its
     value."""
+    if f.lattice != lattice:
+        raise ValueError("the function must take values in the lattice")
     data = irr_data(lattice)
     return Correspondence(f.points, len(data.elems),
                           (data.down_irr[v] for v in f.values))
@@ -323,6 +263,8 @@ def retraction_exists(order: Poset, s: Correspondence) -> bool:
 def theta_conditions(lattice: Lattice, phi: LatticeFunction, psi: LatticeFunction):
     """The six equivalent membership tests for one (function, ideal-function)
     pair; returned as six independently computed booleans."""
+    if phi.lattice != lattice:
+        raise ValueError("phi must take values in the lattice")
     data = irr_data(lattice)
     if psi.lattice != data.iup:
         raise ValueError("psi must take values in the upper-ideal lattice")
@@ -559,39 +501,46 @@ def pairing_matrix(lattice: Lattice, points: int) -> np.ndarray:
     return _order_table(lattice)[digits[:, None], digits[None, :]].all(axis=2).view(np.int8)
 
 
-def dual_star(phi: LatticeFunction) -> ModVec:
+def _tensor(lattice: Lattice, columns) -> np.ndarray:
+    """The Kronecker product of one coefficient column per point (``lattice.n``
+    integers each), as an int64 vector in function-index order.  The function
+    cap is checked first; the products are taken over Python integers and
+    only then stored, so a coefficient past int64 raises OverflowError."""
+    function_space_size(lattice, len(columns))
+    out = np.ones(1, dtype=object)
+    for column in reversed(columns):  # the last factor varies fastest: point 0
+        out = np.kron(out, np.array(column, dtype=object))
+    return out.astype(np.int64)
+
+
+def dual_star(phi: LatticeFunction) -> np.ndarray:
     """The Mobius dual of a basis function, as an element of the dual-side
-    module (coefficients on functions viewed against the opposite order)."""
+    module (coefficients on functions viewed against the opposite order): an
+    int64 vector in function-index order, the Kronecker product over points
+    of the Mobius column ``s -> mu(s, phi(x))``.
+
+    Each coefficient is one product of a Mobius value per point.  Its int64
+    value cannot wrap: the product is formed over Python integers and
+    converted once (``_tensor``), raising OverflowError where int64 cannot
+    hold it; past the function cap it raises ``CapExceeded`` first."""
     lat = phi.lattice
     mob = mobius(lat)
-    options = []
-    for v in phi.values:
-        opts = [(s, mob[s, v]) for s in _bits(lat.poset.down[v]) if mob[s, v]]
-        options.append(opts)
-    out = ModVec(lat, phi.points)
-    for choice in itertools.product(*options):
-        values = tuple(s for s, _ in choice)
-        coeff = 1
-        for _, w in choice:
-            coeff *= w
-        out.coeffs[_encode(lat.n, values)] += coeff
-    return out
+    return _tensor(lat, [[mob.get((s, v), 0) for s in range(lat.n)] for v in phi.values])
 
 
-def gamma_t(lattice: Lattice) -> ModVec:
+def gamma_t(lattice: Lattice) -> np.ndarray:
     """The alternating generator of the dual copy, at the irreducibles.
 
     The signed sum over subsets of irreducibles of the functions lowering the
-    chosen ones to their unique maximal lower neighbour."""
+    chosen ones to their unique maximal lower neighbour: the int64 Kronecker
+    product over irreducibles e of the unit at e minus the unit below it."""
     data = irr_data(lattice)
-    k = len(data.elems)
-    lowered = [r_of(lattice, e) for e in data.elems]
-    out = ModVec(lattice, k)
-    for mask in range(1 << k):
-        values = tuple(lowered[i] if mask >> i & 1 else data.elems[i] for i in range(k))
-        sign = -1 if mask.bit_count() % 2 else 1
-        out.coeffs[_encode(lattice.n, values)] += sign
-    return out
+    columns = []
+    for e in data.elems:
+        column = [0] * lattice.n
+        column[e], column[r_of(lattice, e)] = 1, -1
+        columns.append(column)
+    return _tensor(lattice, columns)
 
 
 def gamma_entries(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP) -> _Entries:
@@ -714,12 +663,8 @@ def fund_act(q: Correspondence, sigma, order: Poset):
 def fixed_rank(target: Lattice, order: Poset) -> int:
     """Rank of the idempotent action of the opposite order on functions from
     the ordered set into ``target``: the number of fixed basis functions."""
-    rop = order.leq.opposite()
-    count = 0
-    for f in all_functions(target, order.n):
-        if act(rop, f) == f:
-            count += 1
-    return count
+    image = action_index(order.leq.opposite(), target)
+    return int(np.count_nonzero(image == np.arange(len(image))))
 
 
 def total_rank_formula(n: int, points: int) -> int:

@@ -18,17 +18,17 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .catalog import enumerate_lattices, enumerate_posets, named_lattices
 from .exact import (ExactMatrix, RATIONALS, bareiss_rank_int, det_int,
                     fast_int_rank, modp_rank)
-from .functor import (LatticeFunction, act, act_mod, all_functions, apply_lin,
-                      dual_star, fixed_rank, fund_act, gamma_corr,
-                      gamma_span_rank, gamma_t, h_quotient_basis, irr_data,
-                      orth_check, pairing, perm_basis, retraction_exists, star_act,
-                      star_act_mod, theta_condition_tables, theta_conditions,
-                      theta_matrix, theta_rank, total_rank_formula)
+from .functor import (LatticeFunction, act, action_index, all_functions, dual_star,
+                      fixed_rank, fund_act, gamma_corr, gamma_span_rank, gamma_t,
+                      h_quotient_basis, irr_data, orth_check, pairing, pairing_matrix,
+                      perm_basis, retraction_exists, star_act, theta_condition_tables,
+                      theta_conditions, theta_matrix, theta_rank, total_rank_formula)
 from .lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
                        canonical_surjection, derived_lattices, ideal_lattice,
                        irreducibles, is_distributive, join_maps, lattice_from_leq,
@@ -740,7 +740,6 @@ def _check_functor_composition(ctx):
        "action; the top chain idempotent kills non-covering functions",
        "functors")
 def _check_map_naturality(ctx):
-    from .functor import ModVec
     for _ in range(ctx.limits.samples // 2):
         name, lat = ctx.rng.choice(_named(ctx, 5))
         tuples = _all_tuples(lat, 2)
@@ -749,23 +748,39 @@ def _check_map_naturality(ctx):
         alpha = f_dc(d, c)
         x, y = ctx.rng.randint(1, 2), ctx.rng.randint(1, 2)
         r = _rand_corr(ctx.rng, y, x)
-        v = ModVec.basis_vector(_rand_function(ctx.rng, lat, x))
-        if apply_lin(alpha, act_mod(r, v)) != act_mod(r, apply_lin(alpha, v)):
+        f = _rand_function(ctx.rng, lat, x)
+        acted_then_pushed = _collect(_push(alpha, act(r, f)))
+        pushed_then_acted = _collect((act(r, g), a) for g, a in _push(alpha, f))
+        if acted_then_pushed != pushed_then_acted:
             return _witness(lat, name=name, r=sorted(r.pairs()))
     for n in range(1, 4):
         eps = beta(n, n)
         covering = set(h_quotient_basis(chain(n), 2))
         for f in all_functions(chain(n), 2):
-            out = apply_lin(eps, ModVec.basis_vector(f))
+            out = _collect(_push(eps, f))
             if f.index not in covering:
-                if any(c for _, c in out.nonzero()):
+                if out:
                     return {"n": n, "phi": list(f.values), "law": "kills missing"}
-            else:
-                for i, c in out.nonzero():
-                    if i in covering and c != (1 if i == f.index else 0):
-                        return {"n": n, "phi": list(f.values),
-                                "law": "identity modulo the missing span"}
+            elif any(i in covering and c != (1 if i == f.index else 0) for i, c in out.items()):
+                return {"n": n, "phi": list(f.values),
+                        "law": "identity modulo the missing span"}
     return None
+
+
+def _push(alpha, f):
+    """Each term of the formal sum ``alpha`` applied to the basis function
+    ``f``: the function ``m . f`` with the coefficient of ``m``."""
+    return [(LatticeFunction(alpha.dst, (m.images[t] for t in f.values)), a)
+            for m, a in alpha.terms.items()]
+
+
+def _collect(terms):
+    """(function, coefficient) terms summed as {function index: coefficient},
+    zero sums dropped."""
+    out = {}
+    for g, a in terms:
+        out[g.index] = out.get(g.index, 0) + a
+    return {i: a for i, a in out.items() if a}
 
 
 def h_complement(lat, points):
@@ -1073,28 +1088,24 @@ def _check_dual_basis(ctx):
         for x in range(1, min(2, ctx.limits.max_points) + 1):
             size = lat.n ** x
             funcs = list(all_functions(lat, x))
-            for phi in funcs:
-                star = dual_star(phi)
-                acc = [Fraction(0)] * size
-                for rho, c in star.functions():
-                    for lam in funcs:
-                        if pairing(lam, rho):
-                            acc[lam.index] += c
-                for lam in funcs:
-                    want = 1 if lam.index == phi.index else 0
-                    if acc[lam.index] != want:
-                        return _witness(lat, name=name, phi=list(phi.values),
-                                        lam=list(lam.values), law="dual basis")
+            paired = pairing_matrix(lat, x)
+            # row phi, column lam: the pairing of lam with the dual of phi
+            duals = np.array([dual_star(phi) for phi in funcs]) @ paired.T
+            bad = np.argwhere(duals != np.eye(size, dtype=np.int64))
+            if len(bad):
+                phi, lam = bad[0]
+                return _witness(lat, name=name, phi=list(funcs[phi].values),
+                                lam=list(funcs[lam].values), law="dual basis")
             order = sorted(range(size),
                            key=lambda i: sum(lat.poset.down[v].bit_count()
                                              for v in funcs[i].values))
-            for pos_i, i in enumerate(order):
-                for pos_j, j in enumerate(order):
-                    val = pairing(funcs[i], funcs[j])
-                    if pos_i == pos_j and val != 1:
-                        return _witness(lat, name=name, law="unit diagonal")
-                    if pos_i > pos_j and val != 0:
-                        return _witness(lat, name=name, law="triangular")
+            ordered = paired[np.ix_(order, order)]
+            below, diagonal = np.tril(ordered != 0, -1), np.eye(size, dtype=bool)
+            bad = np.argwhere(below | diagonal & (ordered != 1))
+            if len(bad):
+                pos_i, pos_j = bad[0]
+                return _witness(lat, name=name,
+                                law="unit diagonal" if pos_i == pos_j else "triangular")
     return None
 
 
@@ -1109,9 +1120,11 @@ def _check_gamma_element(ctx):
             continue
         iota = LatticeFunction(lat, data.elems)
         g = gamma_t(lat)
-        if g != dual_star(iota):
+        if not np.array_equal(g, dual_star(iota)):
             return _witness(lat, name=name, law="dual of inclusion")
-        if star_act_mod(data.sub.leq, g) != g:
+        acted = np.zeros_like(g)
+        np.add.at(acted, action_index(data.sub.leq, lat, star=True), g)
+        if not np.array_equal(acted, g):
             return _witness(lat, name=name, law="fixed by the order")
     return None
 

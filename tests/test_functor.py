@@ -4,22 +4,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfl.functor as functor
 from cfl.catalog import enumerate_lattices, enumerate_posets, named_lattices
 from cfl.exact import (ExactMatrix, PrimeField, RATIONALS, RankStats, bareiss_rank_int,
                        subspace_equal)
-from cfl.functor import (LatticeFunction, ModVec, _decode, act, act_mod,
-                         all_functions, apply_lin, dual_star, fixed_rank,
+from cfl.functor import (LatticeFunction, _decode, act, action_index,
+                         all_functions, dual_star, fixed_rank,
                          fund_act, gamma_corr, gamma_span_rank, gamma_t,
                          h_quotient_basis, irr_data, orth_check, pairing,
                          pairing_matrix, perm_basis, retraction_exists,
-                         star_act, star_act_mod, theta_condition_tables,
+                         star_act, theta_condition_tables,
                          theta_conditions, theta_matrix, theta_rank, total_rank_formula)
 from cfl.lattices import (CACHE_SIZE, CapExceeded, LatticeError, Poset, chain,
                           ideal_lattice, irreducibles, join_maps, lattice_from_json,
                           mobius)
-from cfl.morphisms import LinMorphism, beta
 from cfl.relations import Correspondence, Permutation, delta
 
 
@@ -72,28 +73,63 @@ def test_function_indexing_round_trip(named):
             assert LatticeFunction.from_index(lat, 2, i) == f
 
 
+def pushed(r, lat, v, star=False):
+    """The module element ``v`` acted on by ``r``, through ``action_index``."""
+    out = np.zeros(lat.n ** r.dst_size, dtype=np.int64)
+    np.add.at(out, action_index(r, lat, star), v)
+    return out
+
+
 def test_mod_vectors_are_linear():
     two = chain(2)
-    v = ModVec.basis_vector(fn(two, 1, 0)) + 2 * ModVec.basis_vector(fn(two, 2, 2))
+    v = np.zeros(9, dtype=np.int64)
+    v[fn(two, 1, 0).index] += 1
+    v[fn(two, 2, 2).index] += 2
     r = Correspondence.from_pairs(2, 2, [(0, 0), (0, 1), (1, 1)])
-    out = act_mod(r, v)
-    expect = ModVec(two, 2)
-    expect.coeffs[act(r, fn(two, 1, 0)).index] += 1
-    expect.coeffs[act(r, fn(two, 2, 2)).index] += 2
-    assert out == expect
+    expect = np.zeros(9, dtype=np.int64)
+    expect[act(r, fn(two, 1, 0)).index] += 1
+    expect[act(r, fn(two, 2, 2)).index] += 2
+    assert pushed(r, two, v).tolist() == expect.tolist()
 
 
-def test_apply_lin_identity_and_epsilon():
-    two = chain(2)
-    ident = LinMorphism.identity(two)
-    for f in all_functions(two, 2):
-        assert apply_lin(ident, ModVec.basis_vector(f)) == ModVec.basis_vector(f)
-    eps = beta(2, 2)
-    covering = set(h_quotient_basis(two, 2))
-    for f in all_functions(two, 2):
-        out = apply_lin(eps, ModVec.basis_vector(f))
-        if f.index not in covering:
-            assert all(c == 0 for _, c in out.nonzero())
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_action_index_is_the_scalar_action(data):
+    names = sorted(named_lattices())
+    lat = named_lattices()[data.draw(st.sampled_from(names))]
+    src, dst = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    rows = data.draw(st.lists(st.integers(0, (1 << src) - 1), min_size=dst, max_size=dst))
+    star = data.draw(st.booleans())
+    r = Correspondence(dst, src, rows)
+    scalar = star_act if star else act
+    image = action_index(r, lat, star)
+    assert image.dtype == np.int64
+    assert image.tolist() == [scalar(r, f).index for f in all_functions(lat, src)]
+
+
+def test_module_elements_share_the_function_cap():
+    one = chain(1)
+    with pytest.raises(CapExceeded):
+        dual_star(LatticeFunction(one, [1] * 15))  # 2^15 functions
+    with pytest.raises(CapExceeded):
+        gamma_t(chain(6))  # 7^6 functions on its six irreducibles
+    for dst, src in ((1, 15), (15, 1)):
+        with pytest.raises(CapExceeded):
+            action_index(Correspondence.full(dst, src), one)
+    # a product past int64 is refused, not wrapped
+    with pytest.raises(OverflowError):
+        functor._tensor(one, [[2 ** 40, 0], [2 ** 40, 0]])
+
+
+def test_functions_must_lie_on_the_lattice(named):
+    b2 = named["b2"]
+    on_chain3 = LatticeFunction(chain(3), [3, 1])
+    with pytest.raises(ValueError):
+        gamma_corr(b2, on_chain3)
+    data = irr_data(b2)
+    psi = LatticeFunction(data.iup, [0, 0])
+    with pytest.raises(ValueError):
+        theta_conditions(b2, on_chain3, psi)
 
 
 def test_gamma_corr_examples(named):
@@ -274,32 +310,43 @@ def test_pairing_matrix_is_invertible(named):
 def test_dual_star_examples():
     one = chain(1)
     star = dual_star(fn(one, 1))
-    assert {tuple(f.values): c for f, c in star.functions()} == {(1,): 1, (0,): -1}
+    assert star.dtype == np.int64
+    assert {_decode(2, 1, i): int(star[i]) for i in np.flatnonzero(star)} == {
+        (1,): 1, (0,): -1}
+    m3 = named_lattices()["m3"]  # mu(0, top) = 2: three atoms below the top
+    star = dual_star(fn(m3, 4, 1))
+    assert {_decode(5, 2, i): int(star[i]) for i in np.flatnonzero(star)} == {
+        (4, 1): 1, (1, 1): -1, (2, 1): -1, (3, 1): -1, (0, 1): 2,
+        (4, 0): -1, (1, 0): 1, (2, 0): 1, (3, 0): 1, (0, 0): -2}
     bottom = fn(one, 0, 0)
-    assert dual_star(bottom) == ModVec.basis_vector(bottom)
+    basis = np.zeros(4, dtype=np.int64)
+    basis[bottom.index] = 1
+    assert np.array_equal(dual_star(bottom), basis)
 
 
 def test_dual_basis_property(named):
-    for name in ("chain2", "b2"):
+    for name, points in itertools.product(("chain2", "b2"), (1, 2)):
         lat = named[name]
-        funcs = list(all_functions(lat, 1))
+        funcs = list(all_functions(lat, points))
         for phi in funcs:
             star = dual_star(phi)
             for lam in funcs:
-                value = sum(c for rho, c in star.functions() if pairing(lam, rho))
+                value = sum(star[rho.index] for rho in funcs if pairing(lam, rho))
                 assert value == (1 if lam == phi else 0)
 
 
 def test_gamma_t_examples(named):
     two = chain(2)
-    coeffs = {tuple(f.values): c for f, c in gamma_t(two).functions()}
+    g = gamma_t(two)
+    coeffs = {_decode(two.n, 2, i): int(g[i]) for i in np.flatnonzero(g)}
     assert coeffs == {(1, 2): 1, (0, 2): -1, (1, 1): -1, (0, 1): 1}
     for lat in named.values():
         data = irr_data(lat)
         if lat.n ** len(data.elems) > 20000:
             continue
-        assert gamma_t(lat) == dual_star(LatticeFunction(lat, data.elems))
-        assert star_act_mod(data.sub.leq, gamma_t(lat)) == gamma_t(lat)
+        g = gamma_t(lat)
+        assert np.array_equal(g, dual_star(LatticeFunction(lat, data.elems)))
+        assert np.array_equal(pushed(data.sub.leq, lat, g, star=True), g)
 
 
 def test_gamma_span_rank_on_chains():

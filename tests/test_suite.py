@@ -10,8 +10,9 @@ import cfl.morphisms as morphisms_mod
 import cfl.suite as suite_mod
 from cfl.catalog import enumerate_lattices, named_lattices
 from cfl.exact import PrimeField
+from cfl.functor import LatticeFunction, all_functions, h_quotient_basis
 from cfl.lattices import CapExceeded, JoinMap, chain, irreducibles, is_distributive
-from cfl.morphisms import LinMorphism, f_dc, p_tuples
+from cfl.morphisms import LinMorphism, beta, f_dc, p_tuples
 from cfl.suite import Limits, check, list_checks, run_check, run_suite, suite_names
 
 
@@ -229,6 +230,98 @@ def test_fractional_matrix_unit_fails_with_witness(monkeypatch):
     assert span.status == "fail" and span.witness["name"] == "chain2"
     assert span.witness["law"] == "integer coefficients"
     assert run_check("A04-chain-endomorphisms").witness == endo.witness
+
+
+def test_push_identity_and_epsilon():
+    # map-naturality pushes a basis function through a formal sum term by
+    # term; the identity fixes it and the top chain idempotent kills every
+    # function missing an irreducible
+    two = chain(2)
+    ident = LinMorphism.identity(two)
+    for f in all_functions(two, 2):
+        assert suite_mod._collect(suite_mod._push(ident, f)) == {f.index: 1}
+    eps = beta(2, 2)
+    covering = set(h_quotient_basis(two, 2))
+    assert 0 < len(covering) < 9
+    for f in all_functions(two, 2):
+        out = suite_mod._collect(suite_mod._push(eps, f))
+        if f.index not in covering:
+            assert out == {}
+        else:
+            assert {i: c for i, c in out.items() if i in covering} == {f.index: 1}
+
+
+def test_spoiled_dual_fails_at_the_first_pair_in_row_order(monkeypatch):
+    # b2 at two points: the function (3, 1), index 7, gets the dual of (1, 1),
+    # index 5, so its row first differs from the identity at (1, 1)
+    b2 = named_lattices()["b2"]
+    real = suite_mod.dual_star
+
+    def spoiled(phi):
+        if phi.lattice == b2 and phi.values == (3, 1):
+            return real(LatticeFunction(b2, (1, 1)))
+        return real(phi)
+
+    monkeypatch.setattr(suite_mod, "dual_star", spoiled)
+    result = run_check("dual-basis")
+    assert result.status == "fail"
+    assert result.witness["name"] == "b2" and result.witness["law"] == "dual basis"
+    assert (result.witness["phi"], result.witness["lam"]) == ([3, 1], [1, 1])
+
+
+def test_spoiled_alternating_generator_fails_with_witness(monkeypatch):
+    real_gamma, real_dual = suite_mod.gamma_t, suite_mod.dual_star
+    monkeypatch.setattr(suite_mod, "gamma_t", lambda lat: 2 * real_gamma(lat))
+    result = run_check("gamma-element")
+    assert result.status == "fail"
+    assert result.witness["name"] == "chain0" and result.witness["law"] == "dual of inclusion"
+
+    # The dual of the constant top function on chain2's two irreducibles is
+    # moved by the order: (2, 1) goes to (1, 1) and cancels it.
+    def top_dual(lat):
+        return real_dual(LatticeFunction(lat, [lat.top] * len(irreducibles(lat)[0])))
+
+    monkeypatch.setattr(suite_mod, "gamma_t", top_dual)
+    monkeypatch.setattr(suite_mod, "dual_star", lambda phi: top_dual(phi.lattice))
+    result = run_check("gamma-element")
+    assert result.status == "fail"
+    assert result.witness["name"] == "chain2" and result.witness["law"] == "fixed by the order"
+
+
+def test_spoiled_matrix_unit_term_breaks_naturality(monkeypatch):
+    # The first term of each nonempty b2 unit is replaced by the map sending
+    # everything to the top, which moves the bottom: the empty relation,
+    # drawn first for such a unit, tells the two sides apart.
+    b2 = named_lattices()["b2"]
+    real = suite_mod.f_dc
+
+    def spoiled(d, c):
+        unit = real(d, c)
+        if d.lattice != b2 or not d.entries:
+            return unit
+        m, coeff = next(iter(unit.terms.items()))
+        terms = {k: v for k, v in unit.terms.items() if k != m}
+        terms[JoinMap._trusted(m.src, m.dst, (m.dst.top,) * m.src.n)] = coeff
+        return LinMorphism(unit.src, unit.dst, terms)
+
+    monkeypatch.setattr(suite_mod, "f_dc", spoiled)
+    result = run_check("map-naturality")
+    assert result.status == "fail"
+    assert result.witness["name"] == "b2" and result.witness["r"] == []
+
+
+@pytest.mark.parametrize("spoil, witness", [
+    (lambda real, n, m: LinMorphism.identity(chain(n)),
+     {"n": 2, "phi": [0, 0], "law": "kills missing"}),
+    (lambda real, n, m: 2 * real(n, m),
+     {"n": 2, "phi": [2, 1], "law": "identity modulo the missing span"}),
+], ids=["identity", "doubled"])
+def test_spoiled_top_chain_idempotent_fails_with_witness(monkeypatch, spoil, witness):
+    real = suite_mod.beta
+    monkeypatch.setattr(suite_mod, "beta",
+                        lambda n, m: spoil(real, n, m) if n == 2 else real(n, m))
+    result = run_check("map-naturality")
+    assert result.status == "fail" and result.witness == witness
 
 
 def test_condition_tables_reach_three_points_at_the_default_limits(monkeypatch):
