@@ -1,14 +1,14 @@
 """Command-line front end: lattice file reports, rank computations, suites.
 
-Exit codes: 0 success, 1 input or validation error, 2 property failure.
-The CFL_RING environment variable overrides the default coefficient ring.
+Exit codes: 0 success, 1 usage, input or validation error, 2 property
+failure.  Every error that exits 1 prints one ``error:`` line; the ring comes
+from ``--ring`` alone, the rationals by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .catalog import catalog_entries
@@ -24,6 +24,13 @@ from .suite import Limits, list_checks, run_suite, suite_names
 
 class _InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``_InputError``: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise _InputError(message)
 
 
 def _load_json(path):
@@ -45,9 +52,8 @@ def _load(path, parse=lattice_from_json):
 
 
 def _ring_from(args):
-    spec = args.ring or os.environ.get("CFL_RING") or "rat"
     try:
-        return parse_ring(spec)
+        return parse_ring(args.ring)
     except ValueError as err:
         raise _InputError(str(err))
 
@@ -118,8 +124,6 @@ def _cmd_lattice_endo(args):
 
 
 def _cmd_rank(args):
-    if not args.file:
-        raise _InputError("rank needs a lattice file")
     if args.points < 0:
         raise _InputError(f"--points must be non-negative, got {args.points}")
     if args.cap < 1:
@@ -192,7 +196,7 @@ def _cmd_catalog(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfl",
         description="Exact computations on finite lattices and relations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -213,11 +217,11 @@ def _build_parser():
         p.set_defaults(fn=fn)
 
     rank = sub.add_parser("rank", help="rank of the quotient module at a point count")
-    rank.add_argument("file", nargs="?")
+    rank.add_argument("file")
     rank.add_argument("--points", type=int, required=True)
     rank.add_argument("--method", choices=("theta", "gamma", "formula"),
                       default="theta")
-    rank.add_argument("--ring")
+    rank.add_argument("--ring", default="rat")
     rank.add_argument("--cap", type=int, default=DEFAULT_FUNCTION_CAP)
     rank.add_argument("--json", action="store_true")
     rank.set_defaults(fn=_cmd_rank)
@@ -230,7 +234,7 @@ def _build_parser():
     verify.add_argument("--max-points", type=int, default=defaults.max_points)
     verify.add_argument("--samples", type=int, default=defaults.samples)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--ring")
+    verify.add_argument("--ring", default="rat")
     verify.add_argument("--json", action="store_true")
     verify.add_argument("--list", action="store_true",
                         help="list the claim-to-check map and exit")
@@ -245,9 +249,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (_InputError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)

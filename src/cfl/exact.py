@@ -387,12 +387,13 @@ def _f2_rank(rows) -> int:
 
 
 def modp_rank(int_rows, p: int = DEFAULT_PRIME) -> int:
-    """Rank mod p of integer rows or a 2-D integer array (read by
-    ``_coerced``); always <= the rational rank.  Mod 2 it is ``_f2_rank``."""
+    """Rank mod p of integer rows, a 2-D integer array or a ``_Bits`` matrix
+    (read by ``_coerced``); always <= the rational rank.  Mod 2 it is
+    ``_f2_rank``; for any other prime a ``_Bits`` matrix is unpacked."""
     rows = _coerced(int_rows, p)
     if p == 2:
         return _f2_rank(rows)
-    return len(_modp_echelon(rows, p)[1])
+    return len(_modp_echelon(_unpacked(rows), p)[1])
 
 
 class RankStats:
@@ -648,10 +649,8 @@ def _rank(m, ring, stats: RankStats | None = None) -> int:
         shape, peeled, path, prime, r = m.shape, 0, "bareiss", None, len(_bareiss(m)[1])
     else:
         shape, peeled, rest = _reduced(m, ring.p)
-        if ring.p == 2:
-            path, prime, r = "prime-field", 2, _f2_rank(rest)
-        elif ring.p is not None:
-            path, prime, r = "prime-field", ring.p, modp_rank(_unpacked(rest), ring.p)
+        if ring.p is not None:
+            path, prime, r = "prime-field", ring.p, modp_rank(rest, ring.p)
         elif not rest.shape[0]:
             path, prime, r = "structural", None, 0
         else:

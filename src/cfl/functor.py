@@ -1,12 +1,13 @@
 """Evaluations of the lattice-valued functors on finite sets.
 
 The free module on functions ``X -> T`` carries the relation action by
-pointwise joins; the meet-side (star) action realizes the dual module.  This
-module assembles the derived objects of interest: the subspace spanned by
-functions missing an irreducible, the kernel linear system and its rank, the
-duality pairing with its Mobius dual basis, the alternating generator of the
-dual copy, and the relation action on the permutation module, which sends
-each basis permutation to one basis permutation or to zero.
+pointwise joins; the meet-side (star) action, which is the join action over
+``T.opposite()``, realizes the dual module.  This module assembles the
+derived objects of interest: the subspace spanned by functions missing an
+irreducible, the kernel linear system and its rank, the duality pairing with
+its Mobius dual basis, the alternating generator of the dual copy, and the
+relation action on the permutation module, which sends each basis
+permutation to one basis permutation or to zero.
 
 An element of the free module is an int64 coefficient vector in
 function-index order.  A relation acts on it through ``action_index``, the
@@ -130,38 +131,38 @@ def all_functions(lattice: Lattice, points: int):
 def act(r: Correspondence, f: LatticeFunction) -> LatticeFunction:
     """Pointwise-join action: target point ``y`` gets the join of the values
     at its related source points (the empty join is the bottom)."""
-    if r.src_size != f.points:
-        raise ValueError(f"relation expects {r.src_size} points, function has {f.points}")
-    lat = f.lattice
-    return LatticeFunction(lat, (lat.join_many(f.values[x] for x in _bits(row))
-                                 for row in r.rows))
+    return _pointwise(r, f, f.lattice.join_many)
 
 
 def star_act(q: Correspondence, f: LatticeFunction) -> LatticeFunction:
     """Pointwise-meet action (the join of the opposite lattice); the empty
     meet is the top."""
-    if q.src_size != f.points:
-        raise ValueError(f"relation expects {q.src_size} points, function has {f.points}")
-    lat = f.lattice
-    return LatticeFunction(lat, (lat.meet_many(f.values[x] for x in _bits(row))
-                                 for row in q.rows))
+    return _pointwise(q, f, f.lattice.meet_many)
 
 
-def action_index(r: Correspondence, lattice: Lattice, star: bool = False) -> np.ndarray:
-    """The index of ``act(r, f)``, or of ``star_act(r, f)`` when ``star``, for
-    every function ``f`` on ``r.src_size`` points, in index order.
+def _pointwise(r: Correspondence, f: LatticeFunction, combine) -> LatticeFunction:
+    """``combine`` of the values at each target point's related source points."""
+    if r.src_size != f.points:
+        raise ValueError(f"relation expects {r.src_size} points, function has {f.points}")
+    return LatticeFunction(f.lattice, (combine(f.values[x] for x in _bits(row))
+                                       for row in r.rows))
 
-    Each target point gathers the join (or meet) table over the digits of
-    all functions at its related source points.  A module element ``v`` on
-    the source points acts as ``np.add.at(out, action_index(r, lattice), v)``
+
+def action_index(r: Correspondence, lattice: Lattice) -> np.ndarray:
+    """The index of ``act(r, f)`` for every function ``f`` on ``r.src_size``
+    points, in index order; over ``lattice.opposite()``, of ``star_act(r, f)``.
+
+    Each target point gathers the join table over the digits of all
+    functions at its related source points.  A module element ``v`` on the
+    source points acts as ``np.add.at(out, action_index(r, lattice), v)``
     into zeros on the target points.  Both function spaces are capped."""
     function_space_size(lattice, r.dst_size)
     function_space_size(lattice, r.src_size)
     digits = _digits(lattice.n, r.src_size)
-    table = np.array(lattice.meet if star else lattice.join, dtype=np.int64)
+    table = np.array(lattice.join, dtype=np.int64)
     out = np.zeros(len(digits), dtype=np.int64)
     for y, row in enumerate(r.rows):
-        value = np.full(len(digits), lattice.top if star else lattice.bottom, dtype=np.int64)
+        value = np.full(len(digits), lattice.bottom, dtype=np.int64)
         for x in _bits(row):
             value = table[value, digits[:, x]]
         out += value * lattice.n ** y
@@ -170,10 +171,9 @@ def action_index(r: Correspondence, lattice: Lattice, star: bool = False) -> np.
 
 IrrData = namedtuple("IrrData", [
     "elems",      # irreducible elements of T, ascending
-    "sub",        # their full subposet (order R), on indices 0..|E|-1
-    "rop_rows",   # rows of R-opposite as masks over E indices
+    "sub",        # their full subposet (order R) on indices 0..|E|-1; as masks, its
+                  # down rows are the rows of R-opposite, its up rows principal upper ideals
     "down_irr",   # for each t in T: mask of irreducibles below t
-    "up_masks",   # for each irreducible: mask of its principal upper ideal
     "iup",        # lattice of upper ideals of (E, R)
     "iup_enc",    # their subset encodings
 ])
@@ -190,16 +190,13 @@ def irr_data(lattice: Lattice) -> IrrData:
                 mask |= 1 << i
         down_irr.append(mask)
     iup, iup_enc = ideal_lattice(sub, "upper")
-    return IrrData(tuple(elems), sub, tuple(sub.down), tuple(down_irr),
-                   tuple(sub.up), iup, iup_enc)
+    return IrrData(tuple(elems), sub, tuple(down_irr), iup, iup_enc)
 
 
-def gamma_corr(lattice: Lattice, f: LatticeFunction) -> Correspondence:
+def gamma_corr(f: LatticeFunction) -> Correspondence:
     """The correspondence pairing each point with the irreducibles below its
     value."""
-    if f.lattice != lattice:
-        raise ValueError("the function must take values in the lattice")
-    data = irr_data(lattice)
+    data = irr_data(f.lattice)
     return Correspondence(f.points, len(data.elems),
                           (data.down_irr[v] for v in f.values))
 
@@ -216,12 +213,16 @@ def _order_table(lattice: Lattice) -> np.ndarray:
     return np.array([[lattice.le(a, b) for b in range(lattice.n)] for a in range(lattice.n)])
 
 
-def _covering(digits: np.ndarray, targets) -> np.ndarray:
-    """Which rows of a digit array take every value in ``targets``."""
-    keep = np.ones(len(digits), dtype=bool)
-    for t in targets:
-        keep &= (digits == t).any(axis=1)
-    return keep
+def _covering(digits: np.ndarray, n: int, targets) -> np.ndarray:
+    """Which rows of a digit array of values ``0..n-1`` take every value in
+    ``targets``: each point ORs into its row the bit its value has among the
+    targets (none for any other value), and a covering row holds them all."""
+    bits = np.zeros(n, dtype=np.min_scalar_type((1 << len(targets)) - 1))
+    bits[list(targets)] = 1 << np.arange(len(targets), dtype=np.uint64)
+    hit = np.zeros(len(digits), dtype=bits.dtype)
+    for column in digits.T:
+        hit |= bits[column]
+    return hit == (1 << len(targets)) - 1
 
 
 def h_quotient_basis(lattice: Lattice, points: int):
@@ -231,7 +232,8 @@ def h_quotient_basis(lattice: Lattice, points: int):
     functions; the list is empty when ``points`` is too small to cover."""
     data = irr_data(lattice)
     function_space_size(lattice, points)
-    return np.flatnonzero(_covering(_digits(lattice.n, points), data.elems)).tolist()
+    return np.flatnonzero(_covering(_digits(lattice.n, points), lattice.n,
+                                     data.elems)).tolist()
 
 
 def retraction_exists(order: Poset, s: Correspondence) -> bool:
@@ -260,11 +262,11 @@ def retraction_exists(order: Poset, s: Correspondence) -> bool:
 # --- the kernel linear system ------------------------------------------------
 
 
-def theta_conditions(lattice: Lattice, phi: LatticeFunction, psi: LatticeFunction):
+def theta_conditions(phi: LatticeFunction, psi: LatticeFunction):
     """The six equivalent membership tests for one (function, ideal-function)
-    pair; returned as six independently computed booleans."""
-    if phi.lattice != lattice:
-        raise ValueError("phi must take values in the lattice")
+    pair, ``psi`` taking values in the upper-ideal lattice of ``phi``'s
+    irreducibles; returned as six independently computed booleans."""
+    lattice = phi.lattice
     data = irr_data(lattice)
     if psi.lattice != data.iup:
         raise ValueError("psi must take values in the upper-ideal lattice")
@@ -292,16 +294,16 @@ def theta_conditions(lattice: Lattice, phi: LatticeFunction, psi: LatticeFunctio
                for e in range(k)]
     cond_b = all(qi_vals[e] == data.elems[e] for e in range(k))
 
-    cond_c = all(q_rows[e] >> e & 1 and q_rows[e] & ~data.rop_rows[e] == 0
+    cond_c = all(q_rows[e] >> e & 1 and q_rows[e] & ~data.sub.down[e] == 0
                  for e in range(k))
 
-    cond_d = all(q_rows[e] == data.rop_rows[e] for e in range(k))
+    cond_d = all(q_rows[e] == data.sub.down[e] for e in range(k))
 
     wedge = [lattice.meet_many(data.elems[i] for i in _bits(enc_psi[x]))
              for x in range(phi.points)]
     cond_e = (all(lattice.le(phi.values[x], wedge[x]) for x in range(phi.points))
               and all(any(phi.values[x] == data.elems[e]
-                          and enc_psi[x] == data.up_masks[e]
+                          and enc_psi[x] == data.sub.up[e]
                           for x in range(phi.points))
                       for e in range(k)))
 
@@ -313,7 +315,7 @@ def theta_conditions(lattice: Lattice, phi: LatticeFunction, psi: LatticeFunctio
         for x in range(phi.points):
             if phi.values[x] == data.elems[e]:
                 union |= enc_psi[x]
-        if union != data.up_masks[e]:
+        if union != data.sub.up[e]:
             second_f = False
             break
     cond_f = first_f and second_f
@@ -342,8 +344,8 @@ def _theta_inputs(lattice: Lattice, points: int, cap: int, pruned: bool):
     phi = _digits(lattice.n, points)
     psi = _digits(data.iup.n, points)
     if pruned:
-        phi = phi[_covering(phi, data.elems)]
-        psi = psi[_covering(psi, [data.iup_enc.index(m) for m in data.up_masks])]
+        phi = phi[_covering(phi, lattice.n, data.elems)]
+        psi = psi[_covering(psi, data.iup.n, [data.iup_enc.index(m) for m in data.sub.up])]
     mask = np.min_scalar_type((1 << len(data.elems)) - 1)
     down = np.array(data.down_irr, dtype=mask)[phi]
     table = np.zeros((1 << points, len(phi)), dtype=mask)
@@ -363,7 +365,7 @@ def _all_of(shape, arrays) -> np.ndarray:
     return out
 
 
-def _condition_d(rop_rows, subsets, table, shape) -> _Bits:
+def _condition_d(rop, subsets, table, shape) -> _Bits:
     """Condition (d) of ``theta_conditions`` on every (psi, phi) pair, from
     ``_theta_inputs``, packed eight columns to a byte (``_Bits``): for each
     irreducible e, the subset-OR table of phi's down-masks is compared with
@@ -372,7 +374,7 @@ def _condition_d(rop_rows, subsets, table, shape) -> _Bits:
     bits, which is the answer when there is no irreducible."""
     nr, nc = shape
     out = np.tile(np.packbits(np.ones(nc, dtype=bool)), (nr, 1))
-    for row, s in zip(rop_rows, subsets):
+    for row, s in zip(rop, subsets):
         out &= np.packbits(table == row, axis=1)[s]
     return _Bits(shape, out)
 
@@ -384,8 +386,7 @@ def _theta_system(lattice: Lattice, points: int, cap: int, pruned: bool) -> _Bit
     (see ``_theta_inputs``) are identically zero.
     """
     phi, psi, _, subsets, table = _theta_inputs(lattice, points, cap, pruned)
-    rop_rows = irr_data(lattice).rop_rows
-    return _condition_d(rop_rows, subsets, table, (len(psi), len(phi)))
+    return _condition_d(irr_data(lattice).sub.down, subsets, table, (len(psi), len(phi)))
 
 
 def theta_condition_tables(lattice: Lattice, points: int):
@@ -407,7 +408,7 @@ def theta_condition_tables(lattice: Lattice, points: int):
     data = irr_data(lattice)
     phi, psi, enc, subsets, table = _theta_inputs(lattice, points, DEFAULT_FUNCTION_CAP,
                                                   pruned=False)
-    elems, rop, up = data.elems, data.rop_rows, data.up_masks
+    elems, rop, up = data.elems, data.sub.down, data.sub.up
     k, shape = len(elems), (len(psi), len(phi))
 
     join = np.array(lattice.join, dtype=np.uint8)

@@ -117,9 +117,6 @@ class Correspondence:
                 yield (y, low.bit_length() - 1)
                 r ^= low
 
-    def count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
     def __contains__(self, pair) -> bool:
         y, x = pair
         return 0 <= y < self.dst_size and 0 <= x < self.src_size and bool(self.rows[y] >> x & 1)

@@ -145,26 +145,24 @@ def _selected(suite: str):
 def run_suite(suite: str, limits: Limits | None = None, seed: int = 0,
               ring=RATIONALS) -> PropertyReport:
     """Run every check of a suite deterministically for the given seed."""
-    limits = limits or Limits()
     start = time.monotonic()
-    results = []
-    for name, anchor, _, fn in _selected(suite):
-        ctx = Context(limits, random.Random(f"{seed}:{name}"), ring)
-        results.append(_run_one(name, anchor, fn, ctx))
+    results = [_run(entry, limits, seed, ring) for entry in _selected(suite)]
     elapsed = int((time.monotonic() - start) * 1000)
     return PropertyReport(suite, ring.name, seed, results, elapsed)
 
 
 def run_check(name: str, limits: Limits | None = None, seed: int = 0,
               ring=RATIONALS) -> CheckResult:
-    for cname, anchor, _, fn in _REGISTRY:
-        if cname == name:
-            ctx = Context(limits or Limits(), random.Random(f"{seed}:{name}"), ring)
-            return _run_one(name, anchor, fn, ctx)
+    for entry in _REGISTRY:
+        if entry[0] == name:
+            return _run(entry, limits, seed, ring)
     raise ValueError(f"unknown check {name!r}")
 
 
-def _run_one(name, anchor, fn, ctx) -> CheckResult:
+def _run(entry, limits, seed, ring) -> CheckResult:
+    """One registered check, its generator seeded by the seed and its name."""
+    name, anchor, _, fn = entry
+    ctx = Context(limits or Limits(), random.Random(f"{seed}:{name}"), ring)
     start = time.perf_counter()
     try:
         outcome = fn(ctx)
@@ -193,6 +191,13 @@ def _witness(lat, **extra):
     out = {"lattice": lattice_to_json(lat)}
     out.update(extra)
     return out
+
+
+def _relations(dst, src):
+    """Every relation from ``src`` points to ``dst`` points, rows in
+    lexicographic order."""
+    for rows in itertools.product(range(1 << src), repeat=dst):
+        yield Correspondence(dst, src, rows)
 
 
 def _rand_corr(rng, dst, src):
@@ -274,7 +279,7 @@ def _has_splitting_section(lat) -> bool:
        "relation composition is associative and the diagonal is its identity",
        "relations")
 def _check_relation_monoid(ctx):
-    two = [Correspondence(2, 2, rows) for rows in itertools.product(range(4), repeat=2)]
+    two = list(_relations(2, 2))
     ident = Correspondence.identity(2)
     for r in two:
         if ident @ r != r or r @ ident != r:
@@ -318,8 +323,7 @@ def _check_relation_opposite(ctx):
        "their opposite in the diagonal",
        "relations")
 def _check_order_laws(ctx):
-    for rows in itertools.product(range(8), repeat=3):
-        r = Correspondence(3, 3, rows)
+    for r in _relations(3, 3):
         flags = order_flags(r)
         refl = all((a, a) in r for a in range(3))
         trans = not any((a, b) in r and (b, c) in r and (a, c) not in r
@@ -714,10 +718,8 @@ def _check_functor_composition(ctx):
             if act(Correspondence.identity(2), f) != f:
                 return _witness(lat, name=name, law="identity")
         for (sy, sx) in ((1, 2), (2, 2)):
-            for s_rows in itertools.product(range(1 << 2), repeat=sy):
-                s = Correspondence(sy, sx, s_rows)
-                for r_rows in itertools.product(range(1 << 1), repeat=sx):
-                    r = Correspondence(sx, 1, r_rows)
+            for s in _relations(sy, sx):
+                for r in _relations(sx, 1):
                     for f in all_functions(lat, 1):
                         if act(s @ r, f) != act(s, act(r, f)):
                             return _witness(lat, name=name,
@@ -795,8 +797,7 @@ def h_complement(lat, points):
 def _check_h_subfunctor(ctx):
     for name, lat in _named(ctx, 5):
         comp = set(h_complement(lat, 2))
-        for q_rows in itertools.product(range(4), repeat=2):
-            q = Correspondence(2, 2, q_rows)
+        for q in _relations(2, 2):
             for idx in comp:
                 f = LatticeFunction.from_index(lat, 2, idx)
                 if act(q, f).index not in comp:
@@ -818,26 +819,36 @@ def _check_gamma_corr(ctx):
     for name, lat in _named(ctx, 6):
         data = irr_data(lat)
         iota = LatticeFunction(lat, data.elems)
-        rop = Correspondence(len(data.elems), len(data.elems), data.rop_rows)
-        if gamma_corr(lat, iota) != rop:
+        rop = Correspondence(len(data.elems), len(data.elems), data.sub.down)
+        if gamma_corr(iota) != rop:
             return _witness(lat, name=name, law="inclusion barcode")
         for x in range(1, 3):
             for f in all_functions(lat, x):
-                g = gamma_corr(lat, f)
+                g = gamma_corr(f)
                 if g @ rop != g:
                     return _witness(lat, name=name, phi=list(f.values),
                                     law="absorbs the order")
                 if act(g, iota) != f:
                     return _witness(lat, name=name, phi=list(f.values),
                                     law="recovers the function")
-        if is_distributive(lat):
-            for x, y in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                for s_rows in itertools.product(range(1 << x), repeat=y):
-                    s = Correspondence(y, x, s_rows)
-                    for f in all_functions(lat, x):
-                        if gamma_corr(lat, act(s, f)) != s @ gamma_corr(lat, f):
-                            return _witness(lat, name=name, phi=list(f.values),
-                                            s=sorted(s.pairs()), law="naturality")
+        failure = is_distributive(lat) and _naturality_failure(
+            lat, ((1, 1), (1, 2), (2, 1), (2, 2)))
+        if failure:
+            s, f = failure
+            return _witness(lat, name=name, phi=list(f.values), s=sorted(s.pairs()),
+                            law="naturality")
+    return None
+
+
+def _naturality_failure(lat, shapes):
+    """The first ``(s, f)``, over ``f`` on x points and ``s`` to y points for
+    each (x, y) of ``shapes`` in turn, where the barcode of ``act(s, f)`` is
+    not ``s`` after that of ``f``; None when there is none."""
+    for x, y in shapes:
+        for s in _relations(y, x):
+            for f in all_functions(lat, x):
+                if gamma_corr(act(s, f)) != s @ gamma_corr(f):
+                    return s, f
     return None
 
 
@@ -848,21 +859,12 @@ def _check_gamma_corr(ctx):
 def _check_gamma_probe(ctx):
     findings = []
     for name in ("m3", "n5"):
-        lat = named_lattices()[name]
-        found = None
-        for x, y in ((1, 1), (2, 1), (2, 2)):
-            for s_rows in itertools.product(range(1 << x), repeat=y):
-                s = Correspondence(y, x, s_rows)
-                for f in all_functions(lat, x):
-                    if gamma_corr(lat, act(s, f)) != s @ gamma_corr(lat, f):
-                        found = {"name": name, "s": sorted(s.pairs()),
-                                 "phi": list(f.values)}
-                        break
-                if found:
-                    break
-            if found:
-                break
-        findings.append(found or {"name": name, "counterexample": None})
+        failure = _naturality_failure(named_lattices()[name], ((1, 1), (2, 1), (2, 2)))
+        if failure:
+            s, f = failure
+            findings.append({"name": name, "s": sorted(s.pairs()), "phi": list(f.values)})
+        else:
+            findings.append({"name": name, "counterexample": None})
     return ("info", {"findings": findings})
 
 
@@ -891,19 +893,15 @@ def _check_retraction(ctx):
         iup, enc = ideal_lattice(p, "upper")
         for x in range(1, min(3, ctx.limits.max_points) + 1):
             covering = set(h_quotient_basis(iup, x))
-            for idx in range(iup.n ** x):
-                f = LatticeFunction.from_index(iup, x, idx)
-                s = Correspondence(x, p.n, (enc[v] for v in f.values))
+            barcodes = [(f, Correspondence(x, p.n, (enc[v] for v in f.values)))
+                        for f in all_functions(iup, x)]
+            for idx, (f, s) in enumerate(barcodes):
                 if retraction_exists(p, s) != (idx in covering):
                     return {"poset": sorted(p.leq.pairs()), "psi": list(f.values),
                             "law": "criterion equivalence"}
             if p.n <= 2 and x <= 2:
-                for idx in range(iup.n ** x):
-                    f = LatticeFunction.from_index(iup, x, idx)
-                    s = Correspondence(x, p.n, (enc[v] for v in f.values))
-                    brute = any(
-                        Correspondence(p.n, x, rows) @ s == p.leq
-                        for rows in itertools.product(range(1 << x), repeat=p.n))
+                for f, s in barcodes:
+                    brute = any(r @ s == p.leq for r in _relations(p.n, x))
                     if retraction_exists(p, s) != brute:
                         return {"poset": sorted(p.leq.pairs()),
                                 "psi": list(f.values), "law": "brute search"}
@@ -970,17 +968,21 @@ def _check_rank_decomposition(ctx):
        "the kernel-system rank depends only on the poset of irreducibles",
        "ranks")
 def _check_rank_invariance(ctx):
-    named = named_lattices()
-    pairs = [(named["m3"], named["b3"])]
-    elems, sub = irreducibles(named["n5"])
-    pairs.append((named["n5"], ideal_lattice(sub, "lower")[0]))
-    for a, b in pairs:
+    for a, b in _invariance_pairs():
         for x in range(min(3, ctx.limits.max_points) + 1):
             ra, rb = theta_rank(a, x, ctx.ring), theta_rank(b, x, ctx.ring)
             if ra != rb:
                 return {"x": x, "rank_a": ra, "rank_b": rb,
                         "witness": _witness(a)}
     return None
+
+
+def _invariance_pairs():
+    """Lattices sharing an irreducible poset: m3 with b3, and n5 with the
+    lattice of lower ideals of its irreducibles."""
+    named = named_lattices()
+    return [(named["m3"], named["b3"]),
+            (named["n5"], ideal_lattice(irreducibles(named["n5"])[1], "lower")[0])]
 
 
 @check("rank-dual-construction",
@@ -1123,7 +1125,7 @@ def _check_gamma_element(ctx):
         if not np.array_equal(g, dual_star(iota)):
             return _witness(lat, name=name, law="dual of inclusion")
         acted = np.zeros_like(g)
-        np.add.at(acted, action_index(data.sub.leq, lat, star=True), g)
+        np.add.at(acted, action_index(data.sub.leq, lat.opposite()), g)
         if not np.array_equal(acted, g):
             return _witness(lat, name=name, law="fixed by the order")
     return None
@@ -1147,11 +1149,7 @@ def _check_orthogonal(ctx):
        "the dual-copy rank is an invariant of the irreducible poset",
        "duality")
 def _check_gamma_invariance(ctx):
-    named = named_lattices()
-    elems, sub = irreducibles(named["n5"])
-    pairs = [(named["m3"], named["b3"]),
-             (named["n5"], ideal_lattice(sub, "lower")[0])]
-    for a, b in pairs:
+    for a, b in _invariance_pairs():
         for x in range(min(2, ctx.limits.max_points) + 1):
             ga, gb = gamma_span_rank(a, x, ctx.ring), gamma_span_rank(b, x, ctx.ring)
             if ga != gb:
@@ -1179,7 +1177,7 @@ def _check_six_conditions(ctx):
             x = ctx.rng.randint(1, top)
             phi = _rand_function(ctx.rng, lat, x)
             psi = _rand_function(ctx.rng, data.iup, x)
-            conds = theta_conditions(lat, phi, psi)
+            conds = theta_conditions(phi, psi)
             if len(set(conds)) > 1:
                 return _witness(lat, name=name, phi=list(phi.values),
                                 psi=list(psi.values), conditions=list(conds))
@@ -1212,8 +1210,7 @@ def _check_condition_tables(ctx):
        "fundamental")
 def _check_fund_action(ctx):
     for p in enumerate_posets(2):
-        rels = [Correspondence(2, 2, rows)
-                for rows in itertools.product(range(4), repeat=2)]
+        rels = list(_relations(2, 2))
         for sigma in perm_basis(2):
             if fund_act(Correspondence.identity(2), sigma, p) != sigma:
                 return {"poset": sorted(p.leq.pairs()), "law": "identity"}

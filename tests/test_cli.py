@@ -160,7 +160,43 @@ def test_rank_methods_agree(chain2_file, capsys):
 
 def test_rank_lattice_flag(capsys):
     assert main(["rank", "--points", "1"]) == 1
-    assert "rank needs a lattice file" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: the following arguments are required: file\n"
+
+
+USAGE_ERRORS = [
+    ([], "required: command"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["lattice"], "required: subcommand"),
+    (["lattice", "check"], "required: file"),
+    (["lattice", "ideals", "FILE", "--direction", "sideways"], "invalid choice: 'sideways'"),
+    (["lattice", "endo", "FILE", "--bogus"], "unrecognized arguments: --bogus"),
+    (["rank", "FILE"], "required: --points"),
+    (["rank", "FILE", "--points", "two"], "argument --points: invalid int value: 'two'"),
+    (["rank", "FILE", "--points", "1", "--method", "nope"], "invalid choice: 'nope'"),
+    (["rank", "FILE", "--points", "1", "--cap", "1e6"], "argument --cap: invalid int value"),
+    (["verify", "--max-points", "abc"], "argument --max-points: invalid int value: 'abc'"),
+    (["verify", "--seed"], "argument --seed: expected one argument"),
+    (["catalog", "--max-size", "x"], "argument --max-size: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no-command" for argv, _ in USAGE_ERRORS])
+def test_usage_errors_exit_1_with_one_line(chain2_file, capsys, argv, message):
+    assert main([chain2_file if a == "FILE" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"], ["verify", "-h"]],
+                         ids=["cfl", "rank", "verify"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert "usage: cfl" in capsys.readouterr().out
 
 
 def test_rank_formula_json_has_no_system(chain2_file, capsys):
@@ -190,14 +226,6 @@ def test_rank_json_and_prime_ring(m3_file, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["rank"] == 6 and blob["path"] == "structural" and blob["peeled"] == 6
     assert blob["exact"] is True and min(blob["shape"]) == 6
-
-
-def test_rank_ring_env_override(chain2_file, capsys, monkeypatch):
-    monkeypatch.setenv("CFL_RING", "p:7")
-    assert main(["rank", chain2_file, "--points", "2"]) == 0
-    assert "probabilistic" in capsys.readouterr().out
-    monkeypatch.setenv("CFL_RING", "bogus")
-    assert main(["rank", chain2_file, "--points", "2"]) == 1
 
 
 def test_rank_cap(m3_file, capsys):
@@ -269,4 +297,4 @@ def test_parser_defaults_come_from_their_sources():
     parser = _build_parser()
     verify = parser.parse_args(["verify"])
     assert Limits(verify.max_lattice, verify.max_points, verify.samples) == Limits()
-    assert parser.parse_args(["rank", "--points", "2"]).cap == DEFAULT_FUNCTION_CAP
+    assert parser.parse_args(["rank", "FILE", "--points", "2"]).cap == DEFAULT_FUNCTION_CAP

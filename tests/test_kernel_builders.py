@@ -46,7 +46,7 @@ def _theta_reference(lattice, points):
     rows = []
     for ri in range(data.iup.n ** points):
         enc_psi = [data.iup_enc[v] for v in _decode(data.iup.n, points, ri)]
-        rows.append([1 if _product_rows_equal(enc_psi, down, data.rop_rows, k) else 0
+        rows.append([1 if _product_rows_equal(enc_psi, down, data.sub.down, k) else 0
                      for down in cols_down])
     return rows
 
@@ -158,6 +158,20 @@ def test_h_quotient_basis_is_the_covering_filter(lat, points):
     want = [i for i in range(lat.n ** points)
             if set(data.elems) <= set(_decode(lat.n, points, i))]
     assert h_quotient_basis(lat, points) == want
+
+
+@pytest.mark.parametrize("lat, points", list(_inputs()))
+def test_pruning_keeps_the_covering_rows_and_columns(lat, points):
+    # rows of ideal functions hitting every principal upper ideal and
+    # columns of functions hitting every irreducible, in index order
+    data = irr_data(lat)
+    ups = {data.iup_enc.index(m) for m in data.sub.up}
+    rows = [i for i in range(data.iup.n ** points)
+            if ups <= set(_decode(data.iup.n, points, i))]
+    cols = [i for i in range(lat.n ** points)
+            if set(data.elems) <= set(_decode(lat.n, points, i))]
+    pruned = _theta_system(lat, points, 20000, pruned=True).dense()
+    assert np.array_equal(pruned, theta_matrix(lat, points)[np.ix_(rows, cols)])
 
 
 def test_rank_stats_report_the_pruned_system():

@@ -13,6 +13,7 @@ from cfl.exact import PrimeField
 from cfl.functor import LatticeFunction, all_functions, h_quotient_basis
 from cfl.lattices import CapExceeded, JoinMap, chain, irreducibles, is_distributive
 from cfl.morphisms import LinMorphism, beta, f_dc, p_tuples
+from cfl.relations import Correspondence
 from cfl.suite import Limits, check, list_checks, run_check, run_suite, suite_names
 
 
@@ -402,11 +403,41 @@ def test_prime_field_run_notes_probabilistic():
 
 
 def test_probe_check_records_findings_without_failing():
+    # naturality genuinely fails on both; each finding is the first failing
+    # (relation, function) in the search order
     result = run_check("gamma-naturality-probe", small())
     assert result.status == "pass"
-    assert result.witness and "findings" in result.witness
-    diamond = next(f for f in result.witness["findings"] if f["name"] == "m3")
-    assert diamond.get("phi") is not None  # naturality genuinely fails there
+    assert result.witness == {"findings": [
+        {"name": "m3", "s": [(0, 0), (0, 1)], "phi": [2, 1]},
+        {"name": "n5", "s": [(0, 0), (0, 1)], "phi": [3, 1]}]}
+
+
+def test_spoiled_barcode_fails_naturality_on_a_distributive_lattice(monkeypatch):
+    # Every function the action returns gets the barcode holding every
+    # irreducible at every point; the enumerated functions, which the other
+    # laws read, keep their true barcodes.  On chain1 the empty relation
+    # sends [0] to [0], whose true barcode is empty.
+    real_act, real_gamma = suite_mod.act, suite_mod.gamma_corr
+
+    class Acted(LatticeFunction):
+        __slots__ = ()
+
+    def marked(r, f):
+        out = real_act(r, f)
+        return Acted(out.lattice, out.values)
+
+    def spoiled(*args):
+        true = real_gamma(*args)
+        if isinstance(args[-1], Acted):
+            return Correspondence.full(true.dst_size, true.src_size)
+        return true
+
+    monkeypatch.setattr(suite_mod, "act", marked)
+    monkeypatch.setattr(suite_mod, "gamma_corr", spoiled)
+    result = run_check("gamma-correspondence")
+    assert result.status == "fail"
+    witness = {key: result.witness[key] for key in ("name", "phi", "s", "law")}
+    assert witness == {"name": "chain1", "phi": [0], "s": [], "law": "naturality"}
 
 
 def test_check_listing_carries_anchors():
