@@ -157,10 +157,6 @@ def _cmd_rank(args):
 
 
 def _cmd_verify(args):
-    if args.list:
-        for name, anchor, suites in list_checks():
-            print(f"{name} [{', '.join(suites)}]: {anchor}")
-        return 0
     ring = _ring_from(args)
     if args.suite not in suite_names():
         raise _InputError(f"unknown suite {args.suite!r}; known: {', '.join(suite_names())}")
@@ -169,6 +165,10 @@ def _cmd_verify(args):
                         samples=args.samples)
     except ValueError as err:
         raise _InputError(str(err))
+    if args.list:
+        for name, anchor, suites in list_checks():
+            print(f"{name} [{', '.join(suites)}]: {anchor}")
+        return 0
     report = run_suite(args.suite, limits, args.seed, ring)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))

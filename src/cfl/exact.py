@@ -446,7 +446,7 @@ class _Bits:
     eight columns to a byte: ``packed`` is a ``(rows, ceil(cols / 8))``
     uint8 array, each row big-endian (column 0 is the top bit of its first
     byte), its padding bits zero.  ``dense`` unpacks rows into ``dtype``,
-    int8, and ``entries`` reads the ones as ``_Entries``."""
+    int8."""
 
     __slots__ = ("shape", "packed")
     dtype = np.dtype(np.int8)
@@ -456,9 +456,6 @@ class _Bits:
 
     def dense(self, rows=slice(None)) -> np.ndarray:
         return np.unpackbits(self.packed[rows], axis=1, count=self.shape[1]).view(self.dtype)
-
-    def entries(self) -> _Entries:
-        return _Entries(self.shape, *_nonzero_entries(self))
 
 
 def _row_blocks(m):
@@ -554,10 +551,11 @@ def _reduced(m, p):
     entries; returns ``(shape, peeled, rest)``.
 
     A ``_Bits`` matrix that nothing prunes or peels (``_reduces_to_itself``)
-    is its own rest, never unpacked whole; any other is read as its entries.
-    An array's entries are read once, block by block (``_nonzero_entries``).
-    Pruning drops zero rows, repeated rows (``_distinct_rows``) and zero
-    columns, none of which changes the rank; ``shape`` is what it leaves.
+    is its own rest, never unpacked whole.  Any other array or ``_Bits`` is
+    read once as ``_Entries``, block by block of rows (``_nonzero_entries``),
+    so the rest of the pass reads one form.  Pruning drops zero rows,
+    repeated rows (``_distinct_rows``) and zero columns, none of which
+    changes the rank; ``shape`` is what it leaves.
 
     Peeling then settles singletons.  A column with exactly one live entry
     is a pivot: removing it with the row of that entry drops the rank by
@@ -568,20 +566,16 @@ def _reduced(m, p):
     singletons on one line remove it once.  Each round costs one
     ``bincount`` over the live coordinates.
 
-    ``rest`` is the pruned matrix when nothing peels (an array or ``_Bits``
-    ``m`` itself when pruning drops nothing), and otherwise the surviving
-    rows and columns that still hold a live entry, in order.  It is the one
-    array made: read back from an array ``m``, or scattered from the kept
-    entries.
+    ``rest`` is the pruned matrix when nothing peels, and otherwise the
+    surviving rows and columns that still hold a live entry, in order.  It
+    is the one array made, scattered from the kept entries.
     """
-    if isinstance(m, _Bits):
-        if _reduces_to_itself(m):
-            return m.shape, 0, m
-        m = m.entries()
+    if isinstance(m, _Bits) and _reduces_to_itself(m):
+        return m.shape, 0, m
+    if not isinstance(m, _Entries):
+        m = _Entries(m.shape, *_nonzero_entries(m))
     nr, nc = m.shape
-    given = isinstance(m, _Entries)
-    rows, cols, vals = _distinct_rows(*((m.rows, m.cols, m.vals) if given
-                                        else _nonzero_entries(m)), nc)
+    rows, cols, vals = _distinct_rows(m.rows, m.cols, m.vals, nc)
     live = _live(vals, p)
     rest_rows = np.flatnonzero(np.bincount(rows, minlength=nr))
     rest_cols = np.flatnonzero(np.bincount(cols, minlength=nc))
@@ -611,10 +605,6 @@ def _reduced(m, p):
     if peeled:
         rest_rows, rest_cols = (np.flatnonzero(np.bincount(c, minlength=n))
                                 for c, n in zip(coords, size))
-    elif shape == m.shape and not given:
-        return shape, 0, m
-    if not given:
-        return shape, peeled, m[np.ix_(rest_rows, rest_cols)]
     held = np.isin(rows, rest_rows) & np.isin(cols, rest_cols)
     rest = _Entries((len(rest_rows), len(rest_cols)), np.searchsorted(rest_rows, rows[held]),
                     np.searchsorted(rest_cols, cols[held]), vals[held])
@@ -630,10 +620,10 @@ def fast_int_rank(int_rows, ring=RATIONALS, stats: RankStats | None = None) -> i
     elimination (``_bareiss``), and over ``F_p`` it is read as its residue.
     ``_reduced`` drops zero rows, repeated rows and zero columns and peels
     singletons in one pass over the nonzero entries; each peeled pivot adds
-    exactly 1, and only the rest is copied out of the array.  Over a prime
-    field the rest is ranked mod p, and that is the answer.  Over the
-    rationals an empty rest is exact, and otherwise a rank of the rest mod
-    any prime is a lower bound, which pins the rank when it reaches
+    exactly 1, and only the rest is made dense.  Over a prime field the
+    rest is ranked mod p, and that is the answer.  Over the rationals an
+    empty rest is exact, and otherwise a rank of the rest mod any prime is
+    a lower bound, which pins the rank when it reaches
     min(rows, cols) of the rest: mod 2 (``_f2_rank``) tries first, then mod
     ``DEFAULT_PRIME``, then fraction-free elimination of the rest decides.
     ``stats``, if given, records the pruned shape, the peeled pivots, the

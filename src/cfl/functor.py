@@ -102,10 +102,6 @@ class LatticeFunction:
         self.points = len(values)
         self.values = values
 
-    @classmethod
-    def from_index(cls, lattice: Lattice, points: int, index: int) -> "LatticeFunction":
-        return cls(lattice, _decode(lattice.n, points, index))
-
     @property
     def index(self) -> int:
         return _encode(self.lattice.n, self.values)

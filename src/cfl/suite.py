@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import enumerate_lattices, enumerate_posets, named_lattices
 from .exact import (ExactMatrix, RATIONALS, bareiss_rank_int, det_int,
                     fast_int_rank, modp_rank)
-from .functor import (LatticeFunction, act, action_index, all_functions, dual_star,
+from .functor import (LatticeFunction, _decode, act, action_index, all_functions, dual_star,
                       fixed_rank, fund_act, gamma_corr, gamma_span_rank, gamma_t,
                       h_quotient_basis, irr_data, orth_check, pairing, pairing_matrix,
                       perm_basis, retraction_exists, star_act, theta_condition_tables,
@@ -714,17 +714,16 @@ def _check_adjoints(ctx):
        "functors")
 def _check_functor_composition(ctx):
     for name, lat in _named(ctx, 5):
-        for f in all_functions(lat, 2):
-            if act(Correspondence.identity(2), f) != f:
-                return _witness(lat, name=name, law="identity")
-        for (sy, sx) in ((1, 2), (2, 2)):
-            for s in _relations(sy, sx):
-                for r in _relations(sx, 1):
-                    for f in all_functions(lat, 1):
-                        if act(s @ r, f) != act(s, act(r, f)):
-                            return _witness(lat, name=name,
-                                            s=sorted(s.pairs()), r=sorted(r.pairs()),
-                                            phi=list(f.values))
+        if (action_index(Correspondence.identity(2), lat) != np.arange(lat.n ** 2)).any():
+            return _witness(lat, name=name, law="identity")
+        steps = [(r, action_index(r, lat)) for r in _relations(2, 1)]
+        for s in itertools.chain(_relations(1, 2), _relations(2, 2)):
+            s_image = action_index(s, lat)
+            for r, r_image in steps:
+                bad = np.flatnonzero(action_index(s @ r, lat) != s_image[r_image])
+                if len(bad):
+                    return _witness(lat, name=name, s=sorted(s.pairs()), r=sorted(r.pairs()),
+                                    phi=list(_decode(lat.n, 1, int(bad[0]))))
     for _ in range(ctx.limits.samples):
         name, lat = ctx.rng.choice(_named(ctx, 7))
         x, y, z = (ctx.rng.randint(1, 3) for _ in range(3))
@@ -785,9 +784,11 @@ def _collect(terms):
     return {i: a for i, a in out.items() if a}
 
 
-def h_complement(lat, points):
-    basis = set(h_quotient_basis(lat, points))
-    return [i for i in range(lat.n ** points) if i not in basis]
+def _missing(lat, points):
+    """Which functions on ``points`` points miss an irreducible, by index."""
+    out = np.ones(lat.n ** points, dtype=bool)
+    out[h_quotient_basis(lat, points)] = False
+    return out
 
 
 @check("missing-irreducible-span",
@@ -796,18 +797,16 @@ def h_complement(lat, points):
        "functors")
 def _check_h_subfunctor(ctx):
     for name, lat in _named(ctx, 5):
-        comp = set(h_complement(lat, 2))
+        missing = _missing(lat, 2)
         for q in _relations(2, 2):
-            for idx in comp:
-                f = LatticeFunction.from_index(lat, 2, idx)
-                if act(q, f).index not in comp:
-                    return _witness(lat, name=name, q=sorted(q.pairs()),
-                                    phi=list(f.values), law="stability")
+            bad = np.flatnonzero(missing & ~missing[action_index(q, lat)])
+            if len(bad):
+                return _witness(lat, name=name, q=sorted(q.pairs()),
+                                phi=list(_decode(lat.n, 2, int(bad[0]))), law="stability")
         points = min(2, ctx.limits.max_points)
-        m = theta_matrix(lat, points)
-        for idx in h_complement(lat, points):
-            if m[:, idx].any():
-                return _witness(lat, name=name, index=idx, law="inside the kernel")
+        bad = np.flatnonzero(_missing(lat, points) & theta_matrix(lat, points).any(axis=0))
+        if len(bad):
+            return _witness(lat, name=name, index=int(bad[0]), law="inside the kernel")
     return None
 
 
@@ -822,15 +821,15 @@ def _check_gamma_corr(ctx):
         rop = Correspondence(len(data.elems), len(data.elems), data.sub.down)
         if gamma_corr(iota) != rop:
             return _witness(lat, name=name, law="inclusion barcode")
-        for x in range(1, 3):
-            for f in all_functions(lat, x):
-                g = gamma_corr(f)
-                if g @ rop != g:
-                    return _witness(lat, name=name, phi=list(f.values),
-                                    law="absorbs the order")
-                if act(g, iota) != f:
-                    return _witness(lat, name=name, phi=list(f.values),
-                                    law="recovers the function")
+        # Both laws hold point by point, so the function taking each value
+        # once, at the point of that index, decides them for every function.
+        g = gamma_corr(LatticeFunction(lat, range(lat.n)))
+        recovered = act(g, iota).values
+        for v, (row, absorbed) in enumerate(zip(g.rows, (g @ rop).rows)):
+            if absorbed != row:
+                return _witness(lat, name=name, phi=[v], law="absorbs the order")
+            if recovered[v] != v:
+                return _witness(lat, name=name, phi=[v], law="recovers the function")
         failure = is_distributive(lat) and _naturality_failure(
             lat, ((1, 1), (1, 2), (2, 1), (2, 2)))
         if failure:
@@ -1197,10 +1196,9 @@ def _check_condition_tables(ctx):
                 rows, cols = (next(tables) != system).nonzero()  # one table at a time
                 if len(rows):
                     row, col = int(rows[0]), int(cols[0])
-                    psi = LatticeFunction.from_index(irr_data(lat).iup, x, row)
-                    phi = LatticeFunction.from_index(lat, x, col)
                     return _witness(lat, name=name, x=x, condition=letter,
-                                    psi=list(psi.values), phi=list(phi.values))
+                                    psi=list(_decode(irr_data(lat).iup.n, x, row)),
+                                    phi=list(_decode(lat.n, x, col)))
     return None
 
 

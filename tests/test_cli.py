@@ -266,6 +266,19 @@ def test_verify_list(capsys):
     assert "mobius-duality" in out and "A01-chain-rank-formula" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--ring", "bogus"], "unknown ring 'bogus'"),
+    (["--suite", "nope"], "unknown suite 'nope'"),
+    (["--max-points", "-5"], "max_points must be at least 0, got -5"),
+], ids=["ring", "suite", "max-points"])
+def test_verify_list_validates_its_options_first(capsys, argv, message):
+    assert main(["verify", "--list", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     real = suite_mod.mobius
 

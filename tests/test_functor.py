@@ -70,7 +70,7 @@ def test_function_indexing_round_trip(named):
     for lat in (chain(2), named["b2"]):
         for i, f in enumerate(all_functions(lat, 2)):
             assert f.index == i
-            assert LatticeFunction.from_index(lat, 2, i) == f
+            assert _decode(lat.n, 2, i) == f.values
 
 
 def pushed(r, lat, v):
@@ -105,6 +105,23 @@ def test_action_index_is_the_scalar_action(data):
     image = action_index(r, lat.opposite() if star else lat)
     assert image.dtype == np.int64
     assert image.tolist() == [scalar(r, f).index for f in all_functions(lat, src)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_action_index_composes_as_the_relations_do(data):
+    """The image map of a composite is the composite of the image maps, and
+    the diagonal's is the identity; over an opposite lattice, for the meet
+    action."""
+    lat = named_lattices()[data.draw(st.sampled_from(sorted(named_lattices())))]
+    if data.draw(st.booleans()):
+        lat = lat.opposite()
+    x, y, z = (data.draw(st.integers(0, 3)) for _ in range(3))
+    r, s = (Correspondence(dst, src, data.draw(st.lists(st.integers(0, (1 << src) - 1),
+                                                        min_size=dst, max_size=dst)))
+            for dst, src in ((y, x), (z, y)))
+    assert np.array_equal(action_index(s @ r, lat), action_index(s, lat)[action_index(r, lat)])
+    assert np.array_equal(action_index(Correspondence.identity(x), lat), np.arange(lat.n ** x))
 
 
 def test_module_elements_share_the_function_cap():
@@ -262,9 +279,9 @@ def test_condition_tables_match_the_scalar_conditions(named, points):
         rows, cols = data.iup.n ** points, lat.n ** points
         want = np.zeros((6, rows, cols), dtype=bool)
         for r in range(rows):
-            psi = LatticeFunction.from_index(data.iup, points, r)
+            psi = LatticeFunction(data.iup, _decode(data.iup.n, points, r))
             for c in range(cols):
-                phi = LatticeFunction.from_index(lat, points, c)
+                phi = LatticeFunction(lat, _decode(lat.n, points, c))
                 want[:, r, c] = theta_conditions(phi, psi)
         tables = list(theta_condition_tables(lat, points))
         assert len(tables) == 6

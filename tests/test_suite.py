@@ -4,6 +4,7 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cfl.morphisms as morphisms_mod
@@ -438,6 +439,101 @@ def test_spoiled_barcode_fails_naturality_on_a_distributive_lattice(monkeypatch)
     assert result.status == "fail"
     witness = {key: result.witness[key] for key in ("name", "phi", "s", "law")}
     assert witness == {"name": "chain1", "phi": [0], "s": [], "law": "naturality"}
+
+
+def test_spoiled_identity_fails_functor_composition(monkeypatch):
+    # The diagonal on two points swaps them; chain0's one function on two
+    # points is fixed by that, so chain1 is the first lattice to show it.
+    real = suite_mod.action_index
+    swap = Correspondence(2, 2, (2, 1))
+    monkeypatch.setattr(suite_mod, "action_index", lambda r, lat: real(
+        swap if r == Correspondence.identity(2) else r, lat))
+    result = run_check("functor-composition")
+    assert result.status == "fail"
+    assert result.witness == {"lattice": result.witness["lattice"], "name": "chain1",
+                              "law": "identity"}
+
+
+def test_spoiled_composite_fails_functor_composition_at_the_first_pair(monkeypatch):
+    # The full relation on one point acts as the empty one.  The first (s, r)
+    # composing to it relate point 0 to point 0 each, and the first function
+    # it moves is chain1's top.
+    real = suite_mod.action_index
+    full, empty = Correspondence.full(1, 1), Correspondence.empty(1, 1)
+    monkeypatch.setattr(suite_mod, "action_index",
+                        lambda r, lat: real(empty if r == full else r, lat))
+    result = run_check("functor-composition")
+    assert result.status == "fail"
+    witness = {key: result.witness[key] for key in ("name", "s", "r", "phi")}
+    assert witness == {"name": "chain1", "s": [(0, 0)], "r": [(0, 0)], "phi": [1]}
+
+
+def test_spoiled_missing_mask_fails_stability_at_the_first_relation(monkeypatch):
+    # chain1's [1, 0] covers its one irreducible.  Marked missing, it is sent
+    # to the covering [0, 1] by the first relation that leaves point 0 empty
+    # and moves point 0's value to point 1.
+    real = suite_mod._missing
+
+    def spoiled(lat, points):
+        out = real(lat, points)
+        if lat.n > 1:
+            out[1] = True
+        return out
+
+    monkeypatch.setattr(suite_mod, "_missing", spoiled)
+    result = run_check("missing-irreducible-span")
+    assert result.status == "fail"
+    witness = {key: result.witness[key] for key in ("name", "q", "phi", "law")}
+    assert witness == {"name": "chain1", "q": [(1, 0)], "phi": [1, 0], "law": "stability"}
+
+
+def test_spoiled_missing_mask_fails_the_kernel_law_at_the_first_column(monkeypatch):
+    # Past chain0 every function is marked missing, which every relation
+    # keeps; chain1's first covering function, [1, 0], has a nonzero column.
+    real = suite_mod._missing
+    monkeypatch.setattr(suite_mod, "_missing", lambda lat, points: real(lat, points)
+                        if lat.n == 1 else np.ones(lat.n ** points, dtype=bool))
+    result = run_check("missing-irreducible-span")
+    assert result.status == "fail"
+    witness = {key: result.witness[key] for key in ("name", "index", "law")}
+    assert witness == {"name": "chain1", "index": 1, "law": "inside the kernel"}
+
+
+def test_spoiled_barcode_fails_the_order_law_at_the_first_value(monkeypatch):
+    # A barcode row of two or more irreducibles loses its lowest one, except
+    # in the barcode of the inclusion: chain2's top keeps only itself, which
+    # does not absorb the order, and still joins to the top.
+    real = suite_mod.gamma_corr
+
+    def spoiled(f):
+        g = real(f)
+        if list(f.values) == irreducibles(f.lattice)[0]:
+            return g
+        return Correspondence(g.dst_size, g.src_size,
+                              (row & row - 1 if row & row - 1 else row for row in g.rows))
+
+    monkeypatch.setattr(suite_mod, "gamma_corr", spoiled)
+    result = run_check("gamma-correspondence")
+    assert result.status == "fail"
+    witness = {key: result.witness[key] for key in ("name", "phi", "law")}
+    assert witness == {"name": "chain2", "phi": [2], "law": "absorbs the order"}
+
+
+def test_spoiled_action_fails_to_recover_the_function(monkeypatch):
+    # The empty join is taken to be the top: the empty barcode of chain1's
+    # bottom no longer recovers it.
+    real = suite_mod.act
+
+    def spoiled(r, f):
+        out = real(r, f)
+        return LatticeFunction(f.lattice, (f.lattice.top if not row else v
+                                           for row, v in zip(r.rows, out.values)))
+
+    monkeypatch.setattr(suite_mod, "act", spoiled)
+    result = run_check("gamma-correspondence")
+    assert result.status == "fail"
+    witness = {key: result.witness[key] for key in ("name", "phi", "law")}
+    assert witness == {"name": "chain1", "phi": [0], "law": "recovers the function"}
 
 
 def test_check_listing_carries_anchors():
