@@ -11,15 +11,12 @@ import argparse
 import json
 import sys
 
-from .catalog import catalog_entries
 from .exact import RankStats, parse_ring
 from .functor import (DEFAULT_FUNCTION_CAP, gamma_span_rank, theta_rank,
                       total_rank_formula)
 from .lattices import (CapExceeded, LatticeError, ideal_lattice, irreducibles,
                        is_distributive, lattice_from_json, lattice_to_json,
                        mobius, poset_from_json)
-from .morphisms import e_t, max_tuple_size, p_tuples, tot_basis
-from .suite import Limits, list_checks, run_suite, suite_names
 
 
 class _InputError(Exception):
@@ -110,6 +107,7 @@ def _cmd_lattice_mobius(args):
 
 
 def _cmd_lattice_endo(args):
+    from .morphisms import e_t, max_tuple_size, p_tuples, tot_basis
     lat = _load(args.file)
     sizes = [len(p_tuples(lat, n)) for n in range(max_tuple_size(lat) + 1)]
     payload = {
@@ -156,15 +154,24 @@ def _cmd_rank(args):
     return 0
 
 
+def _limits(args):
+    """The bounds of a verify run: each limit left unset on the command line
+    takes its ``Limits()`` default."""
+    from .suite import Limits
+    given = {name: getattr(args, name) for name in ("max_lattice", "max_points", "samples")
+             if getattr(args, name) is not None}
+    try:
+        return Limits(**given)
+    except ValueError as err:
+        raise _InputError(str(err))
+
+
 def _cmd_verify(args):
+    from .suite import list_checks, run_suite, suite_names
     ring = _ring_from(args)
     if args.suite not in suite_names():
         raise _InputError(f"unknown suite {args.suite!r}; known: {', '.join(suite_names())}")
-    try:
-        limits = Limits(max_lattice=args.max_lattice, max_points=args.max_points,
-                        samples=args.samples)
-    except ValueError as err:
-        raise _InputError(str(err))
+    limits = _limits(args)
     if args.list:
         for name, anchor, suites in list_checks():
             print(f"{name} [{', '.join(suites)}]: {anchor}")
@@ -178,6 +185,7 @@ def _cmd_verify(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import catalog_entries
     for flag, value in (("--max-size", args.max_size), ("--exhaustive", args.exhaustive)):
         if value is not None and value < 0:
             raise _InputError(f"{flag} must be non-negative, got {value}")
@@ -228,11 +236,9 @@ def _build_parser():
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all",
-                        help=f"one of: {', '.join(suite_names())}")
-    defaults = Limits()
-    verify.add_argument("--max-lattice", type=int, default=defaults.max_lattice)
-    verify.add_argument("--max-points", type=int, default=defaults.max_points)
-    verify.add_argument("--samples", type=int, default=defaults.samples)
+                        help="a suite name; --list shows the suites of each check")
+    for flag in ("--max-lattice", "--max-points", "--samples"):
+        verify.add_argument(flag, type=int)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--ring", default="rat")
     verify.add_argument("--json", action="store_true")

@@ -209,16 +209,28 @@ def _order_table(lattice: Lattice) -> np.ndarray:
     return np.array([[lattice.le(a, b) for b in range(lattice.n)] for a in range(lattice.n)])
 
 
-def _covering(digits: np.ndarray, n: int, targets) -> np.ndarray:
-    """Which rows of a digit array of values ``0..n-1`` take every value in
-    ``targets``: each point ORs into its row the bit its value has among the
-    targets (none for any other value), and a covering row holds them all."""
+def _covering_digits(n: int, points: int, targets) -> np.ndarray:
+    """The rows of ``_digits(n, points)`` that take every value in
+    ``targets``, in index order.
+
+    Rows grow one point at a time, the new point the most significant digit.
+    Each row ORs in the bit its new value has among the targets (none for
+    any other value), and is kept while the points left can still take every
+    target it has missed, so no row that cannot cover is ever extended."""
+    targets = list(targets)
+    if len(targets) > points:
+        return np.zeros((0, points), dtype=np.int64)
     bits = np.zeros(n, dtype=np.min_scalar_type((1 << len(targets)) - 1))
-    bits[list(targets)] = 1 << np.arange(len(targets), dtype=np.uint64)
-    hit = np.zeros(len(digits), dtype=bits.dtype)
-    for column in digits.T:
-        hit |= bits[column]
-    return hit == (1 << len(targets)) - 1
+    bits[targets] = 1 << np.arange(len(targets), dtype=np.uint64)
+    digits = np.zeros((1, 0), dtype=np.int64)
+    hit = np.zeros(1, dtype=bits.dtype)
+    for x in range(points):
+        value = np.repeat(np.arange(n, dtype=np.int64), len(digits))
+        digits = np.column_stack([np.tile(digits, (n, 1)), value])
+        hit = np.tile(hit, n) | bits[value]
+        keep = len(targets) - np.bitwise_count(hit) <= points - 1 - x
+        digits, hit = digits[keep], hit[keep]
+    return digits
 
 
 def h_quotient_basis(lattice: Lattice, points: int):
@@ -228,8 +240,8 @@ def h_quotient_basis(lattice: Lattice, points: int):
     functions; the list is empty when ``points`` is too small to cover."""
     data = irr_data(lattice)
     function_space_size(lattice, points)
-    return np.flatnonzero(_covering(_digits(lattice.n, points), lattice.n,
-                                     data.elems)).tolist()
+    digits = _covering_digits(lattice.n, points, data.elems)
+    return (digits @ lattice.n ** np.arange(points, dtype=np.int64)).tolist()
 
 
 def retraction_exists(order: Poset, s: Correspondence) -> bool:
@@ -337,11 +349,12 @@ def _theta_inputs(lattice: Lattice, points: int, cap: int, pruned: bool):
     function_space_size(data.iup, points, cap)
     if points >= cap.bit_length():  # 2^points > cap
         raise CapExceeded(f"2^{points} subsets of points exceed cap {cap}")
-    phi = _digits(lattice.n, points)
-    psi = _digits(data.iup.n, points)
     if pruned:
-        phi = phi[_covering(phi, lattice.n, data.elems)]
-        psi = psi[_covering(psi, data.iup.n, [data.iup_enc.index(m) for m in data.sub.up])]
+        phi = _covering_digits(lattice.n, points, data.elems)
+        psi = _covering_digits(data.iup.n, points,
+                               [data.iup_enc.index(m) for m in data.sub.up])
+    else:
+        phi, psi = _digits(lattice.n, points), _digits(data.iup.n, points)
     mask = np.min_scalar_type((1 << len(data.elems)) - 1)
     down = np.array(data.down_irr, dtype=mask)[phi]
     table = np.zeros((1 << points, len(phi)), dtype=mask)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cfl
 import cfl.suite as suite_mod
 from cfl.catalog import named_lattices
-from cfl.cli import _build_parser, main
+from cfl.cli import _build_parser, _limits, main
 from cfl.functor import DEFAULT_FUNCTION_CAP
 from cfl.lattices import lattice_to_json
 from cfl.suite import Limits
@@ -308,6 +312,74 @@ def test_catalog_listing(capsys):
 
 def test_parser_defaults_come_from_their_sources():
     parser = _build_parser()
-    verify = parser.parse_args(["verify"])
-    assert Limits(verify.max_lattice, verify.max_points, verify.samples) == Limits()
+    assert _limits(parser.parse_args(["verify"])) == Limits()
+    assert _limits(parser.parse_args(["verify", "--samples", "7"])) == Limits(samples=7)
     assert parser.parse_args(["rank", "FILE", "--points", "2"]).cap == DEFAULT_FUNCTION_CAP
+
+
+# --- what each command imports -----------------------------------------------------
+
+# A fresh interpreter runs the CLI in-process, then prints its exit code and
+# every cfl module it has loaded on its last line.
+_PROBE = """
+import sys
+from cfl.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as done:
+    code = done.code
+print(code, *sorted(m for m in sys.modules if m == "cfl" or m.startswith("cfl.")))
+"""
+_RANK_MODULES = ["cfl", "cfl.cli", "cfl.exact", "cfl.functor", "cfl.lattices", "cfl.relations"]
+
+
+def _fresh_python(*args):
+    """``python -W error`` on ``args`` in a new process, with the cfl under
+    test first on its path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfl.__file__)))
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "FILE", "--points", "3", "--json"],
+    ["rank", "FILE", "--points", "3", "--method", "gamma", "--json"],
+    ["lattice", "check", "FILE"],
+], ids=["rank-theta", "rank-gamma", "lattice-check"])
+def test_commands_load_neither_the_suite_nor_morphisms(m3_file, argv):
+    done = _fresh_python("-c", _PROBE, *[m3_file if a == "FILE" else a for a in argv])
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0" and loaded == _RANK_MODULES
+
+
+def test_verify_help_exits_0_without_the_suite():
+    done = _fresh_python("-c", _PROBE, "verify", "-h")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: cfl verify")
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0" and "cfl.suite" not in loaded and "cfl.morphisms" not in loaded
+
+
+def test_package_names_resolve_on_first_use():
+    done = _fresh_python("-c", """
+import sys
+import cfl
+assert "cfl.suite" not in sys.modules and "cfl.morphisms" not in sys.modules
+from cfl import Limits, run_suite, LinMorphism, ChainTuple
+import cfl.morphisms, cfl.suite
+assert (Limits, run_suite) == (cfl.suite.Limits, cfl.suite.run_suite)
+assert (LinMorphism, ChainTuple) == (cfl.morphisms.LinMorphism, cfl.morphisms.ChainTuple)
+names = {}
+exec("from cfl import *", names)
+assert set(cfl.__all__) <= set(names) and names["Limits"] is Limits
+try:
+    cfl.no_such_name
+except AttributeError as err:
+    assert "no_such_name" in str(err)
+else:
+    raise AssertionError("cfl.no_such_name resolved")
+print("ok")
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
