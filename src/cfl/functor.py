@@ -54,13 +54,23 @@ from collections import namedtuple
 
 import numpy as np
 
-from .exact import (_BLOCK_CELLS, RATIONALS, RankStats, _Bits, _Entries, fast_int_rank,
-                    subspace_equal)
+from .exact import RATIONALS, RankStats, _Bits, _Entries, fast_int_rank, subspace_equal
 from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
                        ideal_lattice, irreducibles, mobius, r_of)
 from .relations import Correspondence, Permutation
 
 DEFAULT_FUNCTION_CAP = 20000
+
+# The unpruned theta builders hold a few (ideal function) x (function) tables
+# of one byte a cell at once.  The largest at the default and acceptance
+# limits, b3 at three points, has 512 x 512 cells; this cap is 16 times that.
+DENSE_CELL_CAP = 1 << 22
+
+# ``gamma_entries`` sorts the terms of a block of rows at once, in a few int64
+# arrays of this many cells.  This size keeps the build of n5 at five points,
+# the largest gamma system of the rank benchmark, at a traced peak of 1.7 MB
+# (2.8 MB in blocks of 2^18 cells) and no slower.
+_GAMMA_BLOCK_CELLS = 1 << 14
 
 
 def function_space_size(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP) -> int:
@@ -342,13 +352,18 @@ def _theta_inputs(lattice: Lattice, points: int, cap: int, pruned: bool):
     only the columns of functions hitting every irreducible and the rows of
     ideal functions hitting every principal upper ideal.  The table has
     2^points rows, which the function cap bounds only when the lattice has
-    two or more elements, so it is capped on its own.
+    two or more elements, so it is capped on its own.  Unpruned, the
+    (ideal function) x (function) tables built from these are dense, so
+    their cells are capped too (``DENSE_CELL_CAP``).
     """
     data = irr_data(lattice)
-    function_space_size(lattice, points, cap)
-    function_space_size(data.iup, points, cap)
+    cols = function_space_size(lattice, points, cap)
+    rows = function_space_size(data.iup, points, cap)
     if points >= cap.bit_length():  # 2^points > cap
         raise CapExceeded(f"2^{points} subsets of points exceed cap {cap}")
+    if not pruned and rows * cols > DENSE_CELL_CAP:
+        raise CapExceeded(f"{rows} x {cols} = {rows * cols} table cells exceed cap "
+                          f"{DENSE_CELL_CAP}")
     if pruned:
         phi = _covering_digits(lattice.n, points, data.elems)
         psi = _covering_digits(data.iup.n, points,
@@ -575,7 +590,7 @@ def gamma_entries(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP
                           for enc in data.iup_enc], dtype=np.int64)
     odd = np.array([mask.bit_count() & 1 for mask in range(1 << k)], dtype=np.int64)
     psi = _digits(data.iup.n, points)
-    step, parts = max(1, _BLOCK_CELLS >> k), []
+    step, parts = max(1, _GAMMA_BLOCK_CELLS >> k), []
     for lo in range(0, n_rows, step):  # n_rows >= 1: the empty ideal at every point
         block = psi[lo:lo + step]
         # twice the row-major cell plus the sign bit, so sorting each row sorts the block

@@ -157,7 +157,7 @@ class Lattice:
     computes the tables itself; tables known to be the poset's own, such as
     those of an opposite, are taken by the unchecked ``_trusted``."""
 
-    __slots__ = ("poset", "join", "meet", "bottom", "top", "_hash")
+    __slots__ = ("poset", "join", "meet", "bottom", "top", "_hash", "_opposite")
 
     def __init__(self, poset: Poset):
         """Compute joins and meets; raises NoJoin/NoMeet on the first failing pair."""
@@ -193,6 +193,7 @@ class Lattice:
         self.poset, self.bottom, self.top = poset, bottom, top
         self.join, self.meet = tuple(map(tuple, join)), tuple(map(tuple, meet))
         self._hash = hash(("lat", poset.leq))
+        self._opposite = None
 
     @property
     def n(self) -> int:
@@ -209,8 +210,13 @@ class Lattice:
         return functools.reduce(lambda x, y: self.meet[x][y], elements, self.top)
 
     def opposite(self) -> "Lattice":
-        return Lattice._trusted(self.poset.opposite(), self.meet, self.join, self.top,
-                                self.bottom)
+        """The opposite lattice, built once per lattice.  The cache points one
+        way only: the opposite's own opposite is built again, an equal lattice
+        that is not ``self``, so an involution check compares computed ones."""
+        if self._opposite is None:
+            self._opposite = Lattice._trusted(self.poset.opposite(), self.meet, self.join,
+                                              self.top, self.bottom)
+        return self._opposite
 
     def is_chain(self) -> bool:
         return all(self.le(a, b) or self.le(b, a)

@@ -8,6 +8,13 @@ success or a replayable witness dictionary on failure.
 Each criterion of the ``acceptance`` suite is a pair: the registered check
 bodies that replay its claim, and one pinned ``Limits``.  It ignores the
 limits and the ring it is given and always runs over the rationals.
+
+A suite run computes each pure result once.  Its checks share one memo
+(``Context.shared``): the outcome of a check body that drew nothing from its
+generator, keyed by (body, limits, ring), and each kernel-system rank, keyed
+by the rank function and all its arguments (``_once``).  A body that draws
+from the generator, or raises, is never stored.  ``run_check`` starts from
+an empty memo, so it always runs its body.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +70,8 @@ class Context:
     limits: Limits
     rng: random.Random
     ring: object
+    shared: dict = field(default_factory=dict)  # the run's memo: _shared_body, _once
+    reused: list = field(default_factory=list)  # names of the check bodies it took
 
 
 @dataclass
@@ -72,6 +81,7 @@ class CheckResult:
     status: str                 # "pass" | "fail" | "skip"
     witness: dict | None = None
     elapsed_ms: int = 0
+    reused: tuple = ()          # check bodies whose stored outcome this one took
 
 
 @dataclass
@@ -102,7 +112,9 @@ class PropertyReport:
             lines.append("  note: prime-field ranks are probabilistic for "
                          "characteristic-zero claims")
         for c in self.checks:
-            lines.append(f"  [{c.status.upper():4}] {c.name} ({c.elapsed_ms} ms): {c.anchor}")
+            shared = f", shared with {', '.join(c.reused)}" if c.reused else ""
+            lines.append(f"  [{c.status.upper():4}] {c.name} ({c.elapsed_ms} ms{shared}): "
+                         f"{c.anchor}")
             if c.witness is not None:
                 lines.append(f"         witness: {json.dumps(c.witness, sort_keys=True)}")
         verdict = "PASS" if self.passed else "FAIL"
@@ -144,9 +156,11 @@ def _selected(suite: str):
 
 def run_suite(suite: str, limits: Limits | None = None, seed: int = 0,
               ring=RATIONALS) -> PropertyReport:
-    """Run every check of a suite deterministically for the given seed."""
+    """Run every check of a suite deterministically for the given seed, each
+    pure result once (see the module docstring)."""
     start = time.monotonic()
-    results = [_run(entry, limits, seed, ring) for entry in _selected(suite)]
+    shared = {}
+    results = [_run(entry, limits, seed, ring, shared) for entry in _selected(suite)]
     elapsed = int((time.monotonic() - start) * 1000)
     return PropertyReport(suite, ring.name, seed, results, elapsed)
 
@@ -155,17 +169,17 @@ def run_check(name: str, limits: Limits | None = None, seed: int = 0,
               ring=RATIONALS) -> CheckResult:
     for entry in _REGISTRY:
         if entry[0] == name:
-            return _run(entry, limits, seed, ring)
+            return _run(entry, limits, seed, ring, {})
     raise ValueError(f"unknown check {name!r}")
 
 
-def _run(entry, limits, seed, ring) -> CheckResult:
+def _run(entry, limits, seed, ring, shared) -> CheckResult:
     """One registered check, its generator seeded by the seed and its name."""
     name, anchor, _, fn = entry
-    ctx = Context(limits or Limits(), random.Random(f"{seed}:{name}"), ring)
+    ctx = Context(limits or Limits(), random.Random(f"{seed}:{name}"), ring, shared)
     start = time.perf_counter()
     try:
-        outcome = fn(ctx)
+        outcome = _shared_body(fn, ctx)
     except CapExceeded as cap:
         status, witness = "skip", {"reason": str(cap)}
     else:
@@ -176,7 +190,32 @@ def _run(entry, limits, seed, ring) -> CheckResult:
         else:
             status, witness = "fail", outcome
     elapsed = int((time.perf_counter() - start) * 1000)
-    return CheckResult(name, anchor, status, witness, elapsed)
+    return CheckResult(name, anchor, status, witness, elapsed, tuple(ctx.reused))
+
+
+def _shared_body(fn, ctx):
+    """``fn(ctx)``, or the outcome stored for the same body, limits and ring
+    earlier in the run.  An outcome is stored only when ``fn`` left the
+    generator as it found it: then no draw, and so not the seed, decided it."""
+    key = (fn, ctx.limits, ctx.ring)
+    if key in ctx.shared:
+        ctx.reused.append(next(name for name, _, _, body in _REGISTRY if body is fn))
+        return ctx.shared[key]
+    state = ctx.rng.getstate()
+    outcome = fn(ctx)
+    if ctx.rng.getstate() == state:
+        ctx.shared[key] = outcome
+    return outcome
+
+
+def _once(ctx, fn, *args):
+    """``fn(*args)``, a rank, computed once per run.  The key is the function
+    object and every argument, ring included, so a replaced function never
+    reads another's values."""
+    key = (fn, *args)
+    if key not in ctx.shared:
+        ctx.shared[key] = fn(*args)
+    return ctx.shared[key]
 
 
 # --- helpers -----------------------------------------------------------------
@@ -940,7 +979,7 @@ def _check_fixed_rank(ctx):
 def _check_rank_formula(ctx):
     for n in range(min(4, ctx.limits.max_lattice) + 1):
         for x in range(ctx.limits.max_points + 1):
-            rk = theta_rank(chain(n), x, ctx.ring)
+            rk = _once(ctx, theta_rank, chain(n), x, ctx.ring)
             formula = total_rank_formula(n, x)
             census = len(h_quotient_basis(chain(n), x))
             if rk != formula or census != formula:
@@ -955,7 +994,7 @@ def _check_rank_formula(ctx):
 def _check_rank_decomposition(ctx):
     for n in range(min(4, ctx.limits.max_lattice) + 1):
         for x in range(ctx.limits.max_points + 1):
-            total = sum(math.comb(n, m) * theta_rank(chain(m), x, ctx.ring)
+            total = sum(math.comb(n, m) * _once(ctx, theta_rank, chain(m), x, ctx.ring)
                         for m in range(n + 1))
             if total != (n + 1) ** x:
                 return {"n": n, "points": x, "total": total,
@@ -969,7 +1008,7 @@ def _check_rank_decomposition(ctx):
 def _check_rank_invariance(ctx):
     for a, b in _invariance_pairs():
         for x in range(min(3, ctx.limits.max_points) + 1):
-            ra, rb = theta_rank(a, x, ctx.ring), theta_rank(b, x, ctx.ring)
+            ra, rb = (_once(ctx, theta_rank, lat, x, ctx.ring) for lat in (a, b))
             if ra != rb:
                 return {"x": x, "rank_a": ra, "rank_b": rb,
                         "witness": _witness(a)}
@@ -993,8 +1032,8 @@ def _check_rank_dual(ctx):
         elems, sub = irreducibles(lat)
         dual_lat, _ = ideal_lattice(sub.opposite(), "lower")
         for x in range(min(3, ctx.limits.max_points) + 1):
-            g = gamma_span_rank(lat, x, ctx.ring)
-            t = theta_rank(dual_lat, x, ctx.ring)
+            g = _once(ctx, gamma_span_rank, lat, x, ctx.ring)
+            t = _once(ctx, theta_rank, dual_lat, x, ctx.ring)
             if g != t:
                 return _witness(lat, name=name, points=x, gamma=g, theta=t)
     return None
@@ -1022,8 +1061,8 @@ def _check_summand_census(ctx):
 def _check_method_agreement(ctx):
     for name, lat in _named(ctx, 5):
         for x in range(min(3, ctx.limits.max_points) + 1):
-            t = theta_rank(lat, x, ctx.ring)
-            g = gamma_span_rank(lat, x, ctx.ring)
+            t = _once(ctx, theta_rank, lat, x, ctx.ring)
+            g = _once(ctx, gamma_span_rank, lat, x, ctx.ring)
             if t != g:
                 return _witness(lat, name=name, points=x, theta=t, gamma=g)
     return None
@@ -1069,7 +1108,7 @@ def _check_factorial(ctx):
         if k > 3:
             continue
         try:
-            rk = theta_rank(lat, k, ctx.ring)
+            rk = _once(ctx, theta_rank, lat, k, ctx.ring)
         except CapExceeded:
             continue
         if rk != math.factorial(k):
@@ -1150,7 +1189,7 @@ def _check_orthogonal(ctx):
 def _check_gamma_invariance(ctx):
     for a, b in _invariance_pairs():
         for x in range(min(2, ctx.limits.max_points) + 1):
-            ga, gb = gamma_span_rank(a, x, ctx.ring), gamma_span_rank(b, x, ctx.ring)
+            ga, gb = (_once(ctx, gamma_span_rank, lat, x, ctx.ring) for lat in (a, b))
             if ga != gb:
                 return {"x": x, "rank_a": ga, "rank_b": gb}
     return None
@@ -1241,12 +1280,12 @@ def _act_after(q1, q2, sigma, p):
 
 def _acceptance(name, anchor, limits, *bodies):
     """Register a criterion: registered check bodies run in order at pinned
-    limits over the rationals, reusing the criterion's generator; the first
-    witness wins."""
+    limits over the rationals, reusing the criterion's generator and the
+    run's memo; the first witness wins."""
     def run(ctx):
-        pinned = Context(limits, ctx.rng, RATIONALS)
+        pinned = replace(ctx, limits=limits, ring=RATIONALS)
         for body in bodies:
-            outcome = body(pinned)
+            outcome = _shared_body(body, pinned)
             if outcome is not None:
                 return outcome
         return None

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -303,6 +304,18 @@ def test_condition_tables_share_the_cap():
     one = {"size": 1, "leq": []}
     with pytest.raises(CapExceeded):
         next(theta_condition_tables(lattice_from_json(one), 34))
+
+
+@pytest.mark.parametrize("build", [theta_matrix,
+                                   lambda lat, x: next(theta_condition_tables(lat, x))],
+                         ids=["theta_matrix", "theta_condition_tables"])
+def test_dense_builders_cap_their_cells_before_allocating(build):
+    # chain2 at nine points has 3^9 functions on each side, within the
+    # function cap; the 19683 x 19683 table is refused before it is built.
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="19683 x 19683"):
+        build(chain(2), 9)
+    assert time.perf_counter() - start < 1
 
 
 def test_pairing_examples():

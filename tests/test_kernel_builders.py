@@ -92,7 +92,7 @@ def test_gamma_builder_matches_the_per_mask_loop(lat, points):
     gens = gamma_generators(lat, points)
     assert gens.dtype.kind == "i"
     assert gens.tolist() == _gamma_reference(lat, points)
-    with mock.patch("cfl.functor._BLOCK_CELLS", 1):  # one row to a block
+    with mock.patch("cfl.functor._GAMMA_BLOCK_CELLS", 1):  # one row to a block
         assert np.array_equal(gamma_generators(lat, points), gens)
 
 

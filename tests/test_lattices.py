@@ -300,6 +300,16 @@ def test_opposite_swaps_tables(named):
     assert op.opposite() == m3
 
 
+def test_opposite_is_built_once_and_never_points_back(named):
+    # The cache points one way: the opposite of the opposite is computed,
+    # so involution checks compare two lattices that were built.
+    for name, lat in named.items():
+        op = lat.opposite()
+        assert lat.opposite() is op, name
+        assert op.opposite() == lat, name
+        assert op.opposite() is not lat, name
+
+
 def test_lattice_isomorphism_rejects(named):
     assert not lattices_isomorphic(named["m3"], named["n5"])
     assert not lattices_isomorphic(chain(2), chain(3))

@@ -10,12 +10,13 @@ import pytest
 import cfl.morphisms as morphisms_mod
 import cfl.suite as suite_mod
 from cfl.catalog import enumerate_lattices, named_lattices
-from cfl.exact import PrimeField
+from cfl.exact import RATIONALS, PrimeField
 from cfl.functor import LatticeFunction, all_functions, h_quotient_basis
 from cfl.lattices import CapExceeded, JoinMap, chain, irreducibles, is_distributive
 from cfl.morphisms import LinMorphism, beta, f_dc, p_tuples
 from cfl.relations import Correspondence
-from cfl.suite import Limits, check, list_checks, run_check, run_suite, suite_names
+from cfl.suite import (Limits, PropertyReport, check, list_checks, run_check, run_suite,
+                       suite_names)
 
 
 def small():
@@ -338,6 +339,126 @@ def test_condition_tables_reach_three_points_at_the_default_limits(monkeypatch):
     monkeypatch.setattr(suite_mod, "theta_condition_tables", spy)
     assert run_check("kernel-condition-tables", Limits()).status == "pass"
     assert seen == {1, 2, 3}
+
+
+def test_condition_tables_skip_past_the_cell_cap():
+    result = run_check("kernel-condition-tables", Limits(max_points=9))
+    assert result.status == "skip"
+    assert "table cells exceed cap" in result.witness["reason"]
+
+
+def _calls(monkeypatch, name):
+    """The argument tuples of every call the suite makes to ``name``."""
+    real, calls = getattr(suite_mod, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(suite_mod, name, spy)
+    return calls
+
+
+def _only(monkeypatch, *names):
+    """Keep only the named checks registered, in their order."""
+    monkeypatch.setattr(suite_mod, "_REGISTRY",
+                        [e for e in suite_mod._REGISTRY if e[0] in names])
+
+
+def test_a_suite_run_computes_each_pure_result_once(monkeypatch):
+    splits = _calls(monkeypatch, "_has_splitting_section")
+    run_check("distributive-splitting")
+    alone = len(splits)
+    assert alone == 425
+    splits.clear()
+    ranks = {name: _calls(monkeypatch, name) for name in ("theta_rank", "gamma_span_rank")}
+    report = run_suite("all")
+    assert report.passed
+    assert len(splits) == alone  # A09 takes the plain check's outcome
+    for name, calls in ranks.items():
+        assert calls and len(calls) == len(set(calls)), name
+    reused = {c.name: c.reused for c in report.checks if c.reused}
+    assert reused == {"A07-duality": ("gamma-element", "dual-basis"),
+                      "A08-orthogonality": ("orthogonal-kernel",),
+                      "A09-distributive-splitting": ("distributive-splitting",)}
+    a09 = next(c for c in report.checks if c.name == "A09-distributive-splitting")
+    assert (f"A09-distributive-splitting ({a09.elapsed_ms} ms, shared with "
+            f"distributive-splitting)") in report.to_text()
+
+
+@pytest.mark.parametrize("limits, ring", [(Limits(), PrimeField(2)),
+                                          (Limits(max_lattice=4), RATIONALS)],
+                         ids=["other-ring", "other-limits"])
+def test_outcomes_are_not_shared_across_rings_or_limits(monkeypatch, limits, ring):
+    # A09 runs at Limits(max_lattice=5) over the rationals whatever it is given
+    _only(monkeypatch, "distributive-splitting", "A09-distributive-splitting")
+    splits = _calls(monkeypatch, "_has_splitting_section")
+    run_check("distributive-splitting", limits, ring=ring)
+    plain = len(splits)
+    splits.clear()
+    report = run_suite("all", limits, ring=ring)
+    assert report.passed and not any(c.reused for c in report.checks)
+    assert len(splits) == plain + 425
+
+
+def test_a_body_that_draws_from_its_generator_runs_every_time(monkeypatch):
+    # At A11's own limits both of its bodies meet their plain checks' keys;
+    # only the factorial ranks, which draw nothing, are taken.
+    _only(monkeypatch, "fundamental-action", "fundamental-factorial",
+          "A11-fundamental-module")
+    limits = Limits(max_lattice=8, samples=1000)
+    perms, irrs = _calls(monkeypatch, "perm_basis"), _calls(monkeypatch, "irreducibles")
+    run_check("fundamental-action", limits)
+    run_check("fundamental-factorial", limits)
+    counts = len(perms), len(irrs)
+    perms.clear()
+    irrs.clear()
+    report = run_suite("all", limits)
+    assert report.passed
+    assert (len(perms), len(irrs)) == (2 * counts[0], counts[1])
+    assert [c.reused for c in report.checks] == [(), (), ("fundamental-factorial",)]
+
+
+def test_run_check_always_runs_its_body(monkeypatch):
+    splits = _calls(monkeypatch, "_has_splitting_section")
+    for name in ("distributive-splitting", "A09-distributive-splitting",
+                 "A09-distributive-splitting"):
+        result = run_check(name)
+        assert result.status == "pass" and result.reused == ()
+    assert len(splits) == 3 * 425
+
+
+def _per_check(seed, ring):
+    """The report of suite ``all`` rebuilt from ``run_check`` of each check."""
+    checks = [run_check(name, seed=seed, ring=ring) for name, _, _ in list_checks()]
+    return PropertyReport("all", ring.name, seed, checks, 0)
+
+
+def _without_time(report):
+    blob = report.to_json()
+    blob.pop("elapsed_ms")
+    return blob
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(2)], ids=["rat", "p:2"])
+def test_a_suite_run_reports_what_each_check_reports_alone(seed, ring):
+    assert _without_time(run_suite("all", seed=seed, ring=ring)) == _without_time(
+        _per_check(seed, ring))
+
+
+def test_a_spoiled_rank_fails_the_same_checks_in_a_suite_run(monkeypatch):
+    # chain2's rank at two points is one too high; every check that reads it
+    # fails, the dual and method checks against gamma ranks of the same inputs
+    real = suite_mod.theta_rank
+    monkeypatch.setattr(suite_mod, "theta_rank", lambda lat, x, ring: real(lat, x, ring) + (
+        lat == chain(2) and x == 2))
+    report = run_suite("all")
+    assert [c.name for c in report.checks if c.status == "fail"] == [
+        "rank-formula-chains", "rank-binomial-decomposition", "rank-dual-construction",
+        "rank-method-agreement", "fundamental-factorial", "A01-chain-rank-formula",
+        "A02-rank-decomposition", "A06-dual-construction", "A11-fundamental-module"]
+    assert _without_time(report) == _without_time(_per_check(0, RATIONALS))
 
 
 def _exhaustive_splitting_section(lat) -> bool:
