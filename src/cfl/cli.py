@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .exact import RankStats, parse_ring
@@ -17,6 +18,9 @@ from .functor import (DEFAULT_FUNCTION_CAP, gamma_span_rank, theta_rank,
 from .lattices import (CapExceeded, LatticeError, ideal_lattice, irreducibles,
                        is_distributive, lattice_from_json, lattice_to_json,
                        mobius, poset_from_json)
+
+# Python prints no integer of more digits by default (``sys.get_int_max_str_digits``).
+_MAX_RANK_DIGITS = 4300
 
 
 class _InputError(Exception):
@@ -137,7 +141,12 @@ def _cmd_rank(args):
         if not lat.is_chain():
             raise _InputError(
                 "--method formula applies only to totally ordered lattices")
-        value = total_rank_formula(lat.n - 1, args.points)
+        # On an n-chain the count lies between n^(points - n + 1) and n^points.
+        if ((args.points - lat.n + 1) * math.log10(lat.n) > _MAX_RANK_DIGITS + 1
+                or (value := total_rank_formula(lat.n - 1, args.points))
+                >= 10 ** _MAX_RANK_DIGITS):
+            raise _InputError(f"the formula rank at {args.points} points has more than "
+                              f"{_MAX_RANK_DIGITS} digits")
     if args.json:
         print(json.dumps({"rank": value, "points": args.points,
                           "method": args.method, "ring": ring.name,

@@ -7,18 +7,19 @@ derived objects of interest: the subspace spanned by functions missing an
 irreducible, the kernel linear system and its rank, the duality pairing with
 its Mobius dual basis, the alternating generator of the dual copy, and the
 relation action on the permutation module, which sends each basis
-permutation to one basis permutation or to zero.
+permutation to one basis permutation, read off by least elements, or to zero.
 
 An element of the free module is an int64 coefficient vector in
 function-index order.  A relation acts on it through ``action_index``, the
-image index of every function from the digit array, pushed with
+image index of every function from the digit table, pushed with
 ``np.add.at``; the scalar ``act``, ``star_act`` and ``pairing`` stay as the
 definitions the arrays are tested against.  The Mobius dual of a basis
 function and the alternating generator are Kronecker products of one
 coefficient column per point.
 
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
-digit ``i`` of the index, base ``|T|``.
+digit ``i`` of the index, base ``|T|``.  ``LatticeFunction.index`` encodes
+it, and ``_digits``, one cached read-only table per function space, decodes.
 
 The kernel systems and the pairing are built with numpy over the digit
 arrays of all function indices; the gamma generators are ranked from their
@@ -55,9 +56,9 @@ from collections import namedtuple
 import numpy as np
 
 from .exact import RATIONALS, RankStats, _Bits, _Entries, fast_int_rank, subspace_equal
-from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits,
+from .lattices import (CACHE_SIZE, CapExceeded, Lattice, Poset, _bits, _least_of,
                        ideal_lattice, irreducibles, mobius, r_of)
-from .relations import Correspondence, Permutation
+from .relations import Correspondence
 
 DEFAULT_FUNCTION_CAP = 20000
 
@@ -83,21 +84,6 @@ def function_space_size(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTI
     return size
 
 
-def _decode(n: int, points: int, index: int):
-    values = []
-    for _ in range(points):
-        index, v = divmod(index, n)
-        values.append(v)
-    return tuple(values)
-
-
-def _encode(n: int, values) -> int:
-    index = 0
-    for v in reversed(values):
-        index = index * n + v
-    return index
-
-
 class LatticeFunction:
     """A function from ``points`` indexed points into a lattice."""
 
@@ -114,7 +100,7 @@ class LatticeFunction:
 
     @property
     def index(self) -> int:
-        return _encode(self.lattice.n, self.values)
+        return sum(v * self.lattice.n ** x for x, v in enumerate(self.values))
 
     def __eq__(self, other):
         return (isinstance(other, LatticeFunction) and self.lattice == other.lattice
@@ -207,16 +193,24 @@ def gamma_corr(f: LatticeFunction) -> Correspondence:
                           (data.down_irr[v] for v in f.values))
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _digits(n: int, points: int) -> np.ndarray:
     """Digits of every function index in base ``n``: row ``i`` holds the
-    values of function ``i``, column ``x`` the value at point ``x``."""
+    values of function ``i``, column ``x`` the value at point ``x``.  Built
+    once per ``(n, points)`` and read-only."""
     index = np.arange(n ** points, dtype=np.int64)
-    return index[:, None] // n ** np.arange(points, dtype=np.int64) % n
+    out = index[:, None] // n ** np.arange(points, dtype=np.int64) % n
+    out.flags.writeable = False
+    return out
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _order_table(lattice: Lattice) -> np.ndarray:
-    """The boolean table of ``a <= b``, indexed ``[a, b]``."""
-    return np.array([[lattice.le(a, b) for b in range(lattice.n)] for a in range(lattice.n)])
+    """The boolean table of ``a <= b``, indexed ``[a, b]``; built once per
+    lattice and read-only."""
+    out = np.array([[lattice.le(a, b) for b in range(lattice.n)] for a in range(lattice.n)])
+    out.flags.writeable = False
+    return out
 
 
 def _covering_digits(n: int, points: int, targets) -> np.ndarray:
@@ -651,12 +645,6 @@ def perm_basis(e_size: int):
     return list(itertools.permutations(range(e_size)))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _perm_inverses(e_size: int):
-    """Each ``perm_basis`` permutation mapped to its inverse, in basis order."""
-    return {tau: Permutation(tau).inverse().images for tau in perm_basis(e_size)}
-
-
 def fund_act(q: Correspondence, sigma, order: Poset):
     """Action of a relation on a basis permutation of the permutation module
     attached to an order; the action on the whole module is its linear
@@ -666,23 +654,23 @@ def fund_act(q: Correspondence, sigma, order: Poset):
     permutation ``tau`` squeezes the relation between the diagonal and the
     conjugated order, ``delta(tau) <= q <= delta(tau sigma) leq
     delta(sigma)^op``; its image is then ``tau sigma``, and otherwise the
-    relation acts as zero and the result is None."""
+    relation acts as zero and the result is None.
+
+    ``tau`` is read off, not searched for.  Row ``y`` of the squeeze says
+    that ``sigma^-1 tau^-1 (y)`` lies in ``sigma^-1`` of row ``y`` and below
+    all of it: it is that set's least element.  So ``sigma`` survives exactly
+    when each row has one and they are distinct, and ``tau sigma`` sends each
+    least element to its row."""
     e = order.n
-    if q.dst_size != e or q.src_size != e or len(sigma) != e:
-        raise ValueError("size mismatch")
-    inverses = _perm_inverses(e)
-    sigma_inv = inverses.get(tuple(sigma))
-    if sigma_inv is None:
-        raise ValueError(f"not a permutation of 0..{e - 1}: {sigma!r}")
-    found = None
-    for tau, tau_inv in inverses.items():
-        if not all(q.rows[tau[x]] >> x & 1 for x in range(e)):
-            continue
-        if all(order.up[sigma_inv[tau_inv[y]]] >> sigma_inv[x] & 1
-               for y in range(e) for x in _bits(q.rows[y])):
-            assert found is None, "squeezing permutation is not unique"
-            found = tau
-    return None if found is None else tuple(found[x] for x in sigma)
+    if q.dst_size != e or q.src_size != e or sorted(sigma) != list(range(e)):
+        raise ValueError(f"need a relation on {e} points and a permutation of them: {sigma!r}")
+    image = [None] * e
+    for y, row in enumerate(q.rows):
+        least = _least_of(order.up, sum(1 << m for m in range(e) if row >> sigma[m] & 1))
+        if least is None or image[least] is not None:
+            return None
+        image[least] = y
+    return tuple(image)
 
 
 def fixed_rank(target: Lattice, order: Poset) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from .catalog import enumerate_lattices, enumerate_posets, named_lattices
 from .exact import (ExactMatrix, RATIONALS, bareiss_rank_int, det_int,
                     fast_int_rank, modp_rank)
-from .functor import (LatticeFunction, _decode, act, action_index, all_functions, dual_star,
+from .functor import (LatticeFunction, _digits, act, action_index, all_functions, dual_star,
                       fixed_rank, fund_act, gamma_corr, gamma_span_rank, gamma_t,
                       h_quotient_basis, irr_data, orth_check, pairing, pairing_matrix,
                       perm_basis, retraction_exists, star_act, theta_condition_tables,
@@ -762,7 +762,7 @@ def _check_functor_composition(ctx):
                 bad = np.flatnonzero(action_index(s @ r, lat) != s_image[r_image])
                 if len(bad):
                     return _witness(lat, name=name, s=sorted(s.pairs()), r=sorted(r.pairs()),
-                                    phi=list(_decode(lat.n, 1, int(bad[0]))))
+                                    phi=_digits(lat.n, 1)[bad[0]].tolist())
     for _ in range(ctx.limits.samples):
         name, lat = ctx.rng.choice(_named(ctx, 7))
         x, y, z = (ctx.rng.randint(1, 3) for _ in range(3))
@@ -841,7 +841,7 @@ def _check_h_subfunctor(ctx):
             bad = np.flatnonzero(missing & ~missing[action_index(q, lat)])
             if len(bad):
                 return _witness(lat, name=name, q=sorted(q.pairs()),
-                                phi=list(_decode(lat.n, 2, int(bad[0]))), law="stability")
+                                phi=_digits(lat.n, 2)[bad[0]].tolist(), law="stability")
         points = min(2, ctx.limits.max_points)
         bad = np.flatnonzero(_missing(lat, points) & theta_matrix(lat, points).any(axis=0))
         if len(bad):
@@ -872,21 +872,27 @@ def _check_gamma_corr(ctx):
         failure = is_distributive(lat) and _naturality_failure(
             lat, ((1, 1), (1, 2), (2, 1), (2, 2)))
         if failure:
-            s, f = failure
-            return _witness(lat, name=name, phi=list(f.values), s=sorted(s.pairs()),
-                            law="naturality")
+            return _witness(lat, name=name, law="naturality", **failure)
     return None
 
 
 def _naturality_failure(lat, shapes):
-    """The first ``(s, f)``, over ``f`` on x points and ``s`` to y points for
-    each (x, y) of ``shapes`` in turn, where the barcode of ``act(s, f)`` is
-    not ``s`` after that of ``f``; None when there is none."""
+    """The first ``{"s": s, "phi": phi}``, over functions ``phi`` on x points
+    and ``s`` to y points for each (x, y) of ``shapes`` in turn, where the
+    barcode of ``act(s, phi)`` is not ``s`` after that of ``phi``; None when
+    there is none.  A barcode is a row of down-masks: the acted one is read at the
+    index map of ``s``, and ``s`` after one ORs its masks over each row."""
+    down = np.array(irr_data(lat).down_irr, dtype=np.int64)
     for x, y in shapes:
+        phi = _digits(lat.n, x)
+        ors = np.zeros((1 << x, len(phi)), dtype=np.int64)  # row m: the OR over points in m
+        for u in range(x):
+            ors[1 << u:2 << u] = ors[:1 << u] | down[phi[:, u]]
         for s in _relations(y, x):
-            for f in all_functions(lat, x):
-                if gamma_corr(act(s, f)) != s @ gamma_corr(f):
-                    return s, f
+            acted = down[_digits(lat.n, y)[action_index(s, lat)]]
+            bad = np.flatnonzero((acted != ors[list(s.rows)].T).any(axis=1))
+            if len(bad):
+                return {"s": sorted(s.pairs()), "phi": phi[bad[0]].tolist()}
     return None
 
 
@@ -898,11 +904,7 @@ def _check_gamma_probe(ctx):
     findings = []
     for name in ("m3", "n5"):
         failure = _naturality_failure(named_lattices()[name], ((1, 1), (2, 1), (2, 2)))
-        if failure:
-            s, f = failure
-            findings.append({"name": name, "s": sorted(s.pairs()), "phi": list(f.values)})
-        else:
-            findings.append({"name": name, "counterexample": None})
+        findings.append({"name": name, **(failure or {"counterexample": None})})
     return ("info", {"findings": findings})
 
 
@@ -1236,8 +1238,8 @@ def _check_condition_tables(ctx):
                 if len(rows):
                     row, col = int(rows[0]), int(cols[0])
                     return _witness(lat, name=name, x=x, condition=letter,
-                                    psi=list(_decode(irr_data(lat).iup.n, x, row)),
-                                    phi=list(_decode(lat.n, x, col)))
+                                    psi=_digits(irr_data(lat).iup.n, x)[row].tolist(),
+                                    phi=_digits(lat.n, x)[col].tolist())
     return None
 
 

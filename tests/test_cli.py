@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import cfl
 import cfl.suite as suite_mod
 from cfl.catalog import named_lattices
-from cfl.cli import _build_parser, _limits, main
+from cfl.cli import _MAX_RANK_DIGITS, _build_parser, _limits, main
 from cfl.functor import DEFAULT_FUNCTION_CAP
 from cfl.lattices import lattice_to_json
 from cfl.suite import Limits
@@ -209,6 +210,32 @@ def test_rank_formula_json_has_no_system(chain2_file, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["rank"] == 2 and blob["shape"] is None and blob["path"] == "formula"
     assert blob["build_s"] == blob["eliminate_s"] == 0
+
+
+@pytest.mark.parametrize("points", [10000, 10 ** 9])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_rank_formula_refuses_a_count_too_long_to_print(chain2_file, capsys, points,
+                                                        json_flag):
+    start = time.perf_counter()
+    assert main(["rank", chain2_file, "--points", str(points), "--method", "formula",
+                 *json_flag]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the formula rank at {points} points has more than "
+                            f"{_MAX_RANK_DIGITS} digits\n")
+
+
+def test_rank_formula_prints_every_count_of_at_most_the_digit_limit(tmp_path, capsys):
+    # 2^p - 1 on the two-element chain: 14284 points give the last count of
+    # 4300 digits, 14285 the first of 4301
+    path = tmp_path / "chain1.json"
+    path.write_text(json.dumps({"size": 2, "leq": [[0, 1]]}))
+    assert main(["rank", str(path), "--points", "14284", "--method", "formula"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == _MAX_RANK_DIGITS + 1 and int(out) == 2 ** 14284 - 1
+    assert main(["rank", str(path), "--points", "14285", "--method", "formula"]) == 1
+    assert "more than 4300 digits" in capsys.readouterr().err
 
 
 def test_rank_formula_rejects_non_chains(m3_file, capsys):

@@ -12,14 +12,14 @@ import cfl.functor as functor
 from cfl.catalog import enumerate_lattices, enumerate_posets, named_lattices
 from cfl.exact import (ExactMatrix, PrimeField, RATIONALS, RankStats, bareiss_rank_int,
                        subspace_equal)
-from cfl.functor import (LatticeFunction, _decode, act, action_index,
+from cfl.functor import (LatticeFunction, _digits, act, action_index,
                          all_functions, dual_star, fixed_rank,
                          fund_act, gamma_corr, gamma_span_rank, gamma_t,
                          h_quotient_basis, irr_data, orth_check, pairing,
                          pairing_matrix, perm_basis, retraction_exists,
                          star_act, theta_condition_tables,
                          theta_conditions, theta_matrix, theta_rank, total_rank_formula)
-from cfl.lattices import (CACHE_SIZE, CapExceeded, LatticeError, Poset, chain,
+from cfl.lattices import (CACHE_SIZE, CapExceeded, LatticeError, Poset, _bits, chain,
                           ideal_lattice, irreducibles, join_maps, lattice_from_json,
                           mobius)
 from cfl.relations import Correspondence, Permutation, delta
@@ -71,7 +71,7 @@ def test_function_indexing_round_trip(named):
     for lat in (chain(2), named["b2"]):
         for i, f in enumerate(all_functions(lat, 2)):
             assert f.index == i
-            assert _decode(lat.n, 2, i) == f.values
+            assert tuple(_digits(lat.n, 2)[i].tolist()) == f.values
 
 
 def pushed(r, lat, v):
@@ -279,11 +279,10 @@ def test_condition_tables_match_the_scalar_conditions(named, points):
         data = irr_data(lat)
         rows, cols = data.iup.n ** points, lat.n ** points
         want = np.zeros((6, rows, cols), dtype=bool)
-        for r in range(rows):
-            psi = LatticeFunction(data.iup, _decode(data.iup.n, points, r))
-            for c in range(cols):
-                phi = LatticeFunction(lat, _decode(lat.n, points, c))
-                want[:, r, c] = theta_conditions(phi, psi)
+        for r, psi in enumerate(_digits(data.iup.n, points).tolist()):
+            for c, phi in enumerate(_digits(lat.n, points).tolist()):
+                want[:, r, c] = theta_conditions(LatticeFunction(lat, phi),
+                                                 LatticeFunction(data.iup, psi))
         tables = list(theta_condition_tables(lat, points))
         assert len(tables) == 6
         for letter, table, expected in zip("abcdef", tables, want):
@@ -337,11 +336,11 @@ def test_dual_star_examples():
     one = chain(1)
     star = dual_star(fn(one, 1))
     assert star.dtype == np.int64
-    assert {_decode(2, 1, i): int(star[i]) for i in np.flatnonzero(star)} == {
+    assert {tuple(_digits(2, 1)[i].tolist()): int(star[i]) for i in np.flatnonzero(star)} == {
         (1,): 1, (0,): -1}
     m3 = named_lattices()["m3"]  # mu(0, top) = 2: three atoms below the top
     star = dual_star(fn(m3, 4, 1))
-    assert {_decode(5, 2, i): int(star[i]) for i in np.flatnonzero(star)} == {
+    assert {tuple(_digits(5, 2)[i].tolist()): int(star[i]) for i in np.flatnonzero(star)} == {
         (4, 1): 1, (1, 1): -1, (2, 1): -1, (3, 1): -1, (0, 1): 2,
         (4, 0): -1, (1, 0): 1, (2, 0): 1, (3, 0): 1, (0, 0): -2}
     bottom = fn(one, 0, 0)
@@ -364,7 +363,7 @@ def test_dual_basis_property(named):
 def test_gamma_t_examples(named):
     two = chain(2)
     g = gamma_t(two)
-    coeffs = {_decode(two.n, 2, i): int(g[i]) for i in np.flatnonzero(g)}
+    coeffs = {tuple(_digits(two.n, 2)[i].tolist()): int(g[i]) for i in np.flatnonzero(g)}
     assert coeffs == {(1, 2): 1, (0, 2): -1, (1, 1): -1, (0, 1): 1}
     for lat in named.values():
         data = irr_data(lat)
@@ -398,7 +397,7 @@ def _orth_reference(lattice, points, ring):
     nullspace of the kernel system, both by exact row reduction."""
     size = lattice.n ** points
     gens = functor.gamma_generators(lattice, points).tolist()
-    values = [_decode(lattice.n, points, i) for i in range(size)]
+    values = _digits(lattice.n, points).tolist()
     func_rows = []
     for g in gens:
         row = []
@@ -485,6 +484,45 @@ def test_fund_act_matches_the_squeeze_at_three_points():
         assert fund_act(q, sigma, p) == _squeezed_image(q, sigma, p)
 
 
+def _searched_image(q, sigma, p):
+    """The action found by trying every basis permutation ``tau`` against the
+    squeeze, one row of ``q`` at a time; the squeezing ``tau`` is unique."""
+    inverse = {tau: Permutation(tau).inverse().images for tau in perm_basis(p.n)}
+    sigma_inv = inverse[tuple(sigma)]
+    found = [tau for tau, tau_inv in inverse.items()
+             if all(q.rows[tau[x]] >> x & 1 for x in range(p.n))
+             and all(p.up[sigma_inv[tau_inv[y]]] >> sigma_inv[x] & 1
+                     for y in range(p.n) for x in _bits(q.rows[y]))]
+    assert len(found) <= 1
+    return tuple(found[0][x] for x in sigma) if found else None
+
+
+def test_fund_act_matches_the_search_up_to_three_points():
+    for e in range(4):
+        basis = perm_basis(e)
+        for p in enumerate_posets(e):
+            for rows in itertools.product(range(1 << e), repeat=e):
+                q = Correspondence(e, e, rows)
+                for sigma in basis:
+                    assert fund_act(q, sigma, p) == _searched_image(q, sigma, p)
+
+
+def test_fund_act_matches_the_search_at_four_points():
+    rng = random.Random(28)
+    posets, basis = enumerate_posets(4), perm_basis(4)
+    images = set()
+    for _ in range(3000):
+        p = rng.choice(posets)
+        # rows of one or two bits, so that a fair share of the samples survive
+        q = Correspondence(4, 4, [1 << rng.randrange(4) | 1 << rng.randrange(4)
+                                  for _ in range(4)])
+        sigma = rng.choice(basis)
+        image = fund_act(q, sigma, p)
+        assert image == _searched_image(q, sigma, p)
+        images.add(image)
+    assert None in images and len(images) > 2
+
+
 def test_fund_act_on_the_empty_order():
     empty = enumerate_posets(0)[0]
     assert fund_act(Correspondence.identity(0), (), empty) == ()
@@ -562,6 +600,17 @@ def test_per_lattice_caches_stay_bounded():
     for lat in lattices:
         irr_data(lat)
         mobius(lat)
-    for cached in (irr_data, mobius, chain):
+        functor._order_table(lat)
+    for cached in (irr_data, mobius, chain, functor._order_table):
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE
+
+
+def test_tables_are_cached_read_only():
+    digits = _digits(3, 2)
+    assert _digits(3, 2) is digits and not digits.flags.writeable
+    order = functor._order_table(chain(2))
+    assert functor._order_table(chain(2)) is order and not order.flags.writeable
+    for table in (digits, order):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1

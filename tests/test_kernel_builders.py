@@ -17,7 +17,7 @@ import pytest
 
 from cfl.catalog import named_lattices
 from cfl.exact import RATIONALS, PrimeField, RankStats, fast_int_rank
-from cfl.functor import (_decode, _encode, _theta_system, function_space_size,
+from cfl.functor import (LatticeFunction, _digits, _theta_system, function_space_size,
                          gamma_generators, gamma_span_rank, h_quotient_basis, irr_data,
                          theta_matrix, theta_rank)
 from cfl.lattices import (CapExceeded, _bits, chain, lattice_from_json, lattice_to_json,
@@ -41,11 +41,11 @@ def _product_rows_equal(enc_psi, down_phi, rop_rows, n_irr):
 def _theta_reference(lattice, points):
     data = irr_data(lattice)
     k = len(data.elems)
-    cols_down = [[data.down_irr[v] for v in _decode(lattice.n, points, i)]
-                 for i in range(lattice.n ** points)]
+    cols_down = [[data.down_irr[v] for v in values]
+                 for values in _digits(lattice.n, points).tolist()]
     rows = []
-    for ri in range(data.iup.n ** points):
-        enc_psi = [data.iup_enc[v] for v in _decode(data.iup.n, points, ri)]
+    for values in _digits(data.iup.n, points).tolist():
+        enc_psi = [data.iup_enc[v] for v in values]
         rows.append([1 if _product_rows_equal(enc_psi, down, data.sub.down, k) else 0
                      for down in cols_down])
     return rows
@@ -62,8 +62,8 @@ def _gamma_reference(lattice, points):
         eta.append((values, -1 if mask.bit_count() % 2 else 1))
     seen = set()
     out = []
-    for index in range(data.iup.n ** points):
-        rows = tuple(data.iup_enc[v] for v in _decode(data.iup.n, points, index))
+    for psi in _digits(data.iup.n, points).tolist():
+        rows = tuple(data.iup_enc[v] for v in psi)
         if rows in seen:
             continue
         seen.add(rows)
@@ -71,7 +71,7 @@ def _gamma_reference(lattice, points):
         for values, sign in eta:
             acted = tuple(lattice.meet_many(values[e] for e in _bits(row))
                           for row in rows)
-            vec[_encode(lattice.n, acted)] += sign
+            vec[LatticeFunction(lattice, acted).index] += sign
         out.append(vec)
     return out
 
@@ -155,8 +155,8 @@ def test_theta_equals_gamma(lat, points):
 @pytest.mark.parametrize("lat, points", list(_inputs()))
 def test_h_quotient_basis_is_the_covering_filter(lat, points):
     data = irr_data(lat)
-    want = [i for i in range(lat.n ** points)
-            if set(data.elems) <= set(_decode(lat.n, points, i))]
+    want = [i for i, values in enumerate(_digits(lat.n, points).tolist())
+            if set(data.elems) <= set(values)]
     assert h_quotient_basis(lat, points) == want
 
 
@@ -166,10 +166,10 @@ def test_pruning_keeps_the_covering_rows_and_columns(lat, points):
     # columns of functions hitting every irreducible, in index order
     data = irr_data(lat)
     ups = {data.iup_enc.index(m) for m in data.sub.up}
-    rows = [i for i in range(data.iup.n ** points)
-            if ups <= set(_decode(data.iup.n, points, i))]
-    cols = [i for i in range(lat.n ** points)
-            if set(data.elems) <= set(_decode(lat.n, points, i))]
+    rows = [i for i, values in enumerate(_digits(data.iup.n, points).tolist())
+            if ups <= set(values)]
+    cols = [i for i, values in enumerate(_digits(lat.n, points).tolist())
+            if set(data.elems) <= set(values)]
     pruned = _theta_system(lat, points, 20000, pruned=True).dense()
     assert np.array_equal(pruned, theta_matrix(lat, points)[np.ix_(rows, cols)])
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cfl.functor as functor_mod
 import cfl.morphisms as morphisms_mod
 import cfl.suite as suite_mod
 from cfl.catalog import enumerate_lattices, named_lattices
@@ -535,31 +536,28 @@ def test_probe_check_records_findings_without_failing():
 
 
 def test_spoiled_barcode_fails_naturality_on_a_distributive_lattice(monkeypatch):
-    # Every function the action returns gets the barcode holding every
-    # irreducible at every point; the enumerated functions, which the other
-    # laws read, keep their true barcodes.  On chain1 the empty relation
-    # sends [0] to [0], whose true barcode is empty.
-    real_act, real_gamma = suite_mod.act, suite_mod.gamma_corr
+    # The down-mask table that the naturality search reads puts every
+    # irreducible below every value; the other laws read the true barcodes.
+    # On chain1 the empty relation sends [0] to [0], whose spoiled barcode
+    # is full, while the empty relation after any barcode is empty.
+    real = suite_mod.irr_data
 
-    class Acted(LatticeFunction):
-        __slots__ = ()
+    def spoiled(lat):
+        data = real(lat)
+        return data._replace(down_irr=((1 << len(data.elems)) - 1,) * lat.n)
 
-    def marked(r, f):
-        out = real_act(r, f)
-        return Acted(out.lattice, out.values)
-
-    def spoiled(*args):
-        true = real_gamma(*args)
-        if isinstance(args[-1], Acted):
-            return Correspondence.full(true.dst_size, true.src_size)
-        return true
-
-    monkeypatch.setattr(suite_mod, "act", marked)
-    monkeypatch.setattr(suite_mod, "gamma_corr", spoiled)
+    monkeypatch.setattr(suite_mod, "irr_data", spoiled)
     result = run_check("gamma-correspondence")
     assert result.status == "fail"
     witness = {key: result.witness[key] for key in ("name", "phi", "s", "law")}
     assert witness == {"name": "chain1", "phi": [0], "s": [], "law": "naturality"}
+
+
+def test_functor_composition_builds_each_digit_table_once():
+    functor_mod._digits.cache_clear()
+    run_check("functor-composition")
+    info = functor_mod._digits.cache_info()
+    assert info.misses == info.currsize and info.hits > 0
 
 
 def test_spoiled_identity_fails_functor_composition(monkeypatch):
