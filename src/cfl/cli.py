@@ -267,8 +267,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except (_InputError, CapExceeded) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (_InputError, CapExceeded, MemoryError) as err:
+        kind = "out of memory: " if isinstance(err, MemoryError) else ""
+        print(f"error: {kind}{err}", file=sys.stderr)
         return 1
 
 

@@ -15,10 +15,10 @@ an int, it scales each row by the lcm of its denominators before
 Two eliminations return echelon rows and pivot columns: ``_modp_echelon``,
 vectorized in an int64 copy with pivots scaled to 1, and ``_bareiss``,
 fraction-free over Python ints, so fixed-width inputs cannot wrap.  The mod-p
-elimination delays its reductions: entries start in ``[0, p)``, each row
-update subtracts at most (p - 1)^2, and the trailing block is reduced only
-every ``(2^63 - 1 - p) // (p - 1)^2`` pivots, about 9.2 million at the default
-prime and 2 at ``2^31 - 1``.
+elimination delays its reductions: entries start in ``[0, p)``, and each row
+update subtracts at most (p - 1)^2.  Every ``(2^63 - 1 - p) // (p - 1)^2``
+pivots, about 9.2 million at the default prime and 2 at ``2^31 - 1``, the
+rows below that took an update since the last such reduction are reduced.
 
 A third elimination returns only a rank: ``_f2_rank``, mod 2, reads each
 row into one Python int and reduces it against a table of pivot rows keyed
@@ -310,8 +310,9 @@ def _modp_echelon(rows, p: int):
     are reduced; the rows below that the pivot column hits take
     ``outer(multipliers, pivot row)`` unreduced, on the pivot row's nonzero
     columns only when those are fewer than half.  Each such update subtracts
-    at most (p - 1)^2, so the trailing block is reduced every ``period``
-    pivots, before any entry can pass -2^63.  The returned rows are reduced.
+    at most (p - 1)^2 and a row takes one per pivot at most, so every
+    ``period`` pivots the rows updated since, flagged through row swaps, are
+    reduced before any entry can pass -2^63.  The returned rows are reduced.
     Raises ValueError for ``p >= 2^31``, where one product would overflow.
     """
     _check_prime_bound(p)
@@ -319,7 +320,7 @@ def _modp_echelon(rows, p: int):
     a %= p
     nr, nc = a.shape
     period = (2 ** 63 - 1 - p) // (p - 1) ** 2
-    pending = 0
+    updated = np.zeros(nr, dtype=bool)  # rows updated since the last reduction
     pivots = []
     for c in range(nc):
         r = len(pivots)
@@ -333,6 +334,7 @@ def _modp_echelon(rows, p: int):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+            updated[[r, i]] = updated[[i, r]]
         # Rows r and below are zero left of column c, so only a[:, c:] changes.
         top = a[r, c:]
         top %= p
@@ -345,11 +347,11 @@ def _modp_echelon(rows, p: int):
                 a[np.ix_(hit, c + live)] -= np.outer(a[hit, c], top[live])
             else:
                 a[hit, c:] -= np.outer(a[hit, c], top)
+            updated[hit] = True
         pivots.append(c)
-        pending += 1
-        if pending == period:
-            a[r + 1:, c + 1:] %= p
-            pending = 0
+        if len(pivots) % period == 0:
+            a[r + 1 + np.flatnonzero(updated[r + 1:]), c + 1:] %= p
+            updated[:] = False
     return a[:len(pivots)], pivots
 
 
@@ -416,9 +418,9 @@ class RankStats:
 
     __slots__ = ("shape", "path", "peeled", "prime", "build_s", "eliminate_s")
 
-    def __init__(self, shape=(0, 0), path="", build_s=0.0, eliminate_s=0.0):
+    def __init__(self, shape=(0, 0), path=""):
         self.shape, self.path, self.peeled, self.prime = shape, path, 0, None
-        self.build_s, self.eliminate_s = build_s, eliminate_s
+        self.build_s = self.eliminate_s = 0.0
 
 
 # Cells a block holds when a matrix is read into, or built as, its nonzero entries.

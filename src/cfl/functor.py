@@ -19,17 +19,19 @@ coefficient column per point.
 
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
 digit ``i`` of the index, base ``|T|``.  ``LatticeFunction.index`` encodes
-it, and ``_digits``, one cached read-only table per function space, decodes.
+it; ``_covering_digits`` decodes, keeping the functions that take every
+target value, and with no target it is ``_digits``, one cached read-only
+table per function space, which ``all_functions`` and the index maps read.
 
 The kernel systems and the pairing are built with numpy over the digit
 arrays of all function indices; the gamma generators are ranked from their
 nonzero entries, and the theta system from its rows packed eight columns to
 a byte (``exact._Bits``).  The theta system precomputes, for every subset
 of points, the join of each column function's down-masks of irreducibles
-over that subset (the subset-OR table).  Per irreducible, the table is
-compared with one opposite-order row, packed and gathered at the rows'
-subsets; the system is the AND of these packed gathers, and is unpacked
-only by ``theta_matrix`` and ``theta_condition_tables``.
+over that subset (the subset-OR table, ``_subset_ors``).  Per irreducible,
+the table is compared with one opposite-order row, packed and gathered at
+the rows' subsets; the system is the AND of these packed gathers, and is
+unpacked only by ``theta_matrix`` and ``theta_condition_tables``.
 ``theta_condition_tables`` tables each of the six membership conditions of
 ``theta_conditions`` over every pair the same way, each on its own: a
 subset-join table of the function's values for (a), the subset-OR table
@@ -116,8 +118,8 @@ class LatticeFunction:
 def all_functions(lattice: Lattice, points: int):
     """All functions in index order (point 0 varies fastest)."""
     function_space_size(lattice, points)
-    for rev in itertools.product(range(lattice.n), repeat=points):
-        yield LatticeFunction(lattice, rev[::-1])
+    for values in _digits(lattice.n, points).tolist():
+        yield LatticeFunction(lattice, values)
 
 
 def act(r: Correspondence, f: LatticeFunction) -> LatticeFunction:
@@ -198,8 +200,7 @@ def _digits(n: int, points: int) -> np.ndarray:
     """Digits of every function index in base ``n``: row ``i`` holds the
     values of function ``i``, column ``x`` the value at point ``x``.  Built
     once per ``(n, points)`` and read-only."""
-    index = np.arange(n ** points, dtype=np.int64)
-    out = index[:, None] // n ** np.arange(points, dtype=np.int64) % n
+    out = _covering_digits(n, points, ())
     out.flags.writeable = False
     return out
 
@@ -214,8 +215,8 @@ def _order_table(lattice: Lattice) -> np.ndarray:
 
 
 def _covering_digits(n: int, points: int, targets) -> np.ndarray:
-    """The rows of ``_digits(n, points)`` that take every value in
-    ``targets``, in index order.
+    """The digit rows of the functions into ``range(n)`` that take every
+    value in ``targets``, in index order: all of them for no target.
 
     Rows grow one point at a time, the new point the most significant digit.
     Each row ORs in the bit its new value has among the targets (none for
@@ -358,21 +359,26 @@ def _theta_inputs(lattice: Lattice, points: int, cap: int, pruned: bool):
     if not pruned and rows * cols > DENSE_CELL_CAP:
         raise CapExceeded(f"{rows} x {cols} = {rows * cols} table cells exceed cap "
                           f"{DENSE_CELL_CAP}")
-    if pruned:
-        phi = _covering_digits(lattice.n, points, data.elems)
-        psi = _covering_digits(data.iup.n, points,
-                               [data.iup_enc.index(m) for m in data.sub.up])
-    else:
-        phi, psi = _digits(lattice.n, points), _digits(data.iup.n, points)
-    mask = np.min_scalar_type((1 << len(data.elems)) - 1)
-    down = np.array(data.down_irr, dtype=mask)[phi]
-    table = np.zeros((1 << points, len(phi)), dtype=mask)
-    for x in range(points):
-        table[1 << x:2 << x] = table[:1 << x] | down[:, x]
-    enc = np.array(data.iup_enc, dtype=mask)[psi]
+    phi = _covering_digits(lattice.n, points, data.elems if pruned else ())
+    psi = _covering_digits(data.iup.n, points,
+                           [data.iup_enc.index(m) for m in data.sub.up] if pruned else ())
+    table = _subset_ors(lattice, phi)
+    enc = np.array(data.iup_enc, dtype=table.dtype)[psi]
     weights = np.int64(1) << np.arange(points, dtype=np.int64)
     subsets = [(enc >> e & 1).astype(np.int64) @ weights for e in range(len(data.elems))]
     return phi, psi, enc, subsets, table
+
+
+def _subset_ors(lattice: Lattice, phi: np.ndarray) -> np.ndarray:
+    """The subset-OR table of the functions whose digits are the rows of
+    ``phi``: row s, column f holds the OR of f's down-masks of irreducibles
+    over the points in s, in the narrowest unsigned dtype holding a mask."""
+    data = irr_data(lattice)
+    down = np.array(data.down_irr, dtype=np.min_scalar_type((1 << len(data.elems)) - 1))[phi]
+    table = np.zeros((1 << phi.shape[1], len(phi)), dtype=down.dtype)
+    for x in range(phi.shape[1]):
+        table[1 << x:2 << x] = table[:1 << x] | down[:, x]
+    return table
 
 
 def _all_of(shape, arrays) -> np.ndarray:
@@ -563,8 +569,10 @@ def gamma_t(lattice: Lattice) -> np.ndarray:
 
 
 def gamma_entries(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP) -> _Entries:
-    """The generators of ``gamma_generators`` as an ``_Entries`` record: the
-    coordinates and values of their nonzero entries, in row-major order.
+    """The generators of the dual-side copy, one per upper-ideal-valued
+    function (the alternating generator acted on by the matching
+    correspondence), as an ``_Entries`` record: the coordinates and values
+    of their nonzero entries, in row-major order.
 
     A generator's 2^k signed terms are columns, read from a table of meets
     per (upper ideal, term).  A block of rows at a time, each row's terms are
@@ -601,17 +609,6 @@ def gamma_entries(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP
                     vals[nonzero].astype(np.min_scalar_type(-(1 << k) - 1)))
 
 
-def gamma_generators(lattice: Lattice, points: int, cap: int = DEFAULT_FUNCTION_CAP):
-    """Integer coefficient vectors spanning the dual-side copy at ``points``,
-    as the rows of an integer array.
-
-    Generators are indexed by upper-ideal-valued functions; acting on the
-    alternating generator by the matching correspondence and expanding.
-    It is ``gamma_entries`` scattered into zeros, in the dtype that holds 2^k.
-    """
-    return gamma_entries(lattice, points, cap).dense()
-
-
 def gamma_span_rank(lattice: Lattice, points: int, ring=RATIONALS,
                     cap: int = DEFAULT_FUNCTION_CAP, stats: RankStats | None = None) -> int:
     """Rank of the span of the acted generators inside the dual-side module.
@@ -632,7 +629,7 @@ def orth_check(lattice: Lattice, points: int, ring=RATIONALS) -> bool:
     The complement is the nullspace of the generators paired with every
     function, so the two nullspaces agree exactly when that matrix and the
     kernel system have the same row space."""
-    gens = gamma_generators(lattice, points).astype(np.int64)
+    gens = gamma_entries(lattice, points).dense().astype(np.int64)
     paired = gens @ pairing_matrix(lattice, points).T
     return subspace_equal(paired, theta_matrix(lattice, points), lattice.n ** points, ring)
 

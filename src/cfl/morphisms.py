@@ -90,8 +90,8 @@ class LinMorphism:
         return cls(src, dst, {})
 
     @classmethod
-    def of_map(cls, m: JoinMap, coeff=1) -> "LinMorphism":
-        return cls(m.src, m.dst, {m: Fraction(coeff)})
+    def of_map(cls, m: JoinMap) -> "LinMorphism":
+        return cls(m.src, m.dst, {m: Fraction(1)})
 
     @classmethod
     def identity(cls, lattice: Lattice) -> "LinMorphism":

@@ -31,8 +31,8 @@ import numpy as np
 from .catalog import enumerate_lattices, enumerate_posets, named_lattices
 from .exact import (ExactMatrix, RATIONALS, bareiss_rank_int, det_int,
                     fast_int_rank, modp_rank)
-from .functor import (LatticeFunction, _digits, act, action_index, all_functions, dual_star,
-                      fixed_rank, fund_act, gamma_corr, gamma_span_rank, gamma_t,
+from .functor import (LatticeFunction, _digits, _subset_ors, act, action_index, all_functions,
+                      dual_star, fixed_rank, fund_act, gamma_corr, gamma_span_rank, gamma_t,
                       h_quotient_basis, irr_data, orth_check, pairing, pairing_matrix,
                       perm_basis, retraction_exists, star_act, theta_condition_tables,
                       theta_conditions, theta_matrix, theta_rank, total_rank_formula)
@@ -885,9 +885,7 @@ def _naturality_failure(lat, shapes):
     down = np.array(irr_data(lat).down_irr, dtype=np.int64)
     for x, y in shapes:
         phi = _digits(lat.n, x)
-        ors = np.zeros((1 << x, len(phi)), dtype=np.int64)  # row m: the OR over points in m
-        for u in range(x):
-            ors[1 << u:2 << u] = ors[:1 << u] | down[phi[:, u]]
+        ors = _subset_ors(lat, phi)
         for s in _relations(y, x):
             acted = down[_digits(lat.n, y)[action_index(s, lat)]]
             bad = np.flatnonzero((acted != ors[list(s.rows)].T).any(axis=1))

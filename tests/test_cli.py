@@ -238,6 +238,20 @@ def test_rank_formula_prints_every_count_of_at_most_the_digit_limit(tmp_path, ca
     assert "more than 4300 digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, builder", [("theta", "_covering_digits"),
+                                             ("gamma", "_digits")])
+def test_rank_out_of_memory_exits_1_with_one_line(m3_file, capsys, monkeypatch, method,
+                                                  builder):
+    # A table too large for the address space: numpy raises MemoryError.
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 7.15 GiB for an array")
+
+    monkeypatch.setattr(f"cfl.functor.{builder}", too_large)
+    assert main(["rank", m3_file, "--points", "2", "--method", method]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.15 GiB for an array\n"
+
+
 def test_rank_formula_rejects_non_chains(m3_file, capsys):
     assert main(["rank", m3_file, "--points", "2", "--method", "formula"]) == 1
     assert "totally ordered" in capsys.readouterr().err

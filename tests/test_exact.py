@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from unittest import mock
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats, _Bits,
                        _Entries, _coerced, _modp_echelon, _reduced, bareiss_rank_int, det_int,
                        fast_int_rank, modp_rank, parse_ring, subspace_equal)
+from cfl.functor import _theta_system
+from cfl.lattices import chain
 
 
 def test_rank_examples():
@@ -368,6 +371,55 @@ def test_delayed_reduction_stays_exact_at_the_largest_prime():
         rows.append([sum(r[j] for r in rows[:3]) for j in range(size)])
         echelon, pivots = _modp_echelon(_coerced(rows, p), p)
         assert (echelon.tolist(), pivots) == _echelon_mod_p(rows, p)
+
+
+def test_delayed_reduction_tracks_each_row_at_the_largest_prime():
+    # Only the rows updated since the last bulk reduction are reduced (every
+    # 2 pivots at p = 2^31 - 1), so a row's flag must follow it through a
+    # swap.  Row X (position 1) takes an update of (p - 1)^2 in its column 4
+    # at pivot 1, is swapped with row D at pivot 2, where it has a zero in
+    # the pivot column, and takes two more such updates at pivots 3 and 4.
+    # Left unreduced after pivot 2, it would hold -3 (p - 1)^2 < -2^63.
+    p = 2 ** 31 - 1
+    rows = [[1, 0, 0, 0, p - 1, 0], [p - 1, 0, p - 1, p - 1, 0, 1], [0, 0, 1, 0, p - 1, 0],
+            [0, 0, 0, 1, p - 1, 0], [0, 1, 0, 0, 0, 0]]
+    want = _echelon_mod_p(rows, p)
+    assert want[0][-1] == [0, 0, 0, 0, 1, pow(-3, -1, p)]
+    assert _modp_echelon(_coerced(rows, p), p)[0].tolist() == want[0]
+    # Rows of P L U, with the entries of L below and of U above the diagonal
+    # each -1 or 0, take such updates at the pivots their rows of L pick.
+    rng = random.Random(2147483647)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        lower = [[1 if i == k else -rng.randint(0, 1) if k < i else 0 for k in range(n)]
+                 for i in range(n)]
+        upper = [[int(k == j) or -(k < j and rng.randint(0, 1)) for j in range(n + 2)]
+                 for k in range(n)]
+        rows = [[sum(lower[i][k] * upper[k][j] for k in range(n)) % p for j in range(n + 2)]
+                for i in range(n)]
+        rows += rng.sample(rows, rng.randint(0, 2))
+        rng.shuffle(rows)
+        for row in rows:
+            row[rng.randrange(n + 2)] = 0
+        echelon, pivots = _modp_echelon(_coerced(rows, p), p)
+        assert (echelon.tolist(), pivots) == _echelon_mod_p(rows, p)
+
+
+def test_rank_at_the_largest_prime_costs_about_what_it_costs_at_the_default():
+    # chain3.theta.6: each pivot hits a few rows of 2100, so reducing the
+    # whole trailing block every 2 pivots made the rank at p = 2^31 - 1
+    # about 50 times slower than at 1000003; reducing only the updated
+    # rows makes it about twice as slow.  Minima of two runs each.
+    system = _theta_system(chain(3), 6, 20000, pruned=True).dense()
+    times = {}
+    for p in (2 ** 31 - 1, DEFAULT_PRIME):
+        runs = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert modp_rank(system, p) == 2100
+            runs.append(time.perf_counter() - start)
+        times[p] = min(runs)
+    assert times[2 ** 31 - 1] < 8 * times[DEFAULT_PRIME]
 
 
 def _deficient(draw_rows, combos):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import cfl.functor as functor
 from cfl.catalog import enumerate_lattices, enumerate_posets, named_lattices
-from cfl.exact import (ExactMatrix, PrimeField, RATIONALS, RankStats, bareiss_rank_int,
-                       subspace_equal)
+from cfl.exact import (ExactMatrix, PrimeField, RATIONALS, RankStats, _Entries,
+                       bareiss_rank_int, subspace_equal)
 from cfl.functor import (LatticeFunction, _digits, act, action_index,
                          all_functions, dual_star, fixed_rank,
                          fund_act, gamma_corr, gamma_span_rank, gamma_t,
@@ -68,10 +68,13 @@ def test_star_act_examples():
 
 
 def test_function_indexing_round_trip(named):
-    for lat in (chain(2), named["b2"]):
-        for i, f in enumerate(all_functions(lat, 2)):
-            assert f.index == i
-            assert tuple(_digits(lat.n, 2)[i].tolist()) == f.values
+    for lat in (lat for lat in named.values() if lat.n <= 6):
+        for points in range(4):
+            funcs = list(all_functions(lat, points))
+            assert len(funcs) == lat.n ** points
+            for i, f in enumerate(funcs):
+                assert f.index == i
+                assert tuple(_digits(lat.n, points)[i].tolist()) == f.values
 
 
 def pushed(r, lat, v):
@@ -396,7 +399,7 @@ def _orth_reference(lattice, points, ring):
     paired with every function (an explicit loop over the order) against the
     nullspace of the kernel system, both by exact row reduction."""
     size = lattice.n ** points
-    gens = functor.gamma_generators(lattice, points).tolist()
+    gens = functor.gamma_entries(lattice, points).dense().tolist()
     values = _digits(lattice.n, points).tolist()
     func_rows = []
     for g in gens:
@@ -426,9 +429,10 @@ def test_orth_check_matches_the_nullspace_reference(named, ring):
 @pytest.mark.parametrize("ring", [RATIONALS, PrimeField(1000003)], ids=["rat", "p"])
 def test_orth_check_fails_without_the_dual_copy(monkeypatch, ring):
     def no_generators(lattice, points):
-        return np.zeros((0, lattice.n ** points), dtype=np.int8)
+        nowhere = np.zeros(0, dtype=np.int64)
+        return _Entries((0, lattice.n ** points), nowhere, nowhere, np.zeros(0, dtype=np.int8))
 
-    monkeypatch.setattr(functor, "gamma_generators", no_generators)
+    monkeypatch.setattr(functor, "gamma_entries", no_generators)
     assert not _orth_reference(chain(1), 1, ring)
     assert not orth_check(chain(1), 1, ring)
 
@@ -614,3 +618,31 @@ def test_tables_are_cached_read_only():
     for table in (digits, order):
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+
+def test_digits_match_the_closed_form():
+    # Digit x of index i is i // n^x % n: the closed form the covering
+    # builder replaced, on every table of at most 20000 rows.
+    for n in range(1, 7):
+        for points in range(6):
+            if n ** points > 20000:
+                continue
+            index = np.arange(n ** points, dtype=np.int64)
+            want = index[:, None] // n ** np.arange(points, dtype=np.int64) % n
+            got = _digits(n, points)
+            assert got.shape == (n ** points, points) and got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+def test_subset_ors_match_the_recurrence(named):
+    # The recurrence the naturality search ran on its own, in int64: row m
+    # extends row m without its top point by that point's down-masks.
+    for lat in named.values():
+        down = np.array(irr_data(lat).down_irr, dtype=np.int64)
+        for points in range(4):
+            phi = _digits(lat.n, points)
+            want = np.zeros((1 << points, len(phi)), dtype=np.int64)
+            for u in range(points):
+                want[1 << u:2 << u] = want[:1 << u] | down[phi[:, u]]
+            got = functor._subset_ors(lat, phi)
+            assert got.dtype.kind == "u" and np.array_equal(got, want)

@@ -18,7 +18,7 @@ import pytest
 from cfl.catalog import named_lattices
 from cfl.exact import RATIONALS, PrimeField, RankStats, fast_int_rank
 from cfl.functor import (LatticeFunction, _digits, _theta_system, function_space_size,
-                         gamma_generators, gamma_span_rank, h_quotient_basis, irr_data,
+                         gamma_entries, gamma_span_rank, h_quotient_basis, irr_data,
                          theta_matrix, theta_rank)
 from cfl.lattices import (CapExceeded, _bits, chain, lattice_from_json, lattice_to_json,
                           r_of)
@@ -89,11 +89,11 @@ def test_theta_builder_matches_the_per_cell_loop(lat, points):
 
 @pytest.mark.parametrize("lat, points", list(_inputs()))
 def test_gamma_builder_matches_the_per_mask_loop(lat, points):
-    gens = gamma_generators(lat, points)
+    gens = gamma_entries(lat, points).dense()
     assert gens.dtype.kind == "i"
     assert gens.tolist() == _gamma_reference(lat, points)
     with mock.patch("cfl.functor._GAMMA_BLOCK_CELLS", 1):  # one row to a block
-        assert np.array_equal(gamma_generators(lat, points), gens)
+        assert np.array_equal(gamma_entries(lat, points).dense(), gens)
 
 
 @pytest.mark.parametrize("ring", [RATIONALS, PrimeField(2), PrimeField(3), PrimeField(1000003)],
@@ -104,7 +104,7 @@ def test_gamma_rank_from_entries_matches_the_dense_system(lat, points, ring):
     # through the array path is the oracle, down to how the rank was settled.
     entries, dense = RankStats(), RankStats()
     got = gamma_span_rank(lat, points, ring, stats=entries)
-    assert got == fast_int_rank(gamma_generators(lat, points), ring, dense)
+    assert got == fast_int_rank(gamma_entries(lat, points).dense(), ring, dense)
     assert ((entries.shape, entries.peeled, entries.path, entries.prime)
             == (dense.shape, dense.peeled, dense.path, dense.prime))
 
@@ -213,7 +213,7 @@ def test_f2_rank_peak_memory_stays_near_the_system_size(name, method):
         system = _theta_system(lat, 6, 20000, pruned=True)
         size = system.packed.nbytes
     else:
-        system = gamma_generators(lat, 6)
+        system = gamma_entries(lat, 6).dense()
         size = system.nbytes
     tracemalloc.start()
     try:
@@ -256,7 +256,7 @@ def test_gamma_rank_peak_memory_scales_with_the_nonzeros(name, points):
 def test_gamma_entries_never_overflow_the_build_dtype():
     # chain(7) has 7 irreducibles: 2^7 = 128 signed terms, one past int8.
     lat = chain(7)
-    gens = gamma_generators(lat, 1)
+    gens = gamma_entries(lat, 1).dense()
     assert np.iinfo(gens.dtype).max >= 2 ** 7
     assert gens.tolist() == _gamma_reference(lat, 1)
     assert fast_int_rank(gens) == fast_int_rank(gens.tolist())
@@ -268,4 +268,4 @@ def test_gamma_refuses_too_many_signed_terms():
     lat = chain(15)
     function_space_size(lat, 1)
     with pytest.raises(CapExceeded, match="signed terms"):
-        gamma_generators(lat, 1)
+        gamma_entries(lat, 1)
