@@ -19,9 +19,9 @@ coefficient column per point.
 
 Function indexing is little-endian mixed-radix throughout: point ``i`` is
 digit ``i`` of the index, base ``|T|``.  ``LatticeFunction.index`` encodes
-it; ``_covering_digits`` decodes, keeping the functions that take every
-target value, and with no target it is ``_digits``, one cached read-only
-table per function space, which ``all_functions`` and the index maps read.
+it; ``_digits`` decodes all of them, one cached read-only table per function
+space, which every reader of a whole space shares, and ``_covering_digits``
+keeps the functions that take every target value (all: ``_digits``).
 
 The kernel systems and the pairing are built with numpy over the digit
 arrays of all function indices; the gamma generators are ranked from their
@@ -198,9 +198,9 @@ def gamma_corr(f: LatticeFunction) -> Correspondence:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _digits(n: int, points: int) -> np.ndarray:
     """Digits of every function index in base ``n``: row ``i`` holds the
-    values of function ``i``, column ``x`` the value at point ``x``.  Built
-    once per ``(n, points)`` and read-only."""
-    out = _covering_digits(n, points, ())
+    values of function ``i``, column ``x`` the value at point ``x``, which is
+    ``i // n^x % n``.  Built once per ``(n, points)`` and read-only."""
+    out = np.arange(n ** points, dtype=np.int64)[:, None] // n ** np.arange(points) % n
     out.flags.writeable = False
     return out
 
@@ -223,6 +223,8 @@ def _covering_digits(n: int, points: int, targets) -> np.ndarray:
     any other value), and is kept while the points left can still take every
     target it has missed, so no row that cannot cover is ever extended."""
     targets = list(targets)
+    if not targets:
+        return _digits(n, points)
     if len(targets) > points:
         return np.zeros((0, points), dtype=np.int64)
     bits = np.zeros(n, dtype=np.min_scalar_type((1 << len(targets)) - 1))

@@ -11,15 +11,14 @@ with no product and no merge.
 
 A ``Family`` is the one batch type: morphisms of one Hom-space as a dense
 table of integer numerators over their distinct join-maps, with one
-denominator per member.  ``compose_families`` is the one composition
-algorithm: it gathers every composite's images in one numpy step, keys the
-distinct rows by one ``np.lexsort`` over their columns, and sums the
-products of numerators as integers, in int64 only when a bound rules out
-overflow and as Python ints otherwise.  Its result is again a ``Family``,
-whose member ``i * len(inner) + j`` is ``outer[i]`` after ``inner[j]``;
-``Family.first_mismatch`` compares two families member by member without
-building a ``LinMorphism``, and ``Family.over`` tabulates a family over a
-list of join-maps.  ``LinMorphism.compose`` is the one-by-one case.
+denominator per member.  ``_keyed_composites`` keys the composites of two
+families' maps one column at a time, with no sort.  ``compose_families`` is
+the one composition algorithm: it sums products of numerators at their keys
+into a ``Family`` whose member ``i * len(inner) + j`` is ``outer[i]`` after
+``inner[j]``.  ``first_product_mismatch`` compares those products with
+picked members of a third family without building them, a block of outer
+members at a time.  ``Family.over`` tabulates a family over a list of
+join-maps, and ``LinMorphism.compose`` is the one-by-one case.
 """
 
 from __future__ import annotations
@@ -144,29 +143,35 @@ class LinMorphism:
         return "LinMorphism(" + " + ".join(f"{c}*{list(i)}" for i, c in parts) + ")"
 
 
-def _int_dtype(bound: int):
-    """int64 when no value can reach ``bound`` in absolute value, else Python ints."""
-    return np.int64 if bound < 2 ** 63 else object
+def _int_dtype(bound: int, least=np.int64):
+    """The narrowest of int8 to int64, from ``least`` up, holding -bound..bound; else object."""
+    kinds = (np.int8, np.int16, np.int32, np.int64)
+    return next((t for t in kinds[kinds.index(least):] if bound <= np.iinfo(t).max), object)
 
 
-def _distinct_rows(rows: np.ndarray):
-    """``(first, key)`` for the distinct rows of a 2-d array: the index of
-    each distinct row's first occurrence, in lexicographic row order, and
-    each row's position in that order.
+def _distinct_rows(columns, count: int):
+    """``(first, key)`` for ``count`` rows of non-negative integers, given
+    column by column: the index of each distinct row's first occurrence, in
+    lexicographic row order, and each row's position in that order.
 
-    One stable ``np.lexsort`` over the columns (the first column most
-    significant) sorts the rows; a row starts a run where some column
-    differs from the row sorted before it.  The same for any row width.
-    """
-    order = np.lexsort(rows.T[::-1])
-    starts = np.zeros(len(rows), bool)
-    starts[:1] = True
-    for column in rows.T:
-        column = column[order]
-        starts[1:] |= column[1:] != column[:-1]
-    key = np.empty(len(rows), np.intp)
-    key[order] = np.cumsum(starts) - 1
-    return order[starts], key
+    A row's key among the distinct prefixes and its next value make a code,
+    ``key * (column maximum + 1) + value``; the ranks of the codes present
+    key the longer prefixes.  No sort, and one path for any row width."""
+    key, distinct = np.zeros(count, np.uint8), min(count, 1)
+    parts = [slice(lo, min(lo + 2 ** 13, count)) for lo in range(0, count, 2 ** 13)]
+    for column in columns:
+        values = int(column.max(initial=0)) + 1
+        codes = key.astype(np.min_scalar_type(distinct * values)) * values + column
+        present = np.zeros(distinct * values, bool)
+        for part in parts:  # numpy copies each index array to intp
+            present[codes[part]] = True
+        distinct = np.count_nonzero(present)
+        rank = np.cumsum(present, dtype=np.min_scalar_type(distinct)) - 1
+        key = np.concatenate([rank[:0]] + [rank.take(codes[part]) for part in parts])
+    first = np.full(distinct, count, np.min_scalar_type(count))
+    for part in parts:
+        np.minimum.at(first, key[part], np.arange(part.start, part.stop, dtype=first.dtype))
+    return first.astype(np.intp), key
 
 
 class Family:
@@ -250,50 +255,31 @@ class Family:
         table[:, at] = self.nums
         return table
 
-    def first_mismatch(self, other: "Family", picks):
-        """The first member ``i`` that differs from ``other[picks[i]]``, or
-        from zero where that pick is negative; ``None`` when all match.
 
-        Both sides are laid out over the union of their image rows, with
-        the denominators cross-multiplied."""
-        picks = np.asarray(picks, np.intp)
-        if len(picks) != len(self):
-            raise ValueError(f"need one pick per member, got {len(picks)} for {len(self)}")
-        union, key = _distinct_rows(np.concatenate([self.images, other.images]))
-        mine, theirs = key[:len(self.images)], key[len(self.images):]
-        bad = (picks < 0) & self.nums.any(axis=1).astype(bool)
-        rows = np.flatnonzero(picks >= 0)
-        have = np.zeros((len(rows), len(union)), self.nums.dtype)
-        have[:, mine] = self.nums[rows]
-        want = np.zeros_like(have, other.nums.dtype)
-        want[:, theirs] = other.nums[picks[rows]]
-        have_dens = [self.dens[r] for r in rows.tolist()]
-        want_dens = [other.dens[p] for p in picks[rows].tolist()]
-        bound = max(int(np.abs(have).max(initial=1)) * max(want_dens, default=1),
-                    int(np.abs(want).max(initial=1)) * max(have_dens, default=1))
-        dtype = _int_dtype(bound)
-        left = have.astype(dtype) * np.array(want_dens, dtype)[:, None]
-        right = want.astype(dtype) * np.array(have_dens, dtype)[:, None]
-        bad[rows] = (left != right).any(axis=1)
-        wrong = np.flatnonzero(bad)
-        return int(wrong[0]) if len(wrong) else None
+def _keyed_composites(outer: Family, inner: Family, tail=None):
+    """The keys (``_distinct_rows``) of every composite ``g(f(t))`` of an image
+    row of ``outer`` after one of ``inner``, then of ``tail``'s rows, a column
+    at a time: the first occurrences, a table ``[g, f]`` and ``tail``'s keys."""
+    if inner.dst != outer.src:
+        raise ValueError("middle lattice mismatch")
+    tail = inner.images[:0] if tail is None else tail
+    split = len(outer.images) * len(inner.images)
+    first, key = _distinct_rows((np.concatenate([outer.images[:, f].reshape(-1), t])
+                                 for f, t in zip(inner.images.T, tail.T)), split + len(tail))
+    return first, key[:split].reshape(len(outer.images), len(inner.images)), key[split:]
 
 
 def compose_families(outer: Family, inner: Family) -> Family:
     """Every composite ``outer[i]`` after ``inner[j]``, as member
     ``i * len(inner) + j`` of one family.
 
-    The images ``g(f(t))`` of every pair of maps in the two families come
-    from one numpy gather, and one lexsort of those rows (``_distinct_rows``)
-    keys the distinct composites.  Each pair of nonzero numerators adds its
+    The distinct composites of the two families' image rows are keyed once
+    (``_keyed_composites``).  Each pair of nonzero numerators adds its
     product at its composite's key, in int64 only when the weights bound
     every sum below 2^63.
     """
-    if inner.dst != outer.src:
-        raise ValueError("middle lattice mismatch")
-    rows = outer.images[:, inner.images].reshape(-1, inner.src.n)
-    first, cell = _distinct_rows(rows)
-    cell = cell.reshape(len(outer.images), len(inner.images))
+    first, cell, _ = _keyed_composites(outer, inner)
+    g, f = np.unravel_index(first, cell.shape)
     m, k, u = len(outer), len(inner), len(first)
     weight = outer.weight * inner.weight
     dtype = _int_dtype(max(weight, outer.weight, inner.weight))  # never narrows an operand
@@ -302,8 +288,56 @@ def compose_families(outer: Family, inner: Family) -> Family:
     values = g_nums.astype(dtype)[:, None] * f_nums.astype(dtype)
     nums = np.zeros(m * k * u, dtype)
     np.add.at(nums, slots.reshape(-1), values.reshape(-1))
-    return Family._trusted(inner.src, outer.dst, rows[first], nums.reshape(m * k, u),
+    return Family._trusted(inner.src, outer.dst, outer.images[g[:, None], inner.images[f]],
+                           nums.reshape(m * k, u),
                            [a * b for a in outer.dens for b in inner.dens], weight)
+
+
+# One block's table in ``first_product_mismatch``: one chain5 unit's 226 x 226 int8 cells.
+_TABLE_BYTES = 2 ** 16
+
+
+def first_product_mismatch(outer: Family, inner: Family, expected: Family, picks):
+    """The first member ``i * len(inner) + j`` of ``outer`` after ``inner``
+    (as ``compose_families`` numbers them) that differs from ``expected[p]``,
+    or from zero where ``p`` is negative; ``None`` when all match.
+    ``picks(rows)`` gives the ``p`` of the outer members in the slice
+    ``rows``, one row of ``len(inner)`` per member.
+
+    The composites and ``expected``'s rows are keyed once.  A block of outer
+    members at a time, the products minus the picked terms (denominators
+    cross-multiplied) are summed into one zeroed table of about
+    ``_TABLE_BYTES``, a row of keys per product, in the narrowest exact dtype."""
+    if (expected.src, expected.dst) != (inner.src, outer.dst):
+        raise ValueError("expected family between other lattices")
+    first, cell, want_at = _keyed_composites(outer, inner, expected.images)
+    m, k, u = len(outer), len(inner), len(first)
+    top = [max(family.dens, default=1) for family in (outer, inner, expected)]
+    dtype = _int_dtype(max(outer.weight, 1) * max(inner.weight, 1) * top[2]
+                       + max(expected.weight, 1) * top[0] * top[1], np.int8)
+    g_dens, f_dens, e_dens = (np.array(f.dens, dtype) for f in (outer, inner, expected))
+    (g_owner, g_at, g_nums), (f_owner, f_at, f_nums) = outer._terms(), inner._terms()
+    g_nums, f_nums, want = g_nums.astype(dtype), f_nums.astype(dtype), expected.nums.astype(dtype)
+    block = max(1, _TABLE_BYTES // max(1, k * u * np.dtype(dtype).itemsize))
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        p = np.asarray(picks(slice(lo, hi)), np.intp)
+        if p.shape != (hi - lo, k):
+            raise ValueError(f"need one pick per member, got shape {p.shape} for {(hi - lo, k)}")
+        i, j = np.nonzero(p >= 0)
+        hit, p = i * k + j, p[i, j]
+        table = np.zeros(((hi - lo) * k, u), dtype)  # the picked terms, then the products
+        table[hit[:, None], want_at] = want[p] * -(g_dens[lo + i] * f_dens[j])[:, None]
+        scale = np.ones(len(table), dtype)
+        scale[hit] = e_dens[p]
+        terms = slice(*np.searchsorted(g_owner, [lo, hi]))
+        member = ((g_owner[terms] - lo)[:, None] * k + f_owner).reshape(-1)
+        slots = member * u + np.take(cell[g_at[terms]], f_at, axis=1).reshape(-1)
+        values = (g_nums[terms, None] * f_nums).reshape(-1) * scale[member]
+        np.add.at(table.reshape(-1), slots, values)
+        if table.any():
+            return lo * k + int(np.flatnonzero(table.any(axis=1))[0])
+    return None
 
 
 def adjoint_op(f: JoinMap) -> JoinMap:

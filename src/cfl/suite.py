@@ -42,9 +42,9 @@ from .lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
                        lattice_to_json, lattices_isomorphic, mobius,
                        posets_isomorphic, principal_embed)
 from .morphisms import (Family, LinMorphism, TermNotInBasis, adjoint_op, beta,
-                        compose_families, e_t, f_dc, j_of_tuple, lambda_of_tuple,
-                        max_tuple_size, p_tuples, pi_of_tuple, rho_y, tot_basis,
-                        y_tuples)
+                        compose_families, e_t, f_dc, first_product_mismatch, j_of_tuple,
+                        lambda_of_tuple, max_tuple_size, p_tuples, pi_of_tuple, rho_y,
+                        tot_basis, y_tuples)
 from .relations import (Correspondence, order_flags, preorder_quotient,
                         reflexive_transitive_closure)
 
@@ -253,11 +253,13 @@ def _all_tuples(lat, max_size):
 
 
 def _units(lat, max_size):
-    """Keys ``(d.entries, c.entries)`` and matrix units ``f_dc(d, c)`` of all
-    pairs of top-avoiding chains of one size up to ``max_size``, by size, then d."""
+    """The top-avoiding chains of each size up to ``max_size``, the index
+    pairs ``(d, c)`` of chains of one size, by size, then d, as two arrays,
+    and the family of their matrix units ``f_dc(d, c)``."""
     tuples = _all_tuples(lat, max_size)
-    pairs = [(d, c) for d in tuples for c in tuples if len(d) == len(c)]
-    return [(d.entries, c.entries) for d, c in pairs], [f_dc(d, c) for d, c in pairs]
+    pairs = [(d, c) for d, b in enumerate(tuples) for c, a in enumerate(tuples) if len(b) == len(a)]
+    units = Family(lat, lat, [f_dc(tuples[d], tuples[c]) for d, c in pairs])
+    return tuples, np.array(pairs).T, units
 
 
 def _chain_image_count(lat, points):
@@ -537,36 +539,21 @@ def _check_enumeration(ctx):
 # --- idempotents ----------------------------------------------------------------
 
 
-# ``matrix-unit-products`` multiplies a block of units by the whole unit
-# family at once, in a product table of at most about this many cells.  A
-# unit of chain5 needs up to 226 * 176 cells on its own, so its units go one
-# at a time and no block's table is larger; blocks of two chain5 units
-# raised the peak memory of ``verify --suite all`` by 1.2 MB.
-_UNIT_BLOCK_CELLS = 2 ** 15
-
-
 @check("matrix-unit-products",
        "composites of section-quotient pairs multiply like matrix units",
        "idempotents")
 def _check_matrix_units(ctx):
     for name, lat in _named(ctx, 6):
-        keys, units = _units(lat, 3)
-        family = Family(lat, lat, units)
-        position = {key: i for i, key in enumerate(keys)}
-        # product i * len(keys) + j of a block is its unit i after member j,
-        # so the first mismatch is the first in unit-by-unit order
-        block = max(1, _UNIT_BLOCK_CELLS // (len(keys) * len(family.images)))
-        for start in range(0, len(units), block):
-            # f_dc f_ba is f_da when c = b and zero otherwise (index -1)
-            picks = [position[dk, ak] if ck == bk else -1
-                     for dk, ck in keys[start:start + block] for bk, ak in keys]
-            products = compose_families(Family(lat, lat, units[start:start + block]), family)
-            bad = products.first_mismatch(family, picks)
-            if bad is not None:
-                i, j = divmod(bad, len(keys))
-                (dk, ck), (bk, ak) = keys[start + i], keys[j]
-                return _witness(lat, name=name, tuples=[list(dk), list(ck),
-                                                        list(bk), list(ak)])
+        tuples, (d, c), family = _units(lat, 3)
+        # unit i = f_dc after unit j = f_ba is unit f_da when c = b, else zero (pick -1)
+        position = np.full((len(tuples), len(tuples)), -1)
+        position[d, c] = np.arange(len(d))
+        bad = first_product_mismatch(family, family, family, lambda rows: np.where(
+            c[rows, None] == d, position[d[rows, None], c], -1))
+        if bad is not None:
+            i, j = divmod(bad, len(d))
+            return _witness(lat, name=name, tuples=[list(tuples[t].entries)
+                                                    for t in (d[i], c[i], d[j], c[j])])
     return None
 
 
@@ -607,8 +594,8 @@ def _check_chain_idempotents(ctx):
         if sum(blocks, LinMorphism.zero(chain(n), chain(n))) != LinMorphism.identity(chain(n)):
             return {"n": n, "law": "sum to identity"}
         family = Family(chain(n), chain(n), blocks)
-        picks = [l if l == m else -1 for l in range(n + 1) for m in range(n + 1)]
-        bad = compose_families(family, family).first_mismatch(family, picks)
+        diagonal = np.where(np.eye(n + 1, dtype=bool), np.arange(n + 1), -1)
+        bad = first_product_mismatch(family, family, family, lambda rows: diagonal[rows])
         if bad is not None:
             l, m = divmod(bad, n + 1)
             return {"n": n, "l": l, "m": m, "law": "orthogonality"}
@@ -617,9 +604,9 @@ def _check_chain_idempotents(ctx):
         ends = join_maps(chain(n), chain(n))
         endos = Family(chain(n), chain(n), [LinMorphism.of_map(f) for f in ends])
         # beta_m after f_j is member m * |ends| + j, f_j after beta_m is j * (n + 1) + m
-        after = compose_families(family, endos)
-        swapped = [j * (n + 1) + m for m in range(n + 1) for j in range(len(ends))]
-        bad = after.first_mismatch(compose_families(endos, family), swapped)
+        swapped = np.arange(len(ends)) * (n + 1) + np.arange(n + 1)[:, None]
+        bad = first_product_mismatch(family, endos, compose_families(endos, family),
+                                     lambda rows: swapped[rows])
         if bad is not None:
             m, j = divmod(bad, len(ends))
             return {"n": n, "m": m, "images": list(ends[j].images), "law": "centrality"}
@@ -638,7 +625,7 @@ def _check_chain_endo(ctx):
         if n <= 3 and len(join_maps(chain(n), chain(n))) != len(basis):
             return {"n": n, "law": "brute endo count"}
     for n, basis in enumerate(bases[:min(4, ctx.limits.max_lattice) + 1]):
-        family = Family(chain(n), chain(n), _units(chain(n), n)[1])
+        family = _units(chain(n), n)[2]
         coeffs = family.over(basis)
         if any(den != 1 for den in family.dens):
             return {"n": n, "law": "integer coefficients"}
@@ -664,7 +651,7 @@ def _check_units_span(ctx):
         ysizes = [len(y_tuples(lat, n)) for n in range(max_tuple_size(lat) + 1)]
         if sizes != ysizes or len(basis) != sum(a * b for a, b in zip(sizes, ysizes)):
             return _witness(lat, name=name, law="tuple counts")
-        family = Family(lat, lat, _units(lat, len(sizes) - 1)[1])
+        family = _units(lat, len(sizes) - 1)[2]
         try:
             coeffs = family.over(basis)
         except TermNotInBasis as stray:
@@ -675,10 +662,10 @@ def _check_units_span(ctx):
             return _witness(lat, name=name, law="span equality")
         unit = Family(lat, lat, [e_t(lat)])
         span = Family(lat, lat, [LinMorphism.of_map(m) for m in basis])
-        fixed = range(len(basis))      # the unit fixes each basis element, both sides
-        found = [products.first_mismatch(span, fixed)  # member j is basis[j] either way
-                 for products in (compose_families(unit, span), compose_families(span, unit))]
-        bad = [j for j in found if j is not None]
+        fixed = np.arange(len(basis))  # the unit fixes each basis element, both sides
+        found = [first_product_mismatch(unit, span, span, lambda rows: fixed[None, :]),
+                 first_product_mismatch(span, unit, span, lambda rows: fixed[rows, None])]
+        bad = [j for j in found if j is not None]  # member j is basis[j] either way
         if bad:
             return _witness(lat, name=name, images=list(basis[min(bad)].images),
                             law="identity on the span")
@@ -697,8 +684,9 @@ def _check_center_naturality(ctx):
             picks = maps if len(maps) <= 20 else ctx.rng.sample(maps, 20)
             thetas = Family(lat1, lat2, [LinMorphism.of_map(theta) for theta in picks])
             # member j of both products is built from theta_j
-            after = compose_families(thetas, units[name1])
-            j = after.first_mismatch(compose_families(units[name2], thetas), range(len(picks)))
+            same = np.arange(len(picks))[:, None]
+            j = first_product_mismatch(thetas, units[name1], compose_families(units[name2], thetas),
+                                       lambda rows: same[rows])
             if j is not None:
                 return {"src": name1, "dst": name2, "images": list(picks[j].images)}
     return None

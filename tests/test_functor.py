@@ -613,6 +613,7 @@ def test_per_lattice_caches_stay_bounded():
 def test_tables_are_cached_read_only():
     digits = _digits(3, 2)
     assert _digits(3, 2) is digits and not digits.flags.writeable
+    assert functor._covering_digits(3, 2, ()) is digits  # no target: the one cached table
     order = functor._order_table(chain(2))
     assert functor._order_table(chain(2)) is order and not order.flags.writeable
     for table in (digits, order):
@@ -621,8 +622,8 @@ def test_tables_are_cached_read_only():
 
 
 def test_digits_match_the_closed_form():
-    # Digit x of index i is i // n^x % n: the closed form the covering
-    # builder replaced, on every table of at most 20000 rows.
+    # Digit x of index i is i // n^x % n, on every table of at most 20000
+    # rows.
     for n in range(1, 7):
         for points in range(6):
             if n ** points > 20000:

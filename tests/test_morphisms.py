@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from cfl.catalog import enumerate_lattices, named_lattices
 from cfl.lattices import CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps
+import cfl.morphisms as morphisms_mod
 from cfl.morphisms import (ChainTuple, Family, LinMorphism, TermNotInBasis, _distinct_rows,
-                           adjoint_op, beta, compose_families, e_t, f_dc, j_of_tuple,
-                           lambda_of_tuple, max_tuple_size, p_tuples, pi_of_tuple, rho_y,
-                           tot_basis, y_tuples)
+                           adjoint_op, beta, compose_families, e_t, f_dc,
+                           first_product_mismatch, j_of_tuple, lambda_of_tuple, max_tuple_size,
+                           p_tuples, pi_of_tuple, rho_y, tot_basis, y_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +449,13 @@ def test_compose_stays_exact_past_int64(named):
     assert (inner @ outer).terms == _naive_compose(inner, outer)
 
 
+def _flat(picks, m, k):
+    """``picks`` for ``first_product_mismatch`` from one flat pick per
+    product of ``m`` outer and ``k`` inner members."""
+    table = np.array(picks, np.intp).reshape(m, k)
+    return lambda rows: table[rows]
+
+
 def test_zero_operands_past_int64(named):
     # a zero operand has weight 0, so the bound on the products alone would
     # pick int64 and narrow the other operand's Python ints
@@ -456,7 +465,8 @@ def test_zero_operands_past_int64(named):
     # a zero product keeps the denominator 2^70, which int64 cannot hold
     tiny = Family(b2, b2, [Fraction(1, 2 ** 70) * LinMorphism.identity(b2)])
     product = compose_families(tiny, Family(b2, b2, [zero]))
-    assert product.dens == [2 ** 70] and product.first_mismatch(product, [-1]) is None
+    assert product.dens == [2 ** 70]
+    assert first_product_mismatch(tiny, Family(b2, b2, [zero]), product, _flat([-1], 1, 1)) is None
 
 
 def test_first_mismatch_cross_multiplies_denominators(named):
@@ -467,20 +477,20 @@ def test_first_mismatch_cross_multiplies_denominators(named):
     halves = Family(b2, b2, [Fraction(1, 2) * one])
     doubled = Family(b2, b2, [2 * one])
     # (1/2 one) after (1/3 one) is 1/6 one, member 0 scaled by 1/2: no match
-    assert compose_families(halves, family).first_mismatch(family, [0, 1]) == 0
+    assert first_product_mismatch(halves, family, family, _flat([0, 1], 1, 2)) == 0
     # (2 one) after the family: 2/3 one and 4/3 drop
-    assert compose_families(doubled, family).first_mismatch(family, [0, 1]) == 0
+    assert first_product_mismatch(doubled, family, family, _flat([0, 1], 1, 2)) == 0
     thirds = Family(b2, b2, [one])
-    assert compose_families(thirds, family).first_mismatch(family, [0, 1]) is None
-    assert compose_families(family, thirds).first_mismatch(family, [0, 1]) is None
-    assert compose_families(thirds, family).first_mismatch(family, [0, -1]) == 1
+    assert first_product_mismatch(thirds, family, family, _flat([0, 1], 1, 2)) is None
+    assert first_product_mismatch(family, thirds, family, _flat([0, 1], 2, 1)) is None
+    assert first_product_mismatch(thirds, family, family, _flat([0, -1], 1, 2)) == 1
     with pytest.raises(ValueError, match="one pick per member"):
-        compose_families(thirds, family).first_mismatch(family, [0])
+        first_product_mismatch(thirds, family, family, lambda rows: np.array([[0]]))
 
 
 @st.composite
 def mismatch_case(draw):
-    """Products of two drawn families and a family to compare them with.
+    """Two drawn families, and a family to compare their products with.
 
     The family holds most of the products (over reduced denominators, where
     the products keep ``den(outer) * den(inner)``), near misses (a product
@@ -488,7 +498,8 @@ def mismatch_case(draw):
     need produce) and drawn morphisms.  Each product's pick is mostly -1
     (zero), a member equal to it or its near miss."""
     a, b, c, outer, inner = draw(family_composable())
-    products = compose_families(Family(b, c, outer), Family(a, b, inner))
+    outer, inner = Family(b, c, outer), Family(a, b, inner)
+    products = compose_families(outer, inner)
     exact = [products.member(t) for t in range(len(products))]
     maps = st.sampled_from(_maps(a, c))
     near = [draw(st.sampled_from([1, Fraction(1, 2), 2])) * alpha
@@ -503,18 +514,176 @@ def mismatch_case(draw):
         likely = [-1] + [p for p, other in enumerate(members) if other in (alpha, miss)]
         anything = st.integers(-1, len(members) - 1)
         picks.append(draw(st.sampled_from(likely) if draw(st.integers(0, 3)) else anything))
-    return a, c, products, members, picks
+    return a, c, outer, inner, products, members, picks
 
 
 @settings(max_examples=150, deadline=None)
 @given(mismatch_case())
 def test_first_mismatch_is_the_first_differing_product(case):
-    a, c, products, members, picks = case
+    a, c, outer, inner, products, members, picks = case
     zero = LinMorphism.zero(a, c)
     want = next((t for t, p in enumerate(picks)
                  if products.member(t) != (members[p] if p >= 0 else zero)),
                 None)
-    assert products.first_mismatch(Family(a, c, members), picks) == want
+    got = first_product_mismatch(outer, inner, Family(a, c, members),
+                                 _flat(picks, len(outer), len(inner)))
+    assert got == want
+
+
+# --- the fused comparison against LinMorphism.compose, member by member -------
+
+
+def _reference_mismatch(outer, inner, expected, picks):
+    """The first ``i * len(inner) + j`` where ``outer[i] @ inner[j]`` is not
+    ``expected[picks[i][j]]`` (zero for a negative pick), one product at a time."""
+    for i, g in enumerate(outer):
+        for j, f in enumerate(inner):
+            p = picks[i][j]
+            want = expected[p] if p >= 0 else LinMorphism.zero(f.src, g.dst)
+            if g @ f != want:
+                return i * len(inner) + j
+    return None
+
+
+def _random_member(rng, src, dst, scale=1, dens=(1, 2, 3, 4)):
+    maps = _maps(src, dst)
+    return LinMorphism(src, dst, [(rng.choice(maps), Fraction(rng.randint(-3, 3) * scale,
+                                                             rng.choice(dens)))
+                                  for _ in range(rng.randint(0, 4))])
+
+
+def _random_case(seed, scale=1, spoil=0.1, most=5):
+    """Seeded families over the named lattices of at most five elements:
+    ``outer`` (up to ``most`` members), ``inner``, a shuffled ``expected``
+    holding the products (a share ``spoil`` of them spoiled) and a few
+    strays, and the picks: -1 for half the zero products, else the member
+    holding the product."""
+    rng = random.Random(seed)
+    a, b, c = (rng.choice(SMALL) for _ in range(3))
+    outer = [_random_member(rng, b, c, scale) for _ in range(rng.randint(1, most))]
+    inner = [_random_member(rng, a, b, scale) for _ in range(rng.randint(1, 5))]
+    expected, picks = [], []
+    for g in outer:
+        picks.append([])
+        for f in inner:
+            product = g @ f
+            if rng.random() < spoil:
+                product = product + _random_member(rng, a, c, dens=(1, 5))
+            if product.is_zero() and rng.random() < 0.5:
+                picks[-1].append(-1)
+            else:
+                picks[-1].append(len(expected))
+                expected.append(product)
+    expected += [_random_member(rng, a, c) for _ in range(rng.randint(0, 2))]
+    order = list(range(len(expected)))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    picks = [[where[p] if p >= 0 else -1 for p in row] for row in picks]
+    return outer, inner, [expected[old] for old in order], picks
+
+
+def _fused(outer, inner, expected, picks):
+    """``first_product_mismatch`` on the three lists as families."""
+    (a, b), c = (inner[0].src, inner[0].dst), outer[0].dst
+    table = np.array(picks, np.intp)
+    return first_product_mismatch(Family(b, c, outer), Family(a, b, inner),
+                                  Family(a, c, expected), lambda rows: table[rows])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fused_comparison_matches_compose_member_by_member(seed):
+    outer, inner, expected, picks = _random_case(seed)
+    assert _fused(outer, inner, expected, picks) == _reference_mismatch(outer, inner,
+                                                                         expected, picks)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fused_comparison_finds_a_mismatch_in_the_last_member(seed):
+    outer, inner, expected, picks = _random_case(seed, spoil=0)
+    assert _fused(outer, inner, expected, picks) is None
+    last = len(outer) * len(inner) - 1
+    product = outer[-1] @ inner[-1]
+    stray = LinMorphism.of_map(JoinMap.identity(product.src)) if product.src == product.dst \
+        else LinMorphism.of_map(JoinMap.constant_bottom(product.src, product.dst))
+    spoiled = expected + [product + Fraction(1, 7) * stray]
+    picks[-1][-1] = len(expected)
+    assert _fused(outer, inner, spoiled, picks) == last
+    if not product.is_zero():       # a negative pick wants zero
+        picks[-1][-1] = -1
+        assert _fused(outer, inner, expected, picks) == last
+
+
+def _dtypes(monkeypatch):
+    """The dtypes ``first_product_mismatch`` picks, with their bounds."""
+    seen, real = [], morphisms_mod._int_dtype
+
+    def spy(bound, least=np.int64):
+        out = real(bound, least)
+        if least is np.int8:
+            seen.append((bound, out))
+        return out
+
+    monkeypatch.setattr(morphisms_mod, "_int_dtype", spy)
+    return seen
+
+
+def test_fused_comparison_takes_python_ints_past_int64(monkeypatch):
+    # coefficients near 2^62, so products near 2^124: no int64 holds them
+    seen = _dtypes(monkeypatch)
+    wide = 0
+    for seed in range(20):
+        outer, inner, expected, picks = _random_case(seed, scale=2 ** 62, spoil=0.05)
+        got = _fused(outer, inner, expected, picks)
+        assert got == _reference_mismatch(outer, inner, expected, picks)
+        if any(g.terms for g in outer) and any(f.terms for f in inner):
+            assert seen[-1][1] is object
+            wide += 1
+    assert wide >= 10
+
+
+@pytest.mark.parametrize("bound, dtype", [(127, np.int8), (128, np.int16)])
+def test_fused_comparison_at_the_int8_int16_boundary(monkeypatch, named, bound, dtype):
+    # Denominators 1: the bound is weight(outer) * weight(inner) plus
+    # weight(expected), here 3 * 4 plus a stray of weight bound - 12.  The
+    # product 12 one against the stray -(bound - 12) one differs by bound.
+    seen = _dtypes(monkeypatch)
+    b2 = named["b2"]
+    one = LinMorphism.identity(b2)
+    drop = LinMorphism.of_map(JoinMap.constant_bottom(b2, b2))
+    outer, inner = [3 * one, 2 * one - drop], [4 * one, -4 * drop]
+    rest = bound - 12
+    expected = [g @ f for g in outer for f in inner] + [(rest - 1) * one + drop, -rest * one]
+    assert _fused(outer, inner, expected, [[0, 1], [2, 3]]) is None
+    for t, spoiled in ((0, 5), (0, 4), (3, 5)):
+        picks = [[0, 1], [2, 3]]
+        picks[t // 2][t % 2] = spoiled
+        assert _fused(outer, inner, expected, picks) == t
+        assert _reference_mismatch(outer, inner, expected, picks) == t
+    assert seen and all(pair == (bound, dtype) for pair in seen)
+
+
+@pytest.mark.parametrize("budget", [1, 8, 24])
+def test_fused_comparison_in_blocks_split_mid_lattice(monkeypatch, budget):
+    # a budget of a few bytes splits the outer members of one product into
+    # blocks of at most ``budget`` members; the first mismatch is the same
+    # at any split
+    monkeypatch.setattr(morphisms_mod, "_TABLE_BYTES", budget)
+    splits = 0
+    for seed in range(30):
+        outer, inner, expected, picks = _random_case(seed, spoil=0.02, most=30)
+        table, blocks = np.array(picks, np.intp), []
+
+        def seen(rows):
+            blocks.append(rows.stop - rows.start)
+            return table[rows]
+
+        (a, b), c = (inner[0].src, inner[0].dst), outer[0].dst
+        got = first_product_mismatch(Family(b, c, outer), Family(a, b, inner),
+                                     Family(a, c, expected), seen)
+        assert got == _reference_mismatch(outer, inner, expected, picks)
+        assert max(blocks) <= budget
+        splits += len(blocks) > 1
+    assert splits >= 10
 
 
 def _void_unique(rows):
@@ -542,7 +711,7 @@ def image_rows(draw):
 @example(np.zeros((0, 3), np.uint8))
 @example(np.array([[2, 0, 1]], np.uint16))
 def test_distinct_rows_partitions_like_unique_over_bytes(rows):
-    first, key = _distinct_rows(rows)
+    first, key = _distinct_rows(rows.T, len(rows))
     old_first, old_key = _void_unique(rows)
     assert len(first) == len(old_first)
     assert sorted(first.tolist()) == sorted(old_first.tolist())

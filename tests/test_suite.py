@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -144,25 +146,70 @@ def test_unit_outside_the_span_fails_with_witness(monkeypatch):
     assert result.witness["images"] == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("cells", [1, suite_mod._UNIT_BLOCK_CELLS, 2 ** 18])
-def test_doubled_chain5_unit_fails_past_the_first_block(monkeypatch, cells):
+@pytest.mark.parametrize("budget", [1, morphisms_mod._TABLE_BYTES, 2 ** 18])
+def test_doubled_chain5_unit_fails_past_the_first_block(monkeypatch, budget):
     # chain5 has 226 units over 226 distinct join-maps.  Doubling the last
-    # unit first shows in unit 135 after it, past the first block at each
-    # budget (blocks of 1, 1 and 5 units); the witness must be that of the
-    # unit-by-unit loop.
-    assert cells // 226 ** 2 < 135
+    # unit raises the weight bound past int8, so a unit's table is 226 x 226
+    # int16 cells, and the doubling first shows in unit 135 after it, past
+    # the first block at each budget (blocks of 1, 1 and 2 units); the
+    # witness must be that of the unit-by-unit loop.
+    assert budget // (2 * 226 ** 2) < 135
     real, top = suite_mod.f_dc, ((2, 3, 4), (2, 3, 4))
+    blocks = []
 
     def doubled(d, c):
         unit = real(d, c)
         return 2 * unit if d.lattice == chain(5) and (d.entries, c.entries) == top else unit
 
+    def spy(outer, inner, expected, picks):
+        def seen(rows):
+            blocks.append(rows.stop - rows.start)
+            return picks(rows)
+        return real_check(outer, inner, expected, seen)
+
+    real_check = suite_mod.first_product_mismatch
     monkeypatch.setattr(suite_mod, "f_dc", doubled)
-    monkeypatch.setattr(suite_mod, "_UNIT_BLOCK_CELLS", cells)
+    monkeypatch.setattr(suite_mod, "first_product_mismatch", spy)
+    monkeypatch.setattr(morphisms_mod, "_TABLE_BYTES", budget)
     result = run_check("A03-idempotent-calculus")
     assert result.status == "fail"
     assert result.witness["name"] == "chain5"
     assert result.witness["tuples"] == [[0, 1, 2], [2, 3, 4], [2, 3, 4], [2, 3, 4]]
+    assert blocks[-1] == max(1, budget // (2 * 226 ** 2))
+
+
+def test_matrix_unit_products_key_composites_once_per_call(monkeypatch):
+    # one keying of all composites per comparison, however many blocks
+    real_key, real_check = morphisms_mod._distinct_rows, suite_mod.first_product_mismatch
+    keyings, calls = [], []
+
+    def counted(*args):
+        keyings[-1] += 1
+        return real_key(*args)
+
+    def spy(outer, inner, expected, picks):
+        calls.append(len(outer))
+        keyings.append(0)
+        return real_check(outer, inner, expected, picks)
+
+    monkeypatch.setattr(morphisms_mod, "_distinct_rows", counted)
+    monkeypatch.setattr(suite_mod, "first_product_mismatch", spy)
+    assert run_check("matrix-unit-products", Limits(max_lattice=6)).status == "pass"
+    assert 226 in calls and keyings == [1] * len(calls)
+
+
+def test_matrix_unit_products_trace_at_most_1_6_mb():
+    def ctx():
+        return suite_mod.Context(Limits(max_lattice=6), random.Random(0), RATIONALS)
+
+    assert suite_mod._check_matrix_units(ctx()) is None  # fills the lattice caches
+    tracemalloc.start()
+    try:
+        assert suite_mod._check_matrix_units(ctx()) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6e6
 
 
 def test_perturbed_section_fails_with_witness(monkeypatch):
