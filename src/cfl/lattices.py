@@ -17,10 +17,10 @@ from .relations import (MAX_POINTS, Correspondence, order_flags,
 
 # Counting ideals can take time exponential in the points, so it is refused above this.
 MAX_IDEAL_POINTS = 20
-MAX_JOIN_MAP_SCAN = 2 ** 20  # 7^7 maps are scanned, 8^8 are refused
+MAX_JOIN_MAP_SCAN = 2 ** 20  # 8^6 choices are scanned, 8^7 are refused
 # Subset lattices are built for lattices of at most this many elements.
 BOOLEAN_CAP = 6
-# Entries kept by the per-lattice caches; the full suite uses fewer than 20.
+# Entries kept by the per-lattice caches; the full suite uses fewer than 40.
 CACHE_SIZE = 256
 
 
@@ -439,15 +439,14 @@ def join_maps(src: Lattice, dst: Lattice):
     join-map is fixed by its images of the irreducibles.  Each choice of
     those images is extended by joins, kept when it gives the irreducibles
     back the chosen images, and then checked by ``JoinMap``.  That scans
-    ``dst.n ** k`` choices for k irreducibles; the cap still bounds the
-    ``dst.n ** src.n`` maps of the brute scan, so refusals do not depend
-    on the shape of ``src`` (desk scale only).
+    ``dst.n ** k`` choices for k irreducibles, and the cap bounds that scan
+    (desk scale only).
     """
-    scan = dst.n ** src.n
-    if scan > MAX_JOIN_MAP_SCAN:
-        raise CapExceeded(f"join-map scan of {dst.n}^{src.n} = {scan} maps "
-                          f"exceeds cap {MAX_JOIN_MAP_SCAN}")
     elems, _ = irreducibles(src)
+    scan = dst.n ** len(elems)
+    if scan > MAX_JOIN_MAP_SCAN:
+        raise CapExceeded(f"join-map scan of {dst.n}^{len(elems)} = {scan} choices "
+                          f"exceeds cap {MAX_JOIN_MAP_SCAN}")
     below = [[i for i, e in enumerate(elems) if src.le(e, t)] for t in range(src.n)]
     join, out = dst.join, []
     for chosen in itertools.product(range(dst.n), repeat=len(elems)):

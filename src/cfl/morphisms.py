@@ -3,33 +3,35 @@
 For a lattice ``T`` and a strictly increasing tuple ``B`` avoiding the top,
 ``pi_of_tuple`` is the quotient of ``T`` onto a total order and
 ``j_of_tuple`` is its Mobius-weighted one-sided inverse.  Their composites
-``f_dc`` multiply like matrix units, and summing the diagonal ones yields
-the central idempotent ``e_t`` projecting onto the span of all
-join-endomorphisms with totally ordered image (``tot_basis``).  Since the
-quotient is onto, ``f_dc`` re-indexes the terms of the section one by one,
-with no product and no merge.
+(``unit_block``) multiply like matrix units, and summing the diagonal ones
+yields the central idempotent ``e_t`` projecting onto the span of all
+join-endomorphisms with totally ordered image (``tot_basis``).
 
 A ``Family`` is the one batch type: morphisms of one Hom-space as a dense
 table of integer numerators over their distinct join-maps, with one
-denominator per member.  ``_keyed_composites`` keys the composites of two
-families' maps one column at a time, with no sort.  ``compose_families`` is
-the one composition algorithm: it sums products of numerators at their keys
-into a ``Family`` whose member ``i * len(inner) + j`` is ``outer[i]`` after
-``inner[j]``.  ``first_product_mismatch`` compares those products with
-picked members of a third family without building them, a block of outer
-members at a time.  ``Family.over`` tabulates a family over a list of
-join-maps, and ``LinMorphism.compose`` is the one-by-one case.
+denominator per member.  ``compose_pairs`` is the one composition algorithm:
+it keys the composites of paired members' maps one column at a time, with
+no sort (``_distinct_rows``), and sums products of numerators at their keys
+into a ``Family`` whose member ``i`` is ``outer[i]`` after ``inner[i]``.
+``compose_families`` pairs every member with every other, member
+``i * len(inner) + j`` being ``outer[i]`` after ``inner[j]``, and
+``stack_families`` lays families over their common maps.
+``first_product_mismatch`` compares all those products with picked members
+of a third family without building them, a block of outer members at a time.
+``Family.over`` tabulates a family over a list of join-maps, and
+``LinMorphism.compose`` is the one-by-one case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .lattices import CapExceeded, JoinMap, Lattice, _bits, chain, mobius
+from .lattices import CACHE_SIZE, CapExceeded, JoinMap, Lattice, _bits, chain, mobius
 
 # A chain scan tests C(|pool|, size) subsets and is refused above
 # MAX_CHAIN_SCAN.  The central idempotent and the chain-image basis expand
@@ -65,8 +67,8 @@ class LinMorphism:
     equality of the term dictionaries is equality of morphisms.  The public
     constructor checks its terms, and it and sums merge through ``_merged``.
     Sums, negations and scalings of valid terms are valid, so they wrap
-    through the unchecked ``_trusted``.  ``compose`` is ``compose_families``
-    on two one-member families.
+    through the unchecked ``_trusted``.  ``compose`` is ``compose_pairs`` on
+    two one-member families.
     """
 
     __slots__ = ("src", "dst", "terms")
@@ -116,8 +118,8 @@ class LinMorphism:
 
     def compose(self, other: "LinMorphism") -> "LinMorphism":
         """Bilinear extension of composition; ``self`` after ``other``."""
-        return compose_families(Family(self.src, self.dst, [self]),
-                                Family(other.src, other.dst, [other])).member(0)
+        return compose_pairs(Family(self.src, self.dst, [self]),
+                             Family(other.src, other.dst, [other])).member(0)
 
     def __matmul__(self, other):
         if isinstance(other, JoinMap):
@@ -218,6 +220,11 @@ class Family:
     def __len__(self):
         return len(self.dens)
 
+    def take(self, rows) -> "Family":
+        """The members ``rows``, in that order, over the same join-maps."""
+        return Family._trusted(self.src, self.dst, self.images, self.nums[rows],
+                               [self.dens[i] for i in rows], self.weight)
+
     def _terms(self):
         """Member, column and value of each nonzero numerator, found once: a
         family can be the operand of many products, its table far larger."""
@@ -256,41 +263,47 @@ class Family:
         return table
 
 
-def _keyed_composites(outer: Family, inner: Family, tail=None):
-    """The keys (``_distinct_rows``) of every composite ``g(f(t))`` of an image
-    row of ``outer`` after one of ``inner``, then of ``tail``'s rows, a column
-    at a time: the first occurrences, a table ``[g, f]`` and ``tail``'s keys."""
-    if inner.dst != outer.src:
-        raise ValueError("middle lattice mismatch")
-    tail = inner.images[:0] if tail is None else tail
-    split = len(outer.images) * len(inner.images)
-    first, key = _distinct_rows((np.concatenate([outer.images[:, f].reshape(-1), t])
-                                 for f, t in zip(inner.images.T, tail.T)), split + len(tail))
-    return first, key[:split].reshape(len(outer.images), len(inner.images)), key[split:]
-
-
 def compose_families(outer: Family, inner: Family) -> Family:
     """Every composite ``outer[i]`` after ``inner[j]``, as member
-    ``i * len(inner) + j`` of one family.
+    ``i * len(inner) + j`` of one family: the paired product of each outer
+    member repeated with the inner family tiled."""
+    i, j = np.divmod(np.arange(len(outer) * len(inner)), len(inner))
+    return compose_pairs(outer.take(i), inner.take(j))
 
-    The distinct composites of the two families' image rows are keyed once
-    (``_keyed_composites``).  Each pair of nonzero numerators adds its
-    product at its composite's key, in int64 only when the weights bound
-    every sum below 2^63.
-    """
-    first, cell, _ = _keyed_composites(outer, inner)
-    g, f = np.unravel_index(first, cell.shape)
-    m, k, u = len(outer), len(inner), len(first)
-    weight = outer.weight * inner.weight
-    dtype = _int_dtype(max(weight, outer.weight, inner.weight))  # never narrows an operand
+
+def compose_pairs(outer: Family, inner: Family) -> Family:
+    """``outer[i]`` after ``inner[i]``, as member ``i``: the diagonal of
+    ``compose_families``.  Only the composites of each member's own terms are
+    keyed, and the sums are int64 only when the weights bound them below 2^63."""
+    if len(outer) != len(inner):
+        raise ValueError("paired families of different lengths")
+    if inner.dst != outer.src:
+        raise ValueError("middle lattice mismatch")
     (g_owner, g_at, g_nums), (f_owner, f_at, f_nums) = outer._terms(), inner._terms()
-    slots = (g_owner[:, None] * k + f_owner) * u + cell[g_at[:, None], f_at]
-    values = g_nums.astype(dtype)[:, None] * f_nums.astype(dtype)
-    nums = np.zeros(m * k * u, dtype)
-    np.add.at(nums, slots.reshape(-1), values.reshape(-1))
-    return Family._trusted(inner.src, outer.dst, outer.images[g[:, None], inner.images[f]],
-                           nums.reshape(m * k, u),
-                           [a * b for a in outer.dens for b in inner.dens], weight)
+    lo, hi = (np.searchsorted(f_owner, g_owner, side) for side in ("left", "right"))
+    g = np.repeat(np.arange(len(g_owner)), hi - lo)  # each outer term with its member's inner terms
+    f = np.arange(len(g)) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+    rows = outer.images[g_at[g, None], inner.images[f_at[f]]]
+    first, key = _distinct_rows(rows.T, len(rows))
+    weight = outer.weight * inner.weight
+    nums = np.zeros((len(outer), len(first)), _int_dtype(max(weight, outer.weight, inner.weight)))
+    np.add.at(nums, (g_owner[g], key), g_nums[g].astype(nums.dtype) * f_nums[f])
+    return Family._trusted(inner.src, outer.dst, rows[first], nums,
+                           [a * b for a, b in zip(outer.dens, inner.dens)], weight)
+
+
+def stack_families(parts) -> Family:
+    """The members of each family in ``parts``, one Hom-space, in order, over
+    the distinct image rows of all of them, keyed once."""
+    images = np.concatenate([p.images for p in parts])
+    first, key = _distinct_rows(images.T, len(images))
+    nums = np.zeros((sum(map(len, parts)), len(first)), np.result_type(*(p.nums for p in parts)))
+    row = col = 0
+    for p in parts:
+        nums[row:row + len(p), key[col:col + len(p.images)]] = p.nums
+        row, col = row + len(p), col + len(p.images)
+    return Family._trusted(parts[0].src, parts[0].dst, images[first], nums,
+                           [den for p in parts for den in p.dens], max(p.weight for p in parts))
 
 
 # One block's table in ``first_product_mismatch``: one chain5 unit's 226 x 226 int8 cells.
@@ -304,13 +317,20 @@ def first_product_mismatch(outer: Family, inner: Family, expected: Family, picks
     ``picks(rows)`` gives the ``p`` of the outer members in the slice
     ``rows``, one row of ``len(inner)`` per member.
 
-    The composites and ``expected``'s rows are keyed once.  A block of outer
-    members at a time, the products minus the picked terms (denominators
-    cross-multiplied) are summed into one zeroed table of about
-    ``_TABLE_BYTES``, a row of keys per product, in the narrowest exact dtype."""
+    The composites of the two families' image rows and ``expected``'s rows
+    are keyed once.  A block of outer members at a time, the products minus
+    the picked terms (denominators cross-multiplied) are summed into one
+    zeroed table of about ``_TABLE_BYTES``, a row of keys per product, in the
+    narrowest exact dtype."""
+    if inner.dst != outer.src:
+        raise ValueError("middle lattice mismatch")
     if (expected.src, expected.dst) != (inner.src, outer.dst):
         raise ValueError("expected family between other lattices")
-    first, cell, want_at = _keyed_composites(outer, inner, expected.images)
+    split = len(outer.images) * len(inner.images)
+    first, key = _distinct_rows((np.concatenate([outer.images[:, f].reshape(-1), t])
+                                 for f, t in zip(inner.images.T, expected.images.T)),
+                                split + len(expected.images))
+    cell, want_at = key[:split].reshape(len(outer.images), len(inner.images)), key[split:]
     m, k, u = len(outer), len(inner), len(first)
     top = [max(family.dens, default=1) for family in (outer, inner, expected)]
     dtype = _int_dtype(max(outer.weight, 1) * max(inner.weight, 1) * top[2]
@@ -480,32 +500,32 @@ def j_of_tuple(b: ChainTuple) -> LinMorphism:
     return LinMorphism._trusted(chain(n), lattice, terms)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def unit_block(lattice: Lattice, n: int):
+    """The size-``n`` top-avoiding chains of ``lattice`` (``p_tuples``), the
+    family of their sections ``j_of_tuple(b)`` and that of their quotients
+    ``pi_of_tuple(b)``; built once per lattice and size, and read-only.
+
+    The units ``f_dc = j_of_tuple(d) @ pi_of_tuple(c)`` of size ``n`` are
+    ``compose_families(sections, quotients)``, ``f_dc`` for the chains ``i``
+    and ``j`` being member ``i * len + j``.  Each has exactly the terms of its
+    section: ``pi_of_tuple(c)`` is onto, sending the ``h``-th bound (the
+    entries of ``c``, then the top) to ``h``, so two terms of the section
+    differ at some ``h = pi(t)`` and their composites differ at ``t``."""
+    tuples = tuple(p_tuples(lattice, n))
+    sections = Family(chain(n), lattice, [j_of_tuple(b) for b in tuples])
+    quotients = Family(lattice, chain(n), [LinMorphism.of_map(pi_of_tuple(b)) for b in tuples])
+    for family in (sections, quotients):  # every caller shares them
+        family.images.flags.writeable = family.nums.flags.writeable = False
+    return tuples, sections, quotients
+
+
 def lambda_of_tuple(v: ChainTuple) -> JoinMap:
     """The embedding of a total order along a bottom-avoiding chain; monotone
     from a chain with the bottom kept, so built unchecked."""
     if v.kind != "Y":
         raise ValueError("lambda_of_tuple needs a Y-kind tuple")
     return JoinMap._trusted(chain(len(v)), v.lattice, (v.lattice.bottom,) + v.entries)
-
-
-def f_dc(d: ChainTuple, c: ChainTuple) -> LinMorphism:
-    """The matrix-unit endomorphism ``j_of_tuple(d) @ pi_of_tuple(c)``, built
-    by re-indexing the terms of the section.
-
-    ``pi = pi_of_tuple(c)`` is onto ``chain(len(c))``: it sends the ``h``-th
-    bound (the entries of ``c``, then the top) to ``h``.  So two terms
-    ``g != g'`` of the section differ at some ``h = pi(t)``, and their
-    composites differ at ``t``: each term ``g`` gives one distinct term
-    ``g.compose(pi)`` with the same coefficient, and nothing merges or
-    cancels.
-    """
-    if len(d) != len(c):
-        raise ValueError("tuples must have the same size")
-    if d.lattice != c.lattice:
-        raise ValueError("tuples must live in the same lattice")
-    pi = pi_of_tuple(c)
-    terms = {g.compose(pi): coeff for g, coeff in j_of_tuple(d).terms.items()}
-    return LinMorphism._trusted(d.lattice, d.lattice, terms)
 
 
 def rho_y(n: int, ys) -> JoinMap:
@@ -519,21 +539,27 @@ def rho_y(n: int, ys) -> JoinMap:
     return JoinMap._trusted(chain(n), chain(n), images)
 
 
+def _diagonal_sum(lattice: Lattice, sizes) -> LinMorphism:
+    """The sum of the diagonal matrix units over the chains of the given
+    sizes: each block's sections paired with its quotients."""
+    diagonals = [compose_pairs(*unit_block(lattice, n)[1:]) for n in sizes]
+    return sum((f.member(i) for f in diagonals for i in range(len(f))),
+               LinMorphism.zero(lattice, lattice))
+
+
 def beta(n: int, m: int) -> LinMorphism:
     """The central idempotent of the total order selecting the size-``m`` block."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    units = (f_dc(b, b) for b in p_tuples(chain(n), m))
-    return sum(units, LinMorphism.zero(chain(n), chain(n)))
+    return _diagonal_sum(chain(n), [m])
 
 
 def e_t(lattice: Lattice) -> LinMorphism:
     """Sum of all diagonal matrix units; central, and the identity on the
     span of chain-image endomorphisms."""
-    diagonal = [b for n in range(max_tuple_size(lattice) + 1)
-                for b in p_tuples(lattice, n)]
-    _check_chain_tuples(len(diagonal), "central idempotent")
-    return sum((f_dc(b, b) for b in diagonal), LinMorphism.zero(lattice, lattice))
+    sizes = range(max_tuple_size(lattice) + 1)
+    _check_chain_tuples(sum(len(p_tuples(lattice, n)) for n in sizes), "central idempotent")
+    return _diagonal_sum(lattice, sizes)
 
 
 def tot_basis(lattice: Lattice):

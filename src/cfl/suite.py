@@ -11,14 +11,15 @@ limits and the ring it is given and always runs over the rationals.
 
 A suite run computes each pure result once.  Its checks share one memo
 (``Context.shared``): the outcome of a check body that drew nothing from its
-generator, keyed by (body, limits, ring), and each kernel-system rank, keyed
-by the rank function and all its arguments (``_once``).  A body that draws
-from the generator, or raises, is never stored.  ``run_check`` starts from
-an empty memo, so it always runs its body.
+generator, keyed by (body, limits, ring), and each kernel-system rank and
+per-lattice outcome, keyed by its function, the ring and all its arguments
+(``_once``).  A body that draws from the generator, or raises, is never
+stored.  ``run_check`` starts from an empty memo, so it always runs its body.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -42,9 +43,9 @@ from .lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
                        lattice_to_json, lattices_isomorphic, mobius,
                        posets_isomorphic, principal_embed)
 from .morphisms import (Family, LinMorphism, TermNotInBasis, adjoint_op, beta,
-                        compose_families, e_t, f_dc, first_product_mismatch, j_of_tuple,
+                        compose_families, compose_pairs, e_t, first_product_mismatch,
                         lambda_of_tuple, max_tuple_size, p_tuples, pi_of_tuple, rho_y,
-                        tot_basis, y_tuples)
+                        stack_families, tot_basis, unit_block, y_tuples)
 from .relations import (Correspondence, order_flags, preorder_quotient,
                         reflexive_transitive_closure)
 
@@ -209,13 +210,19 @@ def _shared_body(fn, ctx):
 
 
 def _once(ctx, fn, *args):
-    """``fn(*args)``, a rank, computed once per run.  The key is the function
-    object and every argument, ring included, so a replaced function never
-    reads another's values."""
-    key = (fn, *args)
+    """``fn(*args)``, a pure result, computed once per run.  The key is the
+    function object, every argument and the ring, so a replaced function
+    never reads another's values."""
+    key = (fn, ctx.ring, *args)
     if key not in ctx.shared:
         ctx.shared[key] = fn(*args)
     return ctx.shared[key]
+
+
+def _first_outcome(ctx, fn, items):
+    """The first ``fn(*item)`` over ``items`` that is not None, each once per
+    run (``_once``), so a check at other limits shares its common items."""
+    return next((out for item in items if (out := _once(ctx, fn, *item)) is not None), None)
 
 
 # --- helpers -----------------------------------------------------------------
@@ -247,18 +254,15 @@ def _rand_function(rng, lat, points):
     return LatticeFunction(lat, (rng.randrange(lat.n) for _ in range(points)))
 
 
-def _all_tuples(lat, max_size):
-    return [b for n in range(min(max_size, max_tuple_size(lat)) + 1)
-            for b in p_tuples(lat, n)]
-
-
 def _units(lat, max_size):
     """The top-avoiding chains of each size up to ``max_size``, the index
     pairs ``(d, c)`` of chains of one size, by size, then d, as two arrays,
-    and the family of their matrix units ``f_dc(d, c)``."""
-    tuples = _all_tuples(lat, max_size)
+    and the family of their matrix units ``f_dc``: each size's sections
+    after its quotients (``unit_block``), stacked."""
+    blocks = [unit_block(lat, n) for n in range(min(max_size, max_tuple_size(lat)) + 1)]
+    tuples = [b for block, _, _ in blocks for b in block]
     pairs = [(d, c) for d, b in enumerate(tuples) for c, a in enumerate(tuples) if len(b) == len(a)]
-    units = Family(lat, lat, [f_dc(tuples[d], tuples[c]) for d, c in pairs])
+    units = stack_families([compose_families(sections, quotients) for _, sections, quotients in blocks])
     return tuples, np.array(pairs).T, units
 
 
@@ -543,18 +547,23 @@ def _check_enumeration(ctx):
        "composites of section-quotient pairs multiply like matrix units",
        "idempotents")
 def _check_matrix_units(ctx):
-    for name, lat in _named(ctx, 6):
-        tuples, (d, c), family = _units(lat, 3)
-        # unit i = f_dc after unit j = f_ba is unit f_da when c = b, else zero (pick -1)
-        position = np.full((len(tuples), len(tuples)), -1)
-        position[d, c] = np.arange(len(d))
-        bad = first_product_mismatch(family, family, family, lambda rows: np.where(
-            c[rows, None] == d, position[d[rows, None], c], -1))
-        if bad is not None:
-            i, j = divmod(bad, len(d))
-            return _witness(lat, name=name, tuples=[list(tuples[t].entries)
-                                                    for t in (d[i], c[i], d[j], c[j])])
-    return None
+    return _first_outcome(ctx, _unit_product_mismatch, _named(ctx, 6))
+
+
+def _unit_product_mismatch(name, lat):
+    """The chains ``[d, c, b, a]`` of the first product ``f_dc`` after
+    ``f_ba`` of units of size at most 3 that is not its matrix unit or zero."""
+    tuples, (d, c), family = _units(lat, 3)
+    # unit i = f_dc after unit j = f_ba is unit f_da when c = b, else zero (pick -1)
+    position = np.full((len(tuples), len(tuples)), -1)
+    position[d, c] = np.arange(len(d))
+    bad = first_product_mismatch(family, family, family, lambda rows: np.where(
+        c[rows, None] == d, position[d[rows, None], c], -1))
+    if bad is None:
+        return None
+    i, j = divmod(bad, len(d))
+    return _witness(lat, name=name, tuples=[list(tuples[t].entries)
+                                            for t in (d[i], c[i], d[j], c[j])])
 
 
 @check("section-quotient-identities",
@@ -562,25 +571,22 @@ def _check_matrix_units(ctx):
        "and the section after the quotient is idempotent",
        "idempotents")
 def _check_section_quotient(ctx):
-    for name, lat in _named(ctx, 6):
-        tuples = _all_tuples(lat, 3)
-        for n in range(len(tuples[-1]) + 1):
-            bs = [b for b in tuples if len(b) == n]
-            want = _level_drop_sum(n)
-            pis = Family(lat, chain(n), [LinMorphism.of_map(pi_of_tuple(b)) for b in bs])
-            sections = Family(chain(n), lat, [j_of_tuple(b) for b in bs])
-            # each batch multiplies all pairs; only the diagonal i * (len(bs) + 1) is read
-            after = compose_families(pis, sections)
-            units = compose_families(sections, pis)
-            fbbs = [units.member(i * (len(bs) + 1)) for i in range(len(bs))]
-            squares = compose_families(Family(lat, lat, fbbs), Family(lat, lat, fbbs))
-            for i, b in enumerate(bs):
-                if after.member(i * (len(bs) + 1)) != want:
-                    return _witness(lat, name=name, tuple=list(b.entries),
-                                    law="quotient after section")
-                if squares.member(i * (len(bs) + 1)) != fbbs[i]:
-                    return _witness(lat, name=name, tuple=list(b.entries),
-                                    law="idempotent")
+    return _first_outcome(ctx, _section_quotient_failure, _named(ctx, 6))
+
+
+def _section_quotient_failure(name, lat):
+    """The first chain of size at most 3 whose quotient after its section or
+    whose diagonal unit ``f_bb`` squared fails, and the law it breaks."""
+    for n in range(min(3, max_tuple_size(lat)) + 1):
+        tuples, sections, quotients = unit_block(lat, n)
+        want = _level_drop_sum(n)
+        after, units = compose_pairs(quotients, sections), compose_pairs(sections, quotients)
+        squares = compose_pairs(units, units)
+        for i, b in enumerate(tuples):
+            if after.member(i) != want:
+                return _witness(lat, name=name, tuple=list(b.entries), law="quotient after section")
+            if squares.member(i) != units.member(i):
+                return _witness(lat, name=name, tuple=list(b.entries), law="idempotent")
     return None
 
 
@@ -589,27 +595,31 @@ def _check_section_quotient(ctx):
        "sum to the identity",
        "idempotents")
 def _check_chain_idempotents(ctx):
-    for n in range(min(4, ctx.limits.max_lattice) + 1):
-        blocks = [beta(n, m) for m in range(n + 1)]
-        if sum(blocks, LinMorphism.zero(chain(n), chain(n))) != LinMorphism.identity(chain(n)):
-            return {"n": n, "law": "sum to identity"}
-        family = Family(chain(n), chain(n), blocks)
-        diagonal = np.where(np.eye(n + 1, dtype=bool), np.arange(n + 1), -1)
-        bad = first_product_mismatch(family, family, family, lambda rows: diagonal[rows])
-        if bad is not None:
-            l, m = divmod(bad, n + 1)
-            return {"n": n, "l": l, "m": m, "law": "orthogonality"}
-        if blocks[n] != _level_drop_sum(n):
-            return {"n": n, "law": "top block"}
-        ends = join_maps(chain(n), chain(n))
-        endos = Family(chain(n), chain(n), [LinMorphism.of_map(f) for f in ends])
-        # beta_m after f_j is member m * |ends| + j, f_j after beta_m is j * (n + 1) + m
-        swapped = np.arange(len(ends)) * (n + 1) + np.arange(n + 1)[:, None]
-        bad = first_product_mismatch(family, endos, compose_families(endos, family),
-                                     lambda rows: swapped[rows])
-        if bad is not None:
-            m, j = divmod(bad, len(ends))
-            return {"n": n, "m": m, "images": list(ends[j].images), "law": "centrality"}
+    return _first_outcome(ctx, _chain_block_failure,
+                          [(n,) for n in range(min(4, ctx.limits.max_lattice) + 1)])
+
+
+def _chain_block_failure(n):
+    blocks = [beta(n, m) for m in range(n + 1)]
+    if sum(blocks, LinMorphism.zero(chain(n), chain(n))) != LinMorphism.identity(chain(n)):
+        return {"n": n, "law": "sum to identity"}
+    family = Family(chain(n), chain(n), blocks)
+    diagonal = np.where(np.eye(n + 1, dtype=bool), np.arange(n + 1), -1)
+    bad = first_product_mismatch(family, family, family, lambda rows: diagonal[rows])
+    if bad is not None:
+        l, m = divmod(bad, n + 1)
+        return {"n": n, "l": l, "m": m, "law": "orthogonality"}
+    if blocks[n] != _level_drop_sum(n):
+        return {"n": n, "law": "top block"}
+    ends = join_maps(chain(n), chain(n))
+    endos = Family(chain(n), chain(n), [LinMorphism.of_map(f) for f in ends])
+    # beta_m after f_j is member m * |ends| + j, f_j after beta_m is j * (n + 1) + m
+    swapped = np.arange(len(ends)) * (n + 1) + np.arange(n + 1)[:, None]
+    bad = first_product_mismatch(family, endos, compose_families(endos, family),
+                                 lambda rows: swapped[rows])
+    if bad is not None:
+        m, j = divmod(bad, len(ends))
+        return {"n": n, "m": m, "images": list(ends[j].images), "law": "centrality"}
     return None
 
 
@@ -768,12 +778,15 @@ def _check_functor_composition(ctx):
        "action; the top chain idempotent kills non-covering functions",
        "functors")
 def _check_map_naturality(ctx):
+    # each (lattice, size)'s units, built at its first draw: f_dc is member d * len + c
+    units = functools.cache(lambda lat, n: compose_families(*unit_block(lat, n)[1:]))
     for _ in range(ctx.limits.samples // 2):
         name, lat = ctx.rng.choice(_named(ctx, 5))
-        tuples = _all_tuples(lat, 2)
-        d = ctx.rng.choice(tuples)
-        c = ctx.rng.choice([t for t in tuples if len(t) == len(d)])
-        alpha = f_dc(d, c)
+        blocks = [unit_block(lat, n)[0] for n in range(min(2, max_tuple_size(lat)) + 1)]
+        d = ctx.rng.choice([b for block in blocks for b in block])
+        block = blocks[len(d)]
+        c = ctx.rng.choice(block)
+        alpha = units(lat, len(d)).member(block.index(d) * len(block) + block.index(c))
         x, y = ctx.rng.randint(1, 2), ctx.rng.randint(1, 2)
         r = _rand_corr(ctx.rng, y, x)
         f = _rand_function(ctx.rng, lat, x)

@@ -8,6 +8,10 @@ makes to one of the functions in ``SPIED`` is recorded as a (function,
 lattice, points or size) triple, and the set of triples must keep its size
 and its sha256.  A refactor of the suite that changes the inputs a
 criterion covers therefore fails here even when the criterion still passes.
+
+A block of matrix units (``unit_block(lattice, n)``) is recorded as the calls
+it stands for: ``p_tuples(lattice, n)``, which lists its chains, and one
+``f_dc(d, c)`` per unit it gives, each pair of its chains.
 """
 
 import hashlib
@@ -36,7 +40,7 @@ CRITERIA = [
 
 SPIED = ("theta_rank", "gamma_span_rank", "orth_check", "theta_conditions",
          "h_quotient_basis", "tot_basis", "p_tuples", "all_functions", "irr_data",
-         "gamma_t", "dual_star", "f_dc", "enumerate_lattices",
+         "gamma_t", "dual_star", "unit_block", "enumerate_lattices",
          "_chain_image_count", "_has_splitting_section", "fund_act",
          "theta_condition_tables")
 
@@ -87,13 +91,22 @@ def _triple(name, args):
     return (name, _lattice_key(args[0]), rest)
 
 
+def _block_triples(lattice, n, tuples):
+    return [_triple("p_tuples", (lattice, n))] + [
+        _triple("f_dc", (d, c)) for d in tuples for c in tuples]
+
+
 def _spy(monkeypatch, visited):
     for name in SPIED:
         fn = getattr(suite_mod, name)
 
         def wrapper(*args, _name=name, _fn=fn, **kwargs):
-            visited.add(_triple(_name, args))
-            return _fn(*args, **kwargs)
+            if _name != "unit_block":
+                visited.add(_triple(_name, args))
+                return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            visited.update(_block_triples(*args, out[0]))
+            return out
 
         monkeypatch.setattr(suite_mod, name, wrapper)
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cfl.catalog import enumerate_posets, named_lattices
+from cfl.catalog import enumerate_posets, named_lattices, product_lattice
 from cfl.functor import irr_data, theta_rank
 from cfl.lattices import (BottomNotPreserved, CapExceeded, JoinMap, Lattice,
                           LatticeError, NoJoin, NoMeet, NotAntisymmetric,
@@ -287,8 +287,30 @@ def test_join_maps_extend_the_irreducibles_as_the_brute_scan_finds(named):
                 assert join_maps(src, dst) == _brute_join_maps(src, dst)
 
 
+def _monotone_maps_of_irreducibles(src, dst):
+    """The maps from ``src``'s irreducibles to ``dst`` that keep their order:
+    as many as the join-maps out of a distributive ``src``, each the
+    extension of one by joins."""
+    elems, _ = irreducibles(src)
+    return sum(all(dst.le(f[i], f[j]) for i, a in enumerate(elems)
+                   for j, b in enumerate(elems) if src.le(a, b))
+               for f in itertools.product(range(dst.n), repeat=len(elems)))
+
+
+def test_join_maps_scan_the_choices_for_the_irreducibles(named):
+    # 8^8 maps each, but only 8^3 and 8^4 choices to scan
+    grid = product_lattice(chain(1), chain(3))
+    for lat, count in ((named["b3"], 512), (grid, 640)):
+        assert len(join_maps(lat, lat)) == count == _monotone_maps_of_irreducibles(lat, lat)
+    for src in (named["b3"], grid):
+        for dst in (chain(1), chain(2)):
+            assert join_maps(src, dst) == _brute_join_maps(src, dst)
+            assert len(join_maps(src, dst)) == _monotone_maps_of_irreducibles(src, dst)
+
+
 def test_join_maps_refuses_oversized_scans():
-    with pytest.raises(CapExceeded, match="8\\^8"):
+    # chain(7) has 7 irreducibles, so 8^7 choices; refused before any is tried
+    with pytest.raises(CapExceeded, match="8\\^7"):
         join_maps(chain(7), chain(7))
 
 

@@ -13,9 +13,11 @@ from cfl.catalog import enumerate_lattices, named_lattices
 from cfl.lattices import CapExceeded, JoinMap, NotJoinPreserving, chain, join_maps
 import cfl.morphisms as morphisms_mod
 from cfl.morphisms import (ChainTuple, Family, LinMorphism, TermNotInBasis, _distinct_rows,
-                           adjoint_op, beta, compose_families, e_t, f_dc,
+                           adjoint_op, beta, compose_families, compose_pairs, e_t,
                            first_product_mismatch, j_of_tuple, lambda_of_tuple, max_tuple_size,
-                           p_tuples, pi_of_tuple, rho_y, tot_basis, y_tuples)
+                           p_tuples, pi_of_tuple, rho_y, stack_families, tot_basis, unit_block,
+                           y_tuples)
+from cfl.suite import _units
 
 
 @pytest.fixture(scope="module")
@@ -163,36 +165,83 @@ def test_quotient_after_section_formula(named):
                 assert left == want
 
 
-def test_f_dc_idempotents_and_products(named):
+def _reindexed_unit(d, c):
+    """The matrix unit ``j_of_tuple(d) @ pi_of_tuple(c)`` with each term of
+    the section composed with the quotient, one by one: the quotient is onto,
+    so nothing merges.  The oracle for the units built from blocks."""
+    pi = pi_of_tuple(c)
+    return LinMorphism(d.lattice, d.lattice,
+                       {g.compose(pi): coeff for g, coeff in j_of_tuple(d).terms.items()})
+
+
+def test_block_units_idempotents_and_products(named):
     m3 = named["m3"]
-    tuples = [t for n in range(3) for t in p_tuples(m3, n)]
-    for b in tuples:
-        fbb = f_dc(b, b)
-        assert fbb @ fbb == fbb
-    d, c = tuples[1], tuples[2]
-    assert f_dc(d, c) @ f_dc(c, d) == f_dc(d, d)
-    with pytest.raises(ValueError):
-        f_dc(tuples[0], tuples[1])
+    for n in range(3):
+        tuples, sections, quotients = unit_block(m3, n)
+        units = compose_families(sections, quotients)
+        diagonal = compose_pairs(sections, quotients)
+        for i in range(len(tuples)):
+            fbb = units.member(i * (len(tuples) + 1))
+            assert diagonal.member(i) == fbb and fbb @ fbb == fbb
+    d, c = p_tuples(m3, 1)[:2]
+    assert _reindexed_unit(d, c) @ _reindexed_unit(c, d) == _reindexed_unit(d, d)
 
 
-def test_f_dc_equals_section_after_quotient(named):
-    # f_dc re-indexes the section's terms; the oracle is the compose path
-    for lat in named.values():
+def test_stacked_units_equal_section_after_quotient(named):
+    # member k of the stacked units is f_dc for the k-th pair (d, c) of one size
+    counts = {}
+    for name, lat in named.items():
         if lat.n > 6:
             continue
-        tuples = [t for n in range(max_tuple_size(lat) + 1) for t in p_tuples(lat, n)]
-        for d in tuples:
-            for c in tuples:
-                if len(d) == len(c):
-                    assert f_dc(d, c) == j_of_tuple(d) @ pi_of_tuple(c), (d, c)
+        tuples, (d, c), family = _units(lat, 3)
+        counts[name] = len(family)
+        assert len(d) == len(family) and family.dens == [1] * len(family)
+        for k, (i, j) in enumerate(zip(d.tolist(), c.tolist())):
+            want = j_of_tuple(tuples[i]) @ pi_of_tuple(tuples[j])
+            assert family.member(k) == want == _reindexed_unit(tuples[i], tuples[j])
+    assert counts["chain5"] == 226 and len(counts) == 10
 
 
-def test_f_dc_refuses_mismatched_tuples(named):
-    b2, m3 = named["b2"], named["m3"]
-    with pytest.raises(ValueError, match="same size"):
-        f_dc(p_tuples(b2, 1)[0], p_tuples(b2, 2)[0])
-    with pytest.raises(ValueError, match="same lattice"):
-        f_dc(p_tuples(b2, 1)[0], p_tuples(m3, 1)[0])
+def test_paired_diagonal_units_are_the_reindexed_ones(named):
+    for lat in named.values():
+        for n in range(min(3, max_tuple_size(lat)) + 1):
+            tuples, sections, quotients = unit_block(lat, n)
+            diagonal = compose_pairs(sections, quotients)
+            assert [diagonal.member(i) for i in range(len(tuples))] == [
+                _reindexed_unit(b, b) for b in tuples]
+
+
+def test_beta_and_e_t_are_sums_of_diagonal_units(named):
+    # the sums of f_bb that beta and e_t were defined by, over the reindexed units
+    def diagonal_sum(lat, sizes):
+        return sum((_reindexed_unit(b, b) for n in sizes for b in p_tuples(lat, n)),
+                   LinMorphism.zero(lat, lat))
+
+    for n in range(5):
+        for m in range(n + 1):
+            assert beta(n, m) == diagonal_sum(chain(n), [m])
+    for lat in list(named.values()) + [chain(8)]:
+        assert e_t(lat) == diagonal_sum(lat, range(max_tuple_size(lat) + 1))
+
+
+def test_unit_block_is_built_once_per_lattice_and_size(named):
+    b2 = named["b2"]
+    assert unit_block(b2, 1) is unit_block(b2, 1)
+    tuples, sections, quotients = unit_block(b2, 1)
+    assert list(tuples) == p_tuples(b2, 1)
+    assert not sections.nums.flags.writeable and not quotients.images.flags.writeable
+    assert [sections.member(i) for i in range(3)] == [j_of_tuple(b) for b in tuples]
+    assert [quotients.member(i) for i in range(3)] == [
+        LinMorphism.of_map(pi_of_tuple(b)) for b in tuples]
+
+
+def test_compose_pairs_refuses_mismatched_families(named):
+    b2 = named["b2"]
+    _, sections, quotients = unit_block(b2, 1)
+    with pytest.raises(ValueError, match="different lengths"):
+        compose_pairs(sections, Family(b2, chain(1), []))
+    with pytest.raises(ValueError, match="middle lattice mismatch"):
+        compose_pairs(sections, sections)
 
 
 def test_beta_partition_of_identity():
@@ -290,7 +339,7 @@ def test_family_over(named):
     b2 = named["b2"]
     basis = tot_basis(b2)
     tuples = [b for n in range(max_tuple_size(b2) + 1) for b in p_tuples(b2, n)]
-    units = [f_dc(d, c) for d in tuples for c in tuples if len(d) == len(c)]
+    units = [j_of_tuple(d) @ pi_of_tuple(c) for d in tuples for c in tuples if len(d) == len(c)]
     family = Family(b2, b2, units)
     assert family.dens == [1] * len(units)
     position = {m: k for k, m in enumerate(basis)}
@@ -437,6 +486,31 @@ def test_family_product_matches_naive_compose_pairwise(case):
             assert all(type(x) is Fraction and x for x in got.terms.values())
 
 
+@settings(max_examples=80, deadline=None)
+@given(family_composable())
+def test_paired_product_matches_naive_compose_member_by_member(case):
+    a, b, c, outer, inner = case
+    outer, inner = outer[:len(inner)], inner[:len(outer)]
+    products = compose_pairs(Family(b, c, outer), Family(a, b, inner))
+    assert len(products) == len(outer)
+    for i, (g, f) in enumerate(zip(outer, inner)):
+        got = products.member(i)
+        assert (got.src, got.dst) == (a, c)
+        assert got.terms == _naive_compose(g, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_composable())
+def test_stacked_families_keep_every_member(case):
+    a, b, c, outer, inner = case
+    parts = [Family(b, c, outer), Family(b, c, inner and [LinMorphism.zero(b, c)]),
+             Family(b, c, outer[::-1])]
+    stacked = stack_families(parts)
+    members = outer + (inner and [LinMorphism.zero(b, c)]) + outer[::-1]
+    assert [stacked.member(k) for k in range(len(stacked))] == members
+    assert len({tuple(row) for row in stacked.images.tolist()}) == len(stacked.images)
+
+
 def test_compose_stays_exact_past_int64(named):
     # every product of two coefficients is near 2^80, far past int64
     b2 = named["b2"]
@@ -447,6 +521,9 @@ def test_compose_stays_exact_past_int64(named):
     inner = LinMorphism(b2, b2, [(m, -(big - 3 * k)) for k, m in enumerate(maps[1:7])])
     assert (outer @ inner).terms == _naive_compose(outer, inner)
     assert (inner @ outer).terms == _naive_compose(inner, outer)
+    paired = compose_pairs(Family(b2, b2, [outer, inner]), Family(b2, b2, [inner, outer]))
+    assert [paired.member(i).terms for i in range(2)] == [
+        _naive_compose(outer, inner), _naive_compose(inner, outer)]
 
 
 def _flat(picks, m, k):

@@ -12,11 +12,11 @@ import pytest
 import cfl.functor as functor_mod
 import cfl.morphisms as morphisms_mod
 import cfl.suite as suite_mod
-from cfl.catalog import enumerate_lattices, named_lattices
+from cfl.catalog import enumerate_lattices, named_lattices, product_lattice
 from cfl.exact import RATIONALS, PrimeField
 from cfl.functor import LatticeFunction, all_functions, h_quotient_basis
 from cfl.lattices import CapExceeded, JoinMap, chain, irreducibles, is_distributive
-from cfl.morphisms import LinMorphism, beta, f_dc, p_tuples
+from cfl.morphisms import Family, LinMorphism, beta, j_of_tuple, p_tuples, pi_of_tuple
 from cfl.relations import Correspondence
 from cfl.suite import (Limits, PropertyReport, check, list_checks, run_check, run_suite,
                        suite_names)
@@ -110,17 +110,56 @@ def test_tampered_mobius_fails_with_witness(monkeypatch):
     assert result.witness is not None and "lattice" in result.witness
 
 
+def _members(family):
+    return [family.member(i) for i in range(len(family))]
+
+
+def _spoil_blocks(monkeypatch, spoil):
+    """The suite's unit blocks with their families replaced by
+    ``spoil(lattice, tuples, sections, quotients)``; the real blocks, built
+    once per lattice and size, are never changed."""
+    real = suite_mod.unit_block
+
+    def spoiled(lattice, n):
+        tuples, sections, quotients = real(lattice, n)
+        return (tuples, *spoil(lattice, tuples, sections, quotients))
+
+    monkeypatch.setattr(suite_mod, "unit_block", spoiled)
+
+
+def _routed(lat, sections, quotients, extra, gates):
+    """A block's families through ``chain(n) x lat`` instead of ``chain(n)``,
+    so that unit ``(d, c)`` becomes ``f_dc + extra[d] @ gates[c]``: each
+    quotient keeps ``gates[c](t)`` beside its level of ``t``, and each
+    section adds ``extra[d]`` after the second projection.  Every unit of a
+    real block factors through a chain; these need not."""
+    mid = product_lattice(sections.src, lat)
+
+    def after(alpha, images):  # the terms of alpha after the projection with these images
+        return [(JoinMap(mid, lat, [m.images[i] for i in images]), c)
+                for m, c in alpha.terms.items()]
+
+    first, second = [i // lat.n for i in range(mid.n)], [i % lat.n for i in range(mid.n)]
+    routed = [LinMorphism(mid, lat, after(s, first) + after(x, second))
+              for s, x in zip(_members(sections), extra)]
+    keeps = [LinMorphism.of_map(JoinMap(lat, mid, [pi.images[t] * lat.n + gate.images[t]
+                                                  for t in range(lat.n)]))
+             for pi, gate in zip((next(iter(q.terms)) for q in _members(quotients)), gates)]
+    return Family(mid, lat, routed), Family(lat, mid, keeps)
+
+
 def test_perturbed_matrix_unit_fails_with_witness(monkeypatch):
-    real = suite_mod.f_dc
+    # The section of the chain (0) of each 4-element lattice gains 1 on one
+    # term, so each of its units f_(0)c does; f_()() after f_(0)(0) is then
+    # that sum of coefficients times the bottom map, not zero.
+    def perturbed(lat, tuples, sections, quotients):
+        members = _members(sections)
+        if lat.n == 4 and tuples[0].entries == (0,):
+            m, coeff = next(iter(members[0].terms.items()))
+            members[0] = LinMorphism(sections.src, lat, {**members[0].terms, m: coeff + 1})
+        return Family(sections.src, lat, members), quotients
 
-    def perturbed(d, c):
-        unit = real(d, c)
-        if d.entries == c.entries == (0,) and d.lattice.n == 4:
-            m, coeff = next(iter(unit.terms.items()))
-            unit = LinMorphism(unit.src, unit.dst, {**unit.terms, m: coeff + 1})
-        return unit
-
-    monkeypatch.setattr(suite_mod, "f_dc", perturbed)
+    _spoil_blocks(monkeypatch, perturbed)
     result = run_check("matrix-unit-products", small())
     assert result.status == "fail"
     assert result.witness["lattice"]["size"] == 4
@@ -132,13 +171,12 @@ def test_perturbed_matrix_unit_fails_with_witness(monkeypatch):
 def test_unit_outside_the_span_fails_with_witness(monkeypatch):
     # The identity of b2 is a join-map whose image is no chain, so it lies
     # outside the chain-image basis that the matrix units span; b2 is the
-    # first named lattice where that happens.
-    real = suite_mod.f_dc
+    # first named lattice where that happens.  Each unit gains the identity.
+    def widened(lat, tuples, sections, quotients):
+        return _routed(lat, sections, quotients, [LinMorphism.identity(lat)] * len(tuples),
+                       [JoinMap.identity(lat)] * len(tuples))
 
-    def widened(d, c):
-        return real(d, c) + LinMorphism.of_map(JoinMap.identity(d.lattice))
-
-    monkeypatch.setattr(suite_mod, "f_dc", widened)
+    _spoil_blocks(monkeypatch, widened)
     result = run_check("matrix-units-span", small())
     assert result.status == "fail"
     assert result.witness["law"] == "span inclusion"
@@ -152,14 +190,22 @@ def test_doubled_chain5_unit_fails_past_the_first_block(monkeypatch, budget):
     # unit raises the weight bound past int8, so a unit's table is 226 x 226
     # int16 cells, and the doubling first shows in unit 135 after it, past
     # the first block at each budget (blocks of 1, 1 and 2 units); the
-    # witness must be that of the unit-by-unit loop.
+    # witness must be that of the unit-by-unit loop.  The last section adds
+    # its own unit after a gate that only the last quotient opens; behind the
+    # other gates, the bottom map, it adds its sum of coefficients, zero.
     assert budget // (2 * 226 ** 2) < 135
-    real, top = suite_mod.f_dc, ((2, 3, 4), (2, 3, 4))
+    top = (2, 3, 4)
     blocks = []
 
-    def doubled(d, c):
-        unit = real(d, c)
-        return 2 * unit if d.lattice == chain(5) and (d.entries, c.entries) == top else unit
+    def doubled(lat, tuples, sections, quotients):
+        if lat != chain(5) or len(tuples[0]) != 3:
+            return sections, quotients
+        last = j_of_tuple(tuples[-1]) @ pi_of_tuple(tuples[-1])
+        assert sum(last.terms.values()) == 0
+        zero, bottom = LinMorphism.zero(lat, lat), JoinMap(lat, lat, [0] * lat.n)
+        extra = [last if b.entries == top else zero for b in tuples]
+        gates = [JoinMap.identity(lat) if b.entries == top else bottom for b in tuples]
+        return _routed(lat, sections, quotients, extra, gates)
 
     def spy(outer, inner, expected, picks):
         def seen(rows):
@@ -168,7 +214,7 @@ def test_doubled_chain5_unit_fails_past_the_first_block(monkeypatch, budget):
         return real_check(outer, inner, expected, seen)
 
     real_check = suite_mod.first_product_mismatch
-    monkeypatch.setattr(suite_mod, "f_dc", doubled)
+    _spoil_blocks(monkeypatch, doubled)
     monkeypatch.setattr(suite_mod, "first_product_mismatch", spy)
     monkeypatch.setattr(morphisms_mod, "_TABLE_BYTES", budget)
     result = run_check("A03-idempotent-calculus")
@@ -180,17 +226,23 @@ def test_doubled_chain5_unit_fails_past_the_first_block(monkeypatch, budget):
 
 def test_matrix_unit_products_key_composites_once_per_call(monkeypatch):
     # one keying of all composites per comparison, however many blocks
+    # (building the next lattice's units keys rows too, outside the count)
     real_key, real_check = morphisms_mod._distinct_rows, suite_mod.first_product_mismatch
-    keyings, calls = [], []
+    keyings, calls, inside = [], [], []
 
     def counted(*args):
-        keyings[-1] += 1
+        if inside:
+            keyings[-1] += 1
         return real_key(*args)
 
     def spy(outer, inner, expected, picks):
         calls.append(len(outer))
         keyings.append(0)
-        return real_check(outer, inner, expected, picks)
+        inside.append(True)
+        try:
+            return real_check(outer, inner, expected, picks)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(morphisms_mod, "_distinct_rows", counted)
     monkeypatch.setattr(suite_mod, "first_product_mismatch", spy)
@@ -213,12 +265,12 @@ def test_matrix_unit_products_trace_at_most_1_6_mb():
 
 
 def test_perturbed_section_fails_with_witness(monkeypatch):
-    real = suite_mod.j_of_tuple
+    def doubled(lat, tuples, sections, quotients):
+        if len(tuples[0]) == 2:
+            sections = Family(sections.src, lat, [2 * s for s in _members(sections)])
+        return sections, quotients
 
-    def doubled(b):
-        return 2 * real(b) if len(b) == 2 else real(b)
-
-    monkeypatch.setattr(suite_mod, "j_of_tuple", doubled)
+    _spoil_blocks(monkeypatch, doubled)
     result = run_check("section-quotient-identities", small())
     assert result.status == "fail"
     assert result.witness["name"] == "chain2" and result.witness["tuple"] == [0, 1]
@@ -232,7 +284,7 @@ def test_non_central_blocks_fail_with_witness(monkeypatch):
     # identity with the same top block, but that unit is not central.
     real = suite_mod.beta
     b = p_tuples(chain(2), 1)[0]
-    unit = f_dc(b, b)
+    unit = j_of_tuple(b) @ pi_of_tuple(b)
 
     def skewed(n, m):
         block = real(n, m)
@@ -266,15 +318,13 @@ def test_swapped_top_block_fails_with_witness(monkeypatch):
 def test_fractional_matrix_unit_fails_with_witness(monkeypatch):
     # int() would truncate the coefficients 3/2 to 1 and keep the family
     # unimodular over the chain-image basis
-    real = suite_mod.f_dc
+    def scaled(lat, tuples, sections, quotients):
+        members = _members(sections)
+        if lat == chain(2) and tuples[0].entries == (0,):
+            members[0] = Fraction(3, 2) * members[0]
+        return Family(sections.src, lat, members), quotients
 
-    def scaled(d, c):
-        unit = real(d, c)
-        if d.lattice == chain(2) and d.entries == c.entries == (0,):
-            unit = Fraction(3, 2) * unit
-        return unit
-
-    monkeypatch.setattr(suite_mod, "f_dc", scaled)
+    _spoil_blocks(monkeypatch, scaled)
     endo = run_check("chain-endo-structure", small())
     assert endo.status == "fail" and endo.witness == {"n": 2, "law": "integer coefficients"}
     span = run_check("matrix-units-span", small())
@@ -340,22 +390,24 @@ def test_spoiled_alternating_generator_fails_with_witness(monkeypatch):
 
 
 def test_spoiled_matrix_unit_term_breaks_naturality(monkeypatch):
-    # The first term of each nonempty b2 unit is replaced by the map sending
-    # everything to the top, which moves the bottom: the empty relation,
-    # drawn first for such a unit, tells the two sides apart.
+    # The first term of each nonempty b2 section is replaced by the map
+    # sending everything to the top, and so is one term of each of its
+    # units, which then moves the bottom: the empty relation, drawn first
+    # for such a unit, tells the two sides apart.
     b2 = named_lattices()["b2"]
-    real = suite_mod.f_dc
 
-    def spoiled(d, c):
-        unit = real(d, c)
-        if d.lattice != b2 or not d.entries:
-            return unit
-        m, coeff = next(iter(unit.terms.items()))
-        terms = {k: v for k, v in unit.terms.items() if k != m}
-        terms[JoinMap._trusted(m.src, m.dst, (m.dst.top,) * m.src.n)] = coeff
-        return LinMorphism(unit.src, unit.dst, terms)
+    def spoiled(lat, tuples, sections, quotients):
+        if lat != b2 or not tuples[0].entries:
+            return sections, quotients
+        members = []
+        for s in _members(sections):
+            m, coeff = next(iter(s.terms.items()))
+            terms = {k: v for k, v in s.terms.items() if k != m}
+            terms[JoinMap._trusted(m.src, m.dst, (m.dst.top,) * m.src.n)] = coeff
+            members.append(LinMorphism(s.src, s.dst, terms))
+        return Family(sections.src, lat, members), quotients
 
-    monkeypatch.setattr(suite_mod, "f_dc", spoiled)
+    _spoil_blocks(monkeypatch, spoiled)
     result = run_check("map-naturality")
     assert result.status == "fail"
     assert result.witness["name"] == "b2" and result.witness["r"] == []
@@ -432,6 +484,29 @@ def test_a_suite_run_computes_each_pure_result_once(monkeypatch):
     a09 = next(c for c in report.checks if c.name == "A09-distributive-splitting")
     assert (f"A09-distributive-splitting ({a09.elapsed_ms} ms, shared with "
             f"distributive-splitting)") in report.to_text()
+
+
+def test_a_suite_run_builds_each_unit_block_once():
+    morphisms_mod.unit_block.cache_clear()
+    assert run_suite("all").passed
+    info = morphisms_mod.unit_block.cache_info()
+    assert info.misses == info.currsize > 0 and info.hits > 0
+
+
+def test_a03_takes_the_plain_checks_outcomes_per_lattice(monkeypatch):
+    # at the defaults the plain checks cover the lattices of at most five
+    # elements and n <= 4; A03, at six, adds only chain5 and grid2x3
+    seen = {name: _calls(monkeypatch, name) for name in (
+        "_unit_product_mismatch", "_section_quotient_failure", "_chain_block_failure")}
+    report = run_suite("all")
+    named = sorted(name for name, lat in named_lattices().items() if lat.n <= 6)
+    for name in ("_unit_product_mismatch", "_section_quotient_failure"):
+        lattices = [args[0] for args in seen[name]]
+        assert sorted(lattices) == named and lattices[-2:] == ["chain5", "grid2x3"]
+    assert seen["_chain_block_failure"] == [(n,) for n in range(5)]
+    a03 = next(c for c in report.checks if c.name == "A03-idempotent-calculus")
+    alone = run_check("A03-idempotent-calculus")
+    assert (a03.status, a03.witness) == (alone.status, alone.witness) == ("pass", None)
 
 
 @pytest.mark.parametrize("limits, ring", [(Limits(), PrimeField(2)),
