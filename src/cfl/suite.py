@@ -9,12 +9,12 @@ Each criterion of the ``acceptance`` suite is a pair: the registered check
 bodies that replay its claim, and one pinned ``Limits``.  It ignores the
 limits and the ring it is given and always runs over the rationals.
 
-A suite run computes each pure result once.  Its checks share one memo
-(``Context.shared``): the outcome of a check body that drew nothing from its
-generator, keyed by (body, limits, ring), and each kernel-system rank and
-per-lattice outcome, keyed by its function, the ring and all its arguments
-(``_once``).  A body that draws from the generator, or raises, is never
-stored.  ``run_check`` starts from an empty memo, so it always runs its body.
+A suite run computes each pure result once.  Every body runs, and its checks
+share one memo (``Context.shared``) keyed by function and arguments (``_once``):
+each kernel-system rank, and each outcome a body reads its limits into, whole
+or per lattice.  A function that reads the ring takes it as an argument, and a
+check that takes another check's result names it (``CheckResult.reused``).
+``run_check`` starts from an empty memo, so it computes everything itself.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class Context:
     limits: Limits
     rng: random.Random
     ring: object
-    shared: dict = field(default_factory=dict)  # the run's memo: _shared_body, _once
-    reused: list = field(default_factory=list)  # names of the check bodies it took
+    shared: dict = field(default_factory=dict)  # the run's memo (_once): key -> (result, owner)
+    reused: list = field(default_factory=list)  # the checks whose results it took
+    name: str = ""                              # the check it runs
 
 
 @dataclass
@@ -82,7 +83,7 @@ class CheckResult:
     status: str                 # "pass" | "fail" | "skip"
     witness: dict | None = None
     elapsed_ms: int = 0
-    reused: tuple = ()          # check bodies whose stored outcome this one took
+    reused: tuple = ()          # checks whose stored results this one took
 
 
 @dataclass
@@ -177,10 +178,10 @@ def run_check(name: str, limits: Limits | None = None, seed: int = 0,
 def _run(entry, limits, seed, ring, shared) -> CheckResult:
     """One registered check, its generator seeded by the seed and its name."""
     name, anchor, _, fn = entry
-    ctx = Context(limits or Limits(), random.Random(f"{seed}:{name}"), ring, shared)
+    ctx = Context(limits or Limits(), random.Random(f"{seed}:{name}"), ring, shared, name=name)
     start = time.perf_counter()
     try:
-        outcome = _shared_body(fn, ctx)
+        outcome = fn(ctx)
     except CapExceeded as cap:
         status, witness = "skip", {"reason": str(cap)}
     else:
@@ -194,35 +195,23 @@ def _run(entry, limits, seed, ring, shared) -> CheckResult:
     return CheckResult(name, anchor, status, witness, elapsed, tuple(ctx.reused))
 
 
-def _shared_body(fn, ctx):
-    """``fn(ctx)``, or the outcome stored for the same body, limits and ring
-    earlier in the run.  An outcome is stored only when ``fn`` left the
-    generator as it found it: then no draw, and so not the seed, decided it."""
-    key = (fn, ctx.limits, ctx.ring)
-    if key in ctx.shared:
-        ctx.reused.append(next(name for name, _, _, body in _REGISTRY if body is fn))
-        return ctx.shared[key]
-    state = ctx.rng.getstate()
-    outcome = fn(ctx)
-    if ctx.rng.getstate() == state:
-        ctx.shared[key] = outcome
-    return outcome
-
-
 def _once(ctx, fn, *args):
     """``fn(*args)``, a pure result, computed once per run.  The key is the
-    function object, every argument and the ring, so a replaced function
-    never reads another's values."""
-    key = (fn, ctx.ring, *args)
+    function object and every argument, so a replaced function never reads
+    another's values.  A check that takes another's result names it."""
+    key = (fn, *args)
     if key not in ctx.shared:
-        ctx.shared[key] = fn(*args)
-    return ctx.shared[key]
+        ctx.shared[key] = fn(*args), ctx.name
+    result, owner = ctx.shared[key]
+    if owner != ctx.name and owner not in ctx.reused:
+        ctx.reused.append(owner)
+    return result
 
 
-def _first_outcome(ctx, fn, items):
-    """The first ``fn(*item)`` over ``items`` that is not None, each once per
-    run (``_once``), so a check at other limits shares its common items."""
-    return next((out for item in items if (out := _once(ctx, fn, *item)) is not None), None)
+def _first_outcome(ctx, fn, items, *rest):
+    """The first ``fn(*item, *rest)`` over ``items`` that is not None, each
+    once per run (``_once``), so a check at other limits shares its common items."""
+    return next((out for item in items if (out := _once(ctx, fn, *item, *rest)) is not None), None)
 
 
 # --- helpers -----------------------------------------------------------------
@@ -489,7 +478,11 @@ def _check_ideal_duality(ctx):
        "a join-preserving section",
        "lattices")
 def _check_splitting(ctx):
-    for lat in enumerate_lattices(min(5, ctx.limits.max_lattice)):
+    return _once(ctx, _splitting_failure, min(5, ctx.limits.max_lattice))
+
+
+def _splitting_failure(top):
+    for lat in enumerate_lattices(top):
         if _has_splitting_section(lat) != is_distributive(lat):
             return _witness(lat, law="splitting criterion")
     return None
@@ -523,6 +516,7 @@ def _check_derived(ctx):
        "enumeration")
 def _check_enumeration(ctx):
     top = min(5, ctx.limits.max_lattice)
+    sizes = [lat.n for lat in enumerate_lattices(top)]
     for n in range(top + 1):
         posets = enumerate_posets(n)
         if len(posets) != (1, 1, 3, 19, 219, 4231)[n]:  # OEIS A001035
@@ -534,9 +528,8 @@ def _check_enumeration(ctx):
                 brute += 1
             except LatticeError:
                 pass
-        fast = sum(1 for lat in enumerate_lattices(n) if lat.n == n)
-        if fast != brute:
-            return {"n": n, "fast": fast, "brute": brute}
+        if sizes.count(n) != brute:
+            return {"n": n, "fast": sizes.count(n), "brute": brute}
     return None
 
 
@@ -628,19 +621,25 @@ def _chain_block_failure(n):
        "the matrix units span them with determinant +-1",
        "idempotents")
 def _check_chain_endo(ctx):
-    bases = [tot_basis(chain(n)) for n in range(min(6, ctx.limits.max_lattice + 1) + 1)]
+    return _once(ctx, _chain_endo_failure, min(6, ctx.limits.max_lattice + 1),
+                 min(4, ctx.limits.max_lattice), ctx.ring)
+
+
+def _chain_endo_failure(count_top, rank_top, ring):
+    """Chain endomorphisms counted up to ``count_top``, unit families ranked up to ``rank_top``."""
+    bases = [tot_basis(chain(n)) for n in range(count_top + 1)]
     for n, basis in enumerate(bases):
         if len(basis) != math.comb(2 * n, n) or len(set(basis)) != len(basis):
             return {"n": n, "count": len(basis), "law": "endo count"}
         if n <= 3 and len(join_maps(chain(n), chain(n))) != len(basis):
             return {"n": n, "law": "brute endo count"}
-    for n, basis in enumerate(bases[:min(4, ctx.limits.max_lattice) + 1]):
+    for n, basis in enumerate(bases[:rank_top + 1]):
         family = _units(chain(n), n)[2]
         coeffs = family.over(basis)
         if any(den != 1 for den in family.dens):
             return {"n": n, "law": "integer coefficients"}
         want = sum(math.comb(n, m) ** 2 for m in range(n + 1))
-        got = fast_int_rank(coeffs, ctx.ring)
+        got = fast_int_rank(coeffs, ring)
         if got != want or want != len(basis):
             return {"n": n, "rank": got, "want": want}
         if n <= 3:
@@ -1125,28 +1124,31 @@ def _check_factorial(ctx):
        "unitriangular up to ordering",
        "duality")
 def _check_dual_basis(ctx):
-    for name, lat in _named(ctx, 5):
-        for x in range(1, min(2, ctx.limits.max_points) + 1):
-            size = lat.n ** x
-            funcs = list(all_functions(lat, x))
-            paired = pairing_matrix(lat, x)
-            # row phi, column lam: the pairing of lam with the dual of phi
-            duals = np.array([dual_star(phi) for phi in funcs]) @ paired.T
-            bad = np.argwhere(duals != np.eye(size, dtype=np.int64))
-            if len(bad):
-                phi, lam = bad[0]
-                return _witness(lat, name=name, phi=list(funcs[phi].values),
-                                lam=list(funcs[lam].values), law="dual basis")
-            order = sorted(range(size),
-                           key=lambda i: sum(lat.poset.down[v].bit_count()
-                                             for v in funcs[i].values))
-            ordered = paired[np.ix_(order, order)]
-            below, diagonal = np.tril(ordered != 0, -1), np.eye(size, dtype=bool)
-            bad = np.argwhere(below | diagonal & (ordered != 1))
-            if len(bad):
-                pos_i, pos_j = bad[0]
-                return _witness(lat, name=name,
-                                law="unit diagonal" if pos_i == pos_j else "triangular")
+    return _first_outcome(ctx, _dual_basis_failure, _named(ctx, 5), min(2, ctx.limits.max_points))
+
+
+def _dual_basis_failure(name, lat, top):
+    for x in range(1, top + 1):
+        size = lat.n ** x
+        funcs = list(all_functions(lat, x))
+        paired = pairing_matrix(lat, x)
+        # row phi, column lam: the pairing of lam with the dual of phi
+        duals = np.array([dual_star(phi) for phi in funcs]) @ paired.T
+        bad = np.argwhere(duals != np.eye(size, dtype=np.int64))
+        if len(bad):
+            phi, lam = bad[0]
+            return _witness(lat, name=name, phi=list(funcs[phi].values),
+                            lam=list(funcs[lam].values), law="dual basis")
+        order = sorted(range(size),
+                       key=lambda i: sum(lat.poset.down[v].bit_count()
+                                         for v in funcs[i].values))
+        ordered = paired[np.ix_(order, order)]
+        below, diagonal = np.tril(ordered != 0, -1), np.eye(size, dtype=bool)
+        bad = np.argwhere(below | diagonal & (ordered != 1))
+        if len(bad):
+            pos_i, pos_j = bad[0]
+            return _witness(lat, name=name,
+                            law="unit diagonal" if pos_i == pos_j else "triangular")
     return None
 
 
@@ -1175,12 +1177,16 @@ def _check_gamma_element(ctx):
        "of the kernel system",
        "duality")
 def _check_orthogonal(ctx):
-    for name, lat in _named(ctx, 5):
-        for x in range(1, min(2, ctx.limits.max_points) + 1):
-            if name in ("m3", "n5") and x > 1:
-                continue
-            if not orth_check(lat, x, ctx.ring):
-                return _witness(lat, name=name, points=x)
+    return _first_outcome(ctx, _orthogonal_failure, _named(ctx, 5),
+                          min(2, ctx.limits.max_points), ctx.ring)
+
+
+def _orthogonal_failure(name, lat, top, ring):
+    for x in range(1, top + 1):
+        if name in ("m3", "n5") and x > 1:
+            continue
+        if not orth_check(lat, x, ring):
+            return _witness(lat, name=name, points=x)
     return None
 
 
@@ -1228,17 +1234,20 @@ def _check_six_conditions(ctx):
        "the kernel system",
        "fundamental")
 def _check_condition_tables(ctx):
-    for name, lat in _named(ctx):
-        for x in range(1, _condition_points(ctx.limits) + 1):
-            system = theta_matrix(lat, x).view(bool)
-            tables = theta_condition_tables(lat, x)
-            for letter in "abcdef":
-                rows, cols = (next(tables) != system).nonzero()  # one table at a time
-                if len(rows):
-                    row, col = int(rows[0]), int(cols[0])
-                    return _witness(lat, name=name, x=x, condition=letter,
-                                    psi=_digits(irr_data(lat).iup.n, x)[row].tolist(),
-                                    phi=_digits(lat.n, x)[col].tolist())
+    return _first_outcome(ctx, _condition_table_failure, _named(ctx), _condition_points(ctx.limits))
+
+
+def _condition_table_failure(name, lat, points):
+    for x in range(1, points + 1):
+        system = theta_matrix(lat, x).view(bool)
+        tables = theta_condition_tables(lat, x)
+        for letter in "abcdef":
+            rows, cols = (next(tables) != system).nonzero()  # one table at a time
+            if len(rows):
+                row, col = int(rows[0]), int(cols[0])
+                return _witness(lat, name=name, x=x, condition=letter,
+                                psi=_digits(irr_data(lat).iup.n, x)[row].tolist(),
+                                phi=_digits(lat.n, x)[col].tolist())
     return None
 
 
@@ -1285,11 +1294,7 @@ def _acceptance(name, anchor, limits, *bodies):
     run's memo; the first witness wins."""
     def run(ctx):
         pinned = replace(ctx, limits=limits, ring=RATIONALS)
-        for body in bodies:
-            outcome = _shared_body(body, pinned)
-            if outcome is not None:
-                return outcome
-        return None
+        return next((out for body in bodies if (out := body(pinned)) is not None), None)
     check(name, anchor, "acceptance")(run)
 
 

@@ -477,10 +477,32 @@ def test_a_suite_run_computes_each_pure_result_once(monkeypatch):
     assert len(splits) == alone  # A09 takes the plain check's outcome
     for name, calls in ranks.items():
         assert calls and len(calls) == len(set(calls)), name
+    # each check names the checks whose results it took, in the order taken;
+    # gamma-element keeps no per-lattice result, so A07 runs it again
     reused = {c.name: c.reused for c in report.checks if c.reused}
-    assert reused == {"A07-duality": ("gamma-element", "dual-basis"),
-                      "A08-orthogonality": ("orthogonal-kernel",),
-                      "A09-distributive-splitting": ("distributive-splitting",)}
+    assert reused == {
+        "rank-binomial-decomposition": ("rank-formula-chains",),
+        "rank-dual-construction": ("rank-formula-chains", "rank-irreducible-invariance"),
+        "rank-method-agreement": ("rank-formula-chains", "rank-dual-construction",
+                                  "rank-irreducible-invariance"),
+        "fundamental-factorial": ("rank-formula-chains", "rank-dual-construction"),
+        "gamma-iso-invariance": ("rank-dual-construction",),
+        "A01-chain-rank-formula": ("rank-formula-chains", "fundamental-factorial"),
+        "A02-rank-decomposition": ("rank-formula-chains", "A01-chain-rank-formula",
+                                   "fundamental-factorial"),
+        "A03-idempotent-calculus": ("matrix-unit-products", "section-quotient-identities",
+                                    "chain-central-idempotents"),
+        "A04-chain-endomorphisms": ("chain-endo-structure",),
+        "A05-irreducible-invariance": ("rank-irreducible-invariance", "fundamental-factorial"),
+        "A06-dual-construction": ("rank-dual-construction", "rank-formula-chains",
+                                  "A01-chain-rank-formula", "fundamental-factorial",
+                                  "rank-irreducible-invariance", "A05-irreducible-invariance"),
+        "A07-duality": ("dual-basis",),
+        "A08-orthogonality": ("orthogonal-kernel",),
+        "A09-distributive-splitting": ("distributive-splitting",),
+        "A10-condition-equivalence": ("kernel-condition-tables",),
+        "A11-fundamental-module": ("rank-formula-chains", "fundamental-factorial",
+                                   "rank-dual-construction", "A05-irreducible-invariance")}
     a09 = next(c for c in report.checks if c.name == "A09-distributive-splitting")
     assert (f"A09-distributive-splitting ({a09.elapsed_ms} ms, shared with "
             f"distributive-splitting)") in report.to_text()
@@ -505,28 +527,75 @@ def test_a03_takes_the_plain_checks_outcomes_per_lattice(monkeypatch):
         assert sorted(lattices) == named and lattices[-2:] == ["chain5", "grid2x3"]
     assert seen["_chain_block_failure"] == [(n,) for n in range(5)]
     a03 = next(c for c in report.checks if c.name == "A03-idempotent-calculus")
+    assert a03.reused == ("matrix-unit-products", "section-quotient-identities",
+                          "chain-central-idempotents")
     alone = run_check("A03-idempotent-calculus")
     assert (a03.status, a03.witness) == (alone.status, alone.witness) == ("pass", None)
 
 
-@pytest.mark.parametrize("limits, ring", [(Limits(), PrimeField(2)),
-                                          (Limits(max_lattice=4), RATIONALS)],
-                         ids=["other-ring", "other-limits"])
-def test_outcomes_are_not_shared_across_rings_or_limits(monkeypatch, limits, ring):
-    # A09 runs at Limits(max_lattice=5) over the rationals whatever it is given
-    _only(monkeypatch, "distributive-splitting", "A09-distributive-splitting")
-    splits = _calls(monkeypatch, "_has_splitting_section")
-    run_check("distributive-splitting", limits, ring=ring)
-    plain = len(splits)
-    splits.clear()
+def test_a03_shares_the_plain_checks_lattices_over_another_ring(monkeypatch):
+    # the three per-lattice outcomes read no ring, so A03 over the rationals
+    # takes those of the plain checks run over the field of two elements
+    units = _calls(monkeypatch, "_unit_product_mismatch")
+    report = run_suite("all", ring=PrimeField(2))
+    assert [args[0] for args in units[-2:]] == ["chain5", "grid2x3"]
+    assert len(units) == len(set(units))
+    a03 = next(c for c in report.checks if c.name == "A03-idempotent-calculus")
+    assert a03.status == "pass" and "matrix-unit-products" in a03.reused
+
+
+def test_a04_takes_the_chain_endomorphisms_of_the_plain_check(monkeypatch):
+    # chain-endo-structure builds the bases of chain0..chain6 and
+    # matrix-units-span those of the eight catalog lattices of at most five
+    # elements; A04, at the same count and rank bounds, builds none
+    bases = _calls(monkeypatch, "tot_basis")
+    report = run_suite("all")
+    assert report.passed and len(bases) == 15
+    a04 = next(c for c in report.checks if c.name == "A04-chain-endomorphisms")
+    assert f"A04-chain-endomorphisms ({a04.elapsed_ms} ms, shared with chain-endo-structure)" in (
+        report.to_text())
+
+
+def test_a10_tables_only_the_lattices_past_the_plain_check(monkeypatch):
+    tables = _calls(monkeypatch, "theta_condition_tables")
+    run_check("kernel-condition-tables")
+    plain = list(tables)
+    tables.clear()
+    report = run_suite("all")
+    assert report.passed and tables[:len(plain)] == plain
+    assert tables[len(plain):] == [(lat, x) for lat in named_lattices().values()
+                                   if 6 <= lat.n <= 8 for x in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("limits, ring, reused", [
+    (Limits(), PrimeField(2), {"A09-distributive-splitting": ("distributive-splitting",)}),
+    (Limits(max_lattice=4), RATIONALS, {"A08-orthogonality": ("orthogonal-kernel",)})],
+    ids=["other-ring", "other-limits"])
+def test_a_result_is_shared_exactly_when_function_and_arguments_match(
+        monkeypatch, limits, ring, reused):
+    # A08 and A09 run at Limits(max_lattice=5) over the rationals whatever
+    # they are given.  The splitting outcome is keyed by its size bound and
+    # reads no ring; orth_check reads the ring, and each lattice's outcome is
+    # keyed by the lattice, the point bound and the ring.
+    names = ("distributive-splitting", "orthogonal-kernel", "A08-orthogonality",
+             "A09-distributive-splitting")
+    _only(monkeypatch, *names)
+    calls = {fn: _calls(monkeypatch, fn)
+             for fn in ("_splitting_failure", "_orthogonal_failure", "orth_check")}
+    for name in names:
+        run_check(name, limits, ring=ring)
+    distinct = {fn: list(dict.fromkeys(args)) for fn, args in calls.items()}
+    for args in calls.values():
+        args.clear()
     report = run_suite("all", limits, ring=ring)
-    assert report.passed and not any(c.reused for c in report.checks)
-    assert len(splits) == plain + 425
+    assert report.passed and calls == distinct
+    assert {c.name: c.reused for c in report.checks if c.reused} == reused
+    assert {args[2] for args in calls["orth_check"]} == {ring, RATIONALS}
 
 
 def test_a_body_that_draws_from_its_generator_runs_every_time(monkeypatch):
-    # At A11's own limits both of its bodies meet their plain checks' keys;
-    # only the factorial ranks, which draw nothing, are taken.
+    # Every body runs again in A11, fundamental-factorial too, which finds
+    # the irreducibles of each lattice again; only its ranks are taken.
     _only(monkeypatch, "fundamental-action", "fundamental-factorial",
           "A11-fundamental-module")
     limits = Limits(max_lattice=8, samples=1000)
@@ -538,7 +607,7 @@ def test_a_body_that_draws_from_its_generator_runs_every_time(monkeypatch):
     irrs.clear()
     report = run_suite("all", limits)
     assert report.passed
-    assert (len(perms), len(irrs)) == (2 * counts[0], counts[1])
+    assert (len(perms), len(irrs)) == (2 * counts[0], 2 * counts[1])
     assert [c.reused for c in report.checks] == [(), (), ("fundamental-factorial",)]
 
 
