@@ -12,17 +12,17 @@ from .lattices import (JoinMap, Lattice, LatticeError, Poset, chain,
                        ideal_lattice, irreducibles, is_distributive,
                        lattice_from_json, lattice_from_leq, lattice_to_json,
                        mobius)
-from .relations import Correspondence, Permutation, delta, order_flags
+from .relations import Correspondence, order_flags
 
 _LAZY = {"ChainTuple": "morphisms", "LinMorphism": "morphisms",
          "Limits": "suite", "run_suite": "suite"}
 
 __all__ = [
     "ChainTuple", "Correspondence", "ExactMatrix", "JoinMap", "Lattice",
-    "LatticeError", "Limits", "LinMorphism", "Permutation", "Poset",
-    "PrimeField", "RATIONALS", "chain", "delta", "ideal_lattice",
-    "irreducibles", "is_distributive", "lattice_from_json", "lattice_from_leq",
-    "lattice_to_json", "mobius", "order_flags", "parse_ring", "run_suite",
+    "LatticeError", "Limits", "LinMorphism", "Poset", "PrimeField",
+    "RATIONALS", "chain", "ideal_lattice", "irreducibles", "is_distributive",
+    "lattice_from_json", "lattice_from_leq", "lattice_to_json", "mobius",
+    "order_flags", "parse_ring", "run_suite",
 ]
 
 __version__ = "0.1.0"

@@ -55,8 +55,11 @@ def enumerate_posets(k: int):
     One-point extension (Brinkmann & McKay, Order 19, 2002): each is exactly
     one poset on the first ``k - 1`` points plus a last point whose strict
     down-set D is a lower ideal and whose strict up-set U is an upper ideal,
-    disjoint from D and above every element of it.
+    disjoint from D and above every element of it.  Refused past
+    ``ENUMERATION_CAP`` points (6,129,859 posets at seven, OEIS A001035).
     """
+    if k > ENUMERATION_CAP:
+        raise CapExceeded(f"poset enumeration capped at {ENUMERATION_CAP} points")
     if k == 0:
         return [Poset.antichain(0)]
     last = 1 << (k - 1)

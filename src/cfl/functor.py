@@ -652,8 +652,9 @@ def fund_act(q: Correspondence, sigma, order: Poset):
     The basis permutation ``sigma`` survives exactly when some (then unique)
     permutation ``tau`` squeezes the relation between the diagonal and the
     conjugated order, ``delta(tau) <= q <= delta(tau sigma) leq
-    delta(sigma)^op``; its image is then ``tau sigma``, and otherwise the
-    relation acts as zero and the result is None.
+    delta(sigma)^op``, where ``delta(tau)`` is the graph ``{(tau(x), x)}``
+    of ``tau``; its image is then ``tau sigma``, and otherwise the relation
+    acts as zero and the result is None.
 
     ``tau`` is read off, not searched for.  Row ``y`` of the squeeze says
     that ``sigma^-1 tau^-1 (y)`` lies in ``sigma^-1`` of row ``y`` and below

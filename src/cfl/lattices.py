@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .relations import (MAX_POINTS, Correspondence, order_flags,
                         reflexive_transitive_closure)
@@ -64,14 +64,21 @@ class CapExceeded(ValueError):
 class Poset:
     """A finite poset: element count plus the ``a <= b`` relation.
 
-    The type is the order guarantee.  ``Poset(leq)`` checks the axioms on an
-    order from outside; an order derived from another order is built by the
-    unchecked ``_trusted``, and code that takes a ``Poset`` checks nothing."""
+    The type is the order guarantee.  ``Poset(leq)`` is the one check of the
+    axioms on an order from outside (``from_pairs`` closes its pairs and calls
+    it); an order derived from another order is built by the unchecked
+    ``_trusted``, and code that takes a ``Poset`` checks nothing."""
 
     __slots__ = ("n", "leq", "up", "down", "_hash")
 
     def __init__(self, leq: Correspondence):
+        """Raises NotAntisymmetric with the first pair ``a < b`` of a preorder
+        that is not an order, and names the failing axioms otherwise."""
         flags = order_flags(leq)
+        if flags.is_preorder and not flags.antisymmetric:
+            n, rows = leq.dst_size, leq.rows
+            raise NotAntisymmetric(*next((a, b) for a in range(n) for b in range(a + 1, n)
+                                         if rows[a] >> b & 1 and rows[b] >> a & 1))
         if not flags.is_order:
             raise LatticeError(f"relation is not a partial order: {flags}")
         self._fill(leq)
@@ -92,9 +99,7 @@ class Poset:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Poset":
-        rel = reflexive_transitive_closure(Correspondence.from_pairs(n, n, pairs))
-        _check_antisymmetric(rel)
-        return cls._trusted(rel)
+        return cls(reflexive_transitive_closure(Correspondence.from_pairs(n, n, pairs)))
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
@@ -127,14 +132,6 @@ class Poset:
     def __repr__(self):
         strict = [(a, b) for a, b in self.leq.pairs() if a != b]
         return f"Poset({self.n}, {strict})"
-
-
-def _check_antisymmetric(rel: Correspondence) -> None:
-    n = rel.dst_size
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rel.rows[a] >> b & 1 and rel.rows[b] >> a & 1:
-                raise NotAntisymmetric(a, b)
 
 
 def _least_of(up, mask: int):
@@ -478,11 +475,7 @@ def canonical_surjection(lattice: Lattice) -> JoinMap:
     return JoinMap(ideals, lattice, images)
 
 
-@dataclass(frozen=True)
-class DerivedLattices:
-    opposite: Lattice
-    boolean: Lattice
-    upsilon: JoinMap
+DerivedLattices = namedtuple("DerivedLattices", ["opposite", "boolean", "upsilon"])
 
 
 def derived_lattices(lattice: Lattice) -> DerivedLattices:

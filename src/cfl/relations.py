@@ -9,7 +9,7 @@ Elements are always canonical indices ``0..n-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Desk-scale guard against runaway allocations.  One machine word: the
 # largest supported derived structure (the subset lattice of a 6-element
@@ -20,50 +20,6 @@ MAX_POINTS = 64
 def _check_size(n: int) -> None:
     if not 0 <= n <= MAX_POINTS:
         raise ValueError(f"set size {n} outside supported range 0..{MAX_POINTS}")
-
-
-class Permutation:
-    """A bijection of ``{0, ..., n-1}``, stored by its tuple of images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
-        self.images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(inv)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(x) = self(other(x))
-        if self.size != other.size:
-            raise ValueError("permutation size mismatch")
-        return Permutation(self.images[other.images[x]] for x in range(self.size))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({list(self.images)})"
 
 
 class Correspondence:
@@ -186,17 +142,8 @@ class Correspondence:
                 f"pairs={sorted(self.pairs())})")
 
 
-def delta(sigma: Permutation) -> Correspondence:
-    """The graph ``{(sigma(x), x)}`` of a permutation, as a relation."""
-    n = sigma.size
-    return Correspondence.from_pairs(n, n, ((sigma(x), x) for x in range(n)))
-
-
-@dataclass(frozen=True)
-class OrderFlags:
-    reflexive: bool
-    transitive: bool
-    antisymmetric: bool
+class OrderFlags(namedtuple("OrderFlags", ["reflexive", "transitive", "antisymmetric"])):
+    __slots__ = ()
 
     @property
     def is_preorder(self) -> bool:
@@ -259,5 +206,4 @@ def preorder_quotient(r: Correspondence):
     quo = Correspondence.from_pairs(
         m, m,
         ((a, b) for a in range(m) for b in range(m) if r.rows[reps[a]] >> reps[b] & 1))
-    assert order_flags(quo).is_order
     return quo, tuple(projection)

@@ -1157,18 +1157,20 @@ def _dual_basis_failure(name, lat, top):
        "fixed by the order action",
        "duality")
 def _check_gamma_element(ctx):
-    for name, lat in _named(ctx, 7):
-        data = irr_data(lat)
-        if lat.n ** len(data.elems) > 20000:
-            continue
-        iota = LatticeFunction(lat, data.elems)
-        g = gamma_t(lat)
-        if not np.array_equal(g, dual_star(iota)):
-            return _witness(lat, name=name, law="dual of inclusion")
-        acted = np.zeros_like(g)
-        np.add.at(acted, action_index(data.sub.leq, lat.opposite()), g)
-        if not np.array_equal(acted, g):
-            return _witness(lat, name=name, law="fixed by the order")
+    return _first_outcome(ctx, _gamma_element_failure, _named(ctx, 7))
+
+
+def _gamma_element_failure(name, lat):
+    data = irr_data(lat)
+    if lat.n ** len(data.elems) > 20000:
+        return None
+    g = gamma_t(lat)
+    if not np.array_equal(g, dual_star(LatticeFunction(lat, data.elems))):
+        return _witness(lat, name=name, law="dual of inclusion")
+    acted = np.zeros_like(g)
+    np.add.at(acted, action_index(data.sub.leq, lat.opposite()), g)
+    if not np.array_equal(acted, g):
+        return _witness(lat, name=name, law="fixed by the order")
     return None
 
 

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import cfl.catalog as catalog
 from cfl.catalog import (catalog_entries, enumerate_lattices, enumerate_posets,
                          named_lattices, product_lattice)
 from cfl.lattices import (CapExceeded, Lattice, LatticeError, Poset, chain,
@@ -124,6 +125,15 @@ def test_exhaustive_catalog_is_pinned():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_lattices(7))
+
+
+def test_poset_enumeration_refuses_past_the_cap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr(catalog, "_lower_ideal_masks", no_work)
+    with pytest.raises(CapExceeded, match=f"capped at {catalog.ENUMERATION_CAP} points"):
+        enumerate_posets(catalog.ENUMERATION_CAP + 1)
 
 
 def test_catalog_entries_filters():

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -392,6 +394,15 @@ def test_commands_load_neither_the_suite_nor_morphisms(m3_file, argv):
     assert done.returncode == 0, done.stderr
     code, *loaded = done.stdout.splitlines()[-1].split()
     assert code == "0" and loaded == _RANK_MODULES
+
+
+def test_the_rank_path_defines_no_dataclass():
+    # read off each module's namespace, not sys.modules, since numpy may
+    # load the dataclasses module itself
+    for name in _RANK_MODULES:
+        found = [key for key, value in vars(importlib.import_module(name)).items()
+                 if dataclasses.is_dataclass(value)]
+        assert not found, (name, found)
 
 
 def test_verify_help_exits_0_without_the_suite():

@@ -22,7 +22,7 @@ from cfl.functor import (LatticeFunction, _digits, act, action_index,
 from cfl.lattices import (CACHE_SIZE, CapExceeded, LatticeError, Poset, _bits, chain,
                           ideal_lattice, irreducibles, join_maps, lattice_from_json,
                           mobius)
-from cfl.relations import Correspondence, Permutation, delta
+from cfl.relations import Correspondence
 
 
 @pytest.fixture(scope="module")
@@ -460,13 +460,20 @@ def test_fund_act_respects_composition():
         assert fund_act(q1 @ q2, sigma, p) == after
 
 
+def _graph(tau):
+    """The graph ``{(tau(x), x)}`` of a permutation, as a relation."""
+    return Correspondence.from_pairs(len(tau), len(tau), ((y, x) for x, y in enumerate(tau)))
+
+
 def _squeezed_image(q, sigma, p):
     """The action read off the relations layer: ``tau sigma`` for the unique
     ``tau`` with ``delta(tau) <= q <= delta(tau sigma) leq delta(sigma)^op``,
-    or None when there is no such ``tau``."""
-    s = Permutation(sigma)
-    images = [(tau * s).images for tau in map(Permutation, perm_basis(p.n))
-              if delta(tau) <= q <= delta(tau * s) @ p.leq @ delta(s).opposite()]
+    ``delta`` being ``_graph``, or None when there is no such ``tau``."""
+    images = []
+    for tau in perm_basis(p.n):
+        tau_sigma = tuple(tau[s] for s in sigma)
+        if _graph(tau) <= q <= _graph(tau_sigma) @ p.leq @ _graph(sigma).opposite():
+            images.append(tau_sigma)
     return images[0] if len(images) == 1 else None
 
 
@@ -491,7 +498,7 @@ def test_fund_act_matches_the_squeeze_at_three_points():
 def _searched_image(q, sigma, p):
     """The action found by trying every basis permutation ``tau`` against the
     squeeze, one row of ``q`` at a time; the squeezing ``tau`` is unique."""
-    inverse = {tau: Permutation(tau).inverse().images for tau in perm_basis(p.n)}
+    inverse = {tau: tuple(sorted(range(p.n), key=tau.__getitem__)) for tau in perm_basis(p.n)}
     sigma_inv = inverse[tuple(sigma)]
     found = [tau for tau, tau_inv in inverse.items()
              if all(q.rows[tau[x]] >> x & 1 for x in range(p.n))

@@ -12,8 +12,9 @@ from cfl.lattices import (BottomNotPreserved, CapExceeded, JoinMap, Lattice,
                           ideal_lattice, irreducibles, is_distributive,
                           join_maps, lattice_from_json, lattice_from_leq,
                           lattice_to_json, lattices_isomorphic, mobius,
-                          posets_isomorphic, principal_embed, r_of)
-from cfl.relations import Correspondence
+                          poset_from_json, posets_isomorphic, principal_embed,
+                          r_of)
+from cfl.relations import Correspondence, reflexive_transitive_closure
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,63 @@ def test_antisymmetry_failure_named():
     with pytest.raises(NotAntisymmetric) as err:
         lattice_from_leq(3, [(0, 1), (1, 0), (0, 2)])
     assert err.value.pair == (0, 1)
+
+
+# Every path from generating pairs to an order, each ending in Poset(leq).
+_ORDER_BUILDERS = {
+    "Poset": lambda n, pairs: Poset(reflexive_transitive_closure(
+        Correspondence.from_pairs(n, n, pairs))),
+    "Poset.from_pairs": Poset.from_pairs,
+    "lattice_from_leq": lattice_from_leq,
+    "poset_from_json": lambda n, pairs: poset_from_json(
+        {"size": n, "leq": [list(p) for p in pairs]}),
+}
+
+
+@pytest.mark.parametrize("build", _ORDER_BUILDERS.values(), ids=_ORDER_BUILDERS.keys())
+@pytest.mark.parametrize("n, pairs, first", [
+    (2, [(0, 1), (1, 0)], (0, 1)),
+    (3, [(0, 1), (1, 2), (2, 0)], (0, 1)),
+    (4, [(0, 1), (2, 3), (3, 2)], (2, 3)),
+    (4, [(3, 1), (1, 3), (2, 1), (0, 2)], (1, 3)),
+    (5, [(4, 2), (2, 0), (0, 4), (1, 3)], (0, 2)),
+], ids=["two-cycle", "three-cycle", "upper-two-cycle", "cycle-above-a-chain", "late-cycle"])
+def test_every_constructor_reports_the_same_antisymmetry_pair(build, n, pairs, first):
+    with pytest.raises(NotAntisymmetric) as err:
+        build(n, pairs)
+    a, b = first
+    assert err.value.pair == first
+    assert str(err.value) == f"not antisymmetric: {a} <= {b} and {b} <= {a}"
+
+
+def test_the_antisymmetry_pair_is_the_first_two_cycle_on_three_points():
+    for rows in itertools.product(range(8), repeat=3):
+        pairs = list(Correspondence(3, 3, rows).pairs())
+        closed = reflexive_transitive_closure(Correspondence(3, 3, rows))
+        cycles = [(a, b) for a in range(3) for b in range(a + 1, 3)
+                  if (a, b) in closed and (b, a) in closed]
+        for build in _ORDER_BUILDERS.values():
+            try:
+                build(3, pairs)
+                found = None
+            except NotAntisymmetric as err:
+                found = err.pair
+            except (NoJoin, NoMeet):  # an order that is not a lattice
+                found = None
+            assert found == (cycles[0] if cycles else None)
+
+
+@pytest.mark.parametrize("pairs, flags", [
+    ([(0, 1)], "reflexive=False, transitive=True, antisymmetric=True"),
+    ([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)],
+     "reflexive=True, transitive=False, antisymmetric=True"),
+    ([(0, 1), (1, 0)], "reflexive=False, transitive=False, antisymmetric=False"),
+], ids=["not-reflexive", "not-transitive", "not-a-preorder"])
+def test_a_relation_that_is_not_a_preorder_names_its_flags(pairs, flags):
+    with pytest.raises(LatticeError) as err:
+        Poset(Correspondence.from_pairs(3, 3, pairs))
+    assert type(err.value) is LatticeError
+    assert str(err.value) == f"relation is not a partial order: OrderFlags({flags})"
 
 
 def test_join_meet_laws(named):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfl.relations import (Correspondence, Permutation, delta,
-                           order_flags, preorder_quotient,
+from cfl.relations import (Correspondence, order_flags, preorder_quotient,
                            reflexive_transitive_closure)
 
 
@@ -67,26 +66,6 @@ def test_composition_associative(data):
             dst, src, [data.draw(st.integers(0, (1 << src) - 1)) for _ in range(dst)]))
     r, s, t = mats
     assert (r @ s) @ t == r @ (s @ t)
-
-
-def test_delta_examples():
-    assert delta(Permutation.identity(3)) == Correspondence.identity(3)
-    swap = delta(Permutation([1, 0]))
-    assert sorted(swap.pairs()) == [(0, 1), (1, 0)]
-
-
-def test_delta_is_a_homomorphism():
-    for n in range(1, 5):
-        perms = [Permutation(images) for images in itertools.permutations(range(n))]
-        for sigma in perms:
-            for tau in perms:
-                assert delta(sigma * tau) == delta(sigma) @ delta(tau)
-            assert delta(sigma) @ delta(sigma.inverse()) == Correspondence.identity(n)
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
 
 
 def test_order_flags_examples():

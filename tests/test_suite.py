@@ -477,8 +477,7 @@ def test_a_suite_run_computes_each_pure_result_once(monkeypatch):
     assert len(splits) == alone  # A09 takes the plain check's outcome
     for name, calls in ranks.items():
         assert calls and len(calls) == len(set(calls)), name
-    # each check names the checks whose results it took, in the order taken;
-    # gamma-element keeps no per-lattice result, so A07 runs it again
+    # each check names the checks whose results it took, in the order taken
     reused = {c.name: c.reused for c in report.checks if c.reused}
     assert reused == {
         "rank-binomial-decomposition": ("rank-formula-chains",),
@@ -497,7 +496,7 @@ def test_a_suite_run_computes_each_pure_result_once(monkeypatch):
         "A06-dual-construction": ("rank-dual-construction", "rank-formula-chains",
                                   "A01-chain-rank-formula", "fundamental-factorial",
                                   "rank-irreducible-invariance", "A05-irreducible-invariance"),
-        "A07-duality": ("dual-basis",),
+        "A07-duality": ("gamma-element", "dual-basis"),
         "A08-orthogonality": ("orthogonal-kernel",),
         "A09-distributive-splitting": ("distributive-splitting",),
         "A10-condition-equivalence": ("kernel-condition-tables",),
