@@ -58,6 +58,8 @@ def enumerate_posets(k: int):
     disjoint from D and above every element of it.  Refused past
     ``ENUMERATION_CAP`` points (6,129,859 posets at seven, OEIS A001035).
     """
+    if k < 0:
+        raise ValueError(f"poset enumeration needs k >= 0 points, got {k}")
     if k > ENUMERATION_CAP:
         raise CapExceeded(f"poset enumeration capped at {ENUMERATION_CAP} points")
     if k == 0:
@@ -68,10 +70,13 @@ def enumerate_posets(k: int):
         ups = _lower_ideal_masks(p.up, p.down, k - 1)
         for d in _lower_ideal_masks(p.down, p.up, k - 1):
             above = functools.reduce(int.__and__, (p.up[a] for a in _bits(d)), last - 1)
-            rows = [p.up[a] | (last if d >> a & 1 else 0) for a in range(k - 1)]
+            rows = tuple([p.up[a] | (last if d >> a & 1 else 0) for a in range(k - 1)])
             for u in ups:
                 if u & ~above == 0 and not u & d:
-                    out.append(Poset._trusted(Correspondence(k, k, rows + [last | u])))
+                    # old b gains the new point below it iff b is in U
+                    down = tuple([db | last if u >> b & 1 else db for b, db in enumerate(p.down)])
+                    out.append(Poset._trusted(Correspondence._trusted(k, k, rows + (last | u,)),
+                                              down + (d | last,)))
     out.sort(key=lambda p: p.down)
     return out
 
@@ -94,13 +99,16 @@ def enumerate_lattices(max_n: int):
                 if top == bottom:
                     continue
                 rest = [e for e in range(n) if e not in (bottom, top)]
+                onto_rest = [sum(1 << rest[j] for j in _bits(m)) for m in range(1 << (n - 2))]
                 for mid in middles:
-                    rows = [1 << top] * n
-                    rows[bottom] = (1 << n) - 1
+                    up, down = [1 << top] * n, [1 << bottom] * n
+                    up[bottom] = down[top] = (1 << n) - 1
                     for i, e in enumerate(rest):
-                        rows[e] |= sum(1 << rest[j] for j in _bits(mid.up[i]))
+                        up[e] |= onto_rest[mid.up[i]]
+                        down[e] |= onto_rest[mid.down[i]]
                     try:
-                        yield Lattice(Poset._trusted(Correspondence(n, n, rows)))
+                        yield Lattice(Poset._trusted(Correspondence._trusted(n, n, tuple(up)),
+                                                     tuple(down)))
                     except LatticeError:
                         continue
 

@@ -67,7 +67,7 @@ class Poset:
     The type is the order guarantee.  ``Poset(leq)`` is the one check of the
     axioms on an order from outside (``from_pairs`` closes its pairs and calls
     it); an order derived from another order is built by the unchecked
-    ``_trusted``, and code that takes a ``Poset`` checks nothing."""
+    ``_trusted`` with its down rows; code that takes a ``Poset`` checks nothing."""
 
     __slots__ = ("n", "leq", "up", "down", "_hash")
 
@@ -81,20 +81,20 @@ class Poset:
                                          if rows[a] >> b & 1 and rows[b] >> a & 1))
         if not flags.is_order:
             raise LatticeError(f"relation is not a partial order: {flags}")
-        self._fill(leq)
+        self._fill(leq, leq.opposite().rows)
 
     @classmethod
-    def _trusted(cls, leq: Correspondence) -> "Poset":
-        """A poset from a relation known to be an order; no checks."""
+    def _trusted(cls, leq: Correspondence, down: tuple) -> "Poset":
+        """A poset from an order relation and its opposite's rows ``down``; no checks."""
         p = object.__new__(cls)
-        p._fill(leq)
+        p._fill(leq, down)
         return p
 
-    def _fill(self, leq):
+    def _fill(self, leq, down):
         self.n = leq.dst_size
         self.leq = leq
         self.up = leq.rows                    # up[a] = mask of {b : a <= b}
-        self.down = leq.opposite().rows       # down[b] = mask of {a : a <= b}
+        self.down = down                      # down[b] = mask of {a : a <= b}
         self._hash = hash(leq)
 
     @classmethod
@@ -103,22 +103,24 @@ class Poset:
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
-        return cls._trusted(Correspondence.identity(n))
+        return cls._trusted(Correspondence.identity(n), tuple(1 << x for x in range(n)))
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 
     def opposite(self) -> "Poset":
-        return Poset._trusted(self.leq.opposite())
+        return Poset._trusted(Correspondence._trusted(self.n, self.n, self.down), self.up)
 
     def restrict(self, elements) -> "Poset":
         """Full subposet on the given distinct elements, reindexed in list order."""
         elements = list(elements)
         if len(set(elements)) != len(elements):
             raise ValueError(f"repeated element in {elements!r}")
-        rows = [sum(1 << j for j, b in enumerate(elements) if self.le(a, b))
-                for a in elements]
-        return Poset._trusted(Correspondence(len(elements), len(elements), rows))
+        def reindex(rows):
+            return tuple([sum(1 << j for j, b in enumerate(elements) if rows[a] >> b & 1)
+                          for a in elements])
+        k = len(elements)
+        return Poset._trusted(Correspondence._trusted(k, k, reindex(self.up)), reindex(self.down))
 
     def __eq__(self, other):
         if self is other:
@@ -147,6 +149,12 @@ def _least_of(up, mask: int):
     return None
 
 
+def _mirror(lower):
+    """The full symmetric table of a lower triangle ``lower[b][a]``, a <= b."""
+    n = len(lower)
+    return [lower[a] + [lower[b][a] for b in range(a + 1, n)] for a in range(n)]
+
+
 class Lattice:
     """A finite lattice with precomputed join and meet tables.
 
@@ -157,27 +165,29 @@ class Lattice:
     __slots__ = ("poset", "join", "meet", "bottom", "top", "_hash", "_opposite")
 
     def __init__(self, poset: Poset):
-        """Compute joins and meets; raises NoJoin/NoMeet on the first failing pair."""
-        n = poset.n
+        """Joins and meets by up- and down-set lookup; NoJoin/NoMeet on the first failing pair."""
+        n, up, down = poset.n, poset.up, poset.down
         if n == 0:
             raise LatticeError("a lattice needs at least one element")
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
-        # Scan (0,1), (0,2), (1,2), (0,3), ... so the reported witness pair
-        # involves the smallest possible elements.
+        by_up = {u: e for e, u in enumerate(up)}
+        by_down = {d: e for e, d in enumerate(down)}
+        # A join is the element whose up-set is up[a] & up[b].  Scan (0,1), (0,2),
+        # (1,2), ... so the witness pair is the smallest; fill the lower triangle.
+        join, meet = [], []
         for b in range(n):
+            ub, db, jrow, mrow = up[b], down[b], [], []
             for a in range(b + 1):
-                j = _least_of(poset.up, poset.up[a] & poset.up[b])
+                j = by_up.get(up[a] & ub)
                 if j is None:
                     raise NoJoin(a, b)
-                m = _least_of(poset.down, poset.down[a] & poset.down[b])
+                m = by_down.get(down[a] & db)
                 if m is None:
                     raise NoMeet(a, b)
-                join[a][b] = join[b][a] = j
-                meet[a][b] = meet[b][a] = m
-        bottom = functools.reduce(lambda x, y: meet[x][y], range(n))
-        top = functools.reduce(lambda x, y: join[x][y], range(n))
-        self._fill(poset, join, meet, bottom, top)
+                jrow.append(j)
+                mrow.append(m)
+            join.append(jrow)
+            meet.append(mrow)
+        self._fill(poset, _mirror(join), _mirror(meet), by_up[(1 << n) - 1], by_down[(1 << n) - 1])
 
     @classmethod
     def _trusted(cls, poset: Poset, join, meet, bottom: int, top: int) -> "Lattice":
@@ -197,7 +207,7 @@ class Lattice:
         return self.poset.n
 
     def le(self, a: int, b: int) -> bool:
-        return self.poset.le(a, b)
+        return bool(self.poset.up[a] >> b & 1)
 
     def join_many(self, elements) -> int:
         """Join of any iterable of elements; the empty join is bottom."""
@@ -292,8 +302,13 @@ def _lattice_of_masks(masks) -> Lattice:
     """Lattice of a union/intersection-closed ascending family of bitmasks."""
     index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
-    pairs = [(i, j) for i in range(k) for j in range(k) if masks[i] & ~masks[j] == 0]
-    poset = Poset._trusted(Correspondence.from_pairs(k, k, pairs))
+    up, down = [0] * k, [0] * k
+    for i, a in enumerate(masks):
+        for j in range(i, k):  # a subset is never a larger integer
+            if a & ~masks[j] == 0:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    poset = Poset._trusted(Correspondence._trusted(k, k, tuple(up)), tuple(down))
     join = [[index[a | b] for b in masks] for a in masks]
     meet = [[index[a & b] for b in masks] for a in masks]
     return Lattice._trusted(poset, join, meet, index[masks[0]], index[masks[-1]])
@@ -315,7 +330,7 @@ def ideal_lattice(poset: Poset, direction: str = "lower"):
 
 def principal_embed(poset: Poset):
     """Map each element to the index of its principal lower ideal."""
-    _, masks = ideal_lattice(poset, "lower")
+    masks = _lower_ideal_masks(poset.down, poset.up, poset.n)
     index = {m: i for i, m in enumerate(masks)}
     return [index[poset.down[e]] for e in range(poset.n)]
 

@@ -45,6 +45,13 @@ class Correspondence:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, dst_size: int, src_size: int, rows: tuple) -> "Correspondence":
+        """A correspondence from a row tuple known to be in range; no checks."""
+        c = object.__new__(cls)
+        c.dst_size, c.src_size, c.rows = dst_size, src_size, rows
+        return c
+
+    @classmethod
     def from_pairs(cls, dst_size: int, src_size: int, pairs) -> "Correspondence":
         rows = [0] * dst_size
         for y, x in pairs:
@@ -94,7 +101,7 @@ class Correspondence:
                 acc |= other.rows[low.bit_length() - 1]
                 r ^= low
             out.append(acc)
-        return Correspondence(self.dst_size, other.src_size, out)
+        return Correspondence._trusted(self.dst_size, other.src_size, tuple(out))
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -108,7 +115,7 @@ class Correspondence:
                 low = r & -r
                 out[low.bit_length() - 1] |= bit
                 r ^= low
-        return Correspondence(self.src_size, self.dst_size, out)
+        return Correspondence._trusted(self.src_size, self.dst_size, tuple(out))
 
     def _same_shape(self, other):
         if (self.dst_size, self.src_size) != (other.dst_size, other.src_size):
@@ -116,13 +123,13 @@ class Correspondence:
 
     def __or__(self, other):
         self._same_shape(other)
-        return Correspondence(self.dst_size, self.src_size,
-                              (a | b for a, b in zip(self.rows, other.rows)))
+        return Correspondence._trusted(self.dst_size, self.src_size,
+                                       tuple([a | b for a, b in zip(self.rows, other.rows)]))
 
     def __and__(self, other):
         self._same_shape(other)
-        return Correspondence(self.dst_size, self.src_size,
-                              (a & b for a, b in zip(self.rows, other.rows)))
+        return Correspondence._trusted(self.dst_size, self.src_size,
+                                       tuple([a & b for a, b in zip(self.rows, other.rows)]))
 
     def __le__(self, other):
         self._same_shape(other)
@@ -176,7 +183,7 @@ def reflexive_transitive_closure(r: Correspondence) -> Correspondence:
         for a in range(n):
             if rows[a] & bit:
                 rows[a] |= rows[k]
-    return Correspondence(n, n, rows)
+    return Correspondence._trusted(n, n, tuple(rows))
 
 
 def preorder_quotient(r: Correspondence):

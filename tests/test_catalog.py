@@ -136,6 +136,15 @@ def test_poset_enumeration_refuses_past_the_cap_before_any_work(monkeypatch):
         enumerate_posets(catalog.ENUMERATION_CAP + 1)
 
 
+def test_poset_enumeration_refuses_a_negative_size_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr(catalog, "_lower_ideal_masks", no_work)
+    with pytest.raises(ValueError, match="needs k >= 0 points, got -1"):
+        enumerate_posets(-1)
+
+
 def test_catalog_entries_filters():
     small = catalog_entries(max_size=5)
     names = [name for name, _ in small]

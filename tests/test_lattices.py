@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
-from cfl.catalog import enumerate_posets, named_lattices, product_lattice
+from cfl.catalog import (enumerate_lattices, enumerate_posets, named_lattices,
+                         product_lattice)
 from cfl.functor import irr_data, theta_rank
 from cfl.lattices import (BottomNotPreserved, CapExceeded, JoinMap, Lattice,
                           LatticeError, NoJoin, NoMeet, NotAntisymmetric,
@@ -194,6 +196,76 @@ def test_trusted_builds_equal_validated_ones():
         for direction in ("lower", "upper"):
             ideals = ideal_lattice(p, direction)[0].poset
             _assert_same_poset(ideals, Poset(ideals.leq))
+
+
+def _scan_lattice(p):
+    """The oracle: each join and meet by scanning the masked subset for the
+    member whose up-set (down-set) covers it, in the constructor's pair
+    order.  Returns (join, meet, bottom, top), or the failure's (class,
+    message, pair)."""
+    def least(rows, mask):
+        return next((u for u in range(p.n) if mask >> u & 1 and mask & ~rows[u] == 0), None)
+
+    if p.n == 0:
+        return LatticeError, "a lattice needs at least one element", None
+    join = [[0] * p.n for _ in range(p.n)]
+    meet = [[0] * p.n for _ in range(p.n)]
+    for b in range(p.n):
+        for a in range(b + 1):
+            j = least(p.up, p.up[a] & p.up[b])
+            if j is None:
+                return NoJoin, str(NoJoin(a, b)), (a, b)
+            m = least(p.down, p.down[a] & p.down[b])
+            if m is None:
+                return NoMeet, str(NoMeet(a, b)), (a, b)
+            join[a][b] = join[b][a] = j
+            meet[a][b] = meet[b][a] = m
+    bottom = next(e for e in range(p.n) if all(meet[e][x] == e for x in range(p.n)))
+    top = next(e for e in range(p.n) if all(join[e][x] == e for x in range(p.n)))
+    return tuple(map(tuple, join)), tuple(map(tuple, meet)), bottom, top
+
+
+def _random_orders(count, max_points, seed):
+    """Seeded random orders on 1..max_points points, every other one bounded
+    (first label below and last label above all), so that many are lattices."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(1, max_points)
+        labels = rng.sample(range(n), n)
+        pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4 or t % 2 and (i == 0 or j == n - 1)]
+        yield Poset.from_pairs(n, pairs)
+
+
+def test_lattice_tables_match_the_subset_scan():
+    posets = [p for k in range(6) for p in enumerate_posets(k)]
+    posets += _random_orders(2600, 7, seed=34)
+    for p in posets:
+        expected = _scan_lattice(p)
+        try:
+            lat = Lattice(p)
+        except LatticeError as err:
+            assert (type(err), str(err), err.pair) == expected
+        else:
+            assert (lat.join, lat.meet, lat.bottom, lat.top) == expected
+
+
+def test_derived_posets_carry_their_down_rows():
+    def check(p):
+        assert type(p.down) is tuple and type(p.up) is tuple
+        assert p.down == p.leq.opposite().rows
+        assert p == Poset(p.leq)
+
+    for k in range(6):
+        for p in enumerate_posets(k):
+            check(p)
+            check(p.opposite())
+            for direction in ("lower", "upper"):
+                check(ideal_lattice(p, direction)[0].poset)
+            if k == 5:
+                check(p.restrict([4, 1, 3]))
+    for lat in enumerate_lattices(5):
+        check(lat.poset)
 
 
 def test_restrict_refuses_a_repeated_element():

@@ -56,6 +56,27 @@ def test_opposite_antihomomorphism(data):
     assert (r @ s).opposite() == s.opposite() @ r.opposite()
 
 
+def _same_as_validated(r):
+    built = Correspondence(r.dst_size, r.src_size, r.rows)
+    assert type(r.rows) is tuple
+    assert r == built and hash(r) == hash(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_relations_equal_validated_ones(data):
+    # compose, opposite, |, & and the closure build their results unchecked
+    def draw(dst, src):
+        return Correspondence(dst, src,
+                              [data.draw(st.integers(0, (1 << src) - 1)) for _ in range(dst)])
+
+    z, y, x = (data.draw(st.integers(0, 5)) for _ in range(3))
+    r, r2, s = draw(z, y), draw(z, y), draw(y, x)
+    for derived in (r @ s, r.opposite(), r | r2, r & r2,
+                    reflexive_transitive_closure(draw(y, y))):
+        _same_as_validated(derived)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_composition_associative(data):
