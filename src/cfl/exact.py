@@ -21,11 +21,12 @@ pivots, about 9.2 million at the default prime and 2 at ``2^31 - 1``, the
 rows below that took an update since the last such reduction are reduced.
 
 A third elimination returns only a rank: ``_f2_rank``, mod 2, reads each
-row into one Python int and reduces it against a table of pivot rows keyed
-by their top bit, so a row update is one int XOR.  ``modp_rank(rows, 2)`` is
-that kernel, so ``PrimeField(2)`` ranks with it.  It reads the bytes of a
-packed 0/1 matrix (``_Bits``, rows eight columns to a byte, as the theta
-system is built) as they are, and packs an array's parities first.
+row, last row first, into one Python int whose top bit is the last column,
+and reduces it against a table of pivot rows keyed by their top bit, so a
+row update is one int XOR.  ``modp_rank(rows, 2)`` is that kernel, so
+``PrimeField(2)`` ranks with it.  It reads the bytes of a packed 0/1 matrix
+(``_Bits``, rows eight columns to a byte, as the theta system is built) as
+they are, and packs an array's parities first.
 
 ``fast_int_rank``, for both rings, is ``_coerced`` then ``_rank``, the
 cascade that ``ExactMatrix`` and ``subspace_equal`` call on the arrays
@@ -355,6 +356,10 @@ def _modp_echelon(rows, p: int):
     return a[:len(pivots)], pivots
 
 
+# Entry b is byte b with its bits in reverse order: bit k moves to bit 7 - k.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _f2_rank(rows) -> int:
     """Rank mod 2 of a coerced matrix (``_coerced``): an int64-castable
     array or ``_Bits``, one row at a time, each row a Python int.
@@ -362,13 +367,24 @@ def _f2_rank(rows) -> int:
     A ``_Bits`` matrix is read from its bytes as they are.  An array's
     parities, ``& 1`` in its own dtype (two's complement parity for
     negatives, so no wider copy is made), are first packed into one the same
-    way, eight columns to a byte.  Each row is read big-endian, so column 0
-    is its top bit.  A row is reduced against a table of pivot rows keyed by
-    their top bit (``bit_length``, a small int, where a low-bit key
-    ``v & -v`` would be as wide as the row and hashed at every step): while
-    its own top bit has a pivot, that pivot is XORed in.  A row that reaches
-    zero is dependent; otherwise it becomes the pivot of its new top bit.
-    The rank is the size of the table.
+    way, eight columns to a byte.  Rows are read last first, and each row's
+    bytes are bit-reversed (``_BIT_REVERSED``) and read little-endian, so
+    column j is bit j: the last column is the top bit, and the padding bits
+    of the last byte land above it, zero.  Only one row is reversed at a
+    time, never a copy of the whole matrix.  A row is reduced against a
+    table of pivot rows keyed by their top bit (``bit_length``, a small int,
+    where a low-bit key ``v & -v`` would be as wide as the row and hashed at
+    every step): while its own top bit has a pivot, that pivot is XORed in.
+    A row that reaches zero is dependent; otherwise it becomes the pivot of
+    its new top bit.  The rank is the size of the table.
+
+    The rank is the same in any order; the work is not.  ``theta_rank`` and
+    ``gamma_span_rank`` build their systems in the lattice's linear-order
+    labeling (``functor._in_linear_order``), bottom first, and this order
+    suits it: chain3's theta system at six points takes 4,680 row XORs read
+    last row first with pivots on the last column, against 18,360 read first
+    row first with pivots on the first column (chain2's at eight points,
+    11,592 against 260,064).
     """
     if not isinstance(rows, _Bits):
         bits = rows if rows.dtype == bool else rows & 1
@@ -376,8 +392,8 @@ def _f2_rank(rows) -> int:
     width = rows.packed.shape[1]
     packed = rows.packed.tobytes()
     pivots = {}
-    for i in range(0, len(packed), width or 1):  # rows of no columns take no bytes
-        v = int.from_bytes(packed[i:i + width], "big")
+    for i in range(len(packed) - width, -1, -width or -1):  # rows of no columns take no bytes
+        v = int.from_bytes(packed[i:i + width].translate(_BIT_REVERSED), "little")
         while v:
             top = v.bit_length()
             pivot = pivots.get(top)

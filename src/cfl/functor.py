@@ -41,7 +41,11 @@ its builder independently.  The gamma generators sort and sum their 2^k
 signed terms per row, read from a table of meets per upper ideal and term.
 The pairing matrix is one gather of the order table.  ``theta_matrix``,
 ``theta_rank`` and ``h_quotient_basis`` share the theta builder and its
-covering filter; every rank goes through ``fast_int_rank``.  The
+covering filter; every rank goes through ``fast_int_rank``.  The two rank
+entries, ``theta_rank`` and ``gamma_span_rank``, build from the lattice
+relabeled along its linear extension (``_in_linear_order``), so their cost
+does not hang on the labels a file gives; every builder that returns
+label-indexed rows or columns keeps the lattice's own labels.  The
 orthogonality check compares row spaces instead of nullspaces: two matrices
 have the same nullspace exactly when they have the same row space, over any
 field.
@@ -490,6 +494,31 @@ def theta_matrix(lattice: Lattice, points: int) -> np.ndarray:
     return _theta_system(lattice, points, DEFAULT_FUNCTION_CAP, pruned=False).dense()
 
 
+def _in_linear_order(lattice: Lattice) -> Lattice:
+    """An isomorphic copy of ``lattice`` labeled along its linear extension
+    sorted by (|down-set|, label), or ``lattice`` itself when it is already
+    labeled so.  Its bottom is 0, its top n - 1, and a <= b implies that
+    a's label is at most b's.
+
+    The copy's order is the lattice's restricted to all its elements in
+    that order (``Poset.restrict``), and its join and meet tables are the
+    lattice's own, permuted, so it is built by the unchecked ``_trusted``
+    path."""
+    n, down = lattice.n, lattice.poset.down
+    order = sorted(range(n), key=lambda a: (down[a].bit_count(), a))
+    if order == list(range(n)):
+        return lattice
+    label = [0] * n
+    for i, a in enumerate(order):
+        label[a] = i
+
+    def table(rows):
+        return [[label[rows[a][b]] for b in order] for a in order]
+
+    return Lattice._trusted(lattice.poset.restrict(order), table(lattice.join),
+                            table(lattice.meet), 0, n - 1)
+
+
 def theta_rank(lattice: Lattice, points: int, ring=RATIONALS,
                cap: int = DEFAULT_FUNCTION_CAP, stats: RankStats | None = None) -> int:
     """Rank of the kernel system, equal to the rank of the fundamental
@@ -501,9 +530,18 @@ def theta_rank(lattice: Lattice, points: int, ring=RATIONALS,
     to a byte (``_Bits``): it is unpacked into entries only when something
     prunes or peels, and mod 2 it is read from its bytes.  ``stats``, if
     given, receives the build time and what ``fast_int_rank`` records.
+
+    The system ranked is that of the lattice relabeled along its linear
+    extension (``_in_linear_order``), whatever labels ``lattice`` has, and
+    mod 2 it is eliminated in the order that labeling suits (``_f2_rank``).
+    So the work is the same under every labeling of a chain, and otherwise
+    depends on the labels only through the order of elements with down-sets
+    of one size.  Relabeling permutes rows and columns, which pruning and
+    peeling commute with, so the rank and every field of ``stats`` but the
+    two times are invariants of the lattice's isomorphism class.
     """
     start = time.perf_counter()
-    system = _theta_system(lattice, points, cap, pruned=True)
+    system = _theta_system(_in_linear_order(lattice), points, cap, pruned=True)
     if stats is not None:
         stats.build_s = time.perf_counter() - start
     return fast_int_rank(system, ring, stats)
@@ -616,9 +654,13 @@ def gamma_span_rank(lattice: Lattice, points: int, ring=RATIONALS,
     """Rank of the span of the acted generators inside the dual-side module.
 
     ``stats``, if given, receives the build time and what ``fast_int_rank``
-    records from the entries (``gamma_entries``)."""
+    records from the entries (``gamma_entries``).  As in ``theta_rank``,
+    the generators ranked are those of the lattice relabeled along its
+    linear extension (``_in_linear_order``), so the cost does not depend on
+    the labels, and the rank and every field of ``stats`` but the times are
+    isomorphism invariants."""
     start = time.perf_counter()
-    gens = gamma_entries(lattice, points, cap)
+    gens = gamma_entries(_in_linear_order(lattice), points, cap)
     if stats is not None:
         stats.build_s = time.perf_counter() - start
     return fast_int_rank(gens, ring, stats)

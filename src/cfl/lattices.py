@@ -116,6 +116,9 @@ class Poset:
         elements = list(elements)
         if len(set(elements)) != len(elements):
             raise ValueError(f"repeated element in {elements!r}")
+        outside = next((e for e in elements if not 0 <= e < self.n), None)
+        if outside is not None:
+            raise ValueError(f"element {outside} is not one of the poset's {self.n} elements")
         def reindex(rows):
             return tuple([sum(1 << j for j, b in enumerate(elements) if rows[a] >> b & 1)
                           for a in elements])

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats, _Bits,
-                       _Entries, _coerced, _modp_echelon, _reduced, bareiss_rank_int, det_int,
-                       fast_int_rank, modp_rank, parse_ring, subspace_equal)
+                       _Entries, _coerced, _f2_rank, _modp_echelon, _reduced, bareiss_rank_int,
+                       det_int, fast_int_rank, modp_rank, parse_ring, subspace_equal)
 from cfl.functor import _theta_system
 from cfl.lattices import chain
 
@@ -258,6 +258,30 @@ def test_f2_rank_is_the_rank_mod_2(matrix):
             assert len(_modp_echelon(given, 2)[1]) == want
             # the rank does not depend on the order of the rows or the columns
             assert modp_rank(given[np.ix_(row_order, col_order)], 2) == want
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 7, 9, 13, 17, 70])
+def test_f2_rank_reads_padded_rows_last_first(width):
+    # Rows are read last first, bit-reversed byte by byte, so the padding bits
+    # of a width that is not a multiple of 8 sit above the last column and
+    # must stay zero.  Single rows, no rows, rows of no columns and
+    # deficient systems (sums of earlier rows appended) each match the
+    # dense elimination mod 2, given as an array or as packed bytes.
+    rng = np.random.default_rng(width)
+    for nr in (0, 1, 2, 5, 12):
+        for density in (0.1, 0.5, 0.9):
+            a = (rng.random((nr, width)) < density).astype(np.int8)
+            if nr > 1:
+                a = np.vstack([a, a[:nr // 2] ^ a[nr - nr // 2:], a[-1:]])
+            want = len(_modp_echelon(a, 2)[1])
+            bits = _Bits(a.shape, np.packbits(a, axis=1))
+            assert _f2_rank(a) == _f2_rank(bits) == want, (nr, density)
+            assert _f2_rank(np.ascontiguousarray(a[::-1, ::-1])) == want
+    # the last column alone, one row at a time: bit 0 of the last byte
+    single = np.zeros((1, width), dtype=np.int8)
+    if width:
+        single[0, -1] = 1
+    assert _f2_rank(single) == len(_modp_echelon(single, 2)[1]) == min(width, 1)
 
 
 def test_bareiss_handles_column_skips():

@@ -17,9 +17,9 @@ import pytest
 
 from cfl.catalog import named_lattices
 from cfl.exact import RATIONALS, PrimeField, RankStats, fast_int_rank
-from cfl.functor import (LatticeFunction, _digits, _theta_system, function_space_size,
-                         gamma_entries, gamma_span_rank, h_quotient_basis, irr_data,
-                         theta_matrix, theta_rank)
+from cfl.functor import (LatticeFunction, _digits, _in_linear_order, _theta_system,
+                         function_space_size, gamma_entries, gamma_span_rank,
+                         h_quotient_basis, irr_data, theta_matrix, theta_rank)
 from cfl.lattices import (CapExceeded, _bits, chain, lattice_from_json, lattice_to_json,
                           r_of)
 
@@ -200,6 +200,67 @@ def test_chain3_theta_rank_does_not_depend_on_the_labels():
         assert theta_rank(lat, 6, stats=stats) == 2100, perm
         got = (stats.shape, stats.peeled, stats.path, stats.prime)
         assert got == ((2100, 2100), 0, "modp-certified", 2), (perm, got)
+
+
+def _relabelings(lat):
+    """``lat`` under every permutation of its labels, built from its pairs by
+    the validating ``lattice_from_json``."""
+    leq = lattice_to_json(lat)["leq"]
+    for perm in itertools.permutations(range(lat.n)):
+        yield lattice_from_json({"size": lat.n, "leq": [[perm[a], perm[b]] for a, b in leq]})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_labeling_of_a_chain_is_ranked_as_the_chain(n):
+    # A chain has one linear extension, so every labeling's copy is chain(n)
+    # itself, tables included, and theta_rank eliminates the same packed
+    # bytes: the same mod-2 work, whatever the labels.
+    want = _theta_system(chain(n), 6, 20000, pruned=True).packed.tobytes()
+    for lat in _relabelings(chain(n)):
+        copy = _in_linear_order(lat)
+        assert copy == chain(n)
+        assert (copy.join, copy.meet, copy.bottom, copy.top, copy.poset.down) == (
+            chain(n).join, chain(n).meet, chain(n).bottom, chain(n).top, chain(n).poset.down)
+        with mock.patch("cfl.functor.fast_int_rank") as rank:
+            theta_rank(lat, 6)
+        assert rank.call_args.args[0].packed.tobytes() == want
+
+
+@pytest.mark.parametrize("name", ["m3", "n5", "b2", "grid2x3"])
+def test_the_linear_order_copy_is_the_relabeled_lattice(name):
+    # The copy's labels follow its order, and it is the lattice the
+    # validating constructor builds from the relabeled pairs, tables included.
+    for lat in _relabelings(named_lattices()[name]):
+        copy = _in_linear_order(lat)
+        assert all(a <= b for a in range(lat.n) for b in range(lat.n) if copy.le(a, b))
+        order = sorted(range(lat.n), key=lambda a: (lat.poset.down[a].bit_count(), a))
+        label = {a: i for i, a in enumerate(order)}
+        ref = lattice_from_json({"size": lat.n, "leq": [[label[a], label[b]]
+                                                        for a, b in lat.poset.leq.pairs()]})
+        assert copy == ref
+        assert (copy.join, copy.meet, copy.bottom, copy.top, copy.poset.down) == (
+            ref.join, ref.meet, ref.bottom, ref.top, ref.poset.down)
+        assert (_in_linear_order(copy) is copy) and (_in_linear_order(ref) is ref)
+
+
+@pytest.mark.parametrize("name", ["m3", "n5", "b2", "grid2x3"])
+def test_rank_stats_do_not_depend_on_the_labels(name):
+    # Rank, pruned shape, peeled pivots, path and prime are isomorphism
+    # invariants: every labeling reports what the catalog's labels report.
+    rings = [RATIONALS, PrimeField(2), PrimeField(1000003)]
+
+    def report(lat):
+        out = []
+        for rank_fn, ring, points in itertools.product((theta_rank, gamma_span_rank), rings,
+                                                       range(5)):
+            stats = RankStats()
+            rank = rank_fn(lat, points, ring, stats=stats)
+            out.append((rank, stats.shape, stats.peeled, stats.path, stats.prime))
+        return out
+
+    want = report(named_lattices()[name])
+    for lat in _relabelings(named_lattices()[name]):
+        assert report(lat) == want
 
 
 @pytest.mark.parametrize("name, method", [("chain3", "theta"), ("b2", "gamma")])

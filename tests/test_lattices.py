@@ -273,6 +273,12 @@ def test_restrict_refuses_a_repeated_element():
         chain(2).poset.restrict([0, 0])
 
 
+@pytest.mark.parametrize("elements, outside", [([0, 5], 5), ([-1], -1)])
+def test_restrict_refuses_an_element_outside_the_poset(elements, outside):
+    with pytest.raises(ValueError, match=f"element {outside} is not one of the poset's 2 elements"):
+        Poset.antichain(2).restrict(elements)
+
+
 def test_ideal_masks_match_the_subset_scan():
     for n in range(5):
         for p in enumerate_posets(n):
