@@ -8,6 +8,7 @@ from ``--ring`` alone, the rationals by default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,7 +213,12 @@ def _cmd_catalog(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The command line's parser, built on first use and then kept, so that
+    each ``main`` call in one process parses against the same one.  Parsing
+    leaves it as it was: each call gets a fresh namespace.  Nothing is built
+    at import time, and a one-shot ``cfl`` process builds it once either way."""
     parser = _Parser(
         prog="cfl",
         description="Exact computations on finite lattices and relations")

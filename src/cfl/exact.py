@@ -547,20 +547,42 @@ def _reduces_to_itself(m) -> bool:
     """Whether pruning and peeling leave a ``_Bits`` matrix as it is: no
     row repeats, and every row and every column holds two ones or more.
 
-    Row counts are read from the bytes (``bitwise_count``), repeated rows
-    from the bytes of each row, and column counts from the rows unpacked
-    block by block (``_row_blocks``); each test runs only when those before
-    it pass."""
+    Nothing is unpacked but one row.  Row counts are the ``bitwise_count``
+    of each byte, summed along the row in int32; repeated rows are read
+    from the bytes of each row.  Column counts are folded on the packed
+    rows: ``once`` marks the columns holding a one, ``twice`` those holding
+    two or more, and the lower half of the rows absorbs the upper,
+    ``twice = twice_a | twice_b | (once_a & once_b)`` and
+    ``once = once_a | once_b``, until one row is left (a middle row of an
+    odd count waits a step).  That takes log2(rows) steps on two arrays of
+    half the system, updated in place; only the last ``twice`` row is
+    unpacked, to its ``ncols`` bits, so the padding bits never count.  Each
+    test runs only when those before it pass."""
     nr, nc = m.shape
-    if not nr or np.bitwise_count(m.packed).sum(axis=1).min() < 2:
+    packed = m.packed
+    if nr < 2 or np.bitwise_count(packed).sum(axis=1, dtype=np.int32).min() < 2:
         return False
-    width, packed = m.packed.shape[1], m.packed.tobytes()
-    if len({packed[i:i + width] for i in range(0, len(packed), width)}) < nr:
+    flat, width = packed.tobytes(), packed.shape[1]
+    if len({flat[i:i + width] for i in range(0, len(flat), width)}) < nr:
         return False
-    counts = np.zeros(nc, dtype=np.int64)
-    for _, block in _row_blocks(m):
-        counts += block.sum(axis=0, dtype=np.int32)
-    return counts.min() >= 2
+    del flat
+    # The first step reads the system itself, each later one the arrays it made.
+    h = (nr + 1) // 2
+    k = nr - h  # rows h.. fold onto rows ..k; a row k of an odd count waits
+    once = packed[:h].copy()
+    once[:k] |= packed[h:]
+    twice = np.zeros_like(once)
+    np.bitwise_and(packed[:k], packed[h:], out=twice[:k])
+    while h > 1:
+        n, h = h, (h + 1) // 2
+        k = n - h
+        a, b = once[:k], once[h:n]
+        twice[:k] |= twice[h:n]
+        b ^= a  # a ^ b
+        a |= b  # a | b
+        b ^= a  # (a | b) ^ (a ^ b) = a & b
+        twice[:k] |= b
+    return bool(np.unpackbits(twice[0], count=nc).all())
 
 
 def _reduced(m, p):

@@ -360,6 +360,41 @@ def test_parser_defaults_come_from_their_sources():
     assert parser.parse_args(["rank", "FILE", "--points", "2"]).cap == DEFAULT_FUNCTION_CAP
 
 
+# The four queries of the benchmark's rank-large workload.
+_RANK_LARGE = [("chain3", "theta", 6, None), ("b2", "gamma", 6, None),
+               ("m3", "theta", 5, 40000), ("n5", "gamma", 5, None)]
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    named = named_lattices()
+    queries = []
+    for name, method, points, cap in _RANK_LARGE:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(lattice_to_json(named[name])))
+        argv = ["rank", str(path), "--points", str(points), "--method", method, "--json"]
+        queries.append(argv + (["--cap", str(cap)] if cap else []))
+    chain3 = queries[0][1]
+    errors = [["rank", chain3, "--points", "x"],
+              ["rank", chain3, "--points", "2", "--method", "bogus"],
+              ["rank", str(tmp_path / "missing.json"), "--points", "2"]]
+    rounds = []
+    for _ in range(2):
+        outputs = []
+        for argv in queries:
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            del payload["build_s"], payload["eliminate_s"]
+            outputs.append(payload)
+        rounds.append(outputs)
+        for argv in errors:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert rounds[0] == rounds[1]
+    assert [p["rank"] for p in rounds[0]] == [2100, 2702, 750, 750]
+
+
 # --- what each command imports -----------------------------------------------------
 
 # A fresh interpreter runs the CLI in-process, then prints its exit code and

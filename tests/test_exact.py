@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfl.exact import (DEFAULT_PRIME, ExactMatrix, PrimeField, RATIONALS, RankStats, _Bits,
-                       _Entries, _coerced, _f2_rank, _modp_echelon, _reduced, bareiss_rank_int,
-                       det_int, fast_int_rank, modp_rank, parse_ring, subspace_equal)
+                       _Entries, _coerced, _f2_rank, _modp_echelon, _reduced, _reduces_to_itself,
+                       bareiss_rank_int, det_int, fast_int_rank, modp_rank, parse_ring, subspace_equal)
 from cfl.functor import _theta_system
 from cfl.lattices import chain
 
@@ -773,6 +773,60 @@ def test_an_unpeeled_packed_system_is_ranked_as_it_is():
         assert (stats.path, stats.prime) == settled[:2]
         for p in (2, 3):
             assert fast_int_rank(bits, PrimeField(p)) == fast_int_rank(a, PrimeField(p))
+
+
+def _first_failed_test(a):
+    """Which test of ``_reduces_to_itself`` decides on a 0/1 array, computed
+    on the array itself: "rows" (none, or one holding fewer than two ones),
+    "repeat" (a repeated row), "columns" (one holding fewer than two ones),
+    or None when all three pass."""
+    if not len(a) or (a.sum(axis=1) < 2).any():
+        return "rows"
+    if len({row.tobytes() for row in a}) < len(a):
+        return "repeat"
+    if (a.sum(axis=0) < 2).any():
+        return "columns"
+    return None
+
+
+def _packed(a):
+    return _Bits(a.shape, np.packbits(a, axis=1))
+
+
+def test_reduces_to_itself_counts_columns_as_the_unpacked_matrix_does():
+    # 0 to 40 rows by 0 to 20 columns at densities where each test decides,
+    # a repeated row drawn in a quarter of the time.
+    rng = np.random.default_rng(36)
+    decided = {density: set() for density in (0.15, 0.4, 0.6, 0.9)}
+    for nr in range(41):
+        for nc in range(21):
+            for density in decided:
+                a = (rng.random((nr, nc)) < density).astype(np.int8)
+                if nr > 1 and rng.random() < 0.25:
+                    a[rng.integers(nr)] = a[rng.integers(nr)]
+                failed = _first_failed_test(a)
+                decided[density].add(failed)
+                assert _reduces_to_itself(_packed(a)) == (failed is None), (nr, nc, density)
+    assert set().union(*decided.values()) == {"rows", "repeat", "columns", None}
+    assert {"repeat", "columns", None} <= decided[0.4] | decided[0.6]
+
+
+def test_reduces_to_itself_sees_a_second_one_in_any_row():
+    # A cyclic band gives each of nr columns, and each row, exactly two
+    # ones; one more column holds a one in row i and another in row r.  At
+    # every odd row count, the second one sits in each row in turn, the last
+    # one and the middle one included, and nowhere at all.
+    for nr in range(3, 20, 2):
+        band = np.zeros((nr, nr), dtype=np.int8)
+        band[np.arange(nr), np.arange(nr)] = band[np.arange(nr), (np.arange(nr) + 1) % nr] = 1
+        for at in (0, nr // 2, nr):
+            for i in (0, nr - 1):
+                for r in range(nr):
+                    extra = np.zeros((nr, 1), dtype=np.int8)
+                    extra[[i, r]] = 1
+                    a = np.hstack([band[:, :at], extra, band[:, at:]])
+                    assert _first_failed_test(a) == (None if r != i else "columns")
+                    assert _reduces_to_itself(_packed(a)) == (r != i), (nr, at, i, r)
 
 
 def test_reduced_reads_arrays_in_blocks():

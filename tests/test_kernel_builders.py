@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cfl.catalog import named_lattices
-from cfl.exact import RATIONALS, PrimeField, RankStats, fast_int_rank
+from cfl.exact import RATIONALS, PrimeField, RankStats, _reduces_to_itself, fast_int_rank
 from cfl.functor import (LatticeFunction, _digits, _in_linear_order, _theta_system,
                          function_space_size, gamma_entries, gamma_span_rank,
                          h_quotient_basis, irr_data, theta_matrix, theta_rank)
@@ -283,6 +283,22 @@ def test_f2_rank_peak_memory_stays_near_the_system_size(name, method):
     finally:
         tracemalloc.stop()
     assert peak < 3 * size
+
+
+@pytest.mark.parametrize("name, points", [("chain3", 6), ("chain2", 8)])
+def test_reduces_to_itself_peak_memory_stays_near_the_packed_system(name, points):
+    # The column counts are folded in place on two arrays of half the
+    # system, after the row-bytes set of the repeat test is freed; that set
+    # makes the peak, 2.36x and 2.16x the packed bytes of these systems.
+    system = _theta_system(_in_linear_order(named_lattices()[name]), points, 100000,
+                           pruned=True)
+    tracemalloc.start()
+    try:
+        assert _reduces_to_itself(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * system.packed.nbytes
 
 
 @pytest.mark.parametrize("name, points, bound_mb", [("chain3", 6, 4), ("b2", 7, 128)])
