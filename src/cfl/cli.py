@@ -218,7 +218,9 @@ def _build_parser():
     """The command line's parser, built on first use and then kept, so that
     each ``main`` call in one process parses against the same one.  Parsing
     leaves it as it was: each call gets a fresh namespace.  Nothing is built
-    at import time, and a one-shot ``cfl`` process builds it once either way."""
+    at import time.  A ``cfl`` command builds it once either way, so no
+    command changes; only a process that calls ``main`` many times gains,
+    such as the tests or a benchmark pass of four rank queries."""
     parser = _Parser(
         prog="cfl",
         description="Exact computations on finite lattices and relations")

@@ -566,7 +566,7 @@ def _reduces_to_itself(m) -> bool:
     if len({flat[i:i + width] for i in range(0, len(flat), width)}) < nr:
         return False
     del flat
-    # The first step reads the system itself, each later one the arrays it made.
+    # The first step reads the system itself, so no full-size array is made.
     h = (nr + 1) // 2
     k = nr - h  # rows h.. fold onto rows ..k; a row k of an odd count waits
     once = packed[:h].copy()
