@@ -35,13 +35,14 @@ unpacked only by ``theta_matrix`` and ``theta_condition_tables``.
 ``theta_condition_tables`` tables each of the six membership conditions of
 ``theta_conditions`` over every pair the same way, each on its own: a
 subset-join table of the function's values for (a), the subset-OR table
-for (b)-(d), and the pointwise order and per-irreducible witnesses for (e)
-and (f).  Condition (d) is the theta system itself, so the other five check
-its builder independently.  The gamma generators sort and sum their 2^k
-signed terms per row, read from a table of meets per upper ideal and term.
-The pairing matrix is one gather of the order table.  ``theta_matrix``,
-``theta_rank`` and ``h_quotient_basis`` share the theta builder and its
-covering filter; every rank goes through ``fast_int_rank``.  The two rank
+for (b)-(d), and for (e) and (f) point masks, the points where a function
+takes a given value, as an integer.  Condition (d) is the theta system
+itself, so the other five check its builder independently.  The gamma
+generators sort and sum their 2^k signed terms per row, read from a table
+of meets per upper ideal and term.  The pairing matrix is one gather of the
+order table.  ``theta_matrix``, ``theta_rank`` and ``h_quotient_basis``
+share the theta builder and its covering filter; every rank goes through
+``fast_int_rank``.  The two rank
 entries, ``theta_rank`` and ``gamma_span_rank``, build from the lattice
 relabeled along its linear extension (``_in_linear_order``), so their cost
 does not hang on the labels a file gives; every builder that returns
@@ -291,53 +292,67 @@ def theta_conditions(phi: LatticeFunction, psi: LatticeFunction):
         raise ValueError("psi must take values in the upper-ideal lattice")
     if phi.points != psi.points:
         raise ValueError("point count mismatch")
-    k = len(data.elems)
-    enc_psi = [data.iup_enc[v] for v in psi.values]
-    down_phi = [data.down_irr[v] for v in phi.values]
+    elems, rop, up = data.elems, data.sub.down, data.sub.up
+    join, meet, le = lattice.join, lattice.meet, lattice.poset.up
+    # per point: the ideal of psi as a mask, the down-mask of phi, phi's value
+    pts = [(data.iup_enc[i], data.down_irr[v], v) for i, v in zip(psi.values, phi.values)]
 
     # q = product correspondence on the irreducibles
     q_rows = []
-    for e in range(k):
+    for e in range(len(elems)):
         acc = 0
-        for mask, down in zip(enc_psi, down_phi):
+        for mask, down, _ in pts:
             if mask >> e & 1:
                 acc |= down
         q_rows.append(acc)
 
-    join_vals = [lattice.join_many(phi.values[x] for x in range(phi.points)
-                                   if enc_psi[x] >> e & 1)
-                 for e in range(k)]
-    cond_a = all(join_vals[e] == data.elems[e] for e in range(k))
-
-    qi_vals = [lattice.join_many(data.elems[f] for f in _bits(q_rows[e]))
-               for e in range(k)]
-    cond_b = all(qi_vals[e] == data.elems[e] for e in range(k))
-
-    cond_c = all(q_rows[e] >> e & 1 and q_rows[e] & ~data.sub.down[e] == 0
-                 for e in range(k))
-
-    cond_d = all(q_rows[e] == data.sub.down[e] for e in range(k))
-
-    wedge = [lattice.meet_many(data.elems[i] for i in _bits(enc_psi[x]))
-             for x in range(phi.points)]
-    cond_e = (all(lattice.le(phi.values[x], wedge[x]) for x in range(phi.points))
-              and all(any(phi.values[x] == data.elems[e]
-                          and enc_psi[x] == data.sub.up[e]
-                          for x in range(phi.points))
-                      for e in range(k)))
-
-    first_f = all(lattice.le(phi.values[x], data.elems[e])
-                  for x in range(phi.points) for e in _bits(enc_psi[x]))
-    second_f = True
-    for e in range(k):
-        union = 0
-        for x in range(phi.points):
-            if phi.values[x] == data.elems[e]:
-                union |= enc_psi[x]
-        if union != data.sub.up[e]:
-            second_f = False
+    cond_a = True
+    for e, t in enumerate(elems):
+        acc = lattice.bottom
+        for mask, _, v in pts:
+            if mask >> e & 1:
+                acc = join[acc][v]
+        if acc != t:
+            cond_a = False
             break
-    cond_f = first_f and second_f
+
+    cond_b = True
+    for row, t in zip(q_rows, elems):
+        acc = lattice.bottom
+        for f, u in enumerate(elems):
+            if row >> f & 1:
+                acc = join[acc][u]
+        if acc != t:
+            cond_b = False
+            break
+
+    cond_c = all(row >> e & 1 and row & ~r == 0 for e, (row, r) in enumerate(zip(q_rows, rop)))
+
+    cond_d = all(row == r for row, r in zip(q_rows, rop))
+
+    cond_e = True
+    for mask, _, v in pts:
+        wedge = lattice.top
+        for i, u in enumerate(elems):
+            if mask >> i & 1:
+                wedge = meet[wedge][u]
+        if not le[v] >> wedge & 1:
+            cond_e = False
+            break
+    if cond_e:
+        seen = {(v, mask) for mask, _, v in pts}
+        cond_e = all(pair in seen for pair in zip(elems, up))
+
+    cond_f = all(le[v] >> elems[i] & 1 for mask, _, v in pts for i in _bits(mask))
+    if cond_f:
+        for t, u in zip(elems, up):
+            union = 0
+            for mask, _, v in pts:
+                if v == t:
+                    union |= mask
+            if union != u:
+                cond_f = False
+                break
 
     return cond_a, cond_b, cond_c, cond_d, cond_e, cond_f
 
@@ -388,10 +403,12 @@ def _subset_ors(lattice: Lattice, phi: np.ndarray) -> np.ndarray:
 
 
 def _all_of(shape, arrays) -> np.ndarray:
-    """The AND of boolean arrays of one shape, taken one array at a time."""
+    """The AND of boolean arrays of one shape, taken one array at a time:
+    each is freed before the next is built."""
     out = np.ones(shape, dtype=bool)
     for a in arrays:
         out &= a
+        del a
     return out
 
 
@@ -431,9 +448,17 @@ def theta_condition_tables(lattice: Lattice, points: int):
         of its masks, tested for bit e and containment in the opposite row
         of e, and compared with that row (this is the kernel system);
     (e) the pointwise order against the meet of each ideal, and a point
-        where phi is e and psi is the principal upper ideal of e;
-    (f) the pointwise order against each irreducible of each ideal, and the
-        union of the ideals at the points where phi is e.
+        where phi is e and psi is the principal upper ideal of e: psi's
+        point mask of that ideal ANDed with phi's point mask of e;
+    (f) the pointwise order against each irreducible of each ideal, one
+        ideal mask per point against the irreducibles above phi's value,
+        and the union of the ideals at the points where phi is e: a
+        psi-side subset-OR table, compared with the principal upper ideal
+        of e and gathered at phi's point mask of e.
+
+    Every full-size temporary is boolean.  Gathers copy whole rows, so (f),
+    gathered at phi's values and masks, is built over (function, ideal
+    function) and yielded transposed.
     """
     data = irr_data(lattice)
     phi, psi, enc, subsets, table = _theta_inputs(lattice, points, DEFAULT_FUNCTION_CAP,
@@ -461,29 +486,28 @@ def theta_condition_tables(lattice: Lattice, points: int):
     yield _condition_d(rop, subsets, table, shape).dense().view(bool)
 
     le = _order_table(lattice)
-    meets = np.array([lattice.meet_many(elems[i] for i in _bits(m)) for m in data.iup_enc])
+    weights = np.int64(1) << np.arange(points, dtype=np.int64)
+    point_masks = np.arange(1 << points, dtype=np.min_scalar_type((1 << points) - 1))
 
-    def witness(e):
-        out = np.zeros(shape, dtype=bool)
-        for x in range(points):
-            np.logical_or(out, (enc[:, x] == up[e])[:, None], out=out,
-                          where=phi[:, x] == elems[e])
-        return out
+    def at(values, target):
+        """Per row of ``values``, the mask of the points where it is ``target``."""
+        return ((values == target) @ weights).astype(point_masks.dtype)
 
+    # under[i, v]: v lies below the meet of ideal i
+    under = le.T[[lattice.meet_many(elems[i] for i in _bits(m)) for m in data.iup_enc]]
     yield _all_of(shape, itertools.chain(
-        (le[phi[:, x], meets[psi[:, x], None]] for x in range(points)),
-        map(witness, range(k))))
+        (under.take(phi[:, x], axis=1)[psi[:, x]] for x in range(points)),
+        (((point_masks[:, None] & at(phi, elems[e])) != 0)[at(enc, up[e])] for e in range(k))))
 
-    def union(e):
-        out = np.zeros(shape, dtype=enc.dtype)
-        for x in range(points):
-            np.bitwise_or(out, enc[:, x, None], out=out,
-                          where=phi[:, x] == elems[e])
-        return out == up[e]
-
-    yield _all_of(shape, itertools.chain(
-        (~(enc[:, x, None] >> e & 1).astype(bool) | le[phi[:, x], elems[e]]
-         for x in range(points) for e in range(k)), map(union, range(k))))
+    # in the transposed orientation, (function, ideal function); ors is the
+    # psi-side subset-OR table: row s, column r the union of r's ideals over s
+    ors = np.zeros((1 << points, len(psi)), dtype=enc.dtype)
+    for x in range(points):
+        ors[1 << x:2 << x] = ors[:1 << x] | enc[:, x]
+    above = (le[:, elems] @ (1 << np.arange(k))).astype(enc.dtype)  # irreducibles above v
+    yield _all_of(shape[::-1], itertools.chain(
+        (((enc[:, x] & ~above[:, None]) == 0)[phi[:, x]] for x in range(points)),
+        ((ors == up[e])[at(phi, elems[e])] for e in range(k)))).T
 
 
 def theta_matrix(lattice: Lattice, points: int) -> np.ndarray:

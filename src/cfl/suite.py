@@ -1244,12 +1244,14 @@ def _condition_table_failure(name, lat, points):
         system = theta_matrix(lat, x).view(bool)
         tables = theta_condition_tables(lat, x)
         for letter in "abcdef":
-            rows, cols = (next(tables) != system).nonzero()  # one table at a time
-            if len(rows):
+            wrong = next(tables) != system  # one table at a time
+            if wrong.any():
+                rows, cols = wrong.nonzero()
                 row, col = int(rows[0]), int(cols[0])
                 return _witness(lat, name=name, x=x, condition=letter,
                                 psi=_digits(irr_data(lat).iup.n, x)[row].tolist(),
                                 phi=_digits(lat.n, x)[col].tolist())
+            del wrong  # before the next table is built
     return None
 
 

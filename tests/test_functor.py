@@ -21,7 +21,7 @@ from cfl.functor import (LatticeFunction, _digits, act, action_index,
                          theta_conditions, theta_matrix, theta_rank, total_rank_formula)
 from cfl.lattices import (CACHE_SIZE, CapExceeded, LatticeError, Poset, _bits, chain,
                           ideal_lattice, irreducibles, join_maps, lattice_from_json,
-                          mobius)
+                          lattices_isomorphic, mobius)
 from cfl.relations import Correspondence
 
 
@@ -291,6 +291,25 @@ def test_condition_tables_match_the_scalar_conditions(named, points):
         for letter, table, expected in zip("abcdef", tables, want):
             assert table.dtype == bool and table.shape == (rows, cols), (name, letter)
             assert np.array_equal(table, expected), (name, points, letter)
+
+
+def test_condition_tables_match_the_scalar_conditions_on_other_shapes(named):
+    """As above, on a seeded sample of the labeled lattices of at most five
+    elements that no named lattice is isomorphic to (the two shapes of b2
+    with a new bottom or a new top), at zero to two points."""
+    others = [lat for lat in enumerate_lattices(5)
+              if not any(lattices_isomorphic(lat, shape) for shape in named.values())]
+    assert len(others) == 120
+    for lat in random.Random(5).sample(others, 8):
+        data = irr_data(lat)
+        for points in range(3):
+            tables = list(theta_condition_tables(lat, points))
+            for r, psi in enumerate(_digits(data.iup.n, points).tolist()):
+                for c, phi in enumerate(_digits(lat.n, points).tolist()):
+                    want = theta_conditions(LatticeFunction(lat, phi),
+                                            LatticeFunction(data.iup, psi))
+                    assert tuple(bool(t[r, c]) for t in tables) == want, (lat.poset.up,
+                                                                          psi, phi)
 
 
 def test_condition_tables_equal_the_kernel_system_at_three_points(named):

@@ -447,6 +447,47 @@ def test_condition_tables_skip_past_the_cell_cap():
     assert "table cells exceed cap" in result.witness["reason"]
 
 
+def test_spoiled_condition_e_fails_the_equivalence_with_its_pair(monkeypatch):
+    # condition (e) flipped on the first pair drawn on b2
+    b2, real, spoiled = named_lattices()["b2"], suite_mod.theta_conditions, []
+
+    def spoil(phi, psi):
+        conds = real(phi, psi)
+        if phi.lattice is b2 and not spoiled:
+            spoiled.append((list(phi.values), list(psi.values), conds))
+            return conds[:4] + (not conds[4],) + conds[5:]
+        return conds
+
+    monkeypatch.setattr(suite_mod, "theta_conditions", spoil)
+    result = run_check("kernel-condition-equivalence")
+    (phi, psi, conds), = spoiled
+    assert len(set(conds)) == 1  # the six agreed before the flip
+    assert result.status == "fail"
+    assert result.witness["name"] == "b2"
+    assert (result.witness["phi"], result.witness["psi"]) == (phi, psi)
+    assert result.witness["conditions"] == [conds[0]] * 4 + [not conds[0], conds[0]]
+
+
+def test_spoiled_table_f_fails_the_tables_at_its_cell(monkeypatch):
+    # one cell of table (f) flipped for b2 at three points: row 9 is the
+    # ideal function with digits (1, 2, 0), column 22 the function (2, 1, 1)
+    b2, real = named_lattices()["b2"], suite_mod.theta_condition_tables
+
+    def spoil(lat, x):
+        tables = real(lat, x)
+        if lat is b2 and x == 3:
+            tables = list(tables)
+            tables[5] = tables[5].copy()
+            tables[5][9, 22] ^= True
+        return iter(tables)
+
+    monkeypatch.setattr(suite_mod, "theta_condition_tables", spoil)
+    result = run_check("kernel-condition-tables")
+    assert result.status == "fail"
+    assert {key: result.witness[key] for key in ("name", "x", "condition", "psi", "phi")} == {
+        "name": "b2", "x": 3, "condition": "f", "psi": [1, 2, 0], "phi": [2, 1, 1]}
+
+
 def _calls(monkeypatch, name):
     """The argument tuples of every call the suite makes to ``name``."""
     real, calls = getattr(suite_mod, name), []
